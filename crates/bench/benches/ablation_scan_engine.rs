@@ -1,12 +1,11 @@
 //! Ablation — the sharded discrete-event scan engine against the serial
-//! scanner and the legacy round-robin parallel path.
+//! scanner.
 //!
 //! The engine's contract is that worker count is unobservable in the
 //! report, so the only thing left to measure is wall-clock: serial vs
-//! `scan_parallel` (the legacy deal-by-index path, per-worker scope
-//! honouring) vs `scan_engine` at 1/4/8 workers, on a small (~10 k
-//! clients) and a large (~1 M clients) deployment. `xtask bench-report
-//! --suite scan` distils the medians into `BENCH_scan.json`.
+//! `scan_engine` at 1/4/8 workers, on a small (~10 k clients) and a large
+//! (~1 M clients) deployment. `xtask bench-report --suite scan` distils
+//! the medians into `BENCH_scan.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment, BENCH_SEED};
@@ -33,7 +32,7 @@ fn bench(c: &mut Criterion) {
         start,
         &EngineConfig::new(8, 8),
     );
-    banner("Ablation: serial vs legacy-parallel vs discrete-event engine");
+    banner("Ablation: serial vs discrete-event engine");
     println!(
         "large scan : {} /24 subnets queried (~{} clients), {} addresses",
         serial.queries_sent,
@@ -59,9 +58,6 @@ fn bench(c: &mut Criterion) {
                 let mut clock = SimClock::new(start);
                 scanner.scan(Domain::MaskQuic.name(), auth, &d.rib, &mut clock)
             })
-        });
-        group.bench_function(format!("legacy8_{label}"), |b| {
-            b.iter(|| scanner.scan_parallel(Domain::MaskQuic.name(), auth, &d.rib, start, 8))
         });
         for workers in [1usize, 4, 8] {
             group.bench_function(format!("engine_w{workers}_{label}"), |b| {

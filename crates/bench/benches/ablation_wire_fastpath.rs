@@ -3,23 +3,24 @@
 //!
 //! The ECS scan sends one near-identical query per routed /24 (~11 M at
 //! Internet scale), so per-query constant factors dominate the simulated
-//! campaign's real runtime. This ablation times three levels:
+//! campaign's real runtime. This ablation times two kernels:
 //!
-//! * **encode kernel** — building the query bytes: template patch (5 bytes
+//! * **encode** — building the query bytes: template patch (5 bytes
 //!   rewritten in place) vs `Message` construction + `encode_message`,
-//! * **query kernel** — the full round trip the scanner performs per subnet:
+//! * **query** — the full round trip the scanner performs per subnet:
 //!   encode, serve, decode; the fast path also writes the reply into a
-//!   reused scratch buffer via `handle_query_into`,
-//! * **full scan** — `EcsScanner::scan` on a 1/256-scale deployment with
-//!   `use_fast_path` on and off, confirming identical discovery.
+//!   reused scratch buffer via `handle_query_into`.
+//!
+//! The scanner always takes the fast path; the general encoder is only its
+//! fallback for a template that fails its self-check. Byte equality of the
+//! two encodings is a unit test in `tectonic_core::ecs_scan`.
 
 use bytes::BytesMut;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tectonic_bench::banner;
-use tectonic_core::ecs_scan::{EcsScanConfig, EcsScanner};
 use tectonic_dns::server::{NameServer, QueryContext, ReplyOutcome, ServerReply};
 use tectonic_dns::{decode_message, encode_message, EcsOption, Message, QType, QueryTemplate};
-use tectonic_net::{Epoch, Ipv4Net, SimClock};
+use tectonic_net::{Epoch, Ipv4Net};
 use tectonic_relay::{Deployment, DeploymentConfig, Domain};
 
 fn bench(c: &mut Criterion) {
@@ -94,30 +95,6 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Full scan, both paths; discovery must be identical.
-    let start = Epoch::Apr2022.start();
-    let scan_with = |use_fast_path: bool| {
-        let scanner = EcsScanner::new(EcsScanConfig {
-            use_fast_path,
-            ..EcsScanConfig::default()
-        });
-        let mut clock = SimClock::new(start);
-        scanner.scan(Domain::MaskQuic.name(), &auth, &d.rib, &mut clock)
-    };
-    let fast = scan_with(true);
-    let general = scan_with(false);
-    println!(
-        "full scan: {} queries, {} addresses; identical reports: {}",
-        fast.queries_sent,
-        fast.total(),
-        fast == general
-    );
-    assert_eq!(
-        fast, general,
-        "fast path changed scan results — ablation invalid"
-    );
-    group.bench_function("scan_general", |b| b.iter(|| scan_with(false)));
-    group.bench_function("scan_fast_path", |b| b.iter(|| scan_with(true)));
     group.finish();
 }
 

@@ -27,5 +27,5 @@ pub mod topology;
 
 pub use aspop::AsPopulation;
 pub use history::{Month, VisibilityHistory};
-pub use rib::{LookupMemo, Rib, RouteEntry};
+pub use rib::{Rib, RouteEntry};
 pub use topology::AsTopology;

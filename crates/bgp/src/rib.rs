@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::net::IpAddr;
 
 use serde::{Deserialize, Serialize};
-use tectonic_net::{Asn, BatchScratch, DeltaOverlay, FrozenLpm, IpNet, PrefixTrie};
+use tectonic_net::{Asn, BatchScratch, FrozenLpm, IpNet, PrefixTable};
 
 /// One announced route.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -19,35 +19,15 @@ pub struct RouteEntry {
 /// relay deployment announces its prefixes here, the client-side Internet
 /// model announces eyeball prefixes, and the scanner and analyses query it.
 ///
-/// The trie is the build-side structure; once the table is loaded, callers
-/// [`freeze`](Rib::freeze) it and every read API runs on the compiled
-/// [`FrozenLpm`] snapshot instead of chasing trie pointers. Mutations
-/// ([`announce`](Rib::announce) / [`withdraw`](Rib::withdraw)) no longer
-/// throw the snapshot away: they land in a bounded [`DeltaOverlay`]
-/// consulted after the frozen walk (result-identical to a rebuild), and
-/// once the overlay crosses its compaction threshold the dirty subtrees
-/// are re-frozen in place ([`FrozenLpm::refreeze_subtree`]) — O(affected
-/// subtree) per update burst instead of O(table). Every visible mutation,
-/// including a compaction, bumps the generation counter that fences
-/// [`LookupMemo`] reuse.
-#[derive(Debug)]
+/// The routes live in one [`PrefixTable`]: a sorted map while the table
+/// loads, compiled into a [`FrozenLpm`] by [`freeze`](Rib::freeze). Later
+/// [`announce`](Rib::announce) / [`withdraw`](Rib::withdraw) churn lands in
+/// the table's delta overlay and is folded into the compiled arrays in
+/// O(affected subtree) per burst, never O(table).
+#[derive(Debug, Default)]
 pub struct Rib {
-    routes: PrefixTrie<RouteEntry>,
-    /// Compiled snapshot of `routes` as of the last freeze/compaction;
-    /// `None` until the first [`freeze`](Rib::freeze) (or when ablated
-    /// off). Stays live across mutations — churn goes through `delta`.
-    frozen: Option<FrozenLpm<RouteEntry>>,
-    /// Pending announce/withdraw patches against `frozen`; empty whenever
-    /// `frozen` is `None` or freshly (re)built.
-    delta: DeltaOverlay<RouteEntry>,
-    /// Ablation switch mirroring the scanner's `use_fast_path`: when off,
-    /// [`freeze`](Rib::freeze) is a no-op and every lookup walks the trie.
-    frozen_enabled: bool,
-    /// Bumped on every visible mutation — announce, withdraw, and overlay
-    /// compaction (which relocates arena segments under batch scratch) —
-    /// so memoised lookups from an older generation are discarded.
-    generation: u64,
-    /// Per-AS announced prefix lists, kept alongside the trie for the
+    routes: PrefixTable<RouteEntry>,
+    /// Per-AS announced prefix lists, kept alongside the table for the
     /// prefix-census analyses (Table 3, §6). Entries are removed when their
     /// last prefix is withdrawn, so every present key has prefixes.
     by_origin: HashMap<Asn, Vec<IpNet>>,
@@ -56,111 +36,51 @@ pub struct Rib {
     origins: Vec<Asn>,
 }
 
-impl Default for Rib {
-    fn default() -> Self {
-        Rib {
-            routes: PrefixTrie::new(),
-            frozen: None,
-            delta: DeltaOverlay::new(),
-            frozen_enabled: true,
-            generation: 0,
-            by_origin: HashMap::new(),
-            origins: Vec::new(),
-        }
-    }
-}
-
 impl Rib {
     /// An empty RIB.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Compiles the current table into a [`FrozenLpm`] snapshot so
-    /// steady-state lookups stop walking the pointer trie. Call after the
-    /// load phase; later mutations are absorbed by the delta overlay, so
-    /// a re-freeze is an optimisation (dropping accumulated patches and
-    /// arena garbage), never a correctness requirement. A no-op when the
-    /// frozen engine is ablated off.
+    /// Compiles the table into a [`FrozenLpm`] so steady-state lookups run
+    /// on the flat arrays. Call after the load phase; later mutations are
+    /// absorbed by the delta overlay, so a re-freeze only drops accumulated
+    /// patches and arena garbage, and never changes an answer.
     pub fn freeze(&mut self) {
-        if self.frozen_enabled {
-            self.frozen = Some(self.routes.freeze());
-            self.delta.clear();
-            self.generation = self.generation.wrapping_add(1);
-        }
+        self.routes.freeze();
     }
 
-    /// Ablation switch for the compiled engine (mirrors the scanner's
-    /// `use_fast_path`). Disabling drops the snapshot (and any pending
-    /// overlay patches) and pins all lookups to the pointer trie;
-    /// re-enabling freezes immediately.
-    pub fn set_frozen_enabled(&mut self, enabled: bool) {
-        self.frozen_enabled = enabled;
-        if enabled {
-            self.freeze();
-        } else {
-            self.frozen = None;
-            self.delta.clear();
-            self.generation = self.generation.wrapping_add(1);
-        }
-    }
-
-    /// Whether lookups currently run on a compiled snapshot (possibly with
-    /// a pending delta overlay — still the fast path).
+    /// Whether the table has been frozen.
     pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
+        self.routes.is_frozen()
     }
 
-    /// Number of overlay patches pending against the frozen snapshot —
-    /// zero in steady state, bounded by the compaction threshold under
-    /// churn. Diagnostics/test hook.
+    /// Number of overlay patches pending against the frozen table — zero in
+    /// steady state, bounded by the compaction threshold under churn.
+    /// Diagnostics/test hook.
     pub fn pending_patches(&self) -> usize {
-        self.delta.len()
+        self.routes.pending_patches()
+    }
+
+    /// Arena slots that the next full rebuild of the frozen table will
+    /// reclaim. Diagnostics/test hook.
+    pub fn garbage(&self) -> usize {
+        self.routes.garbage()
     }
 
     /// A cheap copy-on-write epoch snapshot of the compiled table
-    /// ([`FrozenLpm::snapshot`]), or `None` when the frozen engine is off.
-    /// Pending overlay patches are compacted in first so the snapshot
-    /// captures exactly the current routes; k epoch handles share arenas
-    /// until the live table diverges.
+    /// ([`FrozenLpm::snapshot`]), or `None` before the first freeze.
+    /// Pending overlay patches are folded in first so the snapshot captures
+    /// exactly the current routes; k epoch handles share arenas until the
+    /// live table diverges.
     pub fn snapshot(&mut self) -> Option<FrozenLpm<RouteEntry>> {
-        if !self.delta.is_empty() {
-            if let Some(frozen) = self.frozen.as_mut() {
-                frozen.refreeze_subtree(&self.delta);
-                self.delta.clear();
-                self.generation = self.generation.wrapping_add(1);
-            }
-        }
-        self.frozen.as_ref().map(FrozenLpm::snapshot)
-    }
-
-    /// Records a visible mutation: bumps the [`LookupMemo`] generation
-    /// fence and, when a snapshot is live, folds the overlay into it once
-    /// the patch budget is exhausted (O(affected subtree)), falling back to
-    /// a full rebuild only when compactions have left more arena garbage
-    /// than live entries.
-    fn after_mutation(&mut self) {
-        self.generation = self.generation.wrapping_add(1);
-        let rebuild = match self.frozen.as_mut() {
-            Some(frozen) if self.delta.should_compact(frozen.len()) => {
-                frozen.refreeze_subtree(&self.delta);
-                self.delta.clear();
-                frozen.garbage() > frozen.len()
-            }
-            _ => false,
-        };
-        if rebuild {
-            self.frozen = Some(self.routes.freeze());
-        }
+        self.routes.snapshot()
     }
 
     /// Announces `prefix` with origin `asn`. Re-announcing an existing
     /// prefix replaces the origin (and returns the previous one).
     pub fn announce(&mut self, prefix: impl Into<IpNet>, origin: Asn) -> Option<Asn> {
         let prefix = prefix.into();
-        if self.frozen.is_some() {
-            self.delta.announce(prefix, RouteEntry { origin });
-        }
         let prev = self.routes.insert(prefix, RouteEntry { origin });
         if let Some(prev) = &prev {
             if prev.origin != origin {
@@ -170,20 +90,15 @@ impl Rib {
         } else {
             self.index_prefix(origin, prefix);
         }
-        self.after_mutation();
         prev.map(|e| e.origin)
     }
 
     /// Withdraws `prefix`, returning its origin if it was announced.
     pub fn withdraw(&mut self, prefix: &IpNet) -> Option<Asn> {
-        if let Some(frozen) = &self.frozen {
-            self.delta.withdraw(prefix, frozen);
-        }
         let prev = self.routes.remove(prefix);
         if let Some(entry) = &prev {
             self.unindex_prefix(entry.origin, prefix);
         }
-        self.after_mutation();
         prev.map(|e| e.origin)
     }
 
@@ -221,62 +136,32 @@ impl Rib {
 
     /// Longest-prefix match for an address.
     pub fn lookup(&self, addr: IpAddr) -> Option<(IpNet, Asn)> {
-        match &self.frozen {
-            Some(lpm) => self
-                .delta
-                .lookup(lpm, addr)
-                .map(|(net, entry)| (net, entry.origin)),
-            None => self
-                .routes
-                .longest_match(addr)
-                .map(|(net, entry)| (net, entry.origin)),
-        }
+        self.routes
+            .lookup(addr)
+            .map(|(net, entry)| (net, entry.origin))
     }
 
     /// Longest-prefix match for a burst of addresses; `out` is cleared and
     /// receives exactly `addrs.iter().map(|a| lookup(*a))`. On a frozen RIB
-    /// this is one [`FrozenLpm::lookup_batch`] call (interleaved walks), so
-    /// the scanner's reply-attribution loop pays one dispatch per burst.
-    pub fn lookup_batch(&self, addrs: &[IpAddr], out: &mut Vec<Option<(IpNet, Asn)>>) {
-        let mut scratch = BatchScratch::new();
-        self.lookup_batch_in(&mut scratch, addrs, out);
-    }
-
-    /// [`lookup_batch`](Rib::lookup_batch) against caller-owned walk state:
-    /// a reply-attribution loop that reuses one [`BatchScratch`] across
-    /// bursts keeps the whole frozen-path lookup allocation-free.
+    /// this is one batched walk of the compiled table (interleaved lanes),
+    /// and a reply-attribution loop that reuses one [`BatchScratch`] across
+    /// bursts keeps it allocation-free.
     pub fn lookup_batch_in(
         &self,
         scratch: &mut BatchScratch,
         addrs: &[IpAddr],
         out: &mut Vec<Option<(IpNet, Asn)>>,
     ) {
-        match &self.frozen {
-            Some(lpm) => {
-                self.delta
-                    .lookup_batch_map_in(lpm, scratch, addrs, out, |m| {
-                        m.map(|(net, entry)| (net, entry.origin))
-                    });
-            }
-            None => {
-                out.clear();
-                out.extend(addrs.iter().map(|a| self.lookup(*a)));
-            }
-        }
+        self.routes.lookup_batch_map_in(scratch, addrs, out, |m| {
+            m.map(|(net, entry)| (net, entry.origin))
+        });
     }
 
     /// The most specific announced prefix fully covering `net`.
     pub fn lookup_net(&self, net: &IpNet) -> Option<(IpNet, Asn)> {
-        match &self.frozen {
-            Some(lpm) => self
-                .delta
-                .longest_match_net(lpm, net)
-                .map(|(covering, entry)| (covering, entry.origin)),
-            None => self
-                .routes
-                .longest_match_net(net)
-                .map(|(covering, entry)| (covering, entry.origin)),
-        }
+        self.routes
+            .lookup_net(net)
+            .map(|(covering, entry)| (covering, entry.origin))
     }
 
     /// Whether `addr` falls in any announced prefix — the scanner's
@@ -292,10 +177,7 @@ impl Rib {
 
     /// The origin AS of the exact prefix, if announced.
     pub fn origin_of(&self, prefix: &IpNet) -> Option<Asn> {
-        match &self.frozen {
-            Some(lpm) => self.delta.exact(lpm, prefix).map(|e| e.origin),
-            None => self.routes.exact(prefix).map(|e| e.origin),
-        }
+        self.routes.get(prefix).map(|e| e.origin)
     }
 
     /// All prefixes announced by `asn` (unspecified order).
@@ -303,7 +185,8 @@ impl Rib {
         self.by_origin.get(&asn).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Iterates every `(prefix, origin)` announcement.
+    /// Iterates every `(prefix, origin)` announcement: IPv4 first, then
+    /// ascending address and length.
     pub fn iter(&self) -> impl Iterator<Item = (IpNet, Asn)> + '_ {
         self.routes.iter().map(|(net, entry)| (net, entry.origin))
     }
@@ -313,67 +196,6 @@ impl Rib {
     /// Maintained incrementally on announce/withdraw, so this is O(1).
     pub fn origins(&self) -> &[Asn] {
         &self.origins
-    }
-
-    /// Longest-prefix match that remembers the previous answer.
-    ///
-    /// The ECS scanner looks up millions of addresses in ascending order, so
-    /// consecutive queries overwhelmingly land in the same announced prefix.
-    /// When the previous match was a *leaf* (no more-specific prefix below
-    /// it — see [`PrefixTrie::longest_match_leaf`]) and still contains
-    /// `addr`, the memoised answer is provably identical to a full walk and
-    /// is returned without touching the table.
-    ///
-    /// The memo carries the RIB generation it was filled at; any announce or
-    /// withdraw bumps the generation, so a stale memo is discarded here no
-    /// matter how the caller interleaved lookups and mutations.
-    pub fn lookup_memoized(&self, addr: IpAddr, memo: &mut LookupMemo) -> Option<(IpNet, Asn)> {
-        if memo.generation == self.generation {
-            if let Some((net, asn, true)) = memo.last {
-                if net.contains(addr) {
-                    return Some((net, asn));
-                }
-            }
-        } else {
-            memo.last = None;
-        }
-        memo.generation = self.generation;
-        let matched = match &self.frozen {
-            Some(lpm) => self
-                .delta
-                .longest_match_leaf(lpm, addr)
-                .map(|(net, entry, leaf)| (net, entry.origin, leaf)),
-            None => self
-                .routes
-                .longest_match_leaf(addr)
-                .map(|(net, entry, leaf)| (net, entry.origin, leaf)),
-        };
-        match matched {
-            Some((net, origin, leaf)) => {
-                memo.last = Some((net, origin, leaf));
-                Some((net, origin))
-            }
-            None => {
-                memo.last = None;
-                None
-            }
-        }
-    }
-}
-
-/// Scratch state for [`Rib::lookup_memoized`]: the last match, whether it
-/// was a leaf (safe to reuse for any address it contains), and the RIB
-/// generation it was taken from (reuse across mutations is rejected).
-#[derive(Debug, Default, Clone)]
-pub struct LookupMemo {
-    last: Option<(IpNet, Asn, bool)>,
-    generation: u64,
-}
-
-impl LookupMemo {
-    /// A fresh memo (first lookup takes the slow path).
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -494,57 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_lookups_match_trie_lookups() {
-        let mut rib = Rib::new();
-        rib.announce(net("17.0.0.0/8"), Asn::APPLE);
-        rib.announce(net("17.5.0.0/16"), Asn(64512));
-        rib.announce(net("23.32.0.0/11"), Asn::AKAMAI_EG);
-        rib.announce(net("2620:149::/32"), Asn::APPLE);
-        assert!(!rib.is_frozen());
-        rib.freeze();
-        assert!(rib.is_frozen());
-        let mut cold = Rib::new();
-        cold.set_frozen_enabled(false);
-        for (p, asn) in rib.iter().collect::<Vec<_>>() {
-            cold.announce(p, asn);
-        }
-        for a in [
-            "17.5.1.2",
-            "17.9.9.9",
-            "23.33.0.1",
-            "8.8.8.8",
-            "2620:149::7",
-        ] {
-            let a: IpAddr = a.parse().unwrap();
-            assert_eq!(rib.lookup(a), cold.lookup(a), "{a}");
-            assert_eq!(rib.is_routed(a), cold.is_routed(a));
-        }
-        for n in ["17.5.3.0/24", "17.0.0.0/8", "16.0.0.0/8", "2620:149:a::/48"] {
-            let n = net(n);
-            assert_eq!(rib.lookup_net(&n), cold.lookup_net(&n), "{n}");
-            assert_eq!(rib.origin_of(&n), cold.origin_of(&n));
-        }
-    }
-
-    #[test]
-    fn lookup_batch_matches_single_lookups_frozen_and_not() {
-        let mut rib = Rib::new();
-        rib.announce(net("17.0.0.0/8"), Asn::APPLE);
-        rib.announce(net("23.32.0.0/11"), Asn::AKAMAI_EG);
-        let addrs: Vec<IpAddr> = ["17.1.1.1", "8.8.8.8", "23.33.0.1", "17.2.3.4", "9.9.9.9"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let want: Vec<_> = addrs.iter().map(|a| rib.lookup(*a)).collect();
-        let mut out = Vec::new();
-        rib.lookup_batch(&addrs, &mut out);
-        assert_eq!(out, want, "trie path");
-        rib.freeze();
-        rib.lookup_batch(&addrs, &mut out);
-        assert_eq!(out, want, "frozen path");
-    }
-
-    #[test]
     fn mutations_patch_the_snapshot_in_place() {
         let mut rib = Rib::new();
         rib.announce(net("17.0.0.0/8"), Asn::APPLE);
@@ -570,130 +341,6 @@ mod tests {
         rib.freeze();
         assert_eq!(rib.pending_patches(), 0);
         assert!(rib.lookup("17.5.1.1".parse().unwrap()).is_none());
-    }
-
-    #[test]
-    fn overlay_lookups_match_trie_under_churn() {
-        // Interleave announce/withdraw against a frozen RIB and check every
-        // read API against a trie-only control after each step.
-        let mut rib = Rib::new();
-        let mut cold = Rib::new();
-        cold.set_frozen_enabled(false);
-        let seed = [
-            ("17.0.0.0/8", Asn::APPLE),
-            ("17.5.0.0/16", Asn(64512)),
-            ("23.32.0.0/11", Asn::AKAMAI_EG),
-            ("2620:149::/32", Asn::APPLE),
-        ];
-        for (p, a) in seed {
-            rib.announce(net(p), a);
-            cold.announce(net(p), a);
-        }
-        rib.freeze();
-        let steps: Vec<(bool, &str, Asn)> = vec![
-            (true, "17.5.3.0/24", Asn(64513)),
-            (false, "17.5.0.0/16", Asn(0)),
-            (true, "17.5.0.0/16", Asn(64514)),
-            (false, "23.32.0.0/11", Asn(0)),
-            (true, "198.51.100.0/24", Asn(64515)),
-            (false, "198.51.100.0/24", Asn(0)),
-        ];
-        let probes = [
-            "17.5.3.9",
-            "17.5.1.1",
-            "17.9.9.9",
-            "23.33.0.1",
-            "8.8.8.8",
-            "2620:149::1",
-            "198.51.100.7",
-        ];
-        for (is_announce, p, a) in steps {
-            if is_announce {
-                rib.announce(net(p), a);
-                cold.announce(net(p), a);
-            } else {
-                rib.withdraw(&net(p));
-                cold.withdraw(&net(p));
-            }
-            assert!(rib.is_frozen());
-            for s in probes {
-                let addr: IpAddr = s.parse().unwrap();
-                assert_eq!(rib.lookup(addr), cold.lookup(addr), "{s} after {p}");
-            }
-            let mut got = Vec::new();
-            let mut want = Vec::new();
-            let addrs: Vec<IpAddr> = probes.iter().map(|s| s.parse().unwrap()).collect();
-            rib.lookup_batch(&addrs, &mut got);
-            cold.lookup_batch(&addrs, &mut want);
-            assert_eq!(got, want, "batch after {p}");
-            for n in ["17.5.3.0/24", "17.5.0.0/16", "23.32.0.0/11", "16.0.0.0/8"] {
-                let n = net(n);
-                assert_eq!(rib.lookup_net(&n), cold.lookup_net(&n), "{n} after {p}");
-                assert_eq!(rib.origin_of(&n), cold.origin_of(&n), "{n} after {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn memoized_lookup_sees_overlay_only_update() {
-        // Regression: the memo generation must fence overlay patches that
-        // never drop the snapshot (the old tests only covered the full
-        // invalidation path).
-        let mut rib = Rib::new();
-        rib.announce(net("17.0.0.0/8"), Asn::APPLE);
-        rib.freeze();
-        let mut memo = LookupMemo::new();
-        let addr: IpAddr = "17.5.1.1".parse().unwrap();
-        // Prime the memo with the frozen /8, a leaf.
-        assert_eq!(
-            rib.lookup_memoized(addr, &mut memo),
-            Some((net("17.0.0.0/8"), Asn::APPLE))
-        );
-        // Overlay-only announce: snapshot stays, memo must not.
-        rib.announce(net("17.5.0.0/16"), Asn(64512));
-        assert!(rib.is_frozen());
-        assert_eq!(
-            rib.lookup_memoized(addr, &mut memo),
-            Some((net("17.5.0.0/16"), Asn(64512)))
-        );
-        // Overlay-only withdraw of the memoised /16 likewise.
-        rib.withdraw(&net("17.5.0.0/16"));
-        assert_eq!(
-            rib.lookup_memoized(addr, &mut memo),
-            Some((net("17.0.0.0/8"), Asn::APPLE))
-        );
-    }
-
-    #[test]
-    fn memoized_lookup_survives_subtree_compaction() {
-        // Push enough churn through a frozen RIB to trigger overlay
-        // compaction (MIN_COMPACT patches vs a small base) and verify the
-        // memoised path answers exactly like plain lookups throughout.
-        let mut rib = Rib::new();
-        rib.announce(net("10.0.0.0/8"), Asn::APPLE);
-        rib.freeze();
-        let mut memo = LookupMemo::new();
-        for i in 0..200u32 {
-            let third = (i % 250) as u8;
-            let p: IpNet = format!("10.77.{third}.0/24").parse().unwrap();
-            if i % 3 == 2 {
-                rib.withdraw(&p);
-            } else {
-                rib.announce(p, Asn(64512 + (i % 7)));
-            }
-            for s in ["10.77.0.9", "10.77.1.9", "10.9.9.9"] {
-                let addr: IpAddr = s.parse().unwrap();
-                assert_eq!(
-                    rib.lookup_memoized(addr, &mut memo),
-                    rib.lookup(addr),
-                    "{s}"
-                );
-            }
-        }
-        assert!(rib.is_frozen());
-        // Compaction must have fired at least once along the way: the
-        // overlay can never hold all 200 mutations.
-        assert!(rib.pending_patches() < 200);
     }
 
     #[test]
@@ -724,82 +371,5 @@ mod tests {
         let added: Vec<_> = s1.iter().filter(|p| !s0.contains(p)).collect();
         assert_eq!(gone, vec!["17.5.0.0/16"]);
         assert_eq!(added, vec!["17.6.0.0/16"]);
-    }
-
-    #[test]
-    fn memoized_lookup_invalidated_on_withdraw() {
-        let mut rib = Rib::new();
-        rib.announce(net("17.0.0.0/8"), Asn::APPLE);
-        let mut memo = LookupMemo::new();
-        let addr: IpAddr = "17.1.1.1".parse().unwrap();
-        // Prime the memo with a leaf match (the /8 has no descendants).
-        assert_eq!(rib.lookup_memoized(addr, &mut memo), rib.lookup(addr));
-        assert!(rib.lookup_memoized(addr, &mut memo).is_some());
-        // Withdraw the prefix: the memoised path must stop matching even
-        // though the cached entry still contains the address.
-        rib.withdraw(&net("17.0.0.0/8"));
-        assert_eq!(rib.lookup_memoized(addr, &mut memo), None);
-    }
-
-    #[test]
-    fn memoized_lookup_invalidated_on_announce() {
-        let mut rib = Rib::new();
-        rib.announce(net("17.0.0.0/8"), Asn::APPLE);
-        let mut memo = LookupMemo::new();
-        let addr: IpAddr = "17.5.1.1".parse().unwrap();
-        assert!(rib.lookup_memoized(addr, &mut memo).is_some());
-        // A more specific announcement must supersede the memoised /8.
-        rib.announce(net("17.5.0.0/16"), Asn(64512));
-        assert_eq!(
-            rib.lookup_memoized(addr, &mut memo),
-            Some((net("17.5.0.0/16"), Asn(64512)))
-        );
-    }
-
-    #[test]
-    fn memoized_lookup_matches_plain_lookup_when_frozen() {
-        let mut rib = Rib::new();
-        rib.announce(net("17.0.0.0/8"), Asn::APPLE);
-        rib.announce(net("17.5.0.0/16"), Asn(64512));
-        rib.announce(net("23.32.0.0/11"), Asn::AKAMAI_EG);
-        rib.freeze();
-        let mut memo = LookupMemo::new();
-        for addr in ["17.5.0.1", "17.5.0.2", "17.6.0.1", "8.8.8.8", "23.33.0.1"] {
-            let addr: IpAddr = addr.parse().unwrap();
-            assert_eq!(
-                rib.lookup_memoized(addr, &mut memo),
-                rib.lookup(addr),
-                "{addr}"
-            );
-        }
-    }
-
-    #[test]
-    fn memoized_lookup_matches_plain_lookup() {
-        let mut rib = Rib::new();
-        rib.announce(net("17.0.0.0/8"), Asn::APPLE);
-        rib.announce(net("17.5.0.0/16"), Asn(64512));
-        rib.announce(net("23.32.0.0/11"), Asn::AKAMAI_EG);
-        let mut memo = LookupMemo::new();
-        // Sweep addresses the way the scanner does: ascending, with long
-        // same-prefix runs, crossing prefix boundaries and unrouted gaps.
-        for addr in [
-            "17.5.0.1",
-            "17.5.0.2",
-            "17.5.200.9",
-            "17.6.0.1",
-            "17.6.0.2",
-            "8.8.8.8",
-            "23.33.0.1",
-            "23.33.0.2",
-            "17.5.0.1",
-        ] {
-            let addr: IpAddr = addr.parse().unwrap();
-            assert_eq!(
-                rib.lookup_memoized(addr, &mut memo),
-                rib.lookup(addr),
-                "{addr}"
-            );
-        }
     }
 }

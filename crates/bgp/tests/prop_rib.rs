@@ -1,11 +1,12 @@
 //! Property tests for the RIB: longest-prefix match against a brute-force
-//! reference, announce/withdraw laws, and per-origin bookkeeping.
+//! reference, announce/withdraw laws, per-origin bookkeeping, and every
+//! read API against a trie oracle under churn, frozen or not.
 
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
 use tectonic_bgp::Rib;
-use tectonic_net::{Asn, IpNet, Ipv4Net};
+use tectonic_net::{Asn, BatchScratch, IpNet, Ipv4Net, Ipv6Net, PrefixTrie};
 
 fn arb_route() -> impl Strategy<Value = (IpNet, Asn)> {
     (any::<u32>(), 0u8..=28, 1u32..2000).prop_map(|(bits, len, asn)| {
@@ -108,5 +109,133 @@ proptest! {
                 prop_assert!(rib.prefixes_of(Asn(*asn)).is_empty());
             }
         }
+    }
+}
+
+/// Prefixes that nest: IPv4 under four /8s, IPv6 under one /32, so churn
+/// keeps shadowing and unshadowing covering routes.
+fn arb_nested_net() -> impl Strategy<Value = IpNet> {
+    prop_oneof![
+        (0u32..4, any::<u32>(), 8u8..=30).prop_map(|(block, bits, len)| {
+            let addr = Ipv4Addr::from((block + 10) << 24 | bits >> 8);
+            IpNet::V4(Ipv4Net::clamped(addr, len))
+        }),
+        (any::<u128>(), 32u8..=64).prop_map(|(bits, len)| {
+            let addr = Ipv6Addr::from(0x2620_0149u128 << 96 | bits >> 32);
+            IpNet::V6(Ipv6Net::clamped(addr, len))
+        }),
+    ]
+}
+
+/// One step of a churn interleaving over a prefix pool: announce pool
+/// entry `i` under origin `asn`, withdraw it, or freeze (rarely, so folds
+/// and garbage pile up between freezes).
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Announce(usize, Asn),
+    Withdraw(usize),
+    Freeze,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u16..1024, any::<usize>(), 1u32..9).prop_map(|(kind, i, asn)| match kind {
+        0..=599 => Op::Announce(i, Asn(asn)),
+        600..=1022 => Op::Withdraw(i),
+        _ => Op::Freeze,
+    })
+}
+
+/// Every read API of `rib` against the oracle trie.
+fn check_reads(
+    rib: &Rib,
+    oracle: &PrefixTrie<Asn>,
+    pool: &[IpNet],
+    probes: &[IpAddr],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(rib.len(), oracle.len());
+    prop_assert_eq!(rib.is_empty(), oracle.is_empty());
+    let want: Vec<(IpNet, Asn)> = oracle.iter().map(|(n, a)| (n, *a)).collect();
+    prop_assert_eq!(rib.iter().collect::<Vec<_>>(), want.clone());
+    let mut origins: Vec<Asn> = want.iter().map(|(_, a)| *a).collect();
+    origins.sort();
+    origins.dedup();
+    prop_assert_eq!(rib.origins(), &origins[..]);
+    for asn in &origins {
+        let mut got = rib.prefixes_of(*asn).to_vec();
+        got.sort();
+        let mine: Vec<IpNet> = want
+            .iter()
+            .filter(|(_, a)| a == asn)
+            .map(|(n, _)| *n)
+            .collect();
+        prop_assert_eq!(got, mine);
+    }
+    let mut batch = Vec::new();
+    rib.lookup_batch_in(&mut BatchScratch::new(), probes, &mut batch);
+    prop_assert_eq!(batch.len(), probes.len());
+    for (addr, batched) in probes.iter().zip(&batch) {
+        let want = oracle.longest_match(*addr).map(|(n, a)| (n, *a));
+        prop_assert_eq!(rib.lookup(*addr), want);
+        prop_assert_eq!(*batched, want);
+    }
+    for net in pool {
+        prop_assert_eq!(
+            rib.lookup_net(net),
+            oracle.longest_match_net(net).map(|(n, a)| (n, *a))
+        );
+        prop_assert_eq!(rib.origin_of(net), oracle.exact(net).copied());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn every_read_matches_a_trie_oracle_under_churn(
+        pool in prop::collection::vec(arb_nested_net(), 100..120),
+        ops in prop::collection::vec(arb_op(), 1000..1400),
+        extra in prop::collection::vec(any::<u32>(), 16),
+    ) {
+        // The same interleaving drives a never-frozen RIB (staged map
+        // only) and one frozen up front (compiled table + overlay, folded
+        // and rebuilt by the churn itself), both against a trie oracle.
+        let mut pool = pool;
+        pool.sort();
+        pool.dedup();
+        let mut probes: Vec<IpAddr> = pool.iter().map(IpNet::network).collect();
+        probes.extend(extra.iter().map(|b| IpAddr::V4(Ipv4Addr::from((b % 4 + 10) << 24 | b >> 8))));
+        let mut oracle: PrefixTrie<Asn> = PrefixTrie::new();
+        let mut staged = Rib::new();
+        let mut frozen = Rib::new();
+        frozen.freeze();
+        let (mut folds, mut rebuilds) = (0usize, 0usize);
+        for (step, op) in ops.iter().enumerate() {
+            let (pending, garbage) = (frozen.pending_patches(), frozen.garbage());
+            match *op {
+                Op::Announce(i, asn) => {
+                    let net = pool[i % pool.len()];
+                    let prev = oracle.insert(net, asn);
+                    prop_assert_eq!(staged.announce(net, asn), prev);
+                    prop_assert_eq!(frozen.announce(net, asn), prev);
+                }
+                Op::Withdraw(i) => {
+                    let net = pool[i % pool.len()];
+                    let prev = oracle.remove(&net);
+                    prop_assert_eq!(staged.withdraw(&net), prev);
+                    prop_assert_eq!(frozen.withdraw(&net), prev);
+                }
+                Op::Freeze => frozen.freeze(),
+            }
+            prop_assert!(!staged.is_frozen() && frozen.is_frozen());
+            let quiet = !matches!(op, Op::Freeze);
+            folds += usize::from(quiet && frozen.pending_patches() + 1 < pending);
+            rebuilds += usize::from(quiet && frozen.garbage() < garbage);
+            if step % 32 == 0 || !quiet || step + 1 == ops.len() {
+                check_reads(&staged, &oracle, &pool, &probes)?;
+                check_reads(&frozen, &oracle, &pool, &probes)?;
+            }
+        }
+        prop_assert!(folds > 0 && rebuilds > 0, "{} folds, {} rebuilds", folds, rebuilds);
     }
 }

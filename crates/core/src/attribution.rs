@@ -5,8 +5,8 @@
 //! with the per-AS user populations — the paper's answer to "who actually
 //! serves the users?". The scan report's per-address operator attribution
 //! comes out of the RIB's compiled-LPM batch path (one
-//! [`Rib::lookup_batch`](tectonic_bgp::Rib::lookup_batch) per reply burst),
-//! which is result-identical to per-address longest-prefix matches.
+//! [`Rib::lookup_batch_in`](tectonic_bgp::Rib::lookup_batch_in) per reply
+//! burst), which is result-identical to per-address longest-prefix matches.
 
 use std::collections::BTreeMap;
 

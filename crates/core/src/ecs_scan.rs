@@ -19,7 +19,7 @@ use std::net::{IpAddr, Ipv4Addr};
 
 use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
-use tectonic_bgp::{LookupMemo, Rib};
+use tectonic_bgp::Rib;
 use tectonic_dns::server::{NameServer, QueryContext, ReplyOutcome, ServerReply};
 use tectonic_dns::{
     decode_message, encode_message, DomainName, EcsOption, Message, MessageEncoder, PatchedQuery,
@@ -45,12 +45,6 @@ pub struct EcsScanConfig {
     pub max_retries: u32,
     /// Fixed per-query pacing (simulated network + processing time).
     pub query_pacing: SimDuration,
-    /// Use the pre-encoded query template + scratch-buffer reply path.
-    ///
-    /// The fast path is byte-identical to the general encoder (verified at
-    /// template construction, see [`QueryTemplate`]); this switch exists for
-    /// the ablation benchmark and as an escape hatch.
-    pub use_fast_path: bool,
 }
 
 impl Default for EcsScanConfig {
@@ -62,7 +56,6 @@ impl Default for EcsScanConfig {
             retry_backoff: SimDuration::from_millis(13),
             max_retries: 32,
             query_pacing: SimDuration::from_millis(12),
-            use_fast_path: true,
         }
     }
 }
@@ -137,13 +130,12 @@ pub struct EcsScanReport {
     pub decode_errors: u64,
     /// Simulated wall-clock duration of the scan.
     ///
-    /// For merged reports ([`EcsScanner::scan_parallel`],
-    /// [`EcsScanner::scan_engine`]) this is the **slowest worker's**
-    /// duration: shards run concurrently over the same simulated window, so
-    /// the scan is finished when the last shard is. All other fields merge
-    /// as unions (sets) or sums (counters), which makes `duration` the one
-    /// field where a sharded report can legitimately differ from the serial
-    /// scan's.
+    /// For merged reports ([`EcsScanner::scan_engine`]) this is the
+    /// **slowest shard's** duration: shards run concurrently over the same
+    /// simulated window, so the scan is finished when the last shard is.
+    /// All other fields merge as unions (sets) or sums (counters), which
+    /// makes `duration` the one field where a sharded report can
+    /// legitimately differ from the serial scan's.
     pub duration: SimDuration,
 }
 
@@ -237,36 +229,32 @@ pub struct EcsScanner {
     config: EcsScanConfig,
 }
 
-/// Per-scan (or per-worker) reusable buffers and memo state.
+/// Per-scan (or per-shard) reusable buffers.
 ///
 /// Holding these across the whole subnet loop is what makes the hot path
 /// allocation-free: each query is patched in place in a pre-encoded
-/// template, the reply lands in a reused buffer, a reply's answers are
-/// attributed with one batched RIB lookup, and the client-AS lookups for
-/// consecutive subnets hit a one-entry memo.
+/// template, the reply lands in a reused buffer, and a reply's answers are
+/// attributed with one batched RIB lookup.
 struct ScanScratch {
     /// The next query's ID (wraps; seeded to match the historical scanner).
     query_id: u16,
-    /// Pre-encoded query with patchable ID and subnet bytes. `None` when
-    /// the fast path is disabled or the template failed its self-check, in
-    /// which case every query takes the general encoder below.
+    /// Pre-encoded query with patchable ID and subnet bytes. `None` only
+    /// when the template failed its self-check, in which case every query
+    /// takes the general encoder below.
     patched: Option<PatchedQuery>,
-    /// General-path encoder and its output buffer (also the fallback).
+    /// Fallback encoder and its output buffer.
     encoder: MessageEncoder,
     query_buf: BytesMut,
     /// Reply buffer the server encodes into.
     reply: BytesMut,
     /// Ingress-address batch for one reply's answers, attributed with a
-    /// single [`Rib::lookup_batch`] call per burst.
+    /// single [`Rib::lookup_batch_in`] call per burst.
     addr_batch: Vec<IpAddr>,
     /// Attribution results for `addr_batch` (reused across replies).
     batch_out: Vec<Option<(IpNet, Asn)>>,
     /// Walk state for the RIB's batch lookup, reused so the frozen-path
     /// attribution never allocates per burst.
     lpm_scratch: BatchScratch,
-    /// Memo for client-AS lookups — subnets arrive in ascending order, so
-    /// consecutive /24s almost always share the announced client prefix.
-    client_memo: LookupMemo,
 }
 
 /// What one ECS query attempt produced.
@@ -280,12 +268,8 @@ enum AttemptOutcome {
 }
 
 impl ScanScratch {
-    fn new(config: &EcsScanConfig, domain: &DomainName) -> ScanScratch {
-        let patched = config
-            .use_fast_path
-            .then(|| QueryTemplate::new_v4_24(domain, QType::A))
-            .flatten()
-            .map(|t| t.instantiate());
+    fn new(domain: &DomainName) -> ScanScratch {
+        let patched = QueryTemplate::new_v4_24(domain, QType::A).map(|t| t.instantiate());
         ScanScratch {
             query_id: 1,
             patched,
@@ -295,7 +279,6 @@ impl ScanScratch {
             addr_batch: Vec::new(),
             batch_out: Vec::new(),
             lpm_scratch: BatchScratch::new(),
-            client_memo: LookupMemo::new(),
         }
     }
 }
@@ -358,9 +341,9 @@ impl EcsScanner {
     /// counters around this single-attempt kernel, which is what keeps the
     /// two paths byte-equivalent.
     ///
-    /// On the fast path the query is the scratch template with five bytes
-    /// patched; otherwise it is rebuilt through the reusable encoder. The
-    /// reply is written into the scratch buffer via
+    /// The query is the scratch template with five bytes patched (or, if
+    /// the template failed its self-check, rebuilt through the reusable
+    /// encoder). The reply is written into the scratch buffer via
     /// [`NameServer::handle_query_into`] — the steady state allocates only
     /// inside message *decoding*.
     fn attempt_query(
@@ -376,8 +359,7 @@ impl EcsScanner {
         let wire: &[u8] = match &mut scratch.patched {
             Some(patched) => patched.patch(id, subnet),
             None => {
-                let mut query = Message::query(id, domain.clone(), QType::A);
-                query.ensure_edns().set_ecs(EcsOption::for_v4_net(subnet));
+                let query = ecs_query(id, domain, subnet);
                 scratch.encoder.encode_into(&query, &mut scratch.query_buf);
                 &scratch.query_buf
             }
@@ -495,9 +477,7 @@ impl EcsScanner {
                 seen_ops.insert(*asn);
             }
         }
-        if let Some((_, client_asn)) =
-            rib.lookup_memoized(IpAddr::V4(subnet.network()), &mut scratch.client_memo)
-        {
+        if let Some((_, client_asn)) = rib.lookup(IpAddr::V4(subnet.network())) {
             if !Asn::INGRESS_OPERATORS.contains(&client_asn)
                 && !Asn::EGRESS_OPERATORS.contains(&client_asn)
             {
@@ -576,57 +556,8 @@ impl EcsScanner {
             .unwrap_or(base)
     }
 
-    /// Runs the scan sharded across `workers` source addresses using
-    /// scoped threads (the legacy parallel-scan ablation — superseded by
-    /// [`EcsScanner::scan_engine`]). Each worker gets its own source
-    /// address (`source + k`, checked) and clock; the merged report's
-    /// `duration` is the slowest worker's.
-    ///
-    /// Subnets are dealt round-robin, so a scope discovered by one worker
-    /// is invisible to the others: scope honouring degrades to per-worker
-    /// (still correct, just fewer skips). The engine scan fixes this by
-    /// aligning shards with announcement boundaries and routing scope
-    /// announcements as events.
-    pub fn scan_parallel(
-        &self,
-        domain: DomainName,
-        auth: &(dyn NameServer + Sync),
-        rib: &Rib,
-        start: SimTime,
-        workers: usize,
-    ) -> EcsScanReport {
-        let workers = workers.max(1);
-        let subnets = self.candidate_subnets(rib);
-        let shards: Vec<Vec<Ipv4Net>> = (0..workers)
-            .map(|w| subnets.iter().skip(w).step_by(workers).copied().collect())
-            .collect();
-        let reports: Vec<EcsScanReport> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(w, shard)| {
-                    let mut config = self.config.clone();
-                    config.source = EcsScanner::shard_source(config.source, w);
-                    let domain = domain.clone();
-                    scope.spawn(move || {
-                        let scanner = EcsScanner::new(config);
-                        let mut clock = SimClock::new(start);
-                        scanner.scan_subnets(domain, shard, auth, rib, &mut clock)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lintkit: allow(no-panic) -- join fails only if a worker panicked; nothing to recover
-                .map(|h| h.join().expect("worker"))
-                .collect()
-        });
-        EcsScanReport::merged(domain, reports)
-    }
-
-    /// Scans an explicit subnet list.
-    ///
-    /// Used by the parallel workers, and by benchmarks that need a
+    /// Scans an explicit subnet list: the serial loop behind
+    /// [`EcsScanner::scan`], also called directly by benchmarks that need a
     /// fixed-size scan kernel independent of the deployment scale.
     pub fn scan_subnets(
         &self,
@@ -639,7 +570,7 @@ impl EcsScanner {
         let start = clock.now();
         let mut report = EcsScanReport::empty(domain.clone());
         let mut known_scopes: PrefixTrie<()> = PrefixTrie::new();
-        let mut scratch = ScanScratch::new(&self.config, &domain);
+        let mut scratch = ScanScratch::new(&domain);
         for subnet in subnets {
             if self.config.respect_scopes
                 && known_scopes
@@ -774,7 +705,7 @@ impl EcsScanner {
             .map(|(i, seg)| {
                 let mut config = self.config.clone();
                 config.source = EcsScanner::shard_source(config.source, i);
-                let scratch = ScanScratch::new(&config, &domain);
+                let scratch = ScanScratch::new(&domain);
                 ScanShard {
                     scanner: EcsScanner::new(config),
                     domain: domain.clone(),
@@ -803,6 +734,14 @@ impl EcsScanner {
         }
         EcsScanReport::merged(domain, eng.run())
     }
+}
+
+/// The general-path A query for `subnet`: ID `id`, ECS option attached —
+/// the message a [`PatchedQuery`] reproduces byte for byte.
+fn ecs_query(id: u16, domain: &DomainName, subnet: Ipv4Net) -> Message {
+    let mut query = Message::query(id, domain.clone(), QType::A);
+    query.ensure_edns().set_ecs(EcsOption::for_v4_net(subnet));
+    query
 }
 
 /// One shard's slice of the candidate list and of the top-level prefixes
@@ -1164,41 +1103,22 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_general_path() {
-        let d = deployment();
-        let auth = d.auth_server_unlimited();
-        let mut fast = EcsScanner::default();
-        fast.config.use_fast_path = true;
-        let mut general = EcsScanner::default();
-        general.config.use_fast_path = false;
-        let mut clock_f = SimClock::new(Epoch::Apr2022.start());
-        let rf = fast.scan(Domain::MaskQuic.name(), &auth, &d.rib, &mut clock_f);
-        let mut clock_g = SimClock::new(Epoch::Apr2022.start());
-        let rg = general.scan(Domain::MaskQuic.name(), &auth, &d.rib, &mut clock_g);
-        // Full-report equality: identical discovery, attribution, counters
-        // and simulated timing — the fast path is an optimisation, not a
-        // behaviour change.
-        assert_eq!(rf, rg);
-        assert!(rf.total() > 0, "scan found nothing — test is vacuous");
-    }
-
-    #[test]
-    fn fast_path_matches_general_path_under_rate_limiting() {
-        let d = deployment();
-        let mut fast = EcsScanner::default();
-        fast.config.use_fast_path = true;
-        let mut general = EcsScanner::default();
-        general.config.use_fast_path = false;
-        // Fresh servers: the rate limiter's token bucket is stateful, so a
-        // shared instance would hand the second scan a drained bucket.
-        let auth_f = d.auth_server();
-        let mut clock_f = SimClock::new(Epoch::Apr2022.start());
-        let rf = fast.scan(Domain::MaskQuic.name(), &auth_f, &d.rib, &mut clock_f);
-        let auth_g = d.auth_server();
-        let mut clock_g = SimClock::new(Epoch::Apr2022.start());
-        let rg = general.scan(Domain::MaskQuic.name(), &auth_g, &d.rib, &mut clock_g);
-        assert_eq!(rf, rg);
-        assert!(rf.rate_limited > 0, "rate limiter never triggered");
+    fn template_patch_matches_general_encoder() {
+        // The scan always sends the patched template; the general encoder
+        // is only its fallback. Both must emit the same bytes for every
+        // (id, subnet) pair the scan can produce.
+        let domain = Domain::MaskQuic.name();
+        let mut patched = QueryTemplate::new_v4_24(&domain, QType::A)
+            .expect("template passes its self-check")
+            .instantiate();
+        let mut rng = SimRng::new(7);
+        let edges = [(0u16, 0u32), (u16::MAX, u32::MAX), (0x0100, 0x0A00_00FF)];
+        let random = (0..2048).map(|_| (rng.next_u64_raw() as u16, rng.next_u64_raw() as u32));
+        for (id, bits) in edges.into_iter().chain(random) {
+            let subnet = Ipv4Net::slash24_of(Ipv4Addr::from(bits));
+            let general = encode_message(&ecs_query(id, &domain, subnet));
+            assert_eq!(patched.patch(id, subnet), &general[..], "id {id} {subnet}");
+        }
     }
 
     /// Field-by-field equality modulo `duration` (merged reports keep the
@@ -1360,24 +1280,6 @@ mod tests {
             EcsScanner::shard_source(low, 255),
             Ipv4Addr::new(138, 246, 254, 9)
         );
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential() {
-        let d = deployment();
-        let auth = d.auth_server_unlimited();
-        let scanner = EcsScanner::default();
-        let mut clock = SimClock::new(Epoch::Apr2022.start());
-        let seq = scanner.scan(Domain::MaskQuic.name(), &auth, &d.rib, &mut clock);
-        let par = scanner.scan_parallel(
-            Domain::MaskQuic.name(),
-            &auth,
-            &d.rib,
-            Epoch::Apr2022.start(),
-            4,
-        );
-        assert_eq!(par.discovered, seq.discovered);
-        assert_eq!(par.by_ingress_as, seq.by_ingress_as);
     }
 }
 

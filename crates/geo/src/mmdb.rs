@@ -10,7 +10,7 @@
 use std::net::IpAddr;
 
 use serde::{Deserialize, Serialize};
-use tectonic_net::{DeltaOverlay, FrozenLpm, PrefixTrie};
+use tectonic_net::PrefixTable;
 
 use crate::country::CountryCode;
 use crate::egress::EgressList;
@@ -28,17 +28,14 @@ pub struct Location {
 
 /// A longest-prefix-match geolocation database.
 ///
-/// The trie is the ingest-side structure; [`freeze`](GeoDb::freeze) compiles
-/// it into a [`FrozenLpm`] for the query-heavy analyses. Inserting after a
-/// freeze keeps the snapshot live: the mapping lands in a [`DeltaOverlay`]
-/// consulted after the frozen walk (and is folded into the compiled table
-/// once enough patches accumulate), so lookups are always correct —
-/// freezing is purely a fast path.
+/// The mappings live in one [`PrefixTable`]: staged while ingesting,
+/// compiled by [`freeze`](GeoDb::freeze) for the query-heavy analyses.
+/// Inserting after a freeze patches the compiled table through its delta
+/// overlay, so lookups are always correct — freezing is purely a fast
+/// path.
 #[derive(Debug, Default)]
 pub struct GeoDb {
-    trie: PrefixTrie<Location>,
-    frozen: Option<FrozenLpm<Location>>,
-    delta: DeltaOverlay<Location>,
+    table: PrefixTable<Location>,
 }
 
 impl GeoDb {
@@ -49,37 +46,28 @@ impl GeoDb {
 
     /// Number of mapped prefixes.
     pub fn len(&self) -> usize {
-        self.trie.len()
+        self.table.len()
     }
 
     /// `true` when no prefix is mapped.
     pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
+        self.table.is_empty()
     }
 
-    /// Inserts a mapping. A live compiled snapshot is patched through the
+    /// Inserts a mapping. A live compiled table is patched through the
     /// delta overlay rather than dropped.
     pub fn insert(&mut self, net: impl Into<tectonic_net::IpNet>, loc: Location) {
-        let net = net.into();
-        if let Some(frozen) = self.frozen.as_mut() {
-            self.delta.announce(net, loc.clone());
-            if self.delta.should_compact(frozen.len()) {
-                frozen.refreeze_subtree(&self.delta);
-                self.delta.clear();
-            }
-        }
-        self.trie.insert(net, loc);
+        self.table.insert(net.into(), loc);
     }
 
     /// Compiles the current mappings for steady-state lookups.
     pub fn freeze(&mut self) {
-        self.frozen = Some(self.trie.freeze());
-        self.delta.clear();
+        self.table.freeze();
     }
 
-    /// `true` when a compiled snapshot is live.
+    /// `true` when the mappings have been compiled.
     pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
+        self.table.is_frozen()
     }
 
     /// Builds the database by adopting an egress list's represented
@@ -102,10 +90,7 @@ impl GeoDb {
 
     /// Looks up an address.
     pub fn lookup(&self, addr: IpAddr) -> Option<&Location> {
-        match &self.frozen {
-            Some(lpm) => self.delta.longest_match(lpm, addr).map(|(_, loc)| loc),
-            None => self.trie.longest_match(addr).map(|(_, loc)| loc),
-        }
+        self.table.lookup(addr).map(|(_, loc)| loc)
     }
 }
 

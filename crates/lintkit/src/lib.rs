@@ -146,6 +146,9 @@ impl Config {
                 // The churn overlay shares the frozen table's arena-index
                 // discipline: every probe goes through checked access.
                 "crates/net/src/overlay.rs".to_string(),
+                // The prefix-table owner type dispatches every RIB and geo
+                // read between the staged map and the compiled arrays.
+                "crates/net/src/table.rs".to_string(),
                 "crates/quic/src/packet.rs".to_string(),
                 "crates/quic/src/varint.rs".to_string(),
                 // Capsule/HTTP-Datagram codecs: decoding hostile tunnel
@@ -168,6 +171,8 @@ impl Config {
                 "crates/net/src/lpm.rs".to_string(),
                 // Patch offsets and chunk arithmetic in the churn overlay.
                 "crates/net/src/overlay.rs".to_string(),
+                // Live-prefix counting and the fold/rebuild thresholds.
+                "crates/net/src/table.rs".to_string(),
                 // RFC 9000 varints: 62-bit values through shifts and masks.
                 "crates/quic/src/varint.rs".to_string(),
                 // Capsule header offsets and declared-length arithmetic: a
@@ -188,6 +193,13 @@ impl Config {
                 "net::overlay::longest_match_net".to_string(),
                 "net::overlay::exact".to_string(),
                 "net::overlay::lookup_batch_in".to_string(),
+                // The prefix table's reads: every RIB and geolocation query
+                // (route lookup, covering prefix, exact origin, the scan's
+                // batched attribution) enters here.
+                "net::table::lookup".to_string(),
+                "net::table::lookup_net".to_string(),
+                "net::table::get".to_string(),
+                "net::table::lookup_batch_map_in".to_string(),
                 // DNS wire decoding of hostile reply bytes.
                 "dns::wire::decode_message".to_string(),
                 // The published egress CSV (lossy parse path).
@@ -224,6 +236,10 @@ impl Config {
                 // per-query buffers.
                 "net::overlay::longest_match".to_string(),
                 "net::overlay::lookup_batch_in".to_string(),
+                // The prefix table's per-reply reads: the scan's client-AS
+                // lookup and batched ingress attribution.
+                "net::table::lookup".to_string(),
+                "net::table::lookup_batch_map_in".to_string(),
                 // The scheduler's window drain — the inner loop of every
                 // simulated scan.
                 "engine::sched::run_window".to_string(),

@@ -8,15 +8,18 @@
 //!
 //! * [`prefix`] — IPv4/IPv6 CIDR prefixes ([`Ipv4Net`], [`Ipv6Net`], [`IpNet`])
 //!   with parsing, containment, splitting and iteration,
-//! * [`trie`] — a binary prefix trie with longest-prefix-match lookup, the
-//!   backbone of the BGP RIB and every subnet-indexed dataset,
-//! * [`lpm`] — [`FrozenLpm`], the compiled, immutable flat-layout snapshot
-//!   of a trie ([`PrefixTrie::freeze`]) that the steady-state lookup paths
-//!   run on,
+//! * [`trie`] — a binary prefix trie with longest-prefix-match lookup, for
+//!   small mutable indexes and as the reference the compiled tables are
+//!   tested against,
+//! * [`lpm`] — [`FrozenLpm`], the compiled, immutable flat-layout
+//!   longest-prefix-match table the steady-state lookup paths run on,
 //! * [`overlay`] — [`DeltaOverlay`], a bounded patch layer that absorbs
 //!   announce/withdraw churn over a frozen table (with subtree re-freeze
 //!   and copy-on-write epoch snapshots) so updates cost O(affected
 //!   subtree), not O(table),
+//! * [`table`] — [`PrefixTable`], the one-store owner type behind the BGP
+//!   RIB and the geolocation tables: a sorted map while loading, a
+//!   [`FrozenLpm`] plus [`DeltaOverlay`] once frozen,
 //! * [`asn`] — autonomous-system numbers and the well-known ASes from the
 //!   paper (Apple, Akamai&#8239;PR, Akamai&#8239;EG, Cloudflare, Fastly),
 //! * [`rng`] — a deterministic, splittable simulation RNG so every experiment
@@ -37,6 +40,7 @@ pub mod lpm;
 pub mod overlay;
 pub mod prefix;
 pub mod rng;
+pub mod table;
 pub mod trie;
 
 pub use asn::Asn;
@@ -46,4 +50,5 @@ pub use lpm::{BatchScratch, FrozenLpm};
 pub use overlay::DeltaOverlay;
 pub use prefix::{IpNet, Ipv4Net, Ipv6Net};
 pub use rng::SimRng;
+pub use table::PrefixTable;
 pub use trie::PrefixTrie;

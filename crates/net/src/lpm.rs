@@ -1,14 +1,14 @@
 //! A compiled, immutable longest-prefix-match engine.
 //!
-//! [`FrozenLpm`] is the steady-state counterpart of [`PrefixTrie`]: the trie
-//! stays the build-side structure (incremental inserts, withdrawals), and
-//! [`PrefixTrie::freeze`] compiles its current contents into a flat
-//! multi-bit-stride table in the LC-trie / tree-bitmap tradition —
-//! a contiguous node array addressed by `u32` indices instead of per-node
-//! `Box` pointers, with all values in one arena. A lookup consumes 8 or 16
-//! address bits per step, so an IPv4 match costs at most three dependent
-//! memory accesses (IPv6: sixteen) instead of up to 32 (128) pointer
-//! chases, and the node array is cache-resident for realistic table sizes.
+//! [`FrozenLpm`] is the steady-state counterpart of the build-side
+//! structures: [`FrozenLpm::from_pairs`] (and [`PrefixTrie::freeze`])
+//! compile a prefix set into a flat multi-bit-stride table in the LC-trie /
+//! tree-bitmap tradition — a contiguous node array addressed by `u32`
+//! indices instead of per-node `Box` pointers, with all values in one
+//! arena. A lookup consumes 8 or 16 address bits per step, so an IPv4
+//! match costs at most three dependent memory accesses (IPv6: sixteen)
+//! instead of up to 32 (128) pointer chases, and the node array is
+//! cache-resident for realistic table sizes.
 //!
 //! Every query API is result-identical to the trie it was frozen from:
 //! [`longest_match`](FrozenLpm::longest_match), [`exact`](FrozenLpm::exact),
@@ -19,7 +19,7 @@
 //! resolves a burst of addresses in interleaved lock-step so the dependent
 //! load chains of four lookups overlap in the memory pipeline.
 //!
-//! Mutation under churn no longer means "throw the table away": the
+//! Mutation under churn does not mean "throw the table away": the
 //! [`overlay`](crate::overlay) module layers a bounded
 //! [`DeltaOverlay`](crate::overlay::DeltaOverlay) of exact-prefix patches on
 //! top of a frozen base, and
@@ -28,6 +28,8 @@
 //! behind one shared [`Arc`], so [`snapshot`](FrozenLpm::snapshot) hands out
 //! copy-on-write epoch views: k historical snapshots share one arena until
 //! a later compaction actually diverges from them.
+//! [`PrefixTable`](crate::PrefixTable) owns that fold/rebuild policy for
+//! the load-once tables.
 
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -174,9 +176,6 @@ pub(crate) struct Core<V> {
     /// Value arena: every live `(prefix, value)` pair, plus (after subtree
     /// compaction) superseded slots no key references any more.
     pub(crate) values: Vec<(IpNet, V)>,
-    /// `leaf[i]` — no stored prefix is strictly more specific than
-    /// `values[i].0`, so its match is reusable for any address it contains.
-    pub(crate) leaf: Vec<bool>,
     /// Per-family keys sorted by `(bits, len)`, for the exact-membership
     /// queries (`exact`, `covering`, `longest_match_net`).
     pub(crate) keys_v4: Vec<KeyRec>,
@@ -297,7 +296,6 @@ impl<V> FrozenLpm<V> {
             nodes: Vec::new(),
             entries: Vec::new(),
             values,
-            leaf: Vec::new(),
             keys_v4,
             keys_v6,
             lens_v4: Vec::new(),
@@ -305,7 +303,6 @@ impl<V> FrozenLpm<V> {
             root_v4: NONE,
             root_v6: NONE,
         };
-        rebuild_leaf(&mut core);
         core.root_v4 = build_node(&mut core.nodes, &mut core.entries, &core.keys_v4, 0);
         core.root_v6 = build_node(&mut core.nodes, &mut core.entries, &core.keys_v6, 0);
         core.lens_v4 = distinct_lens(&core.keys_v4);
@@ -446,25 +443,6 @@ impl<V> FrozenLpm<V> {
             }
         }
         None
-    }
-
-    /// [`longest_match`](FrozenLpm::longest_match) plus a *leaf* flag for
-    /// memoised lookups, mirroring [`PrefixTrie::longest_match_leaf`].
-    ///
-    /// The frozen flag is exact where the trie's is conservative: it is
-    /// `true` iff no stored prefix is strictly more specific than the
-    /// match, the precise condition under which the answer is reusable for
-    /// every address the matched prefix contains. (The trie reports `false`
-    /// for matches above unpruned interior nodes; both flags are safe, the
-    /// frozen one just memoises more.)
-    pub fn longest_match_leaf(&self, addr: IpAddr) -> Option<(IpNet, &V, bool)> {
-        let (bits, v4) = addr_bits(&addr);
-        let best = self.lookup_idx(bits, v4);
-        let leaf = self.core.leaf.get(best as usize).copied().unwrap_or(false);
-        self.core
-            .values
-            .get(best as usize)
-            .map(|(n, v)| (*n, v, leaf))
     }
 
     /// Resolves a burst of addresses in one call, writing one
@@ -682,29 +660,6 @@ pub(crate) fn distinct_lens(keys: &[KeyRec]) -> Vec<u8> {
     lens
 }
 
-/// Recomputes the per-value *leaf* flags from the sorted key lists.
-///
-/// A prefix is a leaf when its sorted successor is not contained in it:
-/// keys are sorted by `(bits, len)` and canonical (host bits zero), so
-/// every strict descendant of a prefix sorts directly after it — checking
-/// the immediate successor suffices. Arena slots no key references keep a
-/// meaningless flag; lookups can never reach them.
-pub(crate) fn rebuild_leaf<V>(core: &mut Core<V>) {
-    let mut leaf = vec![true; core.values.len()];
-    for fam in [&core.keys_v4, &core.keys_v6] {
-        for pair in fam.windows(2) {
-            if let [cur, next] = pair {
-                if next.len > cur.len && mask_bits(next.bits, cur.len) == cur.bits {
-                    if let Some(flag) = leaf.get_mut(cur.value as usize) {
-                        *flag = false;
-                    }
-                }
-            }
-        }
-    }
-    core.leaf = leaf;
-}
-
 /// Recursively compiles one node from the (sorted) keys that live at or
 /// below `base`. Returns the node index, or `NONE` for an empty key set.
 pub(crate) fn build_node(
@@ -909,21 +864,6 @@ mod tests {
         // The output buffer is reused across calls.
         lpm.lookup_batch(&addrs[..2], &mut out);
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn leaf_flag_is_exact() {
-        let t = sample();
-        let lpm = t.freeze();
-        let (n, _, leaf) = lpm.longest_match_leaf(addr("17.5.1.2")).unwrap();
-        assert_eq!(n, net("17.5.0.0/16"));
-        assert!(leaf);
-        let (n, _, leaf) = lpm.longest_match_leaf(addr("17.9.9.9")).unwrap();
-        assert_eq!(n, net("17.0.0.0/8"));
-        assert!(!leaf, "/8 holds a more specific /16");
-        let (n, _, leaf) = lpm.longest_match_leaf(addr("8.8.8.8")).unwrap();
-        assert_eq!(n, net("0.0.0.0/0"));
-        assert!(!leaf, "default route covers everything else");
     }
 
     #[test]

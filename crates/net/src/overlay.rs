@@ -31,8 +31,7 @@
 use std::net::IpAddr;
 
 use crate::lpm::{
-    arena_idx, build_node, chunk_of, distinct_lens, mask_bits, net_bits, rebuild_leaf,
-    BatchScratch, FrozenLpm, KeyRec, NONE,
+    arena_idx, build_node, chunk_of, distinct_lens, net_bits, BatchScratch, FrozenLpm, KeyRec, NONE,
 };
 use crate::prefix::IpNet;
 use crate::trie::PrefixTrie;
@@ -211,18 +210,10 @@ impl<V> DeltaOverlay<V> {
         self.tombstoned_key(v4, bits, len)
     }
 
-    /// Whether any live (non-tombstone) patch is *strictly* inside the
-    /// prefix `(v4, bits, len)` — used to decide if a base leaf flag is
-    /// still valid under the overlay.
-    fn insert_within(&self, v4: bool, bits: u128, len: u8) -> bool {
-        let from = match patch_search(&self.patches, v4, bits, len) {
-            Ok(at) | Err(at) => at,
-        };
-        self.patches
-            .iter()
-            .skip(from)
-            .take_while(|p| p.v4 == v4 && mask_bits(p.bits, len) == bits)
-            .any(|p| p.len > len && !p.tomb)
+    /// The announced (or re-announced) patches, IPv4 first, each family in
+    /// ascending `(address, length)` order.
+    pub(crate) fn announced(&self) -> impl Iterator<Item = (IpNet, &V)> {
+        self.inserts.iter()
     }
 
     /// Picks the combined winner of an overlay match and a base match:
@@ -275,40 +266,6 @@ impl<V> DeltaOverlay<V> {
     #[inline]
     pub fn lookup<'a>(&'a self, base: &'a FrozenLpm<V>, addr: IpAddr) -> Option<(IpNet, &'a V)> {
         self.longest_match(base, addr)
-    }
-
-    /// Combined [`FrozenLpm::longest_match_leaf`]: the leaf flag stays
-    /// `true` only for a base-sourced winner whose base flag holds and
-    /// which no live overlay patch sits strictly inside (overlay-sourced
-    /// answers report `false` — always safe, merely memoising less).
-    pub fn longest_match_leaf<'a>(
-        &'a self,
-        base: &'a FrozenLpm<V>,
-        addr: IpAddr,
-    ) -> Option<(IpNet, &'a V, bool)> {
-        if self.patches.is_empty() {
-            return base.longest_match_leaf(addr);
-        }
-        let ov = self.inserts.longest_match(addr);
-        let bm = self.base_match(base, addr);
-        let win = Self::better(ov, bm)?;
-        let from_base = match (ov, bm) {
-            // `better` prefers the overlay on ties, so the winner came from
-            // the base only when the base match is strictly more specific.
-            (Some(o), Some(b)) => b.0.len() > o.0.len(),
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        let leaf = if from_base {
-            let (bits, len, v4) = net_bits(&win.0);
-            base.longest_match_leaf(addr)
-                .map(|(n, _, l)| n == win.0 && l)
-                .unwrap_or(false)
-                && !self.insert_within(v4, bits, len)
-        } else {
-            false
-        };
-        Some((win.0, win.1, leaf))
     }
 
     /// Combined exact-prefix lookup — identical to
@@ -486,7 +443,6 @@ impl<V: Clone> FrozenLpm<V> {
         let core = std::sync::Arc::make_mut(&mut self.core);
         refreeze_family(core, delta, true);
         refreeze_family(core, delta, false);
-        rebuild_leaf(core);
     }
 }
 
@@ -786,26 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_flag_conservative_under_overlay() {
-        let b = base();
-        let mut d = DeltaOverlay::new();
-        d.announce(net("17.5.3.0/24"), "inside16");
-        // The /16 now has a live patch strictly inside it: its leaf flag
-        // must drop so memos don't reuse the stale answer.
-        let (n, _, leaf) = d.longest_match_leaf(&b, addr("17.5.4.9")).unwrap();
-        assert_eq!(n, net("17.5.0.0/16"));
-        assert!(!leaf);
-        // Overlay-sourced answers are never leaves.
-        let (n, _, leaf) = d.longest_match_leaf(&b, addr("17.5.3.9")).unwrap();
-        assert_eq!(n, net("17.5.3.0/24"));
-        assert!(!leaf);
-        // Untouched subtrees keep their exact base flag.
-        let (n, _, leaf) = d.longest_match_leaf(&b, addr("2620:149::1")).unwrap();
-        assert_eq!(n, net("2620:149::/32"));
-        assert!(leaf);
-    }
-
-    #[test]
     fn refreeze_subtree_matches_full_rebuild() {
         let mut t = PrefixTrie::new();
         for i in 0..64u32 {
@@ -836,11 +772,6 @@ mod tests {
                 frozen.longest_match(a).map(|(n, v)| (n, *v)),
                 full.longest_match(a).map(|(n, v)| (n, *v)),
                 "{a}"
-            );
-            assert_eq!(
-                frozen.longest_match_leaf(a).map(|(n, _, l)| (n, l)),
-                full.longest_match_leaf(a).map(|(n, _, l)| (n, l)),
-                "leaf {a}"
             );
         }
         assert_eq!(

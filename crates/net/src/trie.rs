@@ -3,9 +3,8 @@
 //! [`PrefixTrie`] maps CIDR prefixes of either family to values and answers
 //! the three questions the reproduction keeps asking:
 //!
-//! * *exact*: is this precise prefix present (BGP RIB membership)?
-//! * *longest match*: which announced prefix covers this address
-//!   (route lookup, egress-subnet attribution, MaxMind-style geo lookup)?
+//! * *exact*: is this precise prefix present?
+//! * *longest match*: which stored prefix covers this address?
 //! * *covering set*: every stored prefix that contains an address
 //!   (ECS scope bookkeeping).
 //!
@@ -13,7 +12,11 @@
 //! lookups can never alias. Bits are walked most-significant first; the
 //! structure is a plain pointer trie — simple, allocation-per-node, and fast
 //! enough that the RIB ablation bench shows it beating a linear scan by
-//! orders of magnitude on realistic table sizes.
+//! orders of magnitude on realistic table sizes. The large load-once tables
+//! (RIB, geolocation) live in a [`PrefixTable`](crate::PrefixTable)
+//! instead; the trie serves small mutable indexes (scan scopes, overlay
+//! patches, egress indexes before [`freeze`](PrefixTrie::freeze)) and is
+//! the reference implementation the compiled tables are tested against.
 
 use std::net::IpAddr;
 
@@ -60,10 +63,6 @@ impl<V> Node<V> {
         } else {
             &mut self.zero
         }
-    }
-
-    fn is_leaf(&self) -> bool {
-        self.zero.is_none() && self.one.is_none()
     }
 }
 
@@ -264,42 +263,6 @@ impl<V> PrefixTrie<V> {
         best
     }
 
-    /// [`longest_match`] plus a *leaf* flag used for memoised lookups.
-    ///
-    /// The flag is `true` only when the best match sits at the terminal node
-    /// of the walk **and** that node has no children. In that case every
-    /// other address inside the matched prefix takes the same walk and finds
-    /// the same answer, so a caller may reuse the result for any address the
-    /// prefix contains without consulting the trie again. When more-specific
-    /// prefixes exist below the match the flag is `false` and no reuse is
-    /// safe. ([`remove`] does not prune nodes, so stale interior nodes can
-    /// only make the flag conservatively `false`, never wrongly `true`.)
-    ///
-    /// [`longest_match`]: PrefixTrie::longest_match
-    /// [`remove`]: PrefixTrie::remove
-    pub fn longest_match_leaf(&self, addr: IpAddr) -> Option<(IpNet, &V, bool)> {
-        let key = Key::of_addr(&addr);
-        let mut node = self.root(key.v4);
-        let mut best: Option<(IpNet, &V)> = node.value.as_ref().map(|(n, v)| (*n, v));
-        let mut best_is_current = best.is_some();
-        for d in 0..key.len {
-            match node.child(key.bit(d)) {
-                Some(child) => {
-                    node = child;
-                    if let Some((n, v)) = node.value.as_ref() {
-                        best = Some((*n, v));
-                        best_is_current = true;
-                    } else {
-                        best_is_current = false;
-                    }
-                }
-                None => break,
-            }
-        }
-        let leaf = best_is_current && node.is_leaf();
-        best.map(|(n, v)| (n, v, leaf))
-    }
-
     /// Longest-prefix match for a whole prefix: the most specific stored
     /// prefix that fully contains `net`.
     pub fn longest_match_net(&self, net: &IpNet) -> Option<(IpNet, &V)> {
@@ -433,41 +396,6 @@ mod tests {
         assert_eq!(*v, "apple8");
         let (n, _) = t.longest_match(addr("8.8.8.8")).unwrap();
         assert_eq!(n, net("0.0.0.0/0"));
-    }
-
-    #[test]
-    fn longest_match_leaf_flags_reusable_matches() {
-        let mut t = PrefixTrie::new();
-        t.insert(net("17.0.0.0/8"), "apple8");
-        t.insert(net("17.5.0.0/16"), "apple16");
-        // Match at the /16: terminal node, no children → leaf.
-        let (n, _, leaf) = t.longest_match_leaf(addr("17.5.1.2")).unwrap();
-        assert_eq!(n, net("17.5.0.0/16"));
-        assert!(leaf);
-        // Match at the /8 found on the way to the deeper /16 branch: the
-        // walk continues past it, so the answer is not reusable.
-        let (n, _, leaf) = t.longest_match_leaf(addr("17.5.255.1")).unwrap();
-        assert_eq!(n, net("17.5.0.0/16"));
-        assert!(leaf);
-        let (n, _, leaf) = t.longest_match_leaf(addr("17.9.9.9")).unwrap();
-        assert_eq!(n, net("17.0.0.0/8"));
-        assert!(!leaf, "/8 has a more-specific branch below it");
-        assert!(t.longest_match_leaf(addr("8.8.8.8")).is_none());
-    }
-
-    #[test]
-    fn longest_match_leaf_after_remove_is_conservative() {
-        let mut t = PrefixTrie::new();
-        t.insert(net("10.0.0.0/8"), 8);
-        t.insert(net("10.0.0.0/16"), 16);
-        t.remove(&net("10.0.0.0/16"));
-        // Nodes are not pruned, so the /8 must not be flagged a leaf even
-        // though no more-specific *value* remains — conservative is fine,
-        // wrongly-true would corrupt memoised lookups.
-        let (n, v, leaf) = t.longest_match_leaf(addr("10.0.0.1")).unwrap();
-        assert_eq!(n, net("10.0.0.0/8"));
-        assert_eq!(*v, 8);
-        assert!(!leaf);
     }
 
     #[test]

@@ -297,10 +297,6 @@ proptest! {
             let want = rebuilt.longest_match(*addr).map(|(n, v)| (n, *v));
             prop_assert_eq!(delta.longest_match(&frozen, *addr).map(|(n, v)| (n, *v)), want);
             prop_assert_eq!(delta.lookup(&frozen, *addr).map(|(n, v)| (n, *v)), want);
-            prop_assert_eq!(
-                delta.longest_match_leaf(&frozen, *addr).map(|(n, v, _)| (n, *v)),
-                want
-            );
             let oc: Vec<(IpNet, usize)> =
                 delta.covering(&frozen, *addr).into_iter().map(|(n, v)| (n, *v)).collect();
             let rc: Vec<(IpNet, usize)> =

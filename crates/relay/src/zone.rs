@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use tectonic_dns::zone::{EcsAnswer, EcsAnswerer, QueryInfo};
 use tectonic_dns::{DomainName, EcsOption, QType, Question, RData};
-use tectonic_net::{Asn, DeltaOverlay, Epoch, FrozenLpm, Ipv4Net, PrefixTrie, SimTime};
+use tectonic_net::{Asn, Epoch, Ipv4Net, PrefixTable, SimTime};
 
 use tectonic_geo::country::CountryCode;
 
@@ -51,15 +51,9 @@ pub struct MaskZone {
     fleets: Arc<IngressFleets>,
     world: Arc<ClientWorld>,
     /// Extra address→country mappings for sources outside the client world
-    /// (public-resolver anycast sites). The trie is the registration-side
-    /// structure; [`seal`](MaskZone::seal) compiles it for the per-query
-    /// lookups.
-    extra_cc: PrefixTrie<CountryCode>,
-    /// Compiled `extra_cc`; registrations after a seal patch it through
-    /// `extra_cc_delta` instead of dropping it.
-    extra_cc_frozen: Option<FrozenLpm<CountryCode>>,
-    /// Post-seal registrations pending against `extra_cc_frozen`.
-    extra_cc_delta: DeltaOverlay<CountryCode>,
+    /// (public-resolver anycast sites), compiled by [`seal`](MaskZone::seal)
+    /// for the per-query lookups.
+    extra_cc: PrefixTable<CountryCode>,
     max_records: usize,
     seed: u64,
 }
@@ -75,9 +69,7 @@ impl MaskZone {
         MaskZone {
             fleets,
             world,
-            extra_cc: PrefixTrie::new(),
-            extra_cc_frozen: None,
-            extra_cc_delta: DeltaOverlay::new(),
+            extra_cc: PrefixTable::new(),
             max_records: max_records.max(1),
             seed,
         }
@@ -88,23 +80,14 @@ impl MaskZone {
     /// [`seal`](MaskZone::seal) the mapping is patched into the compiled
     /// table through a delta overlay instead of dropping it.
     pub fn register_source_cc(&mut self, net: impl Into<tectonic_net::IpNet>, cc: CountryCode) {
-        let net = net.into();
-        if let Some(frozen) = self.extra_cc_frozen.as_mut() {
-            self.extra_cc_delta.announce(net, cc);
-            if self.extra_cc_delta.should_compact(frozen.len()) {
-                frozen.refreeze_subtree(&self.extra_cc_delta);
-                self.extra_cc_delta.clear();
-            }
-        }
-        self.extra_cc.insert(net, cc);
+        self.extra_cc.insert(net.into(), cc);
     }
 
     /// Compiles the registered source ranges. Call once registration is
-    /// done (the deployment does, before installing the zone); lookups fall
-    /// back to the trie while unsealed, so sealing is purely a fast path.
+    /// done (the deployment does, before installing the zone); lookups
+    /// answer the same while unsealed, so sealing is purely a fast path.
     pub fn seal(&mut self) {
-        self.extra_cc_frozen = Some(self.extra_cc.freeze());
-        self.extra_cc_delta.clear();
+        self.extra_cc.freeze();
     }
 
     fn domain_of(&self, name: &DomainName) -> Option<Domain> {
@@ -139,13 +122,7 @@ impl MaskZone {
                 return Some(client_as.cc);
             }
         }
-        match &self.extra_cc_frozen {
-            Some(lpm) => self
-                .extra_cc_delta
-                .longest_match(lpm, src)
-                .map(|(_, cc)| *cc),
-            None => self.extra_cc.longest_match(src).map(|(_, cc)| *cc),
-        }
+        self.extra_cc.lookup(src).map(|(_, cc)| *cc)
     }
 
     /// The operator that serves this client subnet.
