@@ -9,6 +9,20 @@
 //! reproduction record used in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![deny(rust_2018_idioms)]
 
 use std::sync::OnceLock;
@@ -43,8 +57,11 @@ pub fn paper_deployment() -> &'static Deployment {
 }
 
 /// Prints a banner separating artefact output from criterion noise.
+#[expect(
+    clippy::print_stdout,
+    reason = "bench harness banner; stdout IS the reproduction record here"
+)]
 pub fn banner(title: &str) {
     let rule = "================================================================";
-    // lintkit: allow(no-print) -- bench harness banner; stdout IS the reproduction record here
     println!("\n{rule}\n== {title}\n== (simulated deployment, scale 1/{BENCH_SCALE}, seed {BENCH_SEED})\n{rule}");
 }

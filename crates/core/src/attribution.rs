@@ -74,11 +74,14 @@ impl Table2 {
     }
 
     /// Row lookup.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor emits one row per category unconditionally"
+    )]
     pub fn row(&self, category: ServingCategory) -> &Table2Row {
         self.rows
             .iter()
             .find(|r| r.category == category)
-            // lintkit: allow(no-panic) -- the constructor emits one row per category unconditionally
             .expect("all categories present")
     }
 

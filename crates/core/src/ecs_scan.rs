@@ -684,7 +684,10 @@ impl EcsScanner {
         self.run_engine_scan(domain, subnets, &[], servers, rib, start, engine)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the shared body of the two public scan entry points, which pass every input through"
+    )]
     fn run_engine_scan(
         &self,
         domain: DomainName,

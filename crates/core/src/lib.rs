@@ -30,6 +30,20 @@
 //! | [`masque_load`] | §4 findings rerun as a traffic-scale CONNECT-UDP session load test |
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 

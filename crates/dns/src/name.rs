@@ -51,8 +51,12 @@ impl DomainName {
     /// For embedding well-known names in source (zone apexes, the mask
     /// domains); never call this on runtime input — use [`DomainName::parse`]
     /// and handle the error.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented literal-only constructor; the single sanctioned panic site for static names"
+    )]
     pub fn literal(s: &str) -> Self {
-        // lintkit: allow(no-panic) -- documented literal-only constructor; the single sanctioned panic site for static names
+        // lintkit: allow(panic-reachability) -- documented literal-only constructor; the single sanctioned panic site for static names
         DomainName::parse(s).expect("invalid DomainName literal")
     }
 

@@ -158,9 +158,12 @@ impl Resolver {
 
     /// A public resolver at its well-known address.
     pub fn public(kind: ResolverKind) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "API contract: callers pass a public resolver kind; the ISP kind has no well-known address"
+        )]
         let addr = kind
             .well_known_addr()
-            // lintkit: allow(no-panic) -- API contract: callers pass a public resolver kind; the ISP kind has no well-known address
             .expect("public() requires a public resolver kind");
         Resolver::new(kind, addr)
     }

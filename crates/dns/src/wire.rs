@@ -5,6 +5,17 @@
 //! in the additional section and compression pointers in responses with many
 //! answer records (the April scans saw up to eight A records per response).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
+
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -92,7 +103,7 @@ impl MessageEncoder {
 /// encoded in `buf` at `off`, case-insensitively.
 fn suffix_matches_at(buf: &[u8], mut off: usize, labels: &[String]) -> bool {
     let mut idx = 0;
-    let mut jumps = 0;
+    let mut jumps = 0u32;
     loop {
         // Offsets recorded for the name currently being written can run past
         // the end of the buffer (its terminator is not written yet); such an
@@ -109,7 +120,7 @@ fn suffix_matches_at(buf: &[u8], mut off: usize, labels: &[String]) -> bool {
             if jumps >= 16 {
                 return false;
             }
-            jumps += 1;
+            jumps = jumps.saturating_add(1);
             off = ((len & 0x3F) << 8) | lo as usize;
             continue;
         }
@@ -120,14 +131,17 @@ fn suffix_matches_at(buf: &[u8], mut off: usize, labels: &[String]) -> bool {
             return false;
         };
         let label = label.as_bytes();
-        if off + 1 + len > buf.len()
-            || label.len() != len
-            || !buf[off + 1..off + 1 + len].eq_ignore_ascii_case(label)
+        let start = off.saturating_add(1);
+        let end = start.saturating_add(len);
+        if label.len() != len
+            || !buf
+                .get(start..end)
+                .is_some_and(|wire| wire.eq_ignore_ascii_case(label))
         {
             return false;
         }
-        idx += 1;
-        off = off.saturating_add(len).saturating_add(1);
+        idx = idx.saturating_add(1);
+        off = end;
     }
 }
 
@@ -171,7 +185,7 @@ impl Sink<'_> {
     fn put_name(&mut self, name: &DomainName) {
         let labels = name.labels();
         for (i, label) in labels.iter().enumerate() {
-            if let Some(off) = self.find_suffix(&labels[i..]) {
+            if let Some(off) = labels.get(i..).and_then(|rest| self.find_suffix(rest)) {
                 self.buf.put_u16(0xC000 | off);
                 return;
             }
@@ -182,7 +196,10 @@ impl Sink<'_> {
                     self.label_offsets.push(off);
                 }
             }
-            // lintkit: allow(narrowing-cast) -- DomainName labels are ≤ 63 bytes by construction
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "DomainName labels are ≤ 63 bytes by construction"
+            )]
             self.buf.put_u8(label.len() as u8);
             self.buf.put_slice(label.as_bytes());
         }
@@ -224,7 +241,10 @@ impl Sink<'_> {
             }
             RData::Txt(s) => {
                 for chunk in s.as_bytes().chunks(255) {
-                    // lintkit: allow(narrowing-cast) -- chunks(255) yields slices of ≤ 255 bytes
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "chunks(255) yields slices of ≤ 255 bytes"
+                    )]
                     self.buf.put_u8(chunk.len() as u8);
                     self.buf.put_slice(chunk);
                 }
@@ -257,8 +277,9 @@ impl Sink<'_> {
                     // Stack-encoded: the hot encode path writes the ECS
                     // payload without the Vec the old `encode()` built.
                     let (payload, n) = e.wire_bytes();
-                    self.buf.put_u16(count16(n));
-                    self.buf.put_slice(&payload[..n]);
+                    let payload = payload.get(..n).unwrap_or_default();
+                    self.buf.put_u16(count16(payload.len()));
+                    self.buf.put_slice(payload);
                 }
                 EdnsOption::Other(_, p) => {
                     self.buf.put_u16(count16(p.len()));
@@ -343,26 +364,16 @@ impl<'a> Decoder<'a> {
 
     fn take_u8(&mut self) -> Result<u8, DnsWireError> {
         let v = *self.data.get(self.pos).ok_or(DnsWireError::Truncated)?;
-        self.pos += 1;
+        self.pos = self.pos.saturating_add(1);
         Ok(v)
     }
 
     fn take_u16(&mut self) -> Result<u16, DnsWireError> {
-        if self.remaining() < 2 {
-            return Err(DnsWireError::Truncated);
-        }
-        let mut s = &self.data[self.pos..];
-        self.pos += 2;
-        Ok(s.get_u16())
+        Ok(self.take_slice(2)?.get_u16())
     }
 
     fn take_u32(&mut self) -> Result<u32, DnsWireError> {
-        if self.remaining() < 4 {
-            return Err(DnsWireError::Truncated);
-        }
-        let mut s = &self.data[self.pos..];
-        self.pos += 4;
-        Ok(s.get_u32())
+        Ok(self.take_slice(4)?.get_u32())
     }
 
     fn take_slice(&mut self, n: usize) -> Result<&'a [u8], DnsWireError> {
@@ -380,14 +391,14 @@ impl<'a> Decoder<'a> {
         let mut labels: Vec<String> = Vec::new();
         let mut pos = self.pos;
         let mut jumped = false;
-        let mut jumps = 0;
+        let mut jumps = 0u32;
         loop {
             let Some(&len) = self.data.get(pos) else {
                 return Err(DnsWireError::Truncated);
             };
             match len {
                 0 => {
-                    pos += 1;
+                    pos = pos.saturating_add(1);
                     if !jumped {
                         self.pos = pos;
                     }
@@ -406,7 +417,7 @@ impl<'a> Decoder<'a> {
                     if target >= pos {
                         return Err(DnsWireError::BadPointer);
                     }
-                    jumps += 1;
+                    jumps = jumps.saturating_add(1);
                     if jumps > 16 {
                         return Err(DnsWireError::BadPointer);
                     }

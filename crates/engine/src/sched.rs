@@ -33,6 +33,17 @@
 //! This module is audited index-free (lintkit strict no-index): slices are
 //! traversed with iterators, `get`, and `chunks_mut`, never `a[i]`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
+
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -144,6 +155,10 @@ impl<E> ShardCtx<E> {
     /// delivery time.
     pub fn send(&mut self, dest: usize, at: SimTime, event: E) {
         let dest = dest.min(self.shards.saturating_sub(1));
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "virtual time is u64 milliseconds since 1970; now + lookahead cannot overflow"
+        )]
         self.outbox
             .push((dest, at.max(self.now + self.lookahead), event));
     }
@@ -200,7 +215,7 @@ struct Slot<M: ShardModel> {
 impl<M: ShardModel> Slot<M> {
     fn push(&mut self, at: SimTime, event: M::Event) {
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = self.next_seq.wrapping_add(1);
         self.queue.push(Queued {
             time: at,
             seq,
@@ -293,6 +308,10 @@ impl<M: ShardModel> Engine<M> {
         loop {
             let floor = self.slots.iter().filter_map(Slot::head_time).min();
             let Some(floor) = floor else { break };
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "virtual time is u64 milliseconds since 1970; floor + lookahead cannot overflow"
+            )]
             let bound = floor + self.lookahead;
 
             if workers == 1 {

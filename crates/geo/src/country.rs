@@ -39,8 +39,12 @@ impl CountryCode {
     ///
     /// For static tables only; never call this on runtime input — use
     /// [`CountryCode::new`] and handle the `None`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented literal-only constructor; the single sanctioned panic site for static country codes"
+    )]
     pub fn literal(code: &str) -> CountryCode {
-        // lintkit: allow(no-panic) -- documented literal-only constructor; the single sanctioned panic site for static country codes
+        // lintkit: allow(panic-reachability) -- documented literal-only constructor; the single sanctioned panic site for static country codes
         CountryCode::new(code).expect("invalid CountryCode literal")
     }
 

@@ -15,6 +15,8 @@
 //! single slice-index expression (`lintkit`'s `no-index` rule is enforced
 //! here in strict mode): fields come off a `split(',')` iterator.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fmt;
 
 use crate::country::CountryCode;

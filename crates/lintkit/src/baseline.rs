@@ -191,19 +191,9 @@ pub(crate) fn json_string(s: &str) -> String {
     out
 }
 
-/// Parses JSON text in the supported subset — shared with the incremental
-/// cache's loader ([`crate::cache`]).
-pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
-    JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    }
-    .parse()
-}
-
 /// The JSON subset the baseline schema needs.
 #[derive(Debug)]
-pub(crate) enum Json {
+enum Json {
     Object(Vec<(String, Json)>),
     Array(Vec<Json>),
     String(String),
@@ -234,7 +224,7 @@ impl JsonParser<'_> {
         }
     }
 
-    // Named `eat`, not `expect`, so the no-panic token rule (which flags
+    // Named `eat`, not `expect`, so the panic-site collector (which records
     // any `.expect(` call) stays simple.
     fn eat(&mut self, b: u8) -> Result<(), String> {
         self.skip_ws();
@@ -456,7 +446,7 @@ mod tests {
 
     #[test]
     fn report_json_escapes_messages() {
-        let text = report_json(&[finding(Rule::NoPanic, "a.rs", 1)]);
+        let text = report_json(&[finding(Rule::PanicReachability, "a.rs", 1)]);
         assert!(text.contains("\\\"quotes\\\""));
         assert!(text.contains("\\\\slash"));
         // And stays parseable by our own parser (message key ignored).

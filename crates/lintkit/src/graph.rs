@@ -20,7 +20,7 @@
 //! * Calls that resolve to nothing in the workspace (`std`, vendored
 //!   shims) are non-panicking leaves. This is the analysis boundary: `std`
 //!   panics (`Vec::push` on OOM, arithmetic in debug) are out of scope,
-//!   matching the per-file rules.
+//!   matching clippy's panic lints, which flag call sites only.
 //!
 //! The graph also answers "which locks does this function transitively
 //! acquire" (for the lock-order rule) and renders itself as GraphViz DOT

@@ -1,33 +1,21 @@
-//! `lintkit` — the workspace's self-contained static-analysis pass.
+//! `lintkit` — the workspace's call-graph analysis and vendored-shim check.
 //!
 //! The reproduction's pipelines parse hostile or malformed external inputs
 //! (DNS wire replies, the published egress CSV, Atlas measurement dumps).
-//! One stray `unwrap` turns a bad record into an aborted multi-hour scan,
-//! which the ROADMAP's production-scale goal cannot afford. This crate
-//! enforces the project's robustness invariants *statically* so they cannot
-//! regress:
+//! One stray `unwrap` turns a bad record into an aborted multi-hour scan.
+//! The per-file half of that policy — no panics, no prints, no unsafe, no
+//! indexing on parse paths, no lossy casts or unchecked arithmetic in the
+//! kernels — is clippy's: each crate root and strict file declares the
+//! lints (see DESIGN.md §8). This crate enforces what clippy cannot see:
 //!
-//! * **no-panic** — no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
-//!   `unimplemented!` in library (non-test) code,
-//! * **no-index** — no `expr[i]` indexing on designated hostile-input parse
-//!   paths (use `.get`),
-//! * **no-print** — no `println!`-family output in library code,
-//! * **forbid-unsafe** — every crate root carries `#![forbid(unsafe_code)]`,
 //! * **vendor-manifest** — the vendored dependency shims match the
 //!   checked-in public-API manifest (`vendor/API_MANIFEST.txt`),
-//! * **allow-needs-reason** — suppressions must carry a justification,
-//! * **narrowing-cast** — no lossy `as` cast in the strict-arithmetic files
-//!   ([`resource`]); widening casts stay silent,
-//! * **unchecked-arith** — no unguarded `+`/`-`/`*`/`<<` on size/index-typed
-//!   operands in the same files; `checked_*`/`saturating_*`/`wrapping_*` and
-//!   bounds-dominated patterns are recognized boundaries.
+//! * **allow-needs-reason** — a `// lintkit: allow(<rule>) -- <reason>`
+//!   comment must name one of lintkit's rules and give a reason.
 //!
-//! Any finding can be suppressed with
-//! `// lintkit: allow(<rule>) -- <reason>`; the reason is mandatory.
-//!
-//! On top of the per-file rules, the pass builds a workspace-wide symbol
-//! table ([`symbols`]) and conservative call graph ([`graph`]) and runs
-//! seven interprocedural rules ([`reach`], [`order`], [`resource`]):
+//! On top of that, the pass builds a workspace-wide symbol table
+//! ([`symbols`]) and conservative call graph ([`graph`]) and runs seven
+//! interprocedural rules ([`reach`], [`order`], [`resource`]):
 //!
 //! * **panic-reachability** — no panic site may be transitively reachable
 //!   from a declared hostile-input entry point (unresolvable dynamic
@@ -48,14 +36,6 @@
 //!   declared steady-state hot entry point, with construction/setup
 //!   boundaries carved out via [`Config::warm_paths`] ([`resource`]).
 //!
-//! The per-file pass is parallel (`std::thread::scope` over disjoint output
-//! slots, merged in deterministic order) and incremental: an on-disk cache
-//! ([`cache`], `target/lintkit-cache.json`) keyed by file content hash and a
-//! rule-set/config fingerprint lets warm runs skip re-analyzing unchanged
-//! files while provably emitting byte-identical findings. Symbol collection
-//! still runs on every file so the interprocedural pass never sees stale
-//! graphs.
-//!
 //! Accepted findings live in the `lint-baseline.json` ratchet ([`baseline`]):
 //! new findings fail, and so do stale baseline entries, so the debt only
 //! burns down. `--json` and `--sarif` ([`sarif`]) export the findings for
@@ -67,10 +47,23 @@
 //! as a tier-1 test (`tests/workspace_gate.rs`) and in CI.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![deny(rust_2018_idioms)]
 
 pub mod baseline;
-pub mod cache;
 pub mod graph;
 pub mod lexer;
 pub mod manifest;
@@ -84,25 +77,14 @@ pub mod symbols;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
-pub use rules::{check_file, FileContext, Finding, Rule};
+pub use rules::{Finding, Rule};
 
-/// What to lint and how strictly.
+/// What to lint.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Workspace root (the directory holding the top-level `Cargo.toml`).
     pub root: PathBuf,
-    /// Workspace-relative paths of files where the `no-index` rule applies —
-    /// the parse paths that face hostile input.
-    pub strict_index: Vec<String>,
-    /// Workspace-relative paths of files where the `narrowing-cast` and
-    /// `unchecked-arith` rules apply — the arithmetic-dense kernels where a
-    /// silent truncation or overflow corrupts results instead of crashing.
-    pub strict_arith: Vec<String>,
-    /// Crate directory names under `crates/` to skip entirely (dev tools
-    /// such as the lint driver binary itself).
-    pub skip_crates: Vec<String>,
     /// Entry points for the panic-reachability rule, as
     /// `crate::module::name` patterns (`name` may be `*` for every
     /// function in the module). A pattern that matches nothing is itself a
@@ -117,70 +99,22 @@ pub struct Config {
     /// tables, growing buffers once) is exempt. A warm pattern matching
     /// nothing is a finding, so a rename cannot silently widen the rule.
     pub warm_paths: Vec<String>,
-    /// Crates linted per-file but excluded from the call graph. Build-time
-    /// tools (lintkit itself) are never callees of product code, and their
-    /// generic function names (`parse`, `resolve`, `collect`) would only
-    /// add false edges. Binary targets are excluded for the same reason —
-    /// a `[[bin]]` cannot be linked into a library call path.
+    /// Crates whose allow comments are checked but which stay out of the
+    /// call graph. Build-time tools (lintkit itself) are never callees of
+    /// product code, and their generic function names (`parse`, `resolve`,
+    /// `collect`) would only add false edges. Binary targets are excluded
+    /// for the same reason — a `[[bin]]` cannot be linked into a library
+    /// call path.
     pub graph_skip_crates: Vec<String>,
-    /// Where the incremental per-file cache lives; `None` disables caching
-    /// (fixture workspaces, hermetic tests).
-    pub cache: Option<PathBuf>,
 }
 
 impl Config {
-    /// The project policy: every library crate, strict indexing on the
-    /// hostile-input decoders, the `xtask` driver exempt (it is a pure
-    /// binary dev-tool, not library code), and reachability entry points on
-    /// every surface that parses hostile bytes or serves the request path.
+    /// The project policy: reachability entry points on every surface that
+    /// parses hostile bytes or serves the request path, and the hot/warm
+    /// boundaries of the allocation rule.
     pub fn for_workspace(root: &Path) -> Config {
         Config {
             root: root.to_path_buf(),
-            strict_index: vec![
-                "crates/dns/src/wire.rs".to_string(),
-                // The discrete-event scheduler: event order is the whole
-                // determinism contract, so no slice indexing anywhere.
-                "crates/engine/src/sched.rs".to_string(),
-                "crates/geo/src/csv.rs".to_string(),
-                "crates/net/src/lpm.rs".to_string(),
-                // The churn overlay shares the frozen table's arena-index
-                // discipline: every probe goes through checked access.
-                "crates/net/src/overlay.rs".to_string(),
-                // The prefix-table owner type dispatches every RIB and geo
-                // read between the staged map and the compiled arrays.
-                "crates/net/src/table.rs".to_string(),
-                "crates/quic/src/packet.rs".to_string(),
-                "crates/quic/src/varint.rs".to_string(),
-                // Capsule/HTTP-Datagram codecs: decoding hostile tunnel
-                // bytes must be total.
-                "crates/quic/src/capsule.rs".to_string(),
-                // Sealed-payload and datagram framing on the session path:
-                // the egress opens bytes a faulted channel may have
-                // mangled.
-                "crates/relay/src/session.rs".to_string(),
-                "crates/simnet/src/channel.rs".to_string(),
-            ],
-            strict_arith: vec![
-                // Wire offsets and RDLENGTH arithmetic: a silent u16 wrap
-                // emits a malformed packet instead of an error.
-                "crates/dns/src/wire.rs".to_string(),
-                // Virtual-time and shard-index arithmetic.
-                "crates/engine/src/sched.rs".to_string(),
-                // Arena indices are u32 by design; every narrowing from
-                // usize must be provably in range.
-                "crates/net/src/lpm.rs".to_string(),
-                // Patch offsets and chunk arithmetic in the churn overlay.
-                "crates/net/src/overlay.rs".to_string(),
-                // Live-prefix counting and the fold/rebuild thresholds.
-                "crates/net/src/table.rs".to_string(),
-                // RFC 9000 varints: 62-bit values through shifts and masks.
-                "crates/quic/src/varint.rs".to_string(),
-                // Capsule header offsets and declared-length arithmetic: a
-                // silent wrap turns a truncation error into a mis-framed
-                // read.
-                "crates/quic/src/capsule.rs".to_string(),
-            ],
-            skip_crates: vec!["xtask".to_string()],
             entry_points: vec![
                 // The multi-hour ECS scan drive loop.
                 "core::ecs_scan::scan_subnets".to_string(),
@@ -275,26 +209,8 @@ impl Config {
                 "dns::message::query".to_string(),
             ],
             graph_skip_crates: vec!["lintkit".to_string()],
-            cache: Some(root.join("target").join("lintkit-cache.json")),
         }
     }
-}
-
-/// Wall-time and cache-effectiveness counters for one workspace pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassStats {
-    /// Files visited by the per-file pass.
-    pub files: usize,
-    /// Files whose findings were served from the incremental cache.
-    pub cache_hits: usize,
-    /// Files that ran the full per-file rule set.
-    pub cache_misses: usize,
-    /// Wall time of the parallel per-file pass (lex + rules + symbols).
-    pub file_pass_ns: u128,
-    /// Wall time of the interprocedural graph pass.
-    pub graph_ns: u128,
-    /// End-to-end wall time of `analyze_workspace`.
-    pub total_ns: u128,
 }
 
 /// The full result of one workspace pass: the findings plus the call graph
@@ -306,91 +222,41 @@ pub struct Analysis {
     pub graph: graph::CallGraph,
     /// Resolved entry-point function indices into `graph.funcs`.
     pub entries: Vec<usize>,
-    /// Timing and cache counters for this pass.
-    pub stats: PassStats,
 }
 
-/// One file the per-file pass must visit, in deterministic walk order.
+/// One file the pass must visit, in deterministic walk order.
 struct FileTask {
     crate_name: String,
     module: String,
     rel: String,
     path: PathBuf,
-    ctx: FileContext,
     /// Whether the file participates in the call graph.
     graph: bool,
 }
 
-/// What one worker produced for one file.
-struct FileOutcome {
-    findings: Vec<Finding>,
-    symbols: Option<symbols::FileSymbols>,
-    hash: u64,
-    cache_hit: bool,
-}
-
-/// Lints the whole workspace: every crate under `crates/*/src`, the root
-/// package's `src/`, the vendored-shim manifest, and the interprocedural
-/// graph rules. Findings come back sorted by file and line.
+/// Lints the whole workspace: the allow comments of every `.rs` file under
+/// `crates/*/src` and the root package's `src/`, the vendored-shim
+/// manifest, and the interprocedural graph rules. Findings come back
+/// sorted by file and line.
 pub fn lint_workspace(config: &Config) -> io::Result<Vec<Finding>> {
     Ok(analyze_workspace(config)?.findings)
 }
 
-/// [`lint_workspace`], but also returning the call graph and pass stats.
-// Wall-clock is the measurement here, as in the criterion shim: the pass
-// stats time the analyzer itself, which runs outside any simulation.
-#[allow(clippy::disallowed_methods)]
+/// [`lint_workspace`], but also returning the call graph.
 pub fn analyze_workspace(config: &Config) -> io::Result<Analysis> {
-    let t_start = Instant::now();
-    let tasks = collect_tasks(config)?;
-
-    // Only the facets `check_file` consults go into the fingerprint: a
-    // changed entry-point list affects graph findings, which are recomputed
-    // every run anyway, so it must not cold-start the per-file cache.
-    let fingerprint = cache::fingerprint(&[&config.strict_index, &config.strict_arith]);
-    let prior = match &config.cache {
-        Some(path) => {
-            let loaded = cache::load(path);
-            if loaded.fingerprint == fingerprint {
-                loaded
-            } else {
-                cache::CacheFile::default()
-            }
-        }
-        None => cache::CacheFile::default(),
-    };
-
-    let t_files = Instant::now();
-    let outcomes = run_file_pass(&tasks, &prior);
-    let file_pass_ns = t_files.elapsed().as_nanos();
-
     let mut findings = Vec::new();
     let mut file_symbols = Vec::new();
-    let mut next = cache::CacheFile {
-        fingerprint,
-        files: std::collections::BTreeMap::new(),
-    };
-    let mut stats = PassStats {
-        files: tasks.len(),
-        file_pass_ns,
-        ..PassStats::default()
-    };
-    for (task, outcome) in tasks.iter().zip(outcomes) {
-        let outcome = outcome?;
-        if outcome.cache_hit {
-            stats.cache_hits += 1;
-        } else {
-            stats.cache_misses += 1;
+    for task in collect_tasks(config)? {
+        let text = fs::read_to_string(&task.path)?;
+        findings.extend(rules::check_allows(&task.rel, &text));
+        if task.graph {
+            file_symbols.push(symbols::collect(
+                &task.crate_name,
+                &task.module,
+                &task.rel,
+                &text,
+            ));
         }
-        next.files.insert(
-            task.rel.clone(),
-            cache::CacheEntry {
-                hash: outcome.hash,
-                findings: outcome.findings.clone(),
-            },
-        );
-        findings.extend(outcome.findings);
-        file_symbols.extend(outcome.symbols);
     }
 
     // Vendored-shim API drift (fixture workspaces have no vendor tree).
@@ -399,8 +265,6 @@ pub fn analyze_workspace(config: &Config) -> io::Result<Analysis> {
         findings.extend(manifest::check(&vendor)?);
     }
 
-    // The interprocedural pass.
-    let t_graph = Instant::now();
     let graph = graph::CallGraph::build(file_symbols);
     findings.extend(reach::check_graph(
         &graph,
@@ -408,78 +272,16 @@ pub fn analyze_workspace(config: &Config) -> io::Result<Analysis> {
         &config.hot_paths,
         &config.warm_paths,
     ));
-    stats.graph_ns = t_graph.elapsed().as_nanos();
-
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     let entries = config
         .entry_points
         .iter()
         .flat_map(|p| graph.resolve_entry(p))
         .collect();
-    if let Some(path) = &config.cache {
-        cache::store(path, &next);
-    }
-    stats.total_ns = t_start.elapsed().as_nanos();
     Ok(Analysis {
         findings,
         graph,
         entries,
-        stats,
-    })
-}
-
-/// Runs the per-file pass over `tasks` in parallel, one output slot per
-/// task. Workers own disjoint chunks of the slot array, so output order is
-/// the task order regardless of scheduling — determinism costs nothing
-/// here because no worker ever contends with another.
-fn run_file_pass(tasks: &[FileTask], prior: &cache::CacheFile) -> Vec<io::Result<FileOutcome>> {
-    let mut slots: Vec<Option<io::Result<FileOutcome>>> = Vec::new();
-    slots.resize_with(tasks.len(), || None);
-    if tasks.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-        .min(tasks.len());
-    let chunk = tasks.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        for (task_chunk, slot_chunk) in tasks.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (task, slot) in task_chunk.iter().zip(slot_chunk.iter_mut()) {
-                    *slot = Some(run_one_file(task, prior));
-                }
-            });
-        }
-    });
-    // Every slot is filled: the chunked zip covers all indices exactly once.
-    slots.into_iter().flatten().collect()
-}
-
-/// Lints one file, serving per-file findings from the cache when the
-/// content hash matches. Symbols are re-collected unconditionally — the
-/// call graph must reflect the workspace as it is now, and collection is
-/// cheap next to the rule pass.
-fn run_one_file(task: &FileTask, prior: &cache::CacheFile) -> io::Result<FileOutcome> {
-    let text = fs::read_to_string(&task.path)?;
-    let hash = cache::content_hash(text.as_bytes());
-    let cached = prior
-        .files
-        .get(&task.rel)
-        .filter(|entry| entry.hash == hash);
-    let (findings, cache_hit) = match cached {
-        Some(entry) => (entry.findings.clone(), true),
-        None => (check_file(&task.rel, &text, task.ctx), false),
-    };
-    let symbols = task
-        .graph
-        .then(|| symbols::collect(&task.crate_name, &task.module, &task.rel, &text));
-    Ok(FileOutcome {
-        findings,
-        symbols,
-        hash,
-        cache_hit,
     })
 }
 
@@ -525,9 +327,6 @@ fn collect_tasks(config: &Config) -> io::Result<Vec<FileTask>> {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        if config.skip_crates.contains(&name) {
-            continue;
-        }
         collect_src_dir(config, &name, &dir.join("src"), &mut tasks)?;
     }
     // The root `tectonic` package.
@@ -535,7 +334,7 @@ fn collect_tasks(config: &Config) -> io::Result<Vec<FileTask>> {
     Ok(tasks)
 }
 
-/// Lists every `.rs` file under one `src/` directory with its lint context.
+/// Lists every `.rs` file under one `src/` directory.
 fn collect_src_dir(
     config: &Config,
     crate_name: &str,
@@ -554,17 +353,10 @@ fn collect_src_dir(
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        let ctx = FileContext {
-            is_crate_root: file.parent() == Some(src_dir)
-                && file.file_name().is_some_and(|n| n == "lib.rs"),
-            strict_index: config.strict_index.contains(&rel),
-            // Binary targets own their stdout; libraries do not.
-            allow_print: rel.contains("/bin/") || rel.ends_with("src/main.rs"),
-            strict_arith: config.strict_arith.contains(&rel),
-        };
         // Graph exclusions: build-time-tool crates and binary targets are
         // never callees of library code (see `Config::graph_skip_crates`).
-        let graph = !config.graph_skip_crates.iter().any(|c| c == crate_name) && !ctx.allow_print;
+        let is_bin = rel.contains("/bin/") || rel.ends_with("src/main.rs");
+        let graph = !is_bin && !config.graph_skip_crates.iter().any(|c| c == crate_name);
         let module = file
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
@@ -574,7 +366,6 @@ fn collect_src_dir(
             module,
             rel,
             path: file,
-            ctx,
             graph,
         });
     }

@@ -1,42 +1,23 @@
-//! Resource-soundness rules: allocation reachability and integer
-//! arithmetic strictness.
+//! The resource-soundness rule: **alloc-in-hot-path**.
 //!
-//! Three rules live here:
+//! Allocation sites (collected per function by [`crate::symbols`]) must not
+//! be reachable from a declared steady-state hot entry point
+//! ([`crate::Config::hot_paths`]). "Allocates" propagates through the call
+//! graph; traversal is pruned at the [`crate::Config::warm_paths`]
+//! boundary, the construction/setup functions whose allocations are
+//! one-time cost rather than steady state. ⊥ (dynamic dispatch) does *not*
+//! propagate allocation: the rule checks known sites, mirroring
+//! determinism-taint, so the baseline stays reserved for
+//! panic-reachability ⊥ findings.
 //!
-//! * **alloc-in-hot-path** — allocation sites (collected per function by
-//!   [`crate::symbols`]) must not be reachable from a declared steady-state
-//!   hot entry point ([`crate::Config::hot_paths`]). "Allocates" propagates
-//!   through the call graph; traversal is pruned at the
-//!   [`crate::Config::warm_paths`] boundary, the construction/setup
-//!   functions whose allocations are one-time cost rather than steady
-//!   state. ⊥ (dynamic dispatch) does *not* propagate allocation: the rule
-//!   checks known sites, mirroring determinism-taint, so the baseline stays
-//!   reserved for panic-reachability ⊥ findings.
-//! * **narrowing-cast** — in strict-arithmetic files
-//!   ([`crate::Config::strict_arith`]), a lossy `as` cast is a finding:
-//!   width-losing (`usize`/`u64`/`u128` down to `u32`/`u16`/`u8`) or
-//!   signedness-flipping. Widening casts and casts whose operand is
-//!   mask-bounded (`(x & 0xff) as u8`) stay silent, as do casts whose
-//!   source width the lexical environment cannot establish — the rule
-//!   trades recall for zero false positives on the hot kernels.
-//! * **unchecked-arith** — in the same strict files, a bare `+`/`-`/`*`/
-//!   `<<` whose operands are known size/index-typed is a finding unless the
-//!   statement is bounds-dominated: it heads an `if`/`while`/`for`/assert
-//!   guard, or carries a `checked_*`/`saturating_*`/`wrapping_*`/
-//!   `min`/`max`/`clamp` boundary.
-//!
-//! The width environment is lexical, not type-checked: it records
-//! `name: u32`-shaped ascriptions (fn params, struct fields, `let`
-//! bindings) plus `let n = … as u32;` / `let n = ….len();` tails, and
-//! drops a name to "unknown" on conflicting sightings. Unknown-width
-//! operands never produce findings. `usize`/`isize` are treated as 64-bit,
-//! the only targets the arena layouts support.
+//! Integer casts and arithmetic in the kernels are clippy's job
+//! (`cast_possible_truncation`, `arithmetic_side_effects`, … at the top of
+//! each strict file); see DESIGN.md §13.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use crate::graph::{CallGraph, Callee};
-use crate::lexer::{Token, TokenKind};
-use crate::rules::{is_index_base, Finding, Rule};
+use crate::rules::{Finding, Rule};
 
 /// Heap-constructing type heads for path calls (`Vec::with_capacity`,
 /// `Box::new`, …). Shared with the symbol collector's site classifier.
@@ -57,14 +38,6 @@ pub(crate) const HEAP_TYPES: [&str; 12] = [
 
 /// Methods that allocate regardless of receiver type.
 pub(crate) const ALLOC_METHODS: [&str; 4] = ["to_string", "to_vec", "to_owned", "collect"];
-
-/// Methods returning a `usize` length/count — the width the cast and
-/// arithmetic rules assume for `recv.len() as u32`-shaped expressions.
-const LEN_METHODS: [&str; 3] = ["len", "count", "capacity"];
-
-// ---------------------------------------------------------------------------
-// alloc-in-hot-path (interprocedural)
-// ---------------------------------------------------------------------------
 
 /// **alloc-in-hot-path** — flags every allocation site reachable from a
 /// `hot_paths` entry, pruning traversal at the `warm_paths` boundary.
@@ -157,654 +130,11 @@ fn bfs_pruned(graph: &CallGraph, start: usize, warm: &BTreeSet<usize>) -> HashMa
     parent
 }
 
-// ---------------------------------------------------------------------------
-// narrowing-cast + unchecked-arith (per-file, strict-arith files)
-// ---------------------------------------------------------------------------
-
-/// An integer type's width and signedness. `usize`/`isize` count as
-/// 64-bit — the workspace's arena layouts already assume 64-bit targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IntTy {
-    bits: u16,
-    signed: bool,
-}
-
-fn int_ty(name: &str) -> Option<IntTy> {
-    let t = |bits, signed| Some(IntTy { bits, signed });
-    match name {
-        "u8" => t(8, false),
-        "u16" => t(16, false),
-        "u32" => t(32, false),
-        "u64" => t(64, false),
-        "u128" => t(128, false),
-        "usize" => t(64, false),
-        "i8" => t(8, true),
-        "i16" => t(16, true),
-        "i32" => t(32, true),
-        "i64" => t(64, true),
-        "i128" => t(128, true),
-        "isize" => t(64, true),
-        _ => None,
-    }
-}
-
-/// Runs the two per-file strict-arithmetic rules over one file's
-/// comment-free token stream. Called from [`crate::rules::check_file`]
-/// when the file is listed in `Config::strict_arith`.
-pub(crate) fn check_arith(
-    rel_path: &str,
-    code: &[&Token],
-    skip: &[(usize, usize)],
-    suppressed: &dyn Fn(Rule, u32) -> bool,
-    findings: &mut Vec<Finding>,
-) {
-    let env = width_env(code);
-    let in_skip = |i: usize| skip.iter().any(|(lo, hi)| (*lo..=*hi).contains(&i));
-    check_narrowing(rel_path, code, &in_skip, suppressed, &env, findings);
-    check_ops(rel_path, code, &in_skip, suppressed, &env, findings);
-}
-
-/// The lexical width environment: every `name` whose integer type the file
-/// states outright. Conflicting sightings drop the name to `None`
-/// (unknown), so reuse of a name across functions can only *lose*
-/// precision, never fabricate a finding.
-fn width_env(code: &[&Token]) -> HashMap<String, Option<IntTy>> {
-    let mut env: HashMap<String, Option<IntTy>> = HashMap::new();
-    fn record(env: &mut HashMap<String, Option<IntTy>>, name: &str, ty: IntTy) {
-        match env.entry(name.to_string()) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if *e.get() != Some(ty) {
-                    e.insert(None);
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Some(ty));
-            }
-        }
-    }
-    for i in 0..code.len() {
-        // `name: u32` — fn params, struct fields, let ascriptions, consts.
-        // A single `:` (not `::`), optional `&`/`mut`, then a bare integer
-        // type that ends its segment.
-        if code[i].kind == TokenKind::Ident
-            && code.get(i + 1).is_some_and(|t| t.is_punct(b':'))
-            && !code.get(i + 2).is_some_and(|t| t.is_punct(b':'))
-            && (i == 0 || !code[i - 1].is_punct(b':'))
-        {
-            let mut j = i + 2;
-            while code
-                .get(j)
-                .is_some_and(|t| t.is_punct(b'&') || t.is_ident("mut"))
-            {
-                j += 1;
-            }
-            if let Some(ty_tok) = code.get(j) {
-                if let Some(ty) = int_ty(&ty_tok.text) {
-                    let ends_segment = code.get(j + 1).is_none_or(|n| {
-                        matches!(
-                            n.kind,
-                            TokenKind::Punct(b',' | b')' | b';' | b'=' | b'}' | b'>' | b'{' | b']')
-                        )
-                    });
-                    if ends_segment {
-                        record(&mut env, &code[i].text, ty);
-                    }
-                }
-            }
-        }
-        // `let name = … as u32;` / `let name = ….len();` — infer from the
-        // statement tail when there is no ascription.
-        if code[i].is_ident("let") {
-            let mut j = i + 1;
-            if code.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
-            }
-            let Some(name_tok) = code.get(j) else {
-                continue;
-            };
-            if name_tok.kind != TokenKind::Ident
-                || !code.get(j + 1).is_some_and(|t| t.is_punct(b'='))
-            {
-                continue;
-            }
-            let Some(semi) = stmt_semi(code, j + 2) else {
-                continue;
-            };
-            if semi >= 2 && code[semi - 2].is_ident("as") {
-                if let Some(ty) = int_ty(&code[semi - 1].text) {
-                    record(&mut env, &name_tok.text, ty);
-                }
-            } else if semi >= 4
-                && code[semi - 1].is_punct(b')')
-                && code[semi - 2].is_punct(b'(')
-                && LEN_METHODS.contains(&code[semi - 3].text.as_str())
-                && code[semi - 4].is_punct(b'.')
-            {
-                record(
-                    &mut env,
-                    &name_tok.text,
-                    IntTy {
-                        bits: 64,
-                        signed: false,
-                    },
-                );
-            }
-        }
-    }
-    env
-}
-
-/// Index of the `;` terminating the statement starting at `from`, at
-/// bracket depth 0. Gives up (returns `None`) on a top-level `{`, so
-/// `let … else {` and block tails do not confuse the tail inference.
-fn stmt_semi(code: &[&Token], from: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (k, t) in code.iter().enumerate().skip(from) {
-        match t.kind {
-            TokenKind::Punct(b'(') | TokenKind::Punct(b'[') => depth += 1,
-            TokenKind::Punct(b')') | TokenKind::Punct(b']') => depth -= 1,
-            TokenKind::Punct(b'{') if depth == 0 => return None,
-            TokenKind::Punct(b';') if depth == 0 => return Some(k),
-            _ => {}
-        }
-    }
-    None
-}
-
-fn check_narrowing(
-    rel_path: &str,
-    code: &[&Token],
-    in_skip: &dyn Fn(usize) -> bool,
-    suppressed: &dyn Fn(Rule, u32) -> bool,
-    env: &HashMap<String, Option<IntTy>>,
-    findings: &mut Vec<Finding>,
-) {
-    for i in 0..code.len() {
-        if !code[i].is_ident("as") || in_skip(i) {
-            continue;
-        }
-        let Some(tgt_tok) = code.get(i + 1) else {
-            continue;
-        };
-        let Some(tgt) = int_ty(&tgt_tok.text) else {
-            continue;
-        };
-        let Some(src) = cast_source(code, i, env) else {
-            continue;
-        };
-        let Some(why) = lossy(src, tgt) else { continue };
-        if suppressed(Rule::NarrowingCast, code[i].line) {
-            continue;
-        }
-        let target_name = tgt_tok.text.clone();
-        findings.push(Finding {
-            rule: Rule::NarrowingCast,
-            file: rel_path.to_string(),
-            line: code[i].line,
-            message: format!(
-                "`as {target_name}` {why} — use {}::try_from / a checked \
-                 narrowing, or add a reasoned allow",
-                target_name
-            ),
-        });
-    }
-}
-
-/// Why a `src → tgt` cast is lossy, or `None` when it is value-preserving.
-fn lossy(src: IntTy, tgt: IntTy) -> Option<String> {
-    if src.bits > tgt.bits {
-        Some(format!("may truncate a {}-bit value", src.bits))
-    } else if src.signed && !tgt.signed {
-        Some("discards the sign of a signed value".to_string())
-    } else if !src.signed && tgt.signed && tgt.bits <= src.bits {
-        Some(format!(
-            "can overflow the sign bit of a {}-bit unsigned value",
-            src.bits
-        ))
-    } else {
-        None
-    }
-}
-
-/// The width of the operand left of the `as` at `as_idx`, when the lexical
-/// environment can establish it. `None` means unknown — and silent.
-fn cast_source(
-    code: &[&Token],
-    as_idx: usize,
-    env: &HashMap<String, Option<IntTy>>,
-) -> Option<IntTy> {
-    let prev_idx = as_idx.checked_sub(1)?;
-    match code[prev_idx].kind {
-        TokenKind::Punct(b')') => {
-            let open = matching_open_paren(code, prev_idx)?;
-            // `recv.len() as …` — a usize out of a length method.
-            if open >= 2 && code[open - 1].kind == TokenKind::Ident && code[open - 2].is_punct(b'.')
-            {
-                if LEN_METHODS.contains(&code[open - 1].text.as_str()) {
-                    return Some(IntTy {
-                        bits: 64,
-                        signed: false,
-                    });
-                }
-                return None; // some other method: result width unknown
-            }
-            if open >= 1 && code[open - 1].kind == TokenKind::Ident {
-                return None; // plain call `f(x) as …`
-            }
-            group_width(code, open + 1, prev_idx, env)
-        }
-        TokenKind::Ident => ident_width(code, prev_idx, env),
-        _ => None,
-    }
-}
-
-/// Index of the `(` matching the `)` at `close`.
-fn matching_open_paren(code: &[&Token], close: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for k in (0..=close).rev() {
-        if code[k].is_punct(b')') {
-            depth += 1;
-        } else if code[k].is_punct(b'(') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
-/// The width of a parenthesized operand `( … ) as T`: the nested cast's
-/// target if it ends in `as U`, unknown if it is mask-bounded by a
-/// top-level `&`, else the widest integer the environment knows inside.
-fn group_width(
-    code: &[&Token],
-    lo: usize,
-    hi: usize,
-    env: &HashMap<String, Option<IntTy>>,
-) -> Option<IntTy> {
-    // `(x as u64) as u32` — the group's value *is* the inner cast target.
-    if hi >= lo + 2 && code[hi - 2].is_ident("as") {
-        if let Some(ty) = int_ty(&code[hi - 1].text) {
-            return Some(ty);
-        }
-    }
-    let mut depth = 0i32;
-    let mut widest: Option<IntTy> = None;
-    let mut k = lo;
-    while k < hi {
-        let t = code[k];
-        match t.kind {
-            TokenKind::Punct(b'(') | TokenKind::Punct(b'[') => depth += 1,
-            TokenKind::Punct(b')') | TokenKind::Punct(b']') => depth -= 1,
-            // Mask-bounded: `(x & 0xff) as u8` fits by construction. `&&`
-            // never applies to integers, so a single `&` is the bitwise op.
-            TokenKind::Punct(b'&') if depth == 0 => {
-                let double = (k + 1 < hi && code[k + 1].is_punct(b'&'))
-                    || (k > lo && code[k - 1].is_punct(b'&'));
-                if !double {
-                    return None;
-                }
-            }
-            TokenKind::Ident => {
-                let ty = if code.get(k + 1).is_some_and(|n| n.is_punct(b'(')) {
-                    // A call name; only length methods have known width.
-                    if k > lo
-                        && code[k - 1].is_punct(b'.')
-                        && LEN_METHODS.contains(&t.text.as_str())
-                    {
-                        Some(IntTy {
-                            bits: 64,
-                            signed: false,
-                        })
-                    } else {
-                        None
-                    }
-                } else {
-                    ident_width(code, k, env)
-                };
-                if let Some(ty) = ty {
-                    if widest.is_none_or(|w| ty.bits > w.bits) {
-                        widest = Some(ty);
-                    }
-                }
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    widest
-}
-
-/// The width of the identifier (or `recv.field`) at `idx`, via the
-/// environment.
-fn ident_width(code: &[&Token], idx: usize, env: &HashMap<String, Option<IntTy>>) -> Option<IntTy> {
-    let name = code[idx].text.as_str();
-    if int_ty(name).is_some() || name == "self" {
-        return None; // a type name or bare receiver, not a value
-    }
-    env.get(name).copied().flatten()
-}
-
-/// Statement-head keywords that make the whole statement a guard — the
-/// bounds-dominated pattern the rule recognizes as a boundary.
-const GUARD_HEADS: [&str; 8] = [
-    "if",
-    "while",
-    "for",
-    "match",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-];
-
-/// Idents anywhere in the statement that mark it explicitly checked.
-fn is_checked_marker(text: &str) -> bool {
-    text.starts_with("checked_")
-        || text.starts_with("saturating_")
-        || text.starts_with("wrapping_")
-        || text.starts_with("overflowing_")
-        || matches!(text, "min" | "max" | "clamp" | "try_from" | "try_into")
-}
-
-fn check_ops(
-    rel_path: &str,
-    code: &[&Token],
-    in_skip: &dyn Fn(usize) -> bool,
-    suppressed: &dyn Fn(Rule, u32) -> bool,
-    env: &HashMap<String, Option<IntTy>>,
-    findings: &mut Vec<Finding>,
-) {
-    let mut flagged_lines: BTreeSet<u32> = BTreeSet::new();
-    for i in 0..code.len() {
-        if in_skip(i) {
-            continue;
-        }
-        let Some((sym, right)) = binary_op_at(code, i) else {
-            continue;
-        };
-        // Statement window: back to the nearest `;`/`{`/`}`, forward
-        // likewise. Coarse, but enough to see the guard head and any
-        // checked-arithmetic markers.
-        let start = (0..i)
-            .rev()
-            .find(|&k| matches!(code[k].kind, TokenKind::Punct(b';' | b'{' | b'}')))
-            .map(|k| k + 1)
-            .unwrap_or(0);
-        let end = (i..code.len())
-            .find(|&k| matches!(code[k].kind, TokenKind::Punct(b';' | b'{' | b'}')))
-            .unwrap_or(code.len());
-        if code
-            .get(start)
-            .is_some_and(|t| GUARD_HEADS.contains(&t.text.as_str()))
-        {
-            continue;
-        }
-        if code[start..end]
-            .iter()
-            .any(|t| t.kind == TokenKind::Ident && is_checked_marker(&t.text))
-        {
-            continue;
-        }
-        // Typed evidence: at least one immediate operand must be a known
-        // size/index-typed expression. Unknown-width arithmetic is silent.
-        let left_ty = operand_width_left(code, i, env);
-        let right_ty = operand_width_right(code, right, env);
-        if left_ty.is_none() && right_ty.is_none() {
-            continue;
-        }
-        let line = code[i].line;
-        if suppressed(Rule::UncheckedArith, line) || !flagged_lines.insert(line) {
-            continue;
-        }
-        findings.push(Finding {
-            rule: Rule::UncheckedArith,
-            file: rel_path.to_string(),
-            line,
-            message: format!(
-                "unchecked `{sym}` on size/index-typed operands — use a \
-                 checked_/saturating_/wrapping_ operation, guard the bounds, \
-                 or add a reasoned allow"
-            ),
-        });
-    }
-}
-
-/// Whether a binary `+`/`-`/`*`/`<<` starts at `i`; returns the rendered
-/// operator and the index of the right operand's first token. Compound
-/// assignments (`+=`, `<<=`), arrows, unary minus/deref and generics do
-/// not match.
-fn binary_op_at(code: &[&Token], i: usize) -> Option<(&'static str, usize)> {
-    let prev_is_operand = i > 0
-        && (code[i - 1].kind == TokenKind::Literal
-            || code[i - 1].is_punct(b')')
-            || code[i - 1].is_punct(b']')
-            || is_index_base(code[i - 1]));
-    if !prev_is_operand {
-        return None;
-    }
-    let t = code[i];
-    if t.is_punct(b'<') {
-        if !code.get(i + 1).is_some_and(|n| n.is_punct(b'<')) {
-            return None; // comparison or generic, not a shift
-        }
-        if code.get(i + 2).is_some_and(|n| n.is_punct(b'=')) {
-            return None; // `<<=`
-        }
-        if code[i - 1].is_punct(b'<') {
-            return None; // the second `<` of a shift already handled
-        }
-        return Some(("<<", i + 2));
-    }
-    let sym = match t.kind {
-        TokenKind::Punct(b'+') => "+",
-        TokenKind::Punct(b'-') => "-",
-        TokenKind::Punct(b'*') => "*",
-        _ => return None,
-    };
-    let next = code.get(i + 1)?;
-    if next.is_punct(b'=') {
-        return None; // compound assignment
-    }
-    if sym == "-" && next.is_punct(b'>') {
-        return None; // `->`
-    }
-    Some((sym, i + 1))
-}
-
-/// Width evidence for the operand ending just before the operator at `op`.
-fn operand_width_left(
-    code: &[&Token],
-    op: usize,
-    env: &HashMap<String, Option<IntTy>>,
-) -> Option<IntTy> {
-    let idx = op.checked_sub(1)?;
-    match code[idx].kind {
-        TokenKind::Punct(b')') => {
-            let open = matching_open_paren(code, idx)?;
-            if open >= 2
-                && code[open - 2].is_punct(b'.')
-                && LEN_METHODS.contains(&code[open - 1].text.as_str())
-            {
-                return Some(IntTy {
-                    bits: 64,
-                    signed: false,
-                });
-            }
-            None
-        }
-        TokenKind::Ident => ident_width(code, idx, env),
-        _ => None,
-    }
-}
-
-/// Width evidence for the operand starting at `idx` (right of the
-/// operator): a known ident, or the receiver of a `.len()`-family call.
-fn operand_width_right(
-    code: &[&Token],
-    idx: usize,
-    env: &HashMap<String, Option<IntTy>>,
-) -> Option<IntTy> {
-    let t = code.get(idx)?;
-    if t.kind != TokenKind::Ident {
-        return None;
-    }
-    if let Some(ty) = ident_width(code, idx, env) {
-        return Some(ty);
-    }
-    // `recv.len() …` / `self.recv.len() …` — walk the field chain.
-    let mut k = idx;
-    while code.get(k + 1).is_some_and(|n| n.is_punct(b'.'))
-        && code.get(k + 2).is_some_and(|n| n.kind == TokenKind::Ident)
-    {
-        k += 2;
-        if LEN_METHODS.contains(&code[k].text.as_str())
-            && code.get(k + 1).is_some_and(|n| n.is_punct(b'('))
-        {
-            return Some(IntTy {
-                bits: 64,
-                signed: false,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use crate::graph::CallGraph;
-    use crate::rules::{check_file, FileContext, Finding, Rule};
+    use crate::rules::{Finding, Rule};
     use crate::symbols::collect;
-
-    fn strict(src: &str) -> Vec<Finding> {
-        let ctx = FileContext {
-            strict_arith: true,
-            ..FileContext::default()
-        };
-        check_file("strict.rs", src, ctx)
-    }
-
-    #[test]
-    fn len_cast_to_u32_is_flagged() {
-        let f = strict("fn f(values: &[u8]) -> u32 { values.len() as u32 }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::NarrowingCast);
-    }
-
-    #[test]
-    fn widening_cast_is_silent() {
-        assert!(strict("fn f(x: u32) -> u64 { x as u64 }").is_empty());
-    }
-
-    #[test]
-    fn known_ident_narrowing_is_flagged() {
-        let f = strict("fn f(x: u64) -> u16 { x as u16 }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::NarrowingCast);
-    }
-
-    #[test]
-    fn sign_flip_is_flagged() {
-        let f = strict("fn f(d: i32) -> u32 { d as u32 }");
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("sign"));
-    }
-
-    #[test]
-    fn mask_bounded_cast_is_silent() {
-        assert!(strict("fn f(x: u64) -> u8 { (x & 0xff) as u8 }").is_empty());
-    }
-
-    #[test]
-    fn unknown_width_cast_is_silent() {
-        assert!(strict("fn f() -> u8 { mystery() as u8 }").is_empty());
-    }
-
-    #[test]
-    fn inner_cast_sets_group_width() {
-        let f = strict("fn f(x: u8) -> u16 { ((x as u64) as u16) as u16 }");
-        // Both the `(x as u64) as u16` narrowing and the outer re-cast of a
-        // u16-valued group to u16 (silent) resolve; exactly one finding.
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn let_tail_inference_feeds_the_env() {
-        let f = strict("fn f(buf: &[u8]) -> u16 {\n    let n = buf.len();\n    n as u16\n}");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 3);
-    }
-
-    #[test]
-    fn narrowing_allow_with_reason_suppresses() {
-        let src = "fn f(x: u64) -> u8 { x as u8 } \
-                   // lintkit: allow(narrowing-cast) -- x is a masked nibble";
-        assert!(strict(src).is_empty());
-    }
-
-    #[test]
-    fn non_strict_files_skip_arith_rules() {
-        let src = "fn f(x: u64, n: usize) -> u8 { let y = x + n as u64; x as u8 }";
-        assert!(check_file("free.rs", src, FileContext::default()).is_empty());
-    }
-
-    #[test]
-    fn unchecked_add_on_sized_operands_is_flagged() {
-        let f = strict("fn f(pos: usize, n: usize) -> usize { pos + n }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::UncheckedArith);
-    }
-
-    #[test]
-    fn shift_on_sized_operand_is_flagged() {
-        let f = strict("fn f(x: u64, shift: u32) -> u64 { x << shift }");
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("<<"));
-    }
-
-    #[test]
-    fn guard_statements_are_boundaries() {
-        let src = "fn f(pos: usize, n: usize, cap: usize) -> bool {\n\
-                   if pos + n > cap { return true; }\n\
-                   false\n}";
-        assert!(strict(src).is_empty());
-    }
-
-    #[test]
-    fn checked_markers_are_boundaries() {
-        assert!(
-            strict("fn f(pos: usize, n: usize) -> Option<usize> { pos.checked_add(n) }").is_empty()
-        );
-        assert!(strict("fn f(pos: usize, n: usize) -> usize { pos.saturating_add(n) }").is_empty());
-        let src = "fn f(pos: usize, cap: usize) -> usize { let e = pos.min(cap) + 1; e }";
-        assert!(strict(src).is_empty());
-    }
-
-    #[test]
-    fn unknown_operands_are_silent() {
-        assert!(strict("fn f() -> u64 { a + b }").is_empty());
-    }
-
-    #[test]
-    fn compound_assign_and_arrow_do_not_match() {
-        assert!(strict("fn f(mut pos: usize, n: usize) -> usize { pos += n; pos }").is_empty());
-    }
-
-    #[test]
-    fn arith_allow_with_reason_suppresses() {
-        let src = "fn f(pos: usize, n: usize) -> usize { pos + n } \
-                   // lintkit: allow(unchecked-arith) -- caller bounds n";
-        assert!(strict(src).is_empty());
-    }
-
-    #[test]
-    fn cfg_test_code_is_exempt_from_arith_rules() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f(x: u64) -> u8 { x as u8 }\n}";
-        assert!(strict(src).is_empty());
-    }
-
-    // -- alloc-in-hot-path ---------------------------------------------------
 
     fn run_alloc(files: &[(&str, &str, &str, &str)], hot: &[&str], warm: &[&str]) -> Vec<Finding> {
         let graph = CallGraph::build(

@@ -1,12 +1,14 @@
-//! The lint rules and the per-file checker.
+//! The rule set, findings, and the allow-comment parser shared by the
+//! graph rules.
 //!
-//! Rules operate on the token stream from [`crate::lexer`]; everything in a
-//! `#[cfg(test)]`-gated item is exempt (test code may panic freely), and
-//! any finding can be suppressed with an allow comment that *must* carry a
-//! justification:
+//! The panic, print, index, cast and arithmetic policies are clippy lints
+//! declared in each crate root and strict file (see DESIGN.md §8); lintkit
+//! keeps what clippy cannot see: the call graph and the vendored-shim
+//! manifest. A graph finding can be suppressed with an allow comment that
+//! *must* carry a justification:
 //!
 //! ```text
-//! // lintkit: allow(no-panic) -- bounds checked two lines above
+//! // lintkit: allow(rng-fork-order) -- serial build path, single-threaded
 //! ```
 //!
 //! The comment suppresses matching findings on its own line (trailing
@@ -20,17 +22,6 @@ use crate::lexer::{lex, Token, TokenKind};
 /// The rules the analyzer enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`
-    /// in library code.
-    NoPanic,
-    /// No `expr[i]` indexing (use `.get`) — enforced on hostile-input parse
-    /// paths only; slicing with an explicit range is out of scope.
-    NoIndex,
-    /// No `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in library code —
-    /// output belongs to the report/monitor layer or a binary target.
-    NoPrint,
-    /// Crate roots must carry `#![forbid(unsafe_code)]`.
-    ForbidUnsafe,
     /// An allow comment must name a known rule and give a reason.
     AllowNeedsReason,
     /// Vendored shims must match the checked-in public-API manifest.
@@ -66,26 +57,12 @@ pub enum Rule {
     /// steady-state hot entry point; construction/setup boundaries are
     /// exempted via `Config::warm_paths` ([`crate::resource`]).
     AllocInHotPath,
-    /// No lossy `as` cast (`usize`/`u64`/`u128` down to `u32`/`u16`/`u8`,
-    /// or a signedness flip) in strict-arithmetic files — use `try_from` /
-    /// `checked_*` or carry a reasoned allow. Widening casts stay silent.
-    NarrowingCast,
-    /// No unguarded `+`/`-`/`*`/`<<` on index/size-typed expressions in
-    /// strict-arithmetic files; `checked_*`/`saturating_*`/`wrapping_*`
-    /// and bounds-dominated (`if`/`while`-guarded, `min`/`max`/`clamp`)
-    /// patterns are recognized as boundaries.
-    UncheckedArith,
 }
 
 impl Rule {
-    /// Every rule, in declaration order.  SARIF rule indices and the cache
-    /// fingerprint both derive from this list, so order is load-bearing:
-    /// append new rules at the end.
-    pub const ALL: [Rule; 15] = [
-        Rule::NoPanic,
-        Rule::NoIndex,
-        Rule::NoPrint,
-        Rule::ForbidUnsafe,
+    /// Every rule, in declaration order. SARIF rule indices derive from
+    /// this list, so order is load-bearing: append new rules at the end.
+    pub const ALL: [Rule; 9] = [
         Rule::AllowNeedsReason,
         Rule::VendorManifest,
         Rule::PanicReachability,
@@ -95,17 +72,11 @@ impl Rule {
         Rule::RngForkOrder,
         Rule::ShardStateEscape,
         Rule::AllocInHotPath,
-        Rule::NarrowingCast,
-        Rule::UncheckedArith,
     ];
 
     /// The rule's stable name, as used in allow comments and CLI output.
     pub fn name(&self) -> &'static str {
         match self {
-            Rule::NoPanic => "no-panic",
-            Rule::NoIndex => "no-index",
-            Rule::NoPrint => "no-print",
-            Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::AllowNeedsReason => "allow-needs-reason",
             Rule::VendorManifest => "vendor-manifest",
             Rule::PanicReachability => "panic-reachability",
@@ -115,18 +86,12 @@ impl Rule {
             Rule::RngForkOrder => "rng-fork-order",
             Rule::ShardStateEscape => "shard-state-escape",
             Rule::AllocInHotPath => "alloc-in-hot-path",
-            Rule::NarrowingCast => "narrowing-cast",
-            Rule::UncheckedArith => "unchecked-arith",
         }
     }
 
     /// Parses a rule name as written in an allow comment.
     pub fn from_name(s: &str) -> Option<Rule> {
         match s {
-            "no-panic" => Some(Rule::NoPanic),
-            "no-index" => Some(Rule::NoIndex),
-            "no-print" => Some(Rule::NoPrint),
-            "forbid-unsafe" => Some(Rule::ForbidUnsafe),
             "allow-needs-reason" => Some(Rule::AllowNeedsReason),
             "vendor-manifest" => Some(Rule::VendorManifest),
             "panic-reachability" => Some(Rule::PanicReachability),
@@ -136,8 +101,6 @@ impl Rule {
             "rng-fork-order" => Some(Rule::RngForkOrder),
             "shard-state-escape" => Some(Rule::ShardStateEscape),
             "alloc-in-hot-path" => Some(Rule::AllocInHotPath),
-            "narrowing-cast" => Some(Rule::NarrowingCast),
-            "unchecked-arith" => Some(Rule::UncheckedArith),
             _ => None,
         }
     }
@@ -172,21 +135,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Per-file lint context, decided by the workspace walker.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FileContext {
-    /// This file is a crate root (`src/lib.rs`) and must carry
-    /// `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
-    /// The `no-index` rule applies (hostile-input parse paths).
-    pub strict_index: bool,
-    /// Printing is acceptable here (binary targets under `src/bin/`).
-    pub allow_print: bool,
-    /// The `narrowing-cast` / `unchecked-arith` rules apply (arithmetic
-    /// kernels whose index math must be checked or reasoned about).
-    pub strict_arith: bool,
-}
-
 /// A parsed `lintkit: allow(...)` comment.
 struct Allow {
     rule: Option<Rule>,
@@ -197,132 +145,27 @@ struct Allow {
     comment_line: u32,
 }
 
-/// Checks one source file against every applicable rule.
-pub fn check_file(rel_path: &str, src: &str, ctx: FileContext) -> Vec<Finding> {
-    let tokens = lex(src);
-    let allows = collect_allows(&tokens);
-    let mut findings = Vec::new();
-
-    // Malformed allow comments are findings themselves, never suppressible.
-    for a in &allows {
-        match a.rule {
-            None => findings.push(Finding {
+/// **allow-needs-reason** — reports every allow comment in `src` that
+/// names no known rule or carries no `-- <reason>`. Such a comment
+/// suppresses nothing, so a stale allow (say, one naming a per-file rule
+/// that clippy enforces) is reported instead of silently doing nothing.
+pub fn check_allows(rel_path: &str, src: &str) -> Vec<Finding> {
+    collect_allows(&lex(src))
+        .into_iter()
+        .filter_map(|a| {
+            let message = match a.rule {
+                None => "allow comment names an unknown rule",
+                Some(_) if !a.has_reason => "allow comment needs a `-- <reason>` justification",
+                Some(_) => return None,
+            };
+            Some(Finding {
                 rule: Rule::AllowNeedsReason,
                 file: rel_path.to_string(),
                 line: a.comment_line,
-                message: "allow comment names an unknown rule".to_string(),
-            }),
-            Some(_) if !a.has_reason => findings.push(Finding {
-                rule: Rule::AllowNeedsReason,
-                file: rel_path.to_string(),
-                line: a.comment_line,
-                message: "allow comment needs a `-- <reason>` justification".to_string(),
-            }),
-            Some(_) => {}
-        }
-    }
-    let suppressed = |rule: Rule, line: u32| {
-        allows
-            .iter()
-            .any(|a| a.rule == Some(rule) && a.has_reason && a.effective_line == line)
-    };
-
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| t.kind != TokenKind::Comment)
-        .collect();
-
-    if ctx.is_crate_root && !has_forbid_unsafe(&code) {
-        findings.push(Finding {
-            rule: Rule::ForbidUnsafe,
-            file: rel_path.to_string(),
-            line: 1,
-            message: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-        });
-    }
-
-    let skip = test_gated_ranges(&code);
-    let in_skip = |i: usize| skip.iter().any(|(lo, hi)| (*lo..=*hi).contains(&i));
-
-    let mut i = 0usize;
-    while i < code.len() {
-        if in_skip(i) {
-            i += 1;
-            continue;
-        }
-        let tok = code[i];
-        // `.unwrap()` / `.expect(` method calls.
-        if tok.is_punct(b'.') {
-            if let (Some(name), Some(paren)) = (code.get(i + 1), code.get(i + 2)) {
-                if paren.is_punct(b'(')
-                    && (name.is_ident("unwrap") || name.is_ident("expect"))
-                    && !suppressed(Rule::NoPanic, name.line)
-                {
-                    findings.push(Finding {
-                        rule: Rule::NoPanic,
-                        file: rel_path.to_string(),
-                        line: name.line,
-                        message: format!(".{}() can panic on malformed input", name.text),
-                    });
-                }
-            }
-        }
-        // Panicking and printing macros.
-        if tok.kind == TokenKind::Ident {
-            if let Some(bang) = code.get(i + 1) {
-                if bang.is_punct(b'!') {
-                    let is_panic = matches!(
-                        tok.text.as_str(),
-                        "panic" | "unreachable" | "todo" | "unimplemented"
-                    );
-                    let is_print = matches!(
-                        tok.text.as_str(),
-                        "println" | "eprintln" | "print" | "eprint" | "dbg"
-                    );
-                    if is_panic && !suppressed(Rule::NoPanic, tok.line) {
-                        findings.push(Finding {
-                            rule: Rule::NoPanic,
-                            file: rel_path.to_string(),
-                            line: tok.line,
-                            message: format!("{}! aborts the whole pipeline", tok.text),
-                        });
-                    }
-                    if is_print && !ctx.allow_print && !suppressed(Rule::NoPrint, tok.line) {
-                        findings.push(Finding {
-                            rule: Rule::NoPrint,
-                            file: rel_path.to_string(),
-                            line: tok.line,
-                            message: format!(
-                                "{}! in library code — route output through the report layer",
-                                tok.text
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        // Indexing without `.get` on strict paths.
-        if ctx.strict_index && tok.is_punct(b'[') && i > 0 && is_index_base(code[i - 1]) {
-            if let Some(close) = matching_bracket(&code, i) {
-                if !contains_top_level_range(&code, i, close)
-                    && !suppressed(Rule::NoIndex, tok.line)
-                {
-                    findings.push(Finding {
-                        rule: Rule::NoIndex,
-                        file: rel_path.to_string(),
-                        line: tok.line,
-                        message: "indexing can panic — use .get()/.get_mut() on this parse path"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-        i += 1;
-    }
-    if ctx.strict_arith {
-        crate::resource::check_arith(rel_path, &code, &skip, &suppressed, &mut findings);
-    }
-    findings
+                message: message.to_string(),
+            })
+        })
+        .collect()
 }
 
 /// Whether the token before `[` makes it an index expression: an
@@ -403,20 +246,6 @@ pub(crate) fn contains_top_level_range(code: &[&Token], open: usize, close: usiz
         k += 1;
     }
     false
-}
-
-/// Whether the stream carries the inner attribute `#![forbid(unsafe_code)]`.
-fn has_forbid_unsafe(code: &[&Token]) -> bool {
-    code.windows(8).any(|w| {
-        w[0].is_punct(b'#')
-            && w[1].is_punct(b'!')
-            && w[2].is_punct(b'[')
-            && w[3].is_ident("forbid")
-            && w[4].is_punct(b'(')
-            && w[5].is_ident("unsafe_code")
-            && w[6].is_punct(b')')
-            && w[7].is_punct(b']')
-    })
 }
 
 /// Token-index ranges (inclusive) of items gated behind `#[cfg(test)]`
@@ -594,118 +423,77 @@ mod tests {
     use super::*;
 
     fn check(src: &str) -> Vec<Finding> {
-        check_file("test.rs", src, FileContext::default())
+        check_allows("test.rs", src)
+    }
+
+    fn suppressed_lines(src: &str, rule: Rule) -> Vec<u32> {
+        collect_reasoned_allows(&lex(src), &[rule])
     }
 
     #[test]
-    fn flags_unwrap_and_expect() {
-        let f = check("fn f() { x.unwrap(); y.expect(\"m\"); }");
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().all(|f| f.rule == Rule::NoPanic));
+    fn reasoned_allow_for_a_known_rule_is_silent() {
+        assert!(check("fn f() {} // lintkit: allow(lock-order) -- checked above").is_empty());
     }
 
     #[test]
-    fn flags_panicking_macros() {
-        let f = check("fn f() { panic!(\"x\"); unreachable!(); todo!(); }");
-        assert_eq!(f.len(), 3);
-    }
-
-    #[test]
-    fn unwrap_or_is_fine() {
-        assert!(check("fn f() { x.unwrap_or(0); x.unwrap_or_default(); }").is_empty());
-    }
-
-    #[test]
-    fn cfg_test_module_is_exempt() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n fn g() { x.unwrap(); panic!(); }\n}";
-        assert!(check(src).is_empty());
-    }
-
-    #[test]
-    fn cfg_not_test_is_not_exempt() {
-        let src = "#[cfg(not(test))]\nfn g() { x.unwrap(); }";
-        assert_eq!(check(src).len(), 1);
-    }
-
-    #[test]
-    fn trailing_allow_with_reason_suppresses() {
-        let src = "fn f() { x.unwrap(); } // lintkit: allow(no-panic) -- checked above";
-        assert!(check(src).is_empty());
+    fn trailing_allow_applies_to_its_own_line() {
+        let src = "fn f() {}\nfn g() { x.fork(); } // lintkit: allow(rng-fork-order) -- serial";
+        assert_eq!(suppressed_lines(src, Rule::RngForkOrder), vec![2]);
     }
 
     #[test]
     fn standalone_allow_applies_to_next_line() {
-        let src = "// lintkit: allow(no-panic) -- fixture\nfn f() { x.unwrap(); }";
-        assert!(check(src).is_empty());
+        let src = "// lintkit: allow(rng-fork-order) -- fixture\n\nfn f() { x.fork(); }";
+        assert_eq!(suppressed_lines(src, Rule::RngForkOrder), vec![3]);
+        assert!(suppressed_lines(src, Rule::LockOrder).is_empty());
     }
 
     #[test]
-    fn allow_without_reason_is_its_own_finding() {
-        let src = "fn f() { x.unwrap(); } // lintkit: allow(no-panic)";
+    fn allow_without_reason_is_its_own_finding_and_suppresses_nothing() {
+        let src = "fn f() { x.fork(); } // lintkit: allow(rng-fork-order)";
         let f = check(src);
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().any(|f| f.rule == Rule::AllowNeedsReason));
-        assert!(f.iter().any(|f| f.rule == Rule::NoPanic));
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, Rule::AllowNeedsReason);
+        assert!(f[0].message.contains("reason"));
+        assert!(suppressed_lines(src, Rule::RngForkOrder).is_empty());
     }
 
     #[test]
     fn allow_for_unknown_rule_is_reported() {
-        let src = "fn f() {} // lintkit: allow(no-such-rule) -- because";
-        let f = check(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::AllowNeedsReason);
+        // The per-file rules that clippy enforces are unknown to lintkit: a
+        // leftover allow for one of them is loud, not a silent no-op.
+        for rule in [
+            "no-such-rule",
+            "no-panic",
+            "no-index",
+            "no-print",
+            "forbid-unsafe",
+            "narrowing-cast",
+            "unchecked-arith",
+        ] {
+            let src = format!("fn f() {{}} // lintkit: allow({rule}) -- because");
+            let f = check(&src);
+            assert_eq!(f.len(), 1, "{rule}: {f:?}");
+            assert_eq!(f[0].rule, Rule::AllowNeedsReason);
+            assert_eq!(f[0].message, "allow comment names an unknown rule");
+        }
     }
 
     #[test]
-    fn print_macros_flagged_only_in_library_context() {
-        let src = "fn f() { println!(\"x\"); dbg!(y); }";
-        assert_eq!(check(src).len(), 2);
-        let ctx = FileContext {
-            allow_print: true,
-            ..FileContext::default()
-        };
-        assert!(check_file("bin.rs", src, ctx).is_empty());
-    }
-
-    #[test]
-    fn crate_root_needs_forbid_unsafe() {
-        let ctx = FileContext {
-            is_crate_root: true,
-            ..FileContext::default()
-        };
-        let f = check_file("lib.rs", "fn f() {}", ctx);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::ForbidUnsafe);
-        assert!(check_file("lib.rs", "#![forbid(unsafe_code)]\nfn f() {}", ctx).is_empty());
-    }
-
-    #[test]
-    fn indexing_flagged_only_on_strict_paths() {
-        let src = "fn f(b: &[u8]) -> u8 { b[0] }";
-        assert!(check(src).is_empty());
-        let ctx = FileContext {
-            strict_index: true,
-            ..FileContext::default()
-        };
-        let f = check_file("strict.rs", src, ctx);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::NoIndex);
-    }
-
-    #[test]
-    fn range_slicing_and_declarations_not_flagged_by_no_index() {
-        let ctx = FileContext {
-            strict_index: true,
-            ..FileContext::default()
-        };
-        let src = "fn f(b: &[u8]) -> &[u8] { let x: [u8; 4] = [0; 4]; &b[1..3] }";
-        assert!(check_file("strict.rs", src, ctx).is_empty());
+    fn cfg_test_items_are_gated_and_cfg_not_test_is_not() {
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests { fn g() {} }\n#[cfg(not(test))]\nfn h() {}";
+        let tokens = lex(src);
+        let code: Vec<&Token> = tokens.iter().collect();
+        let ranges = test_gated_ranges(&code);
+        assert_eq!(ranges.len(), 1, "{ranges:?}");
+        let (lo, hi) = ranges[0];
+        assert_eq!(code[lo].line, 2);
+        assert_eq!(code[hi].line, 3);
     }
 
     #[test]
     fn finding_lines_are_exact() {
-        let src = "fn f() {\n    x.unwrap();\n}\n";
-        let f = check(src);
+        let f = check("fn f() {\n    // lintkit: allow(lock-order)\n}\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 2);
     }

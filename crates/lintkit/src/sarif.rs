@@ -31,16 +31,12 @@ use crate::rules::{Finding, Rule};
 
 /// Every rule lintkit defines, in the stable order used for
 /// `runs[0].tool.driver.rules` (and therefore for `ruleIndex`).
-pub const RULES: [Rule; 15] = Rule::ALL;
+pub const RULES: [Rule; 9] = Rule::ALL;
 
 /// One-line rule help shown by SARIF viewers next to each result.
 fn description(rule: Rule) -> &'static str {
     match rule {
-        Rule::NoPanic => "no unwrap/expect/panic in library code",
-        Rule::NoIndex => "no slice indexing on hostile-input parse paths",
-        Rule::NoPrint => "no stdout/stderr printing in library code",
-        Rule::ForbidUnsafe => "crate roots must carry #![forbid(unsafe_code)]",
-        Rule::AllowNeedsReason => "lint suppressions must carry a justification",
+        Rule::AllowNeedsReason => "lintkit allow comments must name a rule and a justification",
         Rule::VendorManifest => "vendored shims must match the public-API manifest",
         Rule::PanicReachability => "no panic site reachable from a hostile-input entry point",
         Rule::LockOrder => "the lock acquisition-order graph must be acyclic",
@@ -60,14 +56,6 @@ fn description(rule: Rule) -> &'static str {
         Rule::AllocInHotPath => {
             "no heap allocation reachable from a steady-state hot entry point \
              outside declared warm-path boundaries"
-        }
-        Rule::NarrowingCast => {
-            "no lossy `as` cast in strict-arithmetic files — use try_from or a \
-             checked narrowing"
-        }
-        Rule::UncheckedArith => {
-            "no unguarded +/-/*/<< on size/index-typed operands in \
-             strict-arithmetic files"
         }
     }
 }

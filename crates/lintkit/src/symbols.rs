@@ -6,9 +6,9 @@
 //! * its identity — crate, module (file stem), name, `impl` self type,
 //! * its **panic sites** — `unwrap`/`expect`/panic-family macros and scalar
 //!   `expr[i]` indexing (sites suppressed by a reasoned
-//!   `// lintkit: allow(no-panic|no-index|panic-reachability)` comment are
-//!   *not* recorded: the allow documents why the site cannot fire, so the
-//!   interprocedural pass trusts it the same way the per-file pass does),
+//!   `// lintkit: allow(panic-reachability)` comment are *not* recorded:
+//!   the allow documents why the site cannot fire, so the interprocedural
+//!   pass trusts it; a clippy `#[expect]` alone does not suppress a site),
 //! * its **call sites** — bare calls, `a::b::f()` path calls and `.m()`
 //!   method calls, the raw material for [`crate::graph`],
 //! * its **lock events** — acquisitions of struct fields declared as
@@ -215,16 +215,13 @@ pub struct FileSymbols {
     pub map_fields: Vec<String>,
 }
 
-/// Panic-family macros (must match the per-file `no-panic` rule).
+/// Panic-family macros (the ones `clippy::{panic, unreachable, todo, unimplemented}` flag).
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// Extracts the symbol table of one file.
 pub fn collect(crate_name: &str, module: &str, rel_path: &str, src: &str) -> FileSymbols {
     let tokens = lex(src);
-    let suppressed = collect_reasoned_allows(
-        &tokens,
-        &[Rule::NoPanic, Rule::NoIndex, Rule::PanicReachability],
-    );
+    let suppressed = collect_reasoned_allows(&tokens, &[Rule::PanicReachability]);
     let order_allows = collect_reasoned_allows(&tokens, &[Rule::MapIterOrder]);
     let fork_allows = collect_reasoned_allows(&tokens, &[Rule::RngForkOrder]);
     let shared_allows = collect_reasoned_allows(&tokens, &[Rule::ShardStateEscape]);
@@ -1325,7 +1322,7 @@ mod tests {
         let s = symbols(
             "fn f(v: &[u8]) {\n\
              v.unwrap();\n\
-             x.expect(\"m\"); // lintkit: allow(no-panic) -- fixture reason\n\
+             x.expect(\"m\"); // lintkit: allow(panic-reachability) -- fixture reason\n\
              panic!();\n\
              let a = v[0];\n\
              let b = &v[1..2];\n\

@@ -1,6 +1,6 @@
 //! Hot-path fixture: the steady-state `drain_window` entry must stay
-//! allocation-free under strict integer arithmetic. Seeds exactly one
-//! violation per resource rule plus clean and allowed counterparts.
+//! allocation-free. Seeds exactly one violation plus a warm-boundary and
+//! an allowed counterpart.
 
 /// Warm boundary (`Config::warm_paths`): builds the lookup tables once
 /// at startup, so its allocations are setup cost, not steady state.
@@ -15,10 +15,10 @@ pub fn drain_window(acc: u64, width: u32) -> u64 {
     let tables = setup_tables();
     let labeled = label(acc);
     let scratch = scratch_allowed();
-    let slot = pick_slot(width);
-    let safe = pick_slot_checked(width);
-    let capped = bump_checked(bump(labeled, scratch), u64::from(safe));
-    finishing(tables, u64::from(slot), capped)
+    let total = labeled.saturating_add(scratch);
+    let floor = u64::from(width);
+    let capped = total.max(floor);
+    tables.first().copied().unwrap_or(capped)
 }
 
 /// One call of indirection between the hot entry and the allocation.
@@ -36,41 +36,4 @@ fn scratch_allowed() -> u64 {
     // lintkit: allow(alloc-in-hot-path) -- fixture: documented scratch buffer
     let v = vec![0u64; 4];
     v.first().copied().unwrap_or(0)
-}
-
-/// Seeded narrowing cast: u32 → u16 may truncate.
-fn pick_slot(width: u32) -> u16 {
-    width as u16
-}
-
-/// Clean counterpart: the checked narrowing stays silent.
-fn pick_slot_checked(width: u32) -> u16 {
-    u16::try_from(width).unwrap_or(u16::MAX)
-}
-
-/// An allowed narrowing: the reason keeps the ratchet silent.
-fn tag_byte(width: u32) -> u8 {
-    // lintkit: allow(narrowing-cast) -- fixture: tag occupies the low 6 bits
-    width as u8
-}
-
-/// Seeded unchecked add on size-typed operands.
-fn bump(cursor: u64, step: u64) -> u64 {
-    cursor + step
-}
-
-/// Clean counterpart: saturating arithmetic is a recognized boundary.
-fn bump_checked(cursor: u64, step: u64) -> u64 {
-    cursor.saturating_add(step)
-}
-
-/// An allowed add: the reason keeps the ratchet silent.
-fn finishing(tables: Vec<u64>, count: u64, fallback: u64) -> u64 {
-    // lintkit: allow(unchecked-arith) -- fixture: count is bounded by the window
-    let joined = count + fallback;
-    if joined == 0 {
-        fallback
-    } else {
-        tables.first().copied().unwrap_or(fallback)
-    }
 }

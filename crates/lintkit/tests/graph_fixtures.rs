@@ -12,9 +12,6 @@ fn fixture_analysis() -> Analysis {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/graph_ws");
     let config = Config {
         root,
-        strict_index: Vec::new(),
-        strict_arith: vec!["crates/hot/src/fastpath.rs".to_string()],
-        skip_crates: Vec::new(),
         entry_points: vec![
             "core::ecs_scan::scan_subnets".to_string(),
             "relay::client::request".to_string(),
@@ -22,7 +19,6 @@ fn fixture_analysis() -> Analysis {
         hot_paths: vec!["hot::fastpath::drain_window".to_string()],
         warm_paths: vec!["hot::fastpath::setup_tables".to_string()],
         graph_skip_crates: Vec::new(),
-        cache: None,
     };
     analyze_workspace(&config).expect("fixture workspace lints")
 }
@@ -81,7 +77,7 @@ fn unimplemented_trait_method_is_a_bottom_edge() {
 fn cfg_test_code_is_exempt() {
     let analysis = fixture_analysis();
     // The unwrap inside ecs_scan.rs's `#[cfg(test)]` module (line 17) must
-    // produce neither a per-file no-panic finding nor a reachability one.
+    // produce no reachability finding.
     assert!(
         !analysis
             .findings
@@ -215,44 +211,6 @@ fn seeded_alloc_behind_indirection_is_hot_reachable() {
     assert!(
         f.message.contains("drain_window → label"),
         "spells the call path through the indirection: {}",
-        f.message
-    );
-}
-
-#[test]
-fn seeded_narrowing_cast_is_pinned() {
-    let analysis = fixture_analysis();
-    let casts = of_rule(&analysis, Rule::NarrowingCast);
-    // Exactly one finding: the try_from counterpart and the reasoned allow
-    // stay silent.
-    assert_eq!(casts.len(), 1, "{casts:?}");
-    let Some(f) = casts.first() else {
-        return;
-    };
-    assert_eq!(f.file, "crates/hot/src/fastpath.rs");
-    assert_eq!(f.line, 43, "anchored at the u32 → u16 cast");
-    assert!(
-        f.message.contains("as u16") && f.message.contains("try_from"),
-        "names the cast and the fix: {}",
-        f.message
-    );
-}
-
-#[test]
-fn seeded_unchecked_add_is_pinned() {
-    let analysis = fixture_analysis();
-    let adds = of_rule(&analysis, Rule::UncheckedArith);
-    // Exactly one finding: the saturating counterpart and the reasoned
-    // allow stay silent.
-    assert_eq!(adds.len(), 1, "{adds:?}");
-    let Some(f) = adds.first() else {
-        return;
-    };
-    assert_eq!(f.file, "crates/hot/src/fastpath.rs");
-    assert_eq!(f.line, 59, "anchored at the bare + on u64 operands");
-    assert!(
-        f.message.contains("checked_"),
-        "suggests the checked family: {}",
         f.message
     );
 }

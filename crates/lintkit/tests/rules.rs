@@ -1,140 +1,9 @@
-//! Fixture tests: one known violation per rule, asserting the exact
-//! rule, file, and line the analyzer reports — the acceptance check that
-//! flipping any fixture violation changes the verdict.
+//! Vendored-shim manifest tests: drift in either direction, and a missing
+//! manifest, are findings with the exact rule and message.
 
 use std::fs;
-use std::path::PathBuf;
 
-use lintkit::{check_file, manifest, FileContext, Finding, Rule};
-
-fn fixture(name: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name);
-    fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
-}
-
-/// The strictest context: crate root, hostile-input indexing rules, no
-/// printing.
-fn strict() -> FileContext {
-    FileContext {
-        is_crate_root: true,
-        strict_index: true,
-        strict_arith: true,
-        allow_print: false,
-    }
-}
-
-fn lint(name: &str, ctx: FileContext) -> Vec<Finding> {
-    check_file(&format!("fixtures/{name}"), &fixture(name), ctx)
-}
-
-#[test]
-fn no_panic_fixture_flags_rule_file_line() {
-    let findings = lint(
-        "no_panic.rs",
-        FileContext {
-            is_crate_root: false,
-            ..strict()
-        },
-    );
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    assert_eq!(findings[0].rule, Rule::NoPanic);
-    assert_eq!(findings[0].file, "fixtures/no_panic.rs");
-    assert_eq!(findings[0].line, 5);
-    assert_eq!(
-        findings[0].to_string(),
-        "no-panic: fixtures/no_panic.rs:5: .unwrap() can panic on malformed input"
-    );
-}
-
-#[test]
-fn no_index_fixture_flags_rule_file_line() {
-    let findings = lint(
-        "no_index.rs",
-        FileContext {
-            is_crate_root: false,
-            ..strict()
-        },
-    );
-    assert_eq!(
-        findings.len(),
-        1,
-        "range slicing must not be flagged: {findings:?}"
-    );
-    assert_eq!(findings[0].rule, Rule::NoIndex);
-    assert_eq!(findings[0].file, "fixtures/no_index.rs");
-    assert_eq!(findings[0].line, 5);
-}
-
-#[test]
-fn no_index_is_opt_in_per_file() {
-    let findings = lint(
-        "no_index.rs",
-        FileContext {
-            is_crate_root: false,
-            strict_index: false,
-            strict_arith: false,
-            allow_print: false,
-        },
-    );
-    assert!(
-        findings.is_empty(),
-        "non-strict files may index: {findings:?}"
-    );
-}
-
-#[test]
-fn no_print_fixture_flags_rule_file_line() {
-    let findings = lint(
-        "no_print.rs",
-        FileContext {
-            is_crate_root: false,
-            ..strict()
-        },
-    );
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    assert_eq!(findings[0].rule, Rule::NoPrint);
-    assert_eq!(findings[0].file, "fixtures/no_print.rs");
-    assert_eq!(findings[0].line, 5);
-}
-
-#[test]
-fn missing_forbid_fixture_flags_crate_root() {
-    let findings = lint("missing_forbid.rs", strict());
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    assert_eq!(findings[0].rule, Rule::ForbidUnsafe);
-    assert_eq!(findings[0].file, "fixtures/missing_forbid.rs");
-    assert_eq!(findings[0].line, 1);
-}
-
-#[test]
-fn reasonless_allow_is_a_finding_and_suppresses_nothing() {
-    let findings = lint(
-        "allow_without_reason.rs",
-        FileContext {
-            is_crate_root: false,
-            ..strict()
-        },
-    );
-    assert_eq!(findings.len(), 2, "findings: {findings:?}");
-    let reason = findings
-        .iter()
-        .find(|f| f.rule == Rule::AllowNeedsReason)
-        .expect("allow-needs-reason finding");
-    assert_eq!(reason.line, 5);
-    let panic = findings
-        .iter()
-        .find(|f| f.rule == Rule::NoPanic)
-        .expect("the unwrap stays flagged");
-    assert_eq!(panic.line, 6);
-}
-
-#[test]
-fn clean_fixture_produces_no_findings() {
-    let findings = lint("clean.rs", strict());
-    assert!(findings.is_empty(), "clean fixture flagged: {findings:?}");
-}
+use lintkit::{manifest, Rule};
 
 #[test]
 fn vendor_manifest_drift_is_flagged_both_ways() {

@@ -31,6 +31,17 @@
 //! [`PrefixTable`](crate::PrefixTable) owns that fold/rebuild policy for
 //! the load-once tables.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
+
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -365,9 +376,10 @@ impl<V> FrozenLpm<V> {
             if node.value != NONE {
                 best = node.value;
             }
-            let shift = 128u32.saturating_sub(node.base as u32 + node.stride as u32);
-            let chunk = chunk_of(bits, shift, node.stride);
-            match self.core.entries.get(node.entries_off as usize + chunk) {
+            let depth = u32::from(node.base).wrapping_add(u32::from(node.stride));
+            let chunk = chunk_of(bits, 128u32.saturating_sub(depth), node.stride);
+            let slot = (node.entries_off as usize).wrapping_add(chunk);
+            match self.core.entries.get(slot) {
                 Some(e) => {
                     if e.value != NONE {
                         best = e.value;
@@ -537,9 +549,10 @@ impl<V> FrozenLpm<V> {
                     continue;
                 };
                 let mut found = node.value;
-                let shift = 128u32.saturating_sub(node.base as u32 + node.stride as u32);
-                let chunk = chunk_of(lane.0, shift, node.stride);
-                let child = match self.core.entries.get(node.entries_off as usize + chunk) {
+                let depth = u32::from(node.base).wrapping_add(u32::from(node.stride));
+                let chunk = chunk_of(lane.0, 128u32.saturating_sub(depth), node.stride);
+                let slot = (node.entries_off as usize).wrapping_add(chunk);
+                let child = match self.core.entries.get(slot) {
                     Some(e) => {
                         if e.value != NONE {
                             found = e.value;
@@ -713,7 +726,7 @@ pub(crate) fn build_node(
             if c != chunk {
                 break;
             }
-            end += 1;
+            end = end.saturating_add(1);
         }
         if let Some(run) = deeper.get(start..end) {
             let child = build_node(nodes, entries, run, limit);

@@ -28,6 +28,17 @@
 //! they were. Superseded value slots become garbage the owner can observe
 //! via [`FrozenLpm::garbage`] and amortise away with a full rebuild.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
+
 use std::net::IpAddr;
 
 use crate::lpm::{

@@ -97,8 +97,11 @@ impl Ipv4Net {
     /// "17.0.0.0/8")`); every call site is covered by construction the
     /// first time it runs. Never call this on runtime input — use
     /// [`FromStr`] and handle the error.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented literal-only constructor; the single sanctioned panic site for static prefixes"
+    )]
     pub fn literal(s: &str) -> Self {
-        // lintkit: allow(no-panic) -- documented literal-only constructor; the single sanctioned panic site for static prefixes
         s.parse().expect("invalid Ipv4Net literal")
     }
 
@@ -355,8 +358,11 @@ impl Ipv6Net {
     /// Parses a compile-time prefix literal, panicking on invalid input.
     ///
     /// See [`Ipv4Net::literal`]; never call this on runtime input.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented literal-only constructor; the single sanctioned panic site for static v6 prefixes"
+    )]
     pub fn literal(s: &str) -> Self {
-        // lintkit: allow(no-panic) -- documented literal-only constructor; the single sanctioned panic site for static v6 prefixes
         s.parse().expect("invalid Ipv6Net literal")
     }
 

@@ -21,6 +21,17 @@
 //! fold/rebuild cycle, and [`iter`](PrefixTable::iter) always yields IPv4
 //! before IPv6, each in ascending `(address, length)` order.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
+
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::net::IpAddr;

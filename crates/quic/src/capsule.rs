@@ -16,6 +16,17 @@
 //! every read goes through `get`/`split_at_checked`-style bounds checks and
 //! any malformed input returns [`CapsuleError`], never a panic.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
+
 use crate::varint::{decode_varint, encode_varint, VARINT_MAX};
 
 /// The DATAGRAM capsule type (RFC 9297 §3.1).
@@ -88,7 +99,9 @@ pub fn decode_capsule(data: &[u8]) -> Result<(Capsule, usize), CapsuleError> {
     let (capsule_type, used_type) = decode_varint(data).ok_or(CapsuleError::Truncated)?;
     let rest = data.get(used_type..).ok_or(CapsuleError::Truncated)?;
     let (len, used_len) = decode_varint(rest).ok_or(CapsuleError::Truncated)?;
-    let header = used_type + used_len;
+    let header = used_type
+        .checked_add(used_len)
+        .ok_or(CapsuleError::BadLength)?;
     let len = usize::try_from(len).map_err(|_| CapsuleError::BadLength)?;
     let end = header.checked_add(len).ok_or(CapsuleError::BadLength)?;
     let payload = data

@@ -14,6 +14,20 @@
 //! CONNECT-UDP data plane (§4 traffic) rides on.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 

@@ -4,6 +4,8 @@
 //! protection is out of scope (the paper could not complete handshakes
 //! anyway — the pinned raw public key rejects unintended clients).
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::varint::{decode_varint, encode_varint};
 
 /// Errors from the QUIC wire subset.
@@ -163,18 +165,19 @@ pub fn decode_packet(data: &[u8]) -> Result<QuicPacket, QuicWireError> {
             return Err(QuicWireError::CidTooLong);
         }
         *pos += 1;
-        if data.len() < *pos + len {
-            return Err(QuicWireError::Truncated);
-        }
-        let cid = data[*pos..*pos + len].to_vec();
-        *pos += len;
+        let end = *pos + len;
+        let cid = data
+            .get(*pos..end)
+            .ok_or(QuicWireError::Truncated)?
+            .to_vec();
+        *pos = end;
         Ok(cid)
     };
     let dcid = take_cid(&mut pos)?;
     let scid = take_cid(&mut pos)?;
     if version == 0 {
         // Version Negotiation: remaining bytes are 4-byte versions.
-        let rest = &data[pos..];
+        let rest = data.get(pos..).ok_or(QuicWireError::Truncated)?;
         if rest.is_empty() || !rest.len().is_multiple_of(4) {
             return Err(QuicWireError::BadLength);
         }
@@ -195,14 +198,18 @@ pub fn decode_packet(data: &[u8]) -> Result<QuicPacket, QuicWireError> {
         scid,
     };
     if header.packet_type == PacketType::Initial {
-        let (token_len, used) = decode_varint(&data[pos..]).ok_or(QuicWireError::Truncated)?;
+        let (token_len, used) = data
+            .get(pos..)
+            .and_then(decode_varint)
+            .ok_or(QuicWireError::Truncated)?;
         pos += used;
-        if data.len() < pos + token_len as usize {
-            return Err(QuicWireError::Truncated);
-        }
-        let token = data[pos..pos + token_len as usize].to_vec();
-        pos += token_len as usize;
-        let (payload_len, used) = decode_varint(&data[pos..]).ok_or(QuicWireError::Truncated)?;
+        let end = pos + token_len as usize;
+        let token = data.get(pos..end).ok_or(QuicWireError::Truncated)?.to_vec();
+        pos = end;
+        let (payload_len, used) = data
+            .get(pos..)
+            .and_then(decode_varint)
+            .ok_or(QuicWireError::Truncated)?;
         pos += used;
         if data.len() < pos + payload_len as usize {
             return Err(QuicWireError::BadLength);

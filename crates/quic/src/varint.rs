@@ -2,6 +2,17 @@
 //!
 //! Two-bit length prefix, big-endian payload, maximum value 2^62 − 1.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
+
 /// Maximum encodable value.
 pub const VARINT_MAX: u64 = (1 << 62) - 1;
 
@@ -18,13 +29,22 @@ pub const VARINT_MAX: u64 = (1 << 62) - 1;
 /// ```
 pub fn encode_varint(value: u64, out: &mut Vec<u8>) -> bool {
     if value < 1 << 6 {
-        // lintkit: allow(narrowing-cast) -- branch guard proves value < 2^6
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "branch guard proves value < 2^6"
+        )]
         out.push(value as u8);
     } else if value < 1 << 14 {
-        // lintkit: allow(narrowing-cast) -- branch guard proves value < 2^14
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "branch guard proves value < 2^14"
+        )]
         out.extend_from_slice(&((value as u16) | 0x4000).to_be_bytes());
     } else if value < 1 << 30 {
-        // lintkit: allow(narrowing-cast) -- branch guard proves value < 2^30
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "branch guard proves value < 2^30"
+        )]
         out.extend_from_slice(&((value as u32) | 0x8000_0000).to_be_bytes());
     } else if value <= VARINT_MAX {
         out.extend_from_slice(&(value | 0xC000_0000_0000_0000).to_be_bytes());
@@ -42,7 +62,7 @@ pub fn decode_varint(data: &[u8]) -> Option<(u64, usize)> {
         return None;
     }
     let mut value = u64::from(first & 0x3F);
-    for b in &data[1..len] {
+    for b in data.get(1..len)? {
         // Shift amount is the constant 8; wrapping_shl spells out that the
         // accumulator (≤ 54 significant bits here) cannot overflow-panic.
         value = value.wrapping_shl(8) | u64::from(*b);

@@ -241,7 +241,10 @@ pub fn parse_connect(wire: &[u8]) -> Result<(String, String), MasqueError> {
 /// the service derives the egress-visible geohash. `udp_blocked` forces
 /// the TCP fallback (§2: "the service uses the fallback to HTTP/2 and
 /// TLS 1.3 over TCP when the QUIC connection fails").
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per input of the two-hop handshake (client, ingress, egress, token, clock)"
+)]
 pub fn establish(
     issuer: &TokenIssuer,
     user: u64,

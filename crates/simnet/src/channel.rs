@@ -11,6 +11,8 @@
 //! [`FaultedChannel::deliver`] is a panic-reachability entry point: nothing
 //! here may index, unwrap, or panic on any input.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::collections::BTreeMap;
 use std::net::IpAddr;
 

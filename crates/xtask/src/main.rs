@@ -2,11 +2,13 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` — run the [`lintkit`] static-analysis pass (per-file rules plus
-//!   the interprocedural call-graph rules) over every workspace crate and
-//!   the vendored-shim manifest, then apply the `lint-baseline.json`
-//!   ratchet; exits non-zero on any unbaselined finding *or* any stale
-//!   baseline entry.
+//! * `lint` — run the [`lintkit`] pass (allow-comment hygiene plus the
+//!   interprocedural call-graph rules) over every workspace crate and the
+//!   vendored-shim manifest, then apply the `lint-baseline.json` ratchet;
+//!   exits non-zero on any unbaselined finding *or* any stale baseline
+//!   entry. The per-file panic/print/index/cast/arithmetic rules are
+//!   clippy lints declared in the crate roots: run
+//!   `cargo clippy --workspace --all-targets -- -D warnings` for those.
 //! * `lint --update-manifest` — regenerate `vendor/API_MANIFEST.txt` from
 //!   the current shim sources, then lint.
 //! * `lint --update-baseline` — regenerate `lint-baseline.json` from the
@@ -31,13 +33,13 @@
 //!   whole registry, `--out PATH` for a JSON invariant report. Exits
 //!   non-zero if any scenario violates its invariants (see DESIGN.md §10).
 //!
-//! The same pass runs as a tier-1 test (`crates/lintkit/tests/
-//! workspace_gate.rs`) and as a CI job, so `xtask lint` passing locally
-//! means the gates pass too.
+//! The same pass runs as a tier-1 test (`tests/lint_gate.rs` and
+//! `crates/lintkit/tests/workspace_gate.rs`) and as a CI job, so `xtask
+//! lint` passing locally means the lintkit gates pass too.
 
 use std::env;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lintkit::{analyze_workspace, baseline, manifest, sarif, Config};
@@ -55,8 +57,6 @@ fn workspace_root() -> PathBuf {
 struct LintOpts {
     update_manifest: bool,
     update_baseline: bool,
-    /// Print per-phase wall times and cache hit/miss counts.
-    timings: bool,
     /// `Some(None)` = DOT to stdout, `Some(Some(path))` = DOT to file.
     graph: Option<Option<String>>,
     json: Option<String>,
@@ -67,7 +67,6 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
     let mut opts = LintOpts {
         update_manifest: false,
         update_baseline: false,
-        timings: false,
         graph: None,
         json: None,
         sarif: None,
@@ -79,8 +78,6 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
             opts.update_manifest = true;
         } else if arg == "--update-baseline" {
             opts.update_baseline = true;
-        } else if arg == "--timings" {
-            opts.timings = true;
         } else if arg == "--graph" {
             opts.graph = Some(None);
         } else if let Some(path) = arg.strip_prefix("--graph=") {
@@ -110,9 +107,9 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         eprintln!(
             "usage: cargo run -p xtask -- lint \
-             [--update-manifest] [--update-baseline] [--timings] [--graph[=PATH]] [--json PATH] \
+             [--update-manifest] [--update-baseline] [--graph[=PATH]] [--json PATH] \
              [--sarif PATH]\n\
-             \x20      cargo run -p xtask -- bench-report [--suite lpm|scan|masque|lint|all] [--out PATH]\n\
+             \x20      cargo run -p xtask -- bench-report [--suite lpm|scan|masque|all] [--out PATH]\n\
              \x20      cargo run -p xtask -- chaos (--scenario NAME | --all) \
              [--seed N] [--seeds K] [--out PATH]"
         );
@@ -340,18 +337,6 @@ fn bench_report(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    // The lint suite is in-process (two analyze_workspace passes), not a
-    // cargo-bench target, so it is dispatched before the table lookup.
-    if suite == "lint" {
-        let out = out_path.unwrap_or_else(|| root.join("BENCH_lint.json"));
-        return match run_lint_bench(&root, &out) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("xtask bench-report: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let selected: Vec<&BenchSuite> = if suite == "all" {
         BENCH_SUITES.iter().collect()
     } else {
@@ -359,7 +344,7 @@ fn bench_report(args: &[String]) -> ExitCode {
             Some(s) => vec![s],
             None => {
                 eprintln!(
-                    "xtask bench-report: unknown suite `{suite}` (known: lpm, scan, masque, lint, all)"
+                    "xtask bench-report: unknown suite `{suite}` (known: lpm, scan, masque, all)"
                 );
                 return ExitCode::FAILURE;
             }
@@ -376,66 +361,7 @@ fn bench_report(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if suite == "all" {
-        if let Err(e) = run_lint_bench(&root, &root.join("BENCH_lint.json")) {
-            eprintln!("xtask bench-report: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     ExitCode::SUCCESS
-}
-
-/// The incremental-lint benchmark: a cold pass (cache deleted first) and a
-/// warm pass over the real workspace. Fails unless the warm pass serves
-/// every file from cache, emits byte-identical findings, and spends less
-/// wall time in the per-file pass — the cache's whole contract.
-fn run_lint_bench(root: &Path, out_path: &Path) -> Result<(), String> {
-    let config = Config::for_workspace(root);
-    if let Some(cache) = &config.cache {
-        let _ = fs::remove_file(cache);
-    }
-    let cold = analyze_workspace(&config).map_err(|e| format!("cold lint pass: {e}"))?;
-    let warm = analyze_workspace(&config).map_err(|e| format!("warm lint pass: {e}"))?;
-    if baseline::report_json(&cold.findings) != baseline::report_json(&warm.findings) {
-        return Err("warm-cache findings are not byte-identical to the cold run".to_string());
-    }
-    if warm.stats.cache_hits != warm.stats.files || warm.stats.cache_misses != 0 {
-        return Err(format!(
-            "warm pass expected {} cache hits, got {} ({} misses)",
-            warm.stats.files, warm.stats.cache_hits, warm.stats.cache_misses
-        ));
-    }
-    if warm.stats.file_pass_ns >= cold.stats.file_pass_ns {
-        return Err(format!(
-            "warm file pass ({} ns) not faster than cold ({} ns)",
-            warm.stats.file_pass_ns, cold.stats.file_pass_ns
-        ));
-    }
-    let speedup = cold.stats.file_pass_ns as f64 / warm.stats.file_pass_ns.max(1) as f64;
-    let rows = [
-        ("files", cold.stats.files as f64),
-        ("cold_file_pass_ns", cold.stats.file_pass_ns as f64),
-        ("cold_graph_ns", cold.stats.graph_ns as f64),
-        ("cold_total_ns", cold.stats.total_ns as f64),
-        ("warm_file_pass_ns", warm.stats.file_pass_ns as f64),
-        ("warm_graph_ns", warm.stats.graph_ns as f64),
-        ("warm_total_ns", warm.stats.total_ns as f64),
-        ("warm_cache_hits", warm.stats.cache_hits as f64),
-        ("speedup_warm_file_pass", speedup),
-    ];
-    let body = rows
-        .iter()
-        .map(|(name, v)| format!("  \"{name}\": {v:.1}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    fs::write(out_path, format!("{{\n{body}\n}}\n"))
-        .map_err(|e| format!("writing {}: {e}", out_path.display()))?;
-    println!(
-        "xtask bench-report: wrote {} (cold/warm lint pass, {:.1}x warm file-pass speedup)",
-        out_path.display(),
-        speedup
-    );
-    Ok(())
 }
 
 fn run_bench_suite(root: &PathBuf, suite: &BenchSuite, out_path: &PathBuf) -> Result<(), String> {
@@ -594,19 +520,6 @@ fn lint(opts: &LintOpts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if opts.timings {
-        let s = &analysis.stats;
-        println!(
-            "xtask lint: timings — {} file(s), {} cache hit(s), {} miss(es); \
-             file pass {:.1} ms, graph {:.1} ms, total {:.1} ms",
-            s.files,
-            s.cache_hits,
-            s.cache_misses,
-            s.file_pass_ns as f64 / 1e6,
-            s.graph_ns as f64 / 1e6,
-            s.total_ns as f64 / 1e6,
-        );
-    }
     if let Some(target) = &opts.graph {
         let dot = analysis.graph.to_dot(&analysis.entries);
         match target {

@@ -13,6 +13,18 @@
 //! Every subcommand builds the deterministic deployment (seed 2022 unless
 //! `--seed` is given) and prints the corresponding paper artefact.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::collections::HashMap;
 
 use tectonic::core::attribution::Table2;
