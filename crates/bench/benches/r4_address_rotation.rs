@@ -1,6 +1,8 @@
 //! R4 — egress address rotation (§4.3): 48 h of 30-second request rounds;
 //! the paper saw six addresses from four subnets with a >66 % change rate
-//! and diverging parallel requests.
+//! and diverging parallel requests. The model draws each connection's
+//! address from a three-address pool per operator and geohash cell, so
+//! about 1 − 1/3 of consecutive and parallel requests differ.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment};
@@ -25,6 +27,7 @@ fn bench(c: &mut Criterion) {
     banner("R4: egress address rotation (48 h, 30 s rounds)");
     print!("{}", render_rotation(&report));
     println!("(paper: 6 addresses / 4 subnets, >66% change rate, parallel requests diverge)");
+    println!("(model: 3 addresses per operator and cell, ~1 - 1/3 = 67% change and divergence)");
 
     let mut group = c.benchmark_group("r4");
     group.sample_size(10);

@@ -32,18 +32,14 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use tectonic_engine::{Engine, EngineConfig, ShardCtx, ShardModel};
-use tectonic_geo::country::{country_info, CountryCode};
-use tectonic_geo::geohash;
+use tectonic_geo::country::CountryCode;
 use tectonic_net::{Asn, SimDuration, SimRng, SimTime};
-use tectonic_relay::masque::{build_connect, Transport};
+use tectonic_relay::masque::{build_connect, client_cell, Transport};
 use tectonic_relay::session::{
     frame_datagram, open_payload, seal_payload, unframe_datagram, DatagramOutcome, EgressNode,
     IngressNode, SessionReport,
 };
 use tectonic_relay::{Deployment, EgressSelector};
-
-/// Geohash precision advertised to the egress (matches `relay::masque`).
-const GEOHASH_PRECISION: usize = 4;
 
 /// Applies channel effects to one client→egress datagram.
 ///
@@ -164,16 +160,13 @@ fn client_specs(deployment: &Deployment, cfg: &StormConfig) -> Vec<ClientSpec> {
         .map(|c| {
             let spread = ases.len().max(1);
             let ase = &ases[c as usize % spread];
-            let (lat, lon) = country_info(ase.cc)
-                .map(|i| (i.lat, i.lon))
-                .unwrap_or((0.0, 0.0));
             ClientSpec {
                 key: SimRng::new(cfg.seed)
                     .fork_indexed("storm-client", u64::from(c))
                     .next_u64_raw(),
                 addr: IpAddr::V4(ase.host_addr(u64::from(c) / spread as u64)),
                 cc: ase.cc,
-                geohash: geohash::encode(lat, lon, GEOHASH_PRECISION),
+                geohash: client_cell(ase.cc),
                 udp_blocked: c % 16 == 15,
             }
         })
@@ -463,7 +456,6 @@ impl RotationStats {
 impl StormReport {
     /// Derives the §4.3 rotation/stickiness statistics.
     pub fn rotation_stats(&self) -> RotationStats {
-        let cfg_rounds = u64::from(self.rounds.max(1));
         let mut chains: BTreeMap<u64, Vec<&SessionReport>> = BTreeMap::new();
         for s in &self.sessions {
             chains.entry(s.chain).or_default().push(s);
@@ -495,7 +487,6 @@ impl StormReport {
             if (sid - 1) % 2 != 0 {
                 continue;
             }
-            let _ = cfg_rounds;
             if let Some(b) = by_sid.get(&(sid + 1)) {
                 stats.parallel_pairs += 1;
                 if a.addr != b.addr {

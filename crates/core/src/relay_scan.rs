@@ -319,8 +319,8 @@ mod tests {
         assert_eq!(s.failures, 0);
         let first = &s.rounds[0];
         assert_eq!(first.safari.operator, Asn(20940));
-        assert_eq!(first.safari.egress_addr, "23.32.0.12");
-        assert_eq!(first.safari.egress_subnet, "23.32.0.12/32");
+        assert_eq!(first.safari.egress_addr, "23.32.0.1");
+        assert_eq!(first.safari.egress_subnet, "23.32.0.0/30");
         assert_eq!(first.curl.operator, Asn(20940));
         assert_eq!(first.curl.egress_addr, "23.32.0.12");
         let last = &s.rounds[287];
@@ -328,7 +328,8 @@ mod tests {
         assert_eq!(last.safari.operator, Asn(20940));
         assert_eq!(last.safari.egress_addr, "23.32.0.12");
         // Whole-series digests: any reordered or re-derived RNG stream
-        // moves at least one of these.
+        // moves at least one of these. `op_sum` and the change count pin
+        // Figure 3; the addresses follow the egress's cell-pool draw.
         let op_sum: u64 = s
             .rounds
             .iter()
@@ -340,7 +341,7 @@ mod tests {
             .map(|r| r.safari.egress_addr.len() as u64 + r.curl.egress_addr.len() as u64)
             .sum();
         assert_eq!(op_sum, 17_742_384);
-        assert_eq!(addr_len_sum, 6_264);
+        assert_eq!(addr_len_sum, 6_067);
         assert_eq!(s.operator_changes().len(), 5);
     }
 

@@ -2,8 +2,9 @@
 //!
 //! Computed from a fine-grained through-relay scan: distinct addresses and
 //! subnets observed, the consecutive-request change rate (the paper: >66 %
-//! over 48 h at 30-second rounds, six addresses from four subnets), and
-//! how often the parallel Safari/curl pair diverges.
+//! over 48 h at 30-second rounds, six addresses from four subnets; the
+//! three-address cell pool predicts 1 − 1/3), and how often the parallel
+//! Safari/curl pair diverges.
 
 use std::collections::BTreeSet;
 
@@ -61,6 +62,7 @@ mod tests {
     use crate::relay_scan::RelayScanConfig;
     use tectonic_geo::country::CountryCode;
     use tectonic_net::Epoch;
+    use tectonic_relay::session::CELL_POOL_SIZE;
     use tectonic_relay::{Deployment, DeploymentConfig, DnsMode};
 
     fn report() -> RotationReport {
@@ -77,21 +79,28 @@ mod tests {
     }
 
     #[test]
-    fn change_rate_exceeds_paper_threshold() {
+    fn change_rate_matches_the_cell_pool() {
         let r = report();
         assert_eq!(r.rounds, 5760);
-        assert!(r.change_rate > 0.66, "change rate {:.3}", r.change_rate);
+        // Independent draws from a three-address pool change address on
+        // 2/3 of consecutive requests (the paper: >66 %).
+        assert!(
+            (0.60..=0.74).contains(&r.change_rate),
+            "change rate {:.3}",
+            r.change_rate
+        );
     }
 
     #[test]
     fn small_address_pool() {
         let r = report();
-        // The paper saw 6 addresses from 4 subnets; the pool must stay
-        // small (per-location pool), not an open-ended set.
+        // The paper saw 6 addresses from 4 subnets; each operator serves
+        // the device's cell from one small pool, not an open-ended set.
         assert!(
-            (3..=24).contains(&r.distinct_addresses),
-            "addresses {}",
-            r.distinct_addresses
+            (3..=CELL_POOL_SIZE * r.operators).contains(&r.distinct_addresses),
+            "addresses {} from {} operators",
+            r.distinct_addresses,
+            r.operators
         );
         assert!(r.distinct_subnets >= 2);
     }
@@ -100,7 +109,7 @@ mod tests {
     fn parallel_requests_diverge_frequently() {
         let r = report();
         assert!(
-            r.parallel_divergence > 0.4,
+            (0.60..=0.74).contains(&r.parallel_divergence),
             "divergence {:.3}",
             r.parallel_divergence
         );

@@ -10,8 +10,12 @@
 //!
 //! A [`Device`] issues [`ClientRequest`]s that record what each observer
 //! sees: the ingress address (visible to the client's ISP) and the egress
-//! address (visible to the target server). Appendix B's extra *management
-//! connection* into the configured ingress prefix is modelled too.
+//! address (visible to the target server). Each request runs the steps the
+//! §4 session storm runs — token admission, the inner CONNECT and the
+//! egress's per-connection draw from its geohash cell's pool — so Figure 3,
+//! the rotation series and the storm share one egress selector. Appendix
+//! B's extra *management connection* into the configured ingress prefix is
+//! modelled too.
 
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
@@ -24,9 +28,12 @@ use tectonic_net::{Asn, Ipv4Net, SimTime};
 use tectonic_geo::country::CountryCode;
 
 use crate::config::Domain;
-use crate::egress::{EgressSelection, EgressSelector};
+use crate::egress::{cell_country, EgressSelection, EgressSelector};
 use crate::ingress::IngressFleets;
-use crate::masque::{self, MasqueError, MasqueSession, TokenIssuer};
+use crate::masque::{
+    build_connect, client_cell, parse_connect, EgressView, IngressView, MasqueError, MasqueSession,
+    TokenIssuer, Transport,
+};
 
 /// How the device resolves the mask domains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,7 +77,8 @@ pub enum ConnectError {
     DnsFailed,
     /// The configured/resolved address is not an ingress relay.
     NotAnIngress(IpAddr),
-    /// No egress operator has presence for the client's location.
+    /// No egress operator, or no egress address, serves the client's
+    /// location.
     NoEgressAvailable,
     /// The MASQUE layer refused the session (token budget, bad CONNECT).
     Masque(MasqueError),
@@ -249,7 +257,8 @@ impl Device {
         self.connect(agent, now, ingress, connection_id)
     }
 
-    /// Establishes the tunnel for an already-resolved ingress.
+    /// Establishes the tunnel for an already-resolved ingress, through the
+    /// session layer's steps: admission, CONNECT, egress open.
     fn connect(
         &self,
         agent: RequestAgent,
@@ -257,30 +266,55 @@ impl Device {
         ingress: Ipv4Addr,
         connection_id: u64,
     ) -> Result<ClientRequest, ConnectError> {
-        let egress = self
+        let key = self.client_key();
+        let operator = self
             .selector
-            .select(self.client_key(), self.cc, now, connection_id, false)
+            .operator_for(key, self.cc, now)
             .ok_or(ConnectError::NoEgressAvailable)?;
-        // Establish the MASQUE tunnel: token, inner CONNECT, per-hop views.
-        let location = tectonic_geo::country::country_info(self.cc)
-            .map(|i| (i.lat, i.lon))
-            .unwrap_or((0.0, 0.0));
+        self.issuer
+            .admit(key, now)
+            .map_err(|e| ConnectError::Masque(MasqueError::Token(e)))?;
         let target = match agent {
             RequestAgent::Curl => "ipecho.net:80",
             RequestAgent::Safari => "observer.scan.example:443",
         };
-        let session = masque::establish(
-            &self.issuer,
-            self.client_key(),
-            IpAddr::V4(self.addr),
-            location,
-            IpAddr::V4(ingress),
-            &egress,
-            target,
-            self.udp_blocked,
-            now,
-        )
-        .map_err(ConnectError::Masque)?;
+        // The inner CONNECT is encrypted to the egress; the ingress only
+        // sees its length. The egress parses it off the wire.
+        let connect = build_connect(target, &client_cell(self.cc));
+        let (target_authority, client_geohash) =
+            parse_connect(&connect).map_err(ConnectError::Masque)?;
+        // The egress draws from the cell's pool as `EgressNode::open` does,
+        // with this device's seed and connection id.
+        let egress = self
+            .selector
+            .draw(
+                operator,
+                cell_country(&client_geohash),
+                &client_geohash,
+                self.selector.client_seed(key),
+                connection_id,
+            )
+            .ok_or(ConnectError::NoEgressAvailable)?;
+        let session = MasqueSession {
+            transport: if self.udp_blocked {
+                Transport::TcpFallback
+            } else {
+                Transport::Quic
+            },
+            ingress_view: IngressView {
+                client_addr: IpAddr::V4(self.addr),
+                egress_addr: egress.addr,
+                // Admission only succeeds with a validated token.
+                token_valid: true,
+                inner_ciphertext_len: connect.len(),
+            },
+            egress_view: EgressView {
+                ingress_addr: IpAddr::V4(ingress),
+                target_authority,
+                client_geohash,
+            },
+            server_observed: egress.addr,
+        };
         Ok(ClientRequest {
             agent,
             time: now,
@@ -406,6 +440,54 @@ mod tests {
         assert!(d.fleets.is_ingress(req.ingress));
         assert!(req.egress.subnet.contains(req.egress.addr));
         assert!(req.ingress_asn.is_some());
+    }
+
+    #[test]
+    fn request_runs_the_session_layer_draw() {
+        let d = deployment();
+        let auth = d.auth_server_unlimited();
+        let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
+        let req = device
+            .request(RequestAgent::Curl, &auth, Epoch::May2022.start())
+            .unwrap();
+        // The egress saw the device's cell and drew connection 1 from that
+        // cell's pool with the device's seed.
+        let cell = &req.session.egress_view.client_geohash;
+        assert_eq!(cell, &client_cell(CountryCode::DE));
+        let selector = d.egress_selector();
+        let expected = selector.draw(
+            req.egress.operator,
+            cell_country(cell),
+            cell,
+            selector.client_seed(device.client_key()),
+            1,
+        );
+        assert_eq!(Some(req.egress.clone()), expected);
+        // The ingress never sees the target; the egress never sees the
+        // client.
+        let ingress_json = serde_json::to_string(&req.session.ingress_view).unwrap();
+        assert!(!ingress_json.contains("ipecho"));
+        let egress_json = serde_json::to_string(&req.session.egress_view).unwrap();
+        assert!(!egress_json.contains(&device.addr().to_string()));
+        assert_eq!(req.session.server_observed, req.egress.addr);
+    }
+
+    #[test]
+    fn exhausted_token_budget_refuses_the_connection() {
+        let d = deployment();
+        let auth = d.auth_server_unlimited();
+        let device = d
+            .device_in_country(CountryCode::DE, DnsMode::Open)
+            .with_token_issuer(Arc::new(TokenIssuer::new(0)));
+        let err = device
+            .request(RequestAgent::Curl, &auth, Epoch::May2022.start())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConnectError::Masque(MasqueError::Token(
+                crate::masque::TokenError::DailyBudgetExhausted
+            ))
+        );
     }
 
     #[test]

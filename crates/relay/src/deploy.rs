@@ -244,7 +244,7 @@ impl Deployment {
         list
     }
 
-    /// The per-location egress selector (shared with devices).
+    /// The egress selector (shared by devices and the session layer).
     pub fn egress_selector(&self) -> Arc<EgressSelector> {
         self.selector.clone()
     }

@@ -19,11 +19,10 @@ use std::net::IpAddr;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use tectonic_geo::country::{country_info, CountryCode};
 use tectonic_geo::geohash;
 use tectonic_net::SimTime;
 use tectonic_quic::h3::{self, FrameType, Headers};
-
-use crate::egress::EgressSelection;
 
 /// Which transport carried the session.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -91,11 +90,6 @@ impl TokenIssuer {
         }
     }
 
-    /// The per-user daily budget.
-    pub fn per_day(&self) -> u32 {
-        self.per_day
-    }
-
     /// Issues a token for `user` at `now`, or fails when the budget is
     /// spent. When the day advances, budgets reset and the ledger drops
     /// entries from past days — tokens from those days are already invalid.
@@ -136,6 +130,17 @@ impl TokenIssuer {
             .counts
             .get(&(token.user, token.day))
             .is_some_and(|issued| token.serial <= *issued)
+    }
+
+    /// The admission step every ingress runs: issues a token for `user`
+    /// against the daily budget and validates it.
+    pub(crate) fn admit(&self, user: u64, now: SimTime) -> Result<AccessToken, TokenError> {
+        let token = self.issue(user, now)?;
+        if self.validate(&token, now) {
+            Ok(token)
+        } else {
+            Err(TokenError::DailyBudgetExhausted)
+        }
     }
 
     /// How many `(user, day)` entries the ledger currently tracks (pruning
@@ -207,6 +212,16 @@ impl std::error::Error for MasqueError {}
 /// Geohash precision the service exposes to the egress (city-ish).
 const GEOHASH_PRECISION: usize = 4;
 
+/// The geohash cell a client in `cc` advertises in its CONNECT: the
+/// country's centroid at the service's city-ish precision, derived from IP
+/// geolocation (§6: visible to the egress operator).
+pub fn client_cell(cc: CountryCode) -> String {
+    let (lat, lon) = country_info(cc)
+        .map(|i| (i.lat, i.lon))
+        .unwrap_or((0.0, 0.0));
+    geohash::encode(lat, lon, GEOHASH_PRECISION)
+}
+
 /// Builds the inner CONNECT request the client encrypts to the egress.
 pub fn build_connect(target_authority: &str, geohash: &str) -> Vec<u8> {
     let headers: Headers = vec![
@@ -235,115 +250,24 @@ pub fn parse_connect(wire: &[u8]) -> Result<(String, String), MasqueError> {
     Ok((authority, geohash))
 }
 
-/// Establishes a two-hop session.
-///
-/// `client_location` is the client's IP-geolocation coordinates from which
-/// the service derives the egress-visible geohash. `udp_blocked` forces
-/// the TCP fallback (§2: "the service uses the fallback to HTTP/2 and
-/// TLS 1.3 over TCP when the QUIC connection fails").
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one parameter per input of the two-hop handshake (client, ingress, egress, token, clock)"
-)]
-pub fn establish(
-    issuer: &TokenIssuer,
-    user: u64,
-    client_addr: IpAddr,
-    client_location: (f64, f64),
-    ingress_addr: IpAddr,
-    egress: &EgressSelection,
-    target_authority: &str,
-    udp_blocked: bool,
-    now: SimTime,
-) -> Result<MasqueSession, MasqueError> {
-    let token = issuer.issue(user, now).map_err(MasqueError::Token)?;
-    let client_geohash = geohash::encode(client_location.0, client_location.1, GEOHASH_PRECISION);
-    // The inner request is encrypted to the egress; the ingress only sees
-    // its length.
-    let inner = build_connect(target_authority, &client_geohash);
-    let ingress_view = IngressView {
-        client_addr,
-        egress_addr: egress.addr,
-        token_valid: issuer.validate(&token, now),
-        inner_ciphertext_len: inner.len(),
-    };
-    // The egress decrypts and parses the CONNECT off the wire.
-    let (authority, geohash) = parse_connect(&inner)?;
-    let egress_view = EgressView {
-        ingress_addr,
-        target_authority: authority,
-        client_geohash: geohash,
-    };
-    Ok(MasqueSession {
-        transport: if udp_blocked {
-            Transport::TcpFallback
-        } else {
-            Transport::Quic
-        },
-        ingress_view,
-        egress_view,
-        server_observed: egress.addr,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tectonic_net::{Asn, IpNet};
     use tectonic_quic::h3::Frame;
-
-    fn egress_selection() -> EgressSelection {
-        EgressSelection {
-            operator: Asn::CLOUDFLARE,
-            subnet: "104.0.16.0/32".parse::<IpNet>().unwrap(),
-            addr: "104.0.16.0".parse().unwrap(),
-        }
-    }
-
-    fn session(udp_blocked: bool) -> MasqueSession {
-        let issuer = TokenIssuer::new(100);
-        establish(
-            &issuer,
-            7,
-            "84.113.20.5".parse().unwrap(),
-            (48.137, 11.575), // Munich
-            "172.240.0.1".parse().unwrap(),
-            &egress_selection(),
-            "ipecho.example.net:80",
-            udp_blocked,
-            SimTime::from_ymd(2022, 5, 10),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn visibility_separation_holds() {
-        let s = session(false);
-        // The ingress never sees the target authority…
-        let ingress_json = serde_json::to_string(&s.ingress_view).unwrap();
-        assert!(!ingress_json.contains("ipecho"));
-        // …and the egress never sees the client address.
-        let egress_json = serde_json::to_string(&s.egress_view).unwrap();
-        assert!(!egress_json.contains("84.113.20.5"));
-        assert_eq!(s.egress_view.target_authority, "ipecho.example.net:80");
-        assert_eq!(s.server_observed, s.ingress_view.egress_addr);
-    }
 
     #[test]
     fn geohash_is_coarse_but_near_client() {
-        let s = session(false);
-        assert_eq!(s.egress_view.client_geohash.len(), 4);
-        // Munich's geohash starts with "u28" at this precision.
-        assert!(s.egress_view.client_geohash.starts_with("u28"));
-        let cell = tectonic_geo::geohash::decode(&s.egress_view.client_geohash).unwrap();
+        // Munich, the authors' vantage point: "u28…" at this precision.
+        let hash = geohash::encode(48.137, 11.575, GEOHASH_PRECISION);
+        assert_eq!(hash.len(), 4);
+        assert!(hash.starts_with("u28"));
+        let cell = geohash::decode(&hash).unwrap();
         // Coarse: the cell is tens of kilometres, not metres.
         assert!(cell.lat_err > 0.05);
-    }
-
-    #[test]
-    fn udp_blocked_falls_back_to_tcp() {
-        assert_eq!(session(false).transport, Transport::Quic);
-        assert_eq!(session(true).transport, Transport::TcpFallback);
+        // A client advertises its country's centroid cell.
+        let de = client_cell(CountryCode::DE);
+        assert_eq!(de.len(), GEOHASH_PRECISION);
+        assert!(de.starts_with('u'), "{de}");
     }
 
     #[test]
@@ -457,23 +381,5 @@ mod tests {
             payload: vec![1],
         });
         assert_eq!(parse_connect(&data_frame), Err(MasqueError::BadConnect));
-    }
-
-    #[test]
-    fn exhausted_budget_propagates() {
-        let issuer = TokenIssuer::new(0);
-        let err = establish(
-            &issuer,
-            7,
-            "84.113.20.5".parse().unwrap(),
-            (48.1, 11.5),
-            "172.240.0.1".parse().unwrap(),
-            &egress_selection(),
-            "x:80",
-            false,
-            SimTime::from_ymd(2022, 5, 10),
-        )
-        .unwrap_err();
-        assert_eq!(err, MasqueError::Token(TokenError::DailyBudgetExhausted));
     }
 }

@@ -1,13 +1,15 @@
 //! The CONNECT-UDP session layer: ingress admission, a `SessionTable` at
 //! the egress, and per-session traffic counters (§4).
 //!
-//! [`masque`](crate::masque) models a single establishment handshake; this
-//! module is the data plane behind it. An [`IngressNode`] terminates the
-//! outer connection and validates the blinded token (it never parses the
-//! inner CONNECT). An [`EgressNode`] keeps a [`SessionTable`]: it parses
-//! the CONNECT, maps the advertised geohash cell to a represented country,
-//! draws a per-connection address from the cell's small egress pool, and
-//! echoes datagrams back. Every datagram payload crossing the tunnel is a
+//! [`masque`](crate::masque) holds the CONNECT codec and the token issuer;
+//! this module is the data plane behind them. An [`IngressNode`] terminates
+//! the outer connection and validates the blinded token (it never parses
+//! the inner CONNECT). An [`EgressNode`] keeps a [`SessionTable`]: it
+//! parses the CONNECT, maps the advertised geohash cell to a represented
+//! country, draws a per-connection address from the cell's small egress
+//! pool ([`EgressSelector::draw`]), and echoes datagrams back. The client
+//! [`Device`](crate::client::Device) runs the same admission, CONNECT and
+//! draw for each request. Every datagram payload crossing the tunnel is a
 //! fixed 16-byte sealed record, so any fault-injected truncation or
 //! corruption is *detectably* invalid at the egress and lands in the
 //! session's drop counter — the conservation ledger the chaos harness
@@ -26,15 +28,14 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use tectonic_geo::country::{nearest_country, CountryCode};
-use tectonic_geo::geohash;
-use tectonic_net::{Asn, SimDuration, SimRng, SimTime};
+use tectonic_geo::country::CountryCode;
+use tectonic_net::{Asn, SimDuration, SimTime};
 use tectonic_quic::capsule::{
     datagram_capsule, decode_capsule, decode_datagram, encode_capsule, encode_datagram,
     open_datagram_capsule, udp_datagram, CONTEXT_UDP_PAYLOAD,
 };
 
-use crate::egress::EgressSelector;
+use crate::egress::{cell_country, EgressSelector};
 use crate::masque::{parse_connect, AccessToken, MasqueError, TokenError, TokenIssuer, Transport};
 
 /// Magic prefix of every sealed datagram payload ("MQUD").
@@ -208,26 +209,13 @@ impl IngressNode {
     /// Admits one session attempt for `user`: issues a token against the
     /// daily budget and validates it, counting the outcome either way.
     pub fn admit(&mut self, user: u64, now: SimTime) -> Result<AccessToken, TokenError> {
-        match self.issuer.issue(user, now) {
-            Ok(token) if self.issuer.validate(&token, now) => {
-                self.accepted += 1;
-                Ok(token)
-            }
-            Ok(_) => {
-                self.rejected += 1;
-                Err(TokenError::DailyBudgetExhausted)
-            }
-            Err(e) => {
-                self.rejected += 1;
-                Err(e)
-            }
+        let outcome = self.issuer.admit(user, now);
+        if outcome.is_ok() {
+            self.accepted += 1;
+        } else {
+            self.rejected += 1;
         }
-    }
-
-    /// Tokens issued so far must never exceed `users × per_day`; exposes
-    /// the budget for that invariant.
-    pub fn per_day(&self) -> u32 {
-        self.issuer.per_day()
+        outcome
     }
 }
 
@@ -311,9 +299,7 @@ impl EgressNode {
         if let Some(cc) = self.cc_cache.get(hash) {
             return *cc;
         }
-        let cc = geohash::decode(hash)
-            .map(|cell| nearest_country(cell.lat, cell.lon).code)
-            .unwrap_or(CountryCode::US);
+        let cc = cell_country(hash);
         self.cc_cache.insert(hash.to_string(), cc);
         cc
     }
@@ -334,18 +320,11 @@ impl EgressNode {
     ) -> Result<SessionAccept, MasqueError> {
         let (_authority, hash) = parse_connect(connect_wire)?;
         let cc = self.cc_for_geohash(&hash);
-        let pool = self
+        let addr = self
             .selector
-            .geohash_pool(operator, cc, &hash, CELL_POOL_SIZE);
-        if pool.is_empty() {
-            return Err(MasqueError::BadConnect);
-        }
-        // Per-connection draw: forked by session id, so the draw does not
-        // depend on arrival order or shard partition.
-        let mut rng = SimRng::new(self.seed).fork_indexed("egress-draw", session_id);
-        let Some(&addr) = pool.get(rng.index(pool.len())).or_else(|| pool.first()) else {
-            return Err(MasqueError::BadConnect);
-        };
+            .draw(operator, cc, &hash, self.seed, session_id)
+            .ok_or(MasqueError::BadConnect)?
+            .addr;
         let rotated = self
             .last_addr
             .insert(chain, addr)
@@ -418,7 +397,10 @@ impl EgressNode {
 mod tests {
     use super::*;
     use tectonic_geo::city::CityUniverse;
+    use tectonic_geo::country::nearest_country;
     use tectonic_geo::egress::{generate, OperatorEgressSpec};
+    use tectonic_geo::geohash;
+    use tectonic_net::SimRng;
 
     fn selector() -> Arc<EgressSelector> {
         let mut specs = OperatorEgressSpec::paper_defaults();
@@ -601,7 +583,7 @@ mod tests {
         assert!(["DE", "AT", "CH", "CZ", "LI"].contains(&expected.as_str()));
         // The drawn address belongs to the cell's pool.
         let pool = selector().geohash_pool(Asn::CLOUDFLARE, expected, "u281", CELL_POOL_SIZE);
-        assert!(pool.contains(&accept.addr));
+        assert!(pool.iter().any(|(_, addr)| *addr == accept.addr));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! laws, client-world structure, and ECS zone behaviour under arbitrary
 //! query subnets.
 
+use std::collections::{BTreeSet, HashSet};
 use std::net::IpAddr;
 use std::sync::OnceLock;
 
@@ -9,13 +10,28 @@ use proptest::prelude::*;
 use tectonic_dns::zone::{EcsAnswerer, QueryInfo};
 use tectonic_dns::{EcsOption, QClass, QType, Question};
 use tectonic_geo::country::CountryCode;
-use tectonic_net::{Asn, Epoch, Ipv4Net, SimRng, SimTime};
+use tectonic_net::{Asn, Epoch, IpNet, Ipv4Net, SimRng, SimTime};
+use tectonic_relay::egress::cell_country;
+use tectonic_relay::masque::client_cell;
+use tectonic_relay::session::CELL_POOL_SIZE;
 use tectonic_relay::zone::MaskZone;
 use tectonic_relay::{ClientWorld, Deployment, DeploymentConfig};
 
 fn deployment() -> &'static Deployment {
     static DEPLOYMENT: OnceLock<Deployment> = OnceLock::new();
     DEPLOYMENT.get_or_init(|| Deployment::build(5150, DeploymentConfig::scaled(512)))
+}
+
+fn listed_subnets() -> &'static HashSet<IpNet> {
+    static LISTED: OnceLock<HashSet<IpNet>> = OnceLock::new();
+    LISTED.get_or_init(|| {
+        deployment()
+            .egress_list
+            .entries()
+            .iter()
+            .map(|e| e.subnet)
+            .collect()
+    })
 }
 
 fn mask_zone() -> &'static MaskZone {
@@ -45,20 +61,31 @@ proptest! {
         cc in arb_cc(),
         conn in any::<u64>(),
         minutes in 0u64..10_000,
-        v6 in any::<bool>(),
     ) {
         let d = deployment();
+        let selector = d.egress_selector();
         let now = SimTime::from_ymd(2022, 5, 1)
             + tectonic_net::SimDuration::from_mins(minutes);
-        if let Some(sel) = d.egress_selector().select(client_key, cc, now, conn, v6) {
+        let cell = client_cell(cc);
+        if let Some(operator) = selector.operator_for(client_key, cc, now) {
+            let draw = |id| selector.draw(operator, cell_country(&cell), &cell, client_key, id);
+            let Some(sel) = draw(conn) else {
+                return Err(TestCaseError::fail(format!("{operator} has no pool at {cell}")));
+            };
             prop_assert!(sel.subnet.contains(sel.addr));
+            prop_assert!(listed_subnets().contains(&sel.subnet), "{} not listed", sel.subnet);
             prop_assert!(Asn::EGRESS_OPERATORS.contains(&sel.operator));
-            prop_assert_eq!(sel.subnet.is_v6(), v6);
             // The address lies in the operator's announced space.
             prop_assert!(d.in_operator_space(sel.operator, sel.addr));
             // Selection is deterministic for the same inputs.
-            let again = d.egress_selector().select(client_key, cc, now, conn, v6);
-            prop_assert_eq!(again, Some(sel));
+            prop_assert_eq!(draw(conn), Some(sel));
+            // Every connection of the (operator, cell) draws from one
+            // small pool.
+            let seen: BTreeSet<IpAddr> = (0..64u64)
+                .filter_map(|i| draw(conn.wrapping_add(i)))
+                .map(|s| s.addr)
+                .collect();
+            prop_assert!(seen.len() <= CELL_POOL_SIZE, "{} addresses", seen.len());
         }
     }
 

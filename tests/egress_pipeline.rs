@@ -113,7 +113,11 @@ fn akamai_covers_superset_of_akamai_eg_countries() {
 
 #[test]
 fn egress_selector_only_serves_listed_subnets() {
+    use std::collections::{BTreeMap, BTreeSet};
     use tectonic::net::SimTime;
+    use tectonic::relay::egress::cell_country;
+    use tectonic::relay::masque::client_cell;
+    use tectonic::relay::session::CELL_POOL_SIZE;
     let d = deployment();
     let selector = d.egress_selector();
     let listed: std::collections::HashSet<String> = d
@@ -123,17 +127,38 @@ fn egress_selector_only_serves_listed_subnets() {
         .map(|e| e.subnet.to_string())
         .collect();
     let now = SimTime::from_ymd(2022, 5, 10);
-    for key in 0..40u64 {
-        for conn in 0..5u64 {
-            if let Some(sel) = selector.select(key, CountryCode::US, now, conn, false) {
+    let mut per_cell: BTreeMap<(Asn, String), BTreeSet<std::net::IpAddr>> = BTreeMap::new();
+    for cc in [CountryCode::US, CountryCode::DE] {
+        let cell = client_cell(cc);
+        for key in 0..40u64 {
+            let Some(operator) = selector.operator_for(key, cc, now) else {
+                continue;
+            };
+            let draw = |conn| selector.draw(operator, cell_country(&cell), &cell, key, conn);
+            for conn in 0..5u64 {
+                let sel = draw(conn).expect("an operator with presence has a pool");
                 assert!(
                     listed.contains(&sel.subnet.to_string()),
                     "selected {} not in the published list",
                     sel.subnet
                 );
                 assert!(sel.subnet.contains(sel.addr));
+                assert!(Asn::EGRESS_OPERATORS.contains(&sel.operator));
+                assert!(d.in_operator_space(sel.operator, sel.addr));
+                assert_eq!(draw(conn), Some(sel.clone()), "draws are deterministic");
+                per_cell
+                    .entry((operator, cell.clone()))
+                    .or_default()
+                    .insert(sel.addr);
             }
         }
+    }
+    for ((operator, cell), addrs) in per_cell {
+        assert!(
+            addrs.len() <= CELL_POOL_SIZE,
+            "{operator} at {cell}: {} addresses",
+            addrs.len()
+        );
     }
 }
 

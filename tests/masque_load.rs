@@ -9,9 +9,17 @@
 //!    1 − 1/pool rate the three-address geohash cells predict (§4.3),
 //! 3. parallel requests (Safari + curl in flight together) get distinct
 //!    addresses at roughly the same rate (§4.3).
+//!
+//! The client device draws from the same cell pools, so the 48 h relay
+//! series reproduces findings 2 and 3 too.
 
 use tectonic::core::masque_load::{run_engine, run_serial, PerfectChannel, StormConfig};
-use tectonic::relay::{Deployment, DeploymentConfig};
+use tectonic::core::relay_scan::{RelayScanConfig, RelayScanSeries};
+use tectonic::core::rotation::RotationReport;
+use tectonic::geo::country::CountryCode;
+use tectonic::net::{Asn, Epoch};
+use tectonic::relay::session::CELL_POOL_SIZE;
+use tectonic::relay::{Deployment, DeploymentConfig, DnsMode};
 
 fn deployment(seed: u64) -> Deployment {
     Deployment::build(seed, DeploymentConfig::scaled(512))
@@ -92,6 +100,47 @@ fn storm_reproduces_the_section4_findings() {
         assert!(
             (0.60..=0.74).contains(&parallel),
             "seed {seed}: parallel distinct rate {parallel:.3} outside 66% ± tolerance"
+        );
+    }
+}
+
+/// §4.3 through the client device: 48 h of 30 s Safari + curl rounds
+/// rotate the egress address at about 1 − 1/3 and draw from one small pool
+/// per operator, at every deployment scale.
+#[test]
+fn relay_series_reproduces_section4_3_at_every_scale() {
+    let vantage = || vec![Asn::CLOUDFLARE, Asn::AKAMAI_PR];
+    for (scale, seed, restricted) in [(512, 66, false), (512, 11, true), (4096, 1, true)] {
+        let d = Deployment::build(seed, DeploymentConfig::scaled(scale));
+        let device = if restricted {
+            d.vantage_device(CountryCode::DE, DnsMode::Open, vantage())
+        } else {
+            d.device_in_country(CountryCode::DE, DnsMode::Open)
+        };
+        let series = RelayScanSeries::run(
+            &device,
+            &d.auth_server_unlimited(),
+            &RelayScanConfig::rotation_series(),
+            Epoch::May2022.start(),
+        );
+        let r = RotationReport::from_series(&series);
+        let label = format!("scaled({scale}) seed {seed}");
+        assert_eq!((r.rounds, series.failures), (5760, 0), "{label}");
+        assert!(
+            (0.60..=0.74).contains(&r.change_rate),
+            "{label}: change rate {:.3} outside 66% ± tolerance",
+            r.change_rate
+        );
+        assert!(
+            (0.60..=0.74).contains(&r.parallel_divergence),
+            "{label}: parallel divergence {:.3} outside 66% ± tolerance",
+            r.parallel_divergence
+        );
+        assert!(
+            r.distinct_addresses <= CELL_POOL_SIZE * r.operators,
+            "{label}: {} addresses from {} operators",
+            r.distinct_addresses,
+            r.operators
         );
     }
 }
