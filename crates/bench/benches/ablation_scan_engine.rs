@@ -1,11 +1,12 @@
-//! Ablation — the sharded discrete-event scan engine against the serial
-//! scanner.
+//! Ablation — the sharded discrete-event scan engine at eight shards
+//! against the serial scanner, which is the engine's one-shard run.
 //!
 //! The engine's contract is that worker count is unobservable in the
-//! report, so the only thing left to measure is wall-clock: serial vs
-//! `scan_engine` at 1/4/8 workers, on a small (~10 k clients) and a large
-//! (~1 M clients) deployment. `xtask bench-report --suite scan` distils
-//! the medians into `BENCH_scan.json`.
+//! report, so the only thing left to measure is wall-clock: the `serial_*`
+//! rows time `scan` (one shard, one worker), the `engine_w*` rows
+//! `scan_engine_sharded` on eight shards at 1/4/8 workers, on a small
+//! (~10 k clients) and a large (~1 M clients) deployment. `xtask
+//! bench-report --suite scan` distils the medians into `BENCH_scan.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment, BENCH_SEED};
@@ -25,14 +26,14 @@ fn bench(c: &mut Criterion) {
     let large_auth = large.auth_server_unlimited();
     let mut clock = SimClock::new(start);
     let serial = scanner.scan(Domain::MaskQuic.name(), &large_auth, &large.rib, &mut clock);
-    let engine8 = scanner.scan_engine(
+    let engine8 = scanner.scan_engine_sharded(
         Domain::MaskQuic.name(),
-        &large_auth,
+        &[&large_auth],
         &large.rib,
         start,
         &EngineConfig::new(8, 8),
     );
-    banner("Ablation: serial vs discrete-event engine");
+    banner("Ablation: serial (one shard) vs discrete-event engine (8 shards)");
     println!(
         "large scan : {} /24 subnets queried (~{} clients), {} addresses",
         serial.queries_sent,
@@ -62,9 +63,9 @@ fn bench(c: &mut Criterion) {
         for workers in [1usize, 4, 8] {
             group.bench_function(format!("engine_w{workers}_{label}"), |b| {
                 b.iter(|| {
-                    scanner.scan_engine(
+                    scanner.scan_engine_sharded(
                         Domain::MaskQuic.name(),
-                        auth,
+                        &[auth],
                         &d.rib,
                         start,
                         &EngineConfig::new(8, workers),

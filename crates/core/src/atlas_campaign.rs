@@ -49,7 +49,9 @@ impl AtlasSetup {
         AtlasSetup { probes }
     }
 
-    /// Runs an A or AAAA campaign for one mask domain at `epoch`.
+    /// Runs an A or AAAA campaign for one mask domain at `epoch` against
+    /// the deployment's unlimited authoritative server: the one-shard run
+    /// of [`run_mask_campaign_engine`](AtlasSetup::run_mask_campaign_engine).
     pub fn run_mask_campaign(
         &self,
         deployment: &Deployment,
@@ -59,40 +61,30 @@ impl AtlasSetup {
         seed: u64,
     ) -> Vec<ProbeResult> {
         let auth = deployment.auth_server_unlimited();
-        self.run_mask_campaign_with(&auth, domain, qtype, epoch, seed)
+        self.run_mask_campaign_engine(
+            &[&auth],
+            domain,
+            qtype,
+            epoch,
+            seed,
+            &EngineConfig::new(1, 1),
+        )
     }
 
-    /// Like [`run_mask_campaign`](AtlasSetup::run_mask_campaign), but
-    /// against a caller-supplied authoritative server — the hook the chaos
-    /// harness uses to interpose a fault-injecting wrapper on the
-    /// probe-to-auth path. Passing `deployment.auth_server_unlimited()`
-    /// reproduces `run_mask_campaign` exactly.
-    pub fn run_mask_campaign_with(
-        &self,
-        auth: &dyn tectonic_dns::server::NameServer,
-        domain: Domain,
-        qtype: QType,
-        epoch: Epoch,
-        seed: u64,
-    ) -> Vec<ProbeResult> {
-        let campaign = DnsCampaign::mask(domain.name(), qtype);
-        campaign.run(&self.probes, auth, epoch.start(), &SimRng::new(seed))
-    }
-
-    /// Like [`run_mask_campaign_with`](AtlasSetup::run_mask_campaign_with),
-    /// but on the sharded discrete-event engine.
+    /// Runs an A or AAAA campaign for one mask domain at `epoch` on the
+    /// sharded discrete-event engine.
     ///
     /// Probes are dealt to shards in contiguous index ranges and each probe
     /// is one scheduled event at the epoch start. A probe's transient-flake
     /// draw is keyed by `(seed, probe.id)` (see
-    /// [`DnsCampaign::run_probe`]), so the merged result vector is
-    /// byte-equal to the serial campaign for every shard and worker count.
+    /// [`DnsCampaign::run_probe`]), so the merged result vector equals
+    /// [`DnsCampaign::run`]'s for every shard and worker count.
     /// `auths` is indexed `shard % auths.len()` — the chaos harness passes
     /// one fault-injecting wrapper per shard so shards never share a
     /// channel lock.
     pub fn run_mask_campaign_engine(
         &self,
-        auths: &[&(dyn NameServer + Sync)],
+        auths: &[&dyn NameServer],
         domain: Domain,
         qtype: QType,
         epoch: Epoch,
@@ -103,47 +95,21 @@ impl AtlasSetup {
         run_campaign_engine(&campaign, &self.probes, auths, epoch.start(), seed, engine)
     }
 
-    /// Engine variant of
-    /// [`run_control_campaign`](AtlasSetup::run_control_campaign); same
-    /// sharding and equivalence contract as
-    /// [`run_mask_campaign_engine`](AtlasSetup::run_mask_campaign_engine).
-    pub fn run_control_campaign_engine(
-        &self,
-        control_auths: &[&(dyn NameServer + Sync)],
-        epoch: Epoch,
-        seed: u64,
-        engine: &EngineConfig,
-    ) -> Vec<ProbeResult> {
-        let campaign = DnsCampaign::control(
-            tectonic_dns::DomainName::literal("control.atlas-measurements.net"),
-            QType::A,
-        );
-        run_campaign_engine(
-            &campaign,
-            &self.probes,
-            control_auths,
-            epoch.start(),
-            seed,
-            engine,
-        )
-    }
-
-    /// Runs the control campaign (an unrelated, always-resolvable domain).
+    /// Runs the control campaign (an unrelated, always-resolvable domain)
+    /// on one engine shard.
     pub fn run_control_campaign(
         &self,
-        control_auth: &dyn tectonic_dns::server::NameServer,
+        control_auth: &dyn NameServer,
         epoch: Epoch,
         seed: u64,
     ) -> Vec<ProbeResult> {
-        let campaign = DnsCampaign::control(
-            tectonic_dns::DomainName::literal("control.atlas-measurements.net"),
-            QType::A,
-        );
-        campaign.run(
+        run_campaign_engine(
+            &control_campaign(),
             &self.probes,
-            control_auth,
+            &[control_auth],
             epoch.start(),
-            &SimRng::new(seed),
+            seed,
+            &EngineConfig::new(1, 1),
         )
     }
 
@@ -178,14 +144,23 @@ impl AtlasSetup {
     }
 }
 
+/// The blocking survey's control campaign: A queries for a domain that
+/// always resolves.
+fn control_campaign() -> DnsCampaign {
+    DnsCampaign::control(
+        tectonic_dns::DomainName::literal("control.atlas-measurements.net"),
+        QType::A,
+    )
+}
+
 /// Runs `campaign` over `probes` on the discrete-event engine: contiguous
-/// probe ranges per shard, one event per probe, all at `now` (the serial
-/// campaign measures every probe at the same instant). Shard outputs
-/// concatenate in shard-index order, which is probe order.
+/// probe ranges per shard, one event per probe, all at `now` (as in
+/// [`DnsCampaign::run`], every probe is measured at the same instant).
+/// Shard outputs concatenate in shard-index order, which is probe order.
 fn run_campaign_engine(
     campaign: &DnsCampaign,
     probes: &[Probe],
-    auths: &[&(dyn NameServer + Sync)],
+    auths: &[&dyn NameServer],
     now: SimTime,
     seed: u64,
     engine: &EngineConfig,
@@ -195,8 +170,8 @@ fn run_campaign_engine(
     };
     let shards = engine.shards.max(1);
     let per_shard = probes.len().div_ceil(shards).max(1);
-    // Same derivation as the serial DnsCampaign::run, so per-probe flake
-    // streams are identical.
+    // Same derivation as DnsCampaign::run, so per-probe flake streams are
+    // identical.
     let flake_base = DnsCampaign::flake_base(&SimRng::new(seed));
     let models: Vec<ProbeShard<'_>> = probes
         .chunks(per_shard)
@@ -227,7 +202,7 @@ fn run_campaign_engine(
 /// cursor over the range suffices — the event carries no payload.
 struct ProbeShard<'a> {
     campaign: &'a DnsCampaign,
-    auth: &'a (dyn NameServer + Sync),
+    auth: &'a dyn NameServer,
     flake_base: &'a SimRng,
     probes: std::slice::Iter<'a, Probe>,
     results: Vec<ProbeResult>,
@@ -389,25 +364,44 @@ mod tests {
     fn engine_campaign_matches_serial_for_all_worker_counts() {
         let (d, atlas) = setup();
         let auth = d.auth_server_unlimited();
-        let serial =
-            atlas.run_mask_campaign_with(&auth, Domain::MaskQuic, QType::A, Epoch::Apr2022, 7);
-        for (shards, workers) in [(1, 1), (5, 1), (5, 4), (8, 8)] {
+        let start = Epoch::Apr2022.start();
+        // The oracle: the serial campaign loop over every probe.
+        let oracle = DnsCampaign::mask(Domain::MaskQuic.name(), QType::A).run(
+            &atlas.probes,
+            &auth,
+            start,
+            &SimRng::new(7),
+        );
+        assert_eq!(
+            atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 7),
+            oracle
+        );
+        // One shared server, and a per-shard fan-out of three over six
+        // shards.
+        let shared: Vec<&dyn NameServer> = vec![&auth];
+        let fan_out: Vec<&dyn NameServer> = vec![&auth, &auth, &auth];
+        for (auths, shards, workers) in [
+            (&shared, 1, 1),
+            (&shared, 5, 1),
+            (&shared, 5, 4),
+            (&shared, 8, 8),
+            (&fan_out, 6, 3),
+        ] {
             let engine = atlas.run_mask_campaign_engine(
-                &[&auth],
+                auths,
                 Domain::MaskQuic,
                 QType::A,
                 Epoch::Apr2022,
                 7,
                 &EngineConfig::new(shards, workers),
             );
-            assert_eq!(engine, serial, "shards={shards} workers={workers}");
+            assert_eq!(engine, oracle, "shards={shards} workers={workers}");
         }
-        // Control path too, including per-shard auth fan-out.
-        let serial_control = atlas.run_control_campaign(&auth, Epoch::Apr2022, 8);
-        let auths: Vec<&(dyn NameServer + Sync)> = vec![&auth, &auth, &auth];
-        let engine_control =
-            atlas.run_control_campaign_engine(&auths, Epoch::Apr2022, 8, &EngineConfig::new(6, 3));
-        assert_eq!(engine_control, serial_control);
+        let control_oracle = control_campaign().run(&atlas.probes, &auth, start, &SimRng::new(8));
+        assert_eq!(
+            atlas.run_control_campaign(&auth, Epoch::Apr2022, 8),
+            control_oracle
+        );
     }
 
     #[test]

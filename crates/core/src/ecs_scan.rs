@@ -130,12 +130,12 @@ pub struct EcsScanReport {
     pub decode_errors: u64,
     /// Simulated wall-clock duration of the scan.
     ///
-    /// For merged reports ([`EcsScanner::scan_engine`]) this is the
+    /// For merged reports ([`EcsScanner::scan_engine_sharded`]) this is the
     /// **slowest shard's** duration: shards run concurrently over the same
     /// simulated window, so the scan is finished when the last shard is.
     /// All other fields merge as unions (sets) or sums (counters), which
     /// makes `duration` the one field where a sharded report can
-    /// legitimately differ from the serial scan's.
+    /// legitimately differ from the one-shard scan's.
     pub duration: SimDuration,
 }
 
@@ -323,7 +323,9 @@ impl EcsScanner {
         }
     }
 
-    /// Runs a full scan of `domain` against `auth`, advancing `clock`.
+    /// Runs a full scan of `domain` against `auth` over every candidate
+    /// subnet ([`EcsScanner::scan_subnets`]: one engine shard starting at
+    /// `clock.now()`, advancing `clock` by the scan's duration).
     pub fn scan(
         &self,
         domain: DomainName,
@@ -336,10 +338,8 @@ impl EcsScanner {
     }
 
     /// Sends exactly one ECS query at simulated time `now` and classifies
-    /// the reply. No clock or ledger side effects: both the serial retry
-    /// loop and the event-driven engine shards build their timing and
-    /// counters around this single-attempt kernel, which is what keeps the
-    /// two paths byte-equivalent.
+    /// the reply. No clock or ledger side effects: the engine shards build
+    /// their timing and counters around this single-attempt kernel.
     ///
     /// The query is the scratch template with five bytes patched (or, if
     /// the template failed its self-check, rebuilt through the reusable
@@ -377,44 +377,8 @@ impl EcsScanner {
         }
     }
 
-    /// Sends one ECS query with retries on rate-limit drops (serial path).
-    fn query_subnet(
-        &self,
-        domain: &DomainName,
-        subnet: Ipv4Net,
-        auth: &dyn NameServer,
-        clock: &mut SimClock,
-        scratch: &mut ScanScratch,
-        report: &mut EcsScanReport,
-    ) -> Option<Message> {
-        let mut attempts = 0;
-        loop {
-            let now = clock.now();
-            report.queries_sent += 1;
-            clock.advance(self.config.query_pacing);
-            match self.attempt_query(domain, subnet, auth, now, scratch) {
-                AttemptOutcome::Answered(response) => return Some(response),
-                AttemptOutcome::Undecodable => {
-                    report.decode_errors += 1;
-                    return None;
-                }
-                AttemptOutcome::Dropped => {
-                    report.rate_limited += 1;
-                    attempts += 1;
-                    if attempts > self.config.max_retries {
-                        report.exhausted += 1;
-                        return None;
-                    }
-                    report.retries += 1;
-                    clock.advance(self.config.retry_backoff);
-                }
-            }
-        }
-    }
-
     /// Records one successful response into the report: scope bookkeeping,
-    /// ingress attribution, and per-client-AS serving credit. Shared by the
-    /// serial loop and the engine shards.
+    /// ingress attribution, and per-client-AS serving credit.
     ///
     /// Returns the scope net newly inserted into `known_scopes`, if any —
     /// the engine uses it to announce the scope to sibling shards.
@@ -514,7 +478,6 @@ impl EcsScanner {
         let mut answers = BTreeSet::new();
         let mut queries = 0u64;
         let mut query_id = 0u16;
-        let mut report_stub = EcsScanReport::empty(domain.clone());
         for subnet in sample_subnets {
             query_id = query_id.wrapping_add(1);
             let mut query = Message::query(query_id, domain.clone(), QType::AAAA);
@@ -534,8 +497,6 @@ impl EcsScanner {
                 }
             }
         }
-        let _ = report_stub.queries_sent;
-        report_stub.queries_sent = queries;
         V6FeasibilityReport {
             queries,
             distinct_scopes: scopes.iter().copied().collect(),
@@ -556,9 +517,11 @@ impl EcsScanner {
             .unwrap_or(base)
     }
 
-    /// Scans an explicit subnet list: the serial loop behind
-    /// [`EcsScanner::scan`], also called directly by benchmarks that need a
-    /// fixed-size scan kernel independent of the deployment scale.
+    /// Scans an explicit subnet list on one engine shard, starting at
+    /// `clock.now()` and advancing `clock` by the scan's duration — the
+    /// body of [`EcsScanner::scan`], also called directly by benchmarks
+    /// that need a fixed-size scan kernel independent of the deployment
+    /// scale.
     pub fn scan_subnets(
         &self,
         domain: DomainName,
@@ -567,34 +530,15 @@ impl EcsScanner {
         rib: &Rib,
         clock: &mut SimClock,
     ) -> EcsScanReport {
-        let start = clock.now();
-        let mut report = EcsScanReport::empty(domain.clone());
-        let mut known_scopes: PrefixTrie<()> = PrefixTrie::new();
-        let mut scratch = ScanScratch::new(&domain);
-        for subnet in subnets {
-            if self.config.respect_scopes
-                && known_scopes
-                    .longest_match(IpAddr::V4(subnet.network()))
-                    .is_some()
-            {
-                report.skipped_by_scope += 1;
-                continue;
-            }
-            let Some(response) =
-                self.query_subnet(&domain, *subnet, auth, clock, &mut scratch, &mut report)
-            else {
-                continue;
-            };
-            let _ = self.process_response(
-                *subnet,
-                &response,
-                rib,
-                &mut scratch,
-                &mut known_scopes,
-                &mut report,
-            );
-        }
-        report.duration = clock.now() - start;
+        let report = self.scan_subnets_engine(
+            domain,
+            subnets,
+            &[auth],
+            rib,
+            clock.now(),
+            &EngineConfig::new(1, 1),
+        );
+        clock.advance(report.duration);
         report
     }
 
@@ -621,41 +565,27 @@ impl EcsScanner {
         top
     }
 
-    /// Runs a full scan of `domain` on the sharded discrete-event engine.
+    /// Runs a full scan of `domain` on the sharded discrete-event engine,
+    /// starting at `start`. At one shard the report is
+    /// [`EcsScanner::scan`]'s.
     ///
-    /// Equivalent to [`EcsScanner::scan`] — field-for-field, except
-    /// `duration`, which is the slowest shard's (see the field docs) and
-    /// collapses to exact equality at `shards == 1`. The equivalence is
-    /// structural, not statistical: shard boundaries are aligned with
-    /// top-level announcement boundaries, and every ECS scope a server can
-    /// return is contained in the top-level announced prefix of the subnet
-    /// that elicited it, so each shard reproduces exactly the serial scan's
-    /// skip decisions for its slice of the address space. Worker count
-    /// never affects any output bit.
-    ///
-    /// All shards query through the one `auth`; use
-    /// [`EcsScanner::scan_engine_sharded`] to give each shard its own
-    /// server (per-shard rate-limit buckets, per-shard fault channels).
-    pub fn scan_engine(
-        &self,
-        domain: DomainName,
-        auth: &(dyn NameServer + Sync),
-        rib: &Rib,
-        start: SimTime,
-        engine: &EngineConfig,
-    ) -> EcsScanReport {
-        self.scan_engine_sharded(domain, &[auth], rib, start, engine)
-    }
-
-    /// [`EcsScanner::scan_engine`] with explicit per-shard servers.
+    /// Every shard count gives the same report field for field, except
+    /// `duration`, which is the slowest shard's (see the field docs). The
+    /// equivalence is structural, not statistical: shard boundaries are
+    /// aligned with top-level announcement boundaries, and every ECS scope
+    /// a server can return is contained in the top-level announced prefix
+    /// of the subnet that elicited it, so each shard reproduces exactly the
+    /// one-shard scan's skip decisions for its slice of the address space.
+    /// Worker count never affects any output bit.
     ///
     /// `servers` is indexed by `shard % servers.len()`: pass one server to
     /// share it (it must tolerate concurrent queries), or `engine.shards`
-    /// servers for fully independent per-shard state.
+    /// servers for fully independent per-shard state (per-shard rate-limit
+    /// buckets, per-shard fault channels).
     pub fn scan_engine_sharded(
         &self,
         domain: DomainName,
-        servers: &[&(dyn NameServer + Sync)],
+        servers: &[&dyn NameServer],
         rib: &Rib,
         start: SimTime,
         engine: &EngineConfig,
@@ -669,14 +599,14 @@ impl EcsScanner {
     /// sweeps). With no announcement structure to align shards to, the
     /// list is cut into plain contiguous slices; scopes that cross a cut
     /// travel as events, so skipping is deterministic for a fixed shard
-    /// count but — unlike [`EcsScanner::scan_engine`] — may differ from
-    /// the serial scan's (an in-flight shard can query a subnet before a
-    /// sibling's scope announcement arrives).
+    /// count but — unlike [`EcsScanner::scan_engine_sharded`] — may differ
+    /// from the one-shard scan's (an in-flight shard can query a subnet
+    /// before a sibling's scope announcement arrives).
     pub fn scan_subnets_engine(
         &self,
         domain: DomainName,
         subnets: &[Ipv4Net],
-        servers: &[&(dyn NameServer + Sync)],
+        servers: &[&dyn NameServer],
         rib: &Rib,
         start: SimTime,
         engine: &EngineConfig,
@@ -693,7 +623,7 @@ impl EcsScanner {
         domain: DomainName,
         subnets: &[Ipv4Net],
         prefixes: &[Ipv4Net],
-        servers: &[&(dyn NameServer + Sync)],
+        servers: &[&dyn NameServer],
         rib: &Rib,
         start: SimTime,
         engine: &EngineConfig,
@@ -847,7 +777,7 @@ enum ScanEvent {
 struct ScanShard<'a> {
     scanner: EcsScanner,
     domain: DomainName,
-    auth: &'a (dyn NameServer + Sync),
+    auth: &'a dyn NameServer,
     rib: &'a Rib,
     /// Top-level prefixes wholly owned by this shard: a scope contained in
     /// one of them cannot cover any sibling's subnet, so it is not
@@ -864,9 +794,9 @@ struct ScanShard<'a> {
 
 impl ScanShard<'_> {
     /// Schedules the next attempt, or closes the shard's ledger when the
-    /// slice is exhausted. `at` is when the current query's pacing ends —
-    /// mirroring the serial scan, whose duration runs to the end of the
-    /// last query's pacing window (trailing scope-skips are free).
+    /// slice is exhausted. `at` is when the current query's pacing ends: a
+    /// scan's duration runs to the end of its last query's pacing window
+    /// (trailing scope-skips are free).
     fn advance(&mut self, at: SimTime, ctx: &mut ShardCtx<ScanEvent>) {
         if self.idx < self.subnets.len() {
             ctx.schedule(at, ScanEvent::Attempt);
@@ -878,7 +808,7 @@ impl ScanShard<'_> {
     fn attempt(&mut self, now: SimTime, ctx: &mut ShardCtx<ScanEvent>) {
         // Skip scope-covered subnets at the cursor (same order, and — for
         // announcement-aligned shards — provably the same decisions as the
-        // serial loop).
+        // one-shard scan).
         while let Some(subnet) = self.subnets.get(self.idx) {
             if self.scanner.config.respect_scopes
                 && self
@@ -1134,34 +1064,124 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The serial scan, the oracle the engine is checked against: one
+    /// subnet at a time in list order, each query paced on `clock`, drops
+    /// retried after the back-off until the budget runs out. It shares only
+    /// the single-attempt and response kernels with the engine shards.
+    fn serial_scan(
+        scanner: &EcsScanner,
+        domain: DomainName,
+        subnets: &[Ipv4Net],
+        auth: &dyn NameServer,
+        rib: &Rib,
+        clock: &mut SimClock,
+    ) -> EcsScanReport {
+        let config = scanner.config();
+        let start = clock.now();
+        let mut report = EcsScanReport::empty(domain.clone());
+        let mut known_scopes: PrefixTrie<()> = PrefixTrie::new();
+        let mut scratch = ScanScratch::new(&domain);
+        'subnets: for subnet in subnets {
+            if config.respect_scopes
+                && known_scopes
+                    .longest_match(IpAddr::V4(subnet.network()))
+                    .is_some()
+            {
+                report.skipped_by_scope += 1;
+                continue;
+            }
+            let mut attempts = 0;
+            let response = loop {
+                let now = clock.now();
+                report.queries_sent += 1;
+                clock.advance(config.query_pacing);
+                match scanner.attempt_query(&domain, *subnet, auth, now, &mut scratch) {
+                    AttemptOutcome::Answered(response) => break response,
+                    AttemptOutcome::Undecodable => {
+                        report.decode_errors += 1;
+                        continue 'subnets;
+                    }
+                    AttemptOutcome::Dropped => {
+                        report.rate_limited += 1;
+                        attempts += 1;
+                        if attempts > config.max_retries {
+                            report.exhausted += 1;
+                            continue 'subnets;
+                        }
+                        report.retries += 1;
+                        clock.advance(config.retry_backoff);
+                    }
+                }
+            };
+            scanner.process_response(
+                *subnet,
+                &response,
+                rib,
+                &mut scratch,
+                &mut known_scopes,
+                &mut report,
+            );
+        }
+        report.duration = clock.now() - start;
+        report
+    }
+
     #[test]
     fn engine_scan_matches_serial_exactly() {
         let d = deployment();
-        let auth = d.auth_server_unlimited();
         let scanner = EcsScanner::default();
-        let mut clock = SimClock::new(Epoch::Apr2022.start());
-        let serial = scanner.scan(Domain::MaskQuic.name(), &auth, &d.rib, &mut clock);
-        // One shard: byte-identical, duration included.
-        let one = scanner.scan_engine(
-            Domain::MaskQuic.name(),
-            &auth,
-            &d.rib,
-            Epoch::Apr2022.start(),
-            &EngineConfig::new(1, 1),
-        );
-        assert_eq!(serial, one);
-        assert!(serial.total() > 0 && serial.skipped_by_scope > 0);
-        // Many shards: identical modulo duration (announcement-aligned
-        // shards reproduce the serial skip decisions), for any workers.
-        for workers in [1, 4, 8] {
-            let sharded = scanner.scan_engine(
-                Domain::MaskQuic.name(),
-                &auth,
+        let domain = Domain::MaskQuic.name();
+        let subnets = scanner.candidate_subnets(&d.rib);
+        let start = Epoch::Apr2022.start();
+        for limited in [false, true] {
+            // The rate limiter's buckets are stateful: every run gets a
+            // fresh server.
+            let server = |d: &Deployment| {
+                if limited {
+                    d.auth_server()
+                } else {
+                    d.auth_server_unlimited()
+                }
+            };
+            let mut oracle_clock = SimClock::new(start);
+            let oracle = serial_scan(
+                &scanner,
+                domain.clone(),
+                &subnets,
+                &server(&d),
                 &d.rib,
-                Epoch::Apr2022.start(),
-                &EngineConfig::new(8, workers),
+                &mut oracle_clock,
             );
-            assert_eq_modulo_duration(&serial, &sharded);
+            assert!(oracle.total() > 0 && oracle.skipped_by_scope > 0);
+            assert_eq!(oracle.rate_limited > 0, limited);
+            // One shard, through both serial entry points: byte-identical,
+            // duration included, and the clock ends where the loop's did.
+            let mut clock = SimClock::new(start);
+            let scanned = scanner.scan(domain.clone(), &server(&d), &d.rib, &mut clock);
+            assert_eq!(scanned, oracle, "scan, limited={limited}");
+            assert_eq!(clock.now(), oracle_clock.now());
+            let mut clock = SimClock::new(start);
+            let listed =
+                scanner.scan_subnets(domain.clone(), &subnets, &server(&d), &d.rib, &mut clock);
+            assert_eq!(listed, oracle, "scan_subnets, limited={limited}");
+            assert_eq!(clock.now(), oracle_clock.now());
+            if limited {
+                // Shard sources have their own rate-limit buckets.
+                continue;
+            }
+            // Many shards: identical modulo duration (announcement-aligned
+            // shards reproduce the serial skip decisions), for any workers.
+            let auth = server(&d);
+            for workers in [1, 4, 8] {
+                let sharded = scanner.scan_engine_sharded(
+                    domain.clone(),
+                    &[&auth],
+                    &d.rib,
+                    start,
+                    &EngineConfig::new(8, workers),
+                );
+                assert_eq_modulo_duration(&oracle, &sharded);
+            }
         }
     }
 
@@ -1173,10 +1193,7 @@ mod tests {
             // Fresh per-shard servers: the rate limiter's bucket is
             // stateful, so each run gets its own set.
             let auths: Vec<_> = (0..8).map(|_| d.auth_server()).collect();
-            let refs: Vec<&(dyn NameServer + Sync)> = auths
-                .iter()
-                .map(|a| a as &(dyn NameServer + Sync))
-                .collect();
+            let refs: Vec<&dyn NameServer> = auths.iter().map(|a| a as &dyn NameServer).collect();
             scanner.scan_engine_sharded(
                 Domain::MaskQuic.name(),
                 &refs,
@@ -1214,10 +1231,14 @@ mod tests {
         // Scope events do land: local skipping plus announcements still
         // suppress a meaningful share of queries.
         assert!(w1.skipped_by_scope > 0);
-        let serial_run = {
-            let mut clock = SimClock::new(Epoch::Apr2022.start());
-            scanner.scan_subnets(Domain::MaskQuic.name(), &subnets, &auth, &d.rib, &mut clock)
-        };
+        let serial_run = serial_scan(
+            &scanner,
+            Domain::MaskQuic.name(),
+            &subnets,
+            &auth,
+            &d.rib,
+            &mut SimClock::new(Epoch::Apr2022.start()),
+        );
         assert_eq!(w1.discovered, serial_run.discovered);
         assert_eq!(w1.by_ingress_as, serial_run.by_ingress_as);
     }

@@ -86,39 +86,37 @@ pub struct RelayScanSeries {
 }
 
 impl RelayScanSeries {
-    /// Runs the scan with `device` starting at `start`.
+    /// Runs the scan with `device` starting at `start`: reserves two
+    /// connection ids per round from the device, then runs the series on
+    /// one engine shard ([`RelayScanSeries::run_engine`]).
     pub fn run(
         device: &Device,
         auth: &dyn NameServer,
         config: &RelayScanConfig,
         start: SimTime,
     ) -> RelayScanSeries {
-        let mut rounds = Vec::with_capacity(config.rounds() as usize);
-        let mut failures = 0;
-        for i in 0..config.rounds() {
-            let now = start + SimDuration::from_millis(config.interval.as_millis() * i);
-            match device.request_pair(auth, now) {
-                Ok((safari, curl)) => rounds.push(ScanRound {
-                    relative_secs: (now - start).as_secs(),
-                    safari: LoggedRequest::from_request(&safari),
-                    curl: LoggedRequest::from_request(&curl),
-                }),
-                Err(_) => failures += 1,
-            }
-        }
-        RelayScanSeries { rounds, failures }
+        let first_connection_id = device.reserve_connection_ids(2 * config.rounds());
+        RelayScanSeries::run_engine(
+            device,
+            &[auth],
+            config,
+            start,
+            first_connection_id,
+            &EngineConfig::new(1, 1),
+        )
     }
 
     /// Runs the scan on the sharded discrete-event engine.
     ///
     /// Rounds are dealt to shards in contiguous index ranges (so the
     /// merged log stays in round order) and each round is one scheduled
-    /// event at its legacy wall-clock instant. Connection ids are assigned
-    /// per round — round `i` uses `first_connection_id + 2i + 1` (Safari)
-    /// and `+ 2i + 2` (curl) — so for a failure-free series on a fresh
-    /// device (pass `first_connection_id = 0`) the output is byte-equal to
-    /// [`RelayScanSeries::run`]; a caller continuing an existing device
-    /// passes the number of connections it has already made.
+    /// event at its wall-clock instant. Connection ids are assigned per
+    /// round — round `i` uses `first_connection_id + 2i + 1` (Safari) and
+    /// `+ 2i + 2` (curl) — so the output is the same for every shard and
+    /// worker count, and a failed round never shifts a later round's
+    /// egress draw. A fresh device starts at `first_connection_id = 0`; a
+    /// caller continuing an existing device passes the number of
+    /// connection ids it has already used.
     ///
     /// `servers` is indexed `shard % servers.len()`, like
     /// [`crate::ecs_scan::EcsScanner::scan_engine_sharded`]. Rounds are
@@ -128,7 +126,7 @@ impl RelayScanSeries {
     /// process its range in one window.
     pub fn run_engine(
         device: &Device,
-        servers: &[&(dyn NameServer + Sync)],
+        servers: &[&dyn NameServer],
         config: &RelayScanConfig,
         start: SimTime,
         first_connection_id: u64,
@@ -214,7 +212,7 @@ impl RelayScanSeries {
 /// an event carrying its round index.
 struct RoundShard<'a> {
     device: &'a Device,
-    auth: &'a (dyn NameServer + Sync),
+    auth: &'a dyn NameServer,
     start: SimTime,
     first_connection_id: u64,
     rounds: Vec<ScanRound>,
@@ -251,6 +249,7 @@ mod tests {
     use super::*;
     use tectonic_geo::country::CountryCode;
     use tectonic_net::Epoch;
+    use tectonic_relay::client::RequestAgent;
     use tectonic_relay::{Deployment, DeploymentConfig, DnsMode};
 
     fn series(mode: DnsMode) -> (Deployment, RelayScanSeries) {
@@ -359,23 +358,62 @@ mod tests {
         assert_eq!(RelayScanConfig::rotation_series().rounds(), 5760);
     }
 
+    /// A counter-driven series, the oracle the engine series is checked
+    /// against: each round's Safari and curl requests take the device's
+    /// next connection ids through [`Device::request`].
+    fn counter_series(
+        device: &Device,
+        auth: &dyn NameServer,
+        config: &RelayScanConfig,
+        start: SimTime,
+    ) -> RelayScanSeries {
+        let mut series = RelayScanSeries {
+            rounds: Vec::new(),
+            failures: 0,
+        };
+        for i in 0..config.rounds() {
+            let now = start + config.interval.times(i);
+            let pair = device
+                .request(RequestAgent::Safari, auth, now)
+                .and_then(|safari| Ok((safari, device.request(RequestAgent::Curl, auth, now)?)));
+            match pair {
+                Ok((safari, curl)) => series.rounds.push(ScanRound {
+                    relative_secs: (now - start).as_secs(),
+                    safari: LoggedRequest::from_request(&safari),
+                    curl: LoggedRequest::from_request(&curl),
+                }),
+                Err(_) => series.failures += 1,
+            }
+        }
+        series
+    }
+
     #[test]
-    fn engine_series_matches_legacy_and_is_worker_invariant() {
-        let (d, legacy) = series(DnsMode::Open);
-        // Fresh device per run: the legacy series consumed the original
-        // device's connection counter.
+    fn engine_series_matches_counter_loop_and_is_worker_invariant() {
+        let (d, run) = series(DnsMode::Open);
+        let auth = d.auth_server_unlimited();
+        let config = RelayScanConfig::operator_series();
+        let start = Epoch::May2022.start();
+        // Fresh device per run: every run starts at connection id 1.
+        let oracle = counter_series(
+            &d.device_in_country(CountryCode::DE, DnsMode::Open),
+            &auth,
+            &config,
+            start,
+        );
+        assert_eq!(oracle.failures, 0);
+        assert_eq!(run, oracle, "run");
         for (shards, workers) in [(1, 1), (6, 1), (6, 3), (6, 8)] {
             let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
-            let auth = d.auth_server_unlimited();
             let s = RelayScanSeries::run_engine(
                 &device,
                 &[&auth],
-                &RelayScanConfig::operator_series(),
-                Epoch::May2022.start(),
+                &config,
+                start,
                 0,
                 &EngineConfig::new(shards, workers),
             );
-            assert_eq!(s, legacy, "shards={shards} workers={workers}");
+            assert_eq!(s, oracle, "shards={shards} workers={workers}");
         }
     }
 

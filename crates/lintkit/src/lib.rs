@@ -116,7 +116,8 @@ impl Config {
         Config {
             root: root.to_path_buf(),
             entry_points: vec![
-                // The multi-hour ECS scan drive loop.
+                // The explicit-list ECS scan: one engine shard driving the
+                // query, retry and attribution kernels.
                 "core::ecs_scan::scan_subnets".to_string(),
                 // Batched longest-prefix matching under the scan's
                 // per-reply attribution.
@@ -142,7 +143,7 @@ impl Config {
                 "quic::probe::*".to_string(),
                 // The relay client request path.
                 "relay::client::request".to_string(),
-                "relay::client::request_pair".to_string(),
+                "relay::client::request_pair_with_ids".to_string(),
                 "relay::client::odoh_resolve".to_string(),
                 // The fault-injection delivery hot path (chaos harness).
                 "simnet::channel::deliver".to_string(),

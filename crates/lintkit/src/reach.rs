@@ -3,7 +3,7 @@
 //! * **panic-reachability** — no panic site (and no ⊥ edge) may be
 //!   transitively reachable from a declared hostile-input entry point.
 //!   Findings carry the shortest call path from the entry so the report is
-//!   actionable (`scan_subnets → query_subnet → ⊥(handle_query_into)`).
+//!   actionable (`scan_subnets → … → attempt_query → ⊥(handle_query_into)`).
 //! * **lock-order** — the derived lock-acquisition-order graph must be
 //!   acyclic. An order edge `A → B` exists when `B` is acquired (directly
 //!   or via a callee) while `A` is held; guards are conservatively assumed

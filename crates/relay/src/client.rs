@@ -231,18 +231,26 @@ impl Device {
         self.connect(agent, now, ingress, connection_id)
     }
 
+    /// Reserves `n` connection ids from the device's counter and returns
+    /// the base: the caller owns ids `base + 1 ..= base + n`, the ids the
+    /// next `n` successful [`Device::request`] calls would have taken.
+    pub fn reserve_connection_ids(&self, n: u64) -> u64 {
+        let mut counter = self.connection_counter.lock();
+        let base = *counter;
+        *counter += n;
+        base
+    }
+
     /// [`Device::request`] with an explicit connection id, bypassing the
     /// device's internal counter.
     ///
     /// The discrete-event engine runs a device's rounds across shards, so
-    /// callers assign each round's ids up front (round `i` of a fresh
-    /// device uses ids `2i + 1` and `2i + 2` via
-    /// [`Device::request_pair_with_ids`]) instead of racing a shared
-    /// counter. The id feeds egress selection only; for a device whose
-    /// requests all succeed this reproduces the counter's sequence
-    /// exactly. (Under failures the counter path skips ids for failed
-    /// resolutions while explicit ids stay fixed per round — deterministic
-    /// either way, but not bit-equal to each other.)
+    /// callers assign each round's ids up front (round `i` of a series
+    /// uses ids `base + 2i + 1` and `base + 2i + 2` via
+    /// [`Device::request_pair_with_ids`], `base` from
+    /// [`Device::reserve_connection_ids`]) instead of racing a shared
+    /// counter. The id feeds egress selection only, so a failed round never
+    /// shifts the ids of the rounds after it.
     pub fn request_with_id(
         &self,
         agent: RequestAgent,
@@ -325,20 +333,9 @@ impl Device {
         })
     }
 
-    /// The Safari + curl request pair the paper's scan issues each round.
-    pub fn request_pair(
-        &self,
-        auth: &dyn NameServer,
-        now: SimTime,
-    ) -> Result<(ClientRequest, ClientRequest), ConnectError> {
-        let safari = self.request(RequestAgent::Safari, auth, now)?;
-        let curl = self.request(RequestAgent::Curl, auth, now)?;
-        Ok((safari, curl))
-    }
-
-    /// [`Device::request_pair`] with explicit connection ids (see
-    /// [`Device::request_with_id`]): Safari takes `safari_id`, curl takes
-    /// `curl_id`.
+    /// The Safari + curl request pair the paper's scan issues each round,
+    /// with explicit connection ids (see [`Device::request_with_id`]):
+    /// Safari takes `safari_id`, curl takes `curl_id`.
     pub fn request_pair_with_ids(
         &self,
         auth: &dyn NameServer,
@@ -562,7 +559,9 @@ mod tests {
         let mut differing = 0;
         for i in 0..40 {
             let t = Epoch::May2022.start() + SimDuration::from_mins(5).times(i);
-            let (safari, curl) = device.request_pair(&auth, t).unwrap();
+            let (safari, curl) = device
+                .request_pair_with_ids(&auth, t, 2 * i + 1, 2 * i + 2)
+                .unwrap();
             if safari.egress.addr != curl.egress.addr {
                 differing += 1;
             }

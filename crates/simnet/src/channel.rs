@@ -409,21 +409,17 @@ fn reply_is_noerror(bytes: &[u8]) -> bool {
 /// bytes. Organic drops by the inner server (its own rate limiter) bypass
 /// the channel entirely, so the fault ledger counts injected faults only.
 ///
-/// The inner server must be `Sync`: the chaos harness shares one wrapper
-/// per engine shard across the engine's scoped worker threads.
+/// Like every [`NameServer`] it is `Sync`: the chaos harness shares one
+/// wrapper per engine shard across the engine's scoped worker threads.
 pub struct FaultedServer<'a> {
     channel: &'a FaultedChannel,
     link: Link,
-    inner: &'a (dyn NameServer + Sync),
+    inner: &'a dyn NameServer,
 }
 
 impl<'a> FaultedServer<'a> {
     /// Wraps `inner` so its replies traverse `link` of `channel`.
-    pub fn new(
-        channel: &'a FaultedChannel,
-        link: Link,
-        inner: &'a (dyn NameServer + Sync),
-    ) -> Self {
+    pub fn new(channel: &'a FaultedChannel, link: Link, inner: &'a dyn NameServer) -> Self {
         FaultedServer {
             channel,
             link,

@@ -393,7 +393,7 @@ fn run_bench_suite(root: &PathBuf, suite: &BenchSuite, out_path: &PathBuf) -> Re
         return Err("bench produced no measurements".to_string());
     }
     // The scan suite's headline numbers: wall-clock ratio of the serial
-    // scanner over the 8-worker engine, per deployment size.
+    // (one-shard) scan over the 8-worker engine, per deployment size.
     if suite.name == "scan" {
         let mut derived: Vec<(String, f64)> = Vec::new();
         let median = |name: &str| rows.iter().find(|(n, _)| n == name).map(|(_, ns)| *ns);

@@ -38,7 +38,7 @@ use crate::core::rotation::RotationReport;
 use crate::dns::{AuthoritativeServer, DomainName, NameServer, QType, RData, Record, Zone};
 use crate::engine::EngineConfig;
 use crate::geo::CountryCode;
-use crate::net::{Asn, Epoch, IpNet, SimClock, SimDuration, SimTime};
+use crate::net::{Asn, Epoch, IpNet, SimDuration, SimTime};
 use crate::relay::{Deployment, DeploymentConfig, DnsMode, Domain};
 use crate::simnet::{
     scenarios, Delivery, FaultPlan, FaultedChannel, FaultedServer, Link, LinkStats, RibEvent,
@@ -57,11 +57,12 @@ pub struct ChaosConfig {
     pub quic_sample: usize,
     /// Client pairs in the §4 CONNECT-UDP session storm.
     pub storm_clients: u32,
-    /// When set, the ECS scans, Atlas campaigns, and open-DNS relay series
-    /// run on the sharded discrete-event engine with this configuration;
-    /// `None` (the default) is the legacy serial path, byte-for-byte.
-    /// Engine runs are worker-invariant: the same seed produces the same
-    /// [`ChaosRun`] for every `workers` value.
+    /// The engine geometry of the ECS scans, Atlas campaigns and open-DNS
+    /// relay series, each with one fault channel per shard, and of the §4
+    /// storm. `None` (the default) runs those stages on one shard and one
+    /// worker, served by the run's main fault channel, and the storm
+    /// serially. Engine runs are worker-invariant: the same seed produces
+    /// the same [`ChaosRun`] for every `workers` value.
     pub engine: Option<EngineConfig>,
 }
 
@@ -188,28 +189,38 @@ fn sum_scan_counters(metrics: &mut ChaosMetrics, report: &EcsScanReport) {
     metrics.table1_totals.push(report.total());
 }
 
-/// The engine-stage server list: one faulted wrapper per shard, or the
-/// bare auth when no faults are active (golden engine runs). The engine
-/// indexes it `shard % len`, so with one wrapper per shard each shard
-/// talks to its own channel and never contends on a ledger lock.
-fn engine_servers<'a>(
+/// One stage's faulted wrappers around `inner` on `link`, one per stage
+/// channel (none on golden runs).
+fn stage_wraps<'a>(
+    channels: &[&'a FaultedChannel],
+    link: Link,
+    inner: &'a dyn NameServer,
+) -> Vec<FaultedServer<'a>> {
+    channels
+        .iter()
+        .map(|c| FaultedServer::new(c, link, inner))
+        .collect()
+}
+
+/// A stage's server list: its faulted wrappers, or the bare server when
+/// the run injects no faults (golden runs). The engine indexes it
+/// `shard % len`, so with one wrapper per shard each shard talks to its
+/// own channel and never contends on a ledger lock.
+fn stage_servers<'a>(
     wraps: &'a [FaultedServer<'a>],
-    fallback: &'a (dyn NameServer + Sync),
-) -> Vec<&'a (dyn NameServer + Sync)> {
+    bare: &'a dyn NameServer,
+) -> Vec<&'a dyn NameServer> {
     if wraps.is_empty() {
-        vec![fallback]
+        vec![bare]
     } else {
-        wraps
-            .iter()
-            .map(|w| w as &(dyn NameServer + Sync))
-            .collect()
+        wraps.iter().map(|w| w as &dyn NameServer).collect()
     }
 }
 
 /// Routes §4 storm datagrams through the scenario's fault channels:
 /// engine runs carry one channel per shard (each storm shard only ever
-/// calls its own index, keeping the RNG streams worker-invariant), serial
-/// runs share the main channel.
+/// calls its own index, keeping the RNG streams worker-invariant), the
+/// serial storm shares the main channel.
 struct MasqueWire<'a> {
     channels: Vec<&'a FaultedChannel>,
 }
@@ -256,8 +267,9 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
     // One extra fault channel per engine shard: each shard's RNG stream
     // must depend only on (seed, shard index) — never on worker
     // interleaving — so engine runs are worker-invariant, and shards never
-    // share a channel lock. The main `channel` keeps serving the serial
-    // stages (control survey, QUIC, BGP feed).
+    // share a channel lock. The main `channel` serves the single-channel
+    // stages (control survey, QUIC, BGP feed), and every stage when the
+    // run has no engine.
     let shard_channels: Vec<FaultedChannel> = match (plan, config.engine.as_ref()) {
         (Some(p), Some(e)) => (0..e.shards.max(1))
             .map(|s| {
@@ -267,6 +279,17 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
             .collect(),
         _ => Vec::new(),
     };
+    // The channels the engine stages and the storm talk through: one per
+    // shard, else the main channel (one shard), else none (golden runs).
+    let stage_channels: Vec<&FaultedChannel> = if shard_channels.is_empty() {
+        channel.iter().collect()
+    } else {
+        shard_channels.iter().collect()
+    };
+    let engine = config
+        .engine
+        .clone()
+        .unwrap_or_else(|| EngineConfig::new(1, 1));
     let mut deployment = Deployment::build(seed, DeploymentConfig::scaled(config.scale));
     let auth = deployment.auth_server_unlimited();
     let scanner = EcsScanner::default();
@@ -312,29 +335,16 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
     };
 
     // ----- Table 1: ECS scans (January baseline + April default/fallback).
-    let scan_wrap = channel
-        .as_ref()
-        .map(|c| FaultedServer::new(c, Link::ScanAuth, &auth));
-    let scan_auth: &dyn NameServer = match &scan_wrap {
-        Some(wrapped) => wrapped,
-        None => &auth,
-    };
-    let scan_shards: Vec<FaultedServer<'_>> = shard_channels
-        .iter()
-        .map(|c| FaultedServer::new(c, Link::ScanAuth, &auth))
-        .collect();
-    let scan = |domain: Domain, epoch: Epoch| match config.engine.as_ref() {
-        None => {
-            let mut clock = SimClock::new(epoch.start());
-            scanner.scan(domain.name(), scan_auth, &deployment.rib, &mut clock)
-        }
-        Some(e) => scanner.scan_engine_sharded(
+    let scan_wraps = stage_wraps(&stage_channels, Link::ScanAuth, &auth);
+    let scan_servers = stage_servers(&scan_wraps, &auth);
+    let scan = |domain: Domain, epoch: Epoch| {
+        scanner.scan_engine_sharded(
             domain.name(),
-            &engine_servers(&scan_shards, &auth),
+            &scan_servers,
             &deployment.rib,
             epoch.start(),
-            e,
-        ),
+            &engine,
+        )
     };
     let jan = scan(Domain::MaskQuic, Epoch::Jan2022);
     let april = scan(Domain::MaskQuic, Epoch::Apr2022);
@@ -366,29 +376,17 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
         &PopulationConfig::paper().with_probes(config.probes),
         99,
     );
-    let atlas_wrap = channel
-        .as_ref()
-        .map(|c| FaultedServer::new(c, Link::AtlasAuth, &auth));
-    let atlas_auth: &dyn NameServer = match &atlas_wrap {
-        Some(wrapped) => wrapped,
-        None => &auth,
-    };
-    let atlas_shards: Vec<FaultedServer<'_>> = shard_channels
-        .iter()
-        .map(|c| FaultedServer::new(c, Link::AtlasAuth, &auth))
-        .collect();
-    let mask_campaign = |qtype: QType, seed: u64| match config.engine.as_ref() {
-        None => {
-            atlas.run_mask_campaign_with(atlas_auth, Domain::MaskQuic, qtype, Epoch::Apr2022, seed)
-        }
-        Some(e) => atlas.run_mask_campaign_engine(
-            &engine_servers(&atlas_shards, &auth),
+    let atlas_wraps = stage_wraps(&stage_channels, Link::AtlasAuth, &auth);
+    let atlas_servers = stage_servers(&atlas_wraps, &auth);
+    let mask_campaign = |qtype: QType, seed: u64| {
+        atlas.run_mask_campaign_engine(
+            &atlas_servers,
             Domain::MaskQuic,
             qtype,
             Epoch::Apr2022,
             seed,
-            e,
-        ),
+            &engine,
+        )
     };
     let a_results = mask_campaign(QType::A, 1);
     let atlas_a_stats = {
@@ -455,13 +453,8 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
         .unwrap_or(Ipv4Addr::new(17, 0, 0, 1));
     let fixed_device =
         deployment.vantage_device(CountryCode::DE, DnsMode::Fixed(forced), vantage_ops);
-    let relay_wrap = channel
-        .as_ref()
-        .map(|c| FaultedServer::new(c, Link::RelayDns, &auth));
-    let relay_auth: &dyn NameServer = match &relay_wrap {
-        Some(wrapped) => wrapped,
-        None => &auth,
-    };
+    let relay_wraps = stage_wraps(&stage_channels, Link::RelayDns, &auth);
+    let relay_servers = stage_servers(&relay_wraps, &auth);
     let start = Epoch::May2022.start();
     let operator_schedule = RelayScanConfig {
         interval: SimDuration::from_mins(5),
@@ -471,38 +464,27 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
         interval: SimDuration::from_secs(30),
         duration: SimDuration::from_hours(2),
     };
-    let relay_shards: Vec<FaultedServer<'_>> = shard_channels
-        .iter()
-        .map(|c| FaultedServer::new(c, Link::RelayDns, &auth))
-        .collect();
-    // Engine runs assign connection ids per round: the open device's
-    // counter stays untouched, so the rotation series continues at the id
-    // a failure-free operator series would have reached (two per round) —
-    // matching the legacy counter exactly on fault-free runs.
-    let open = match config.engine.as_ref() {
-        None => RelayScanSeries::run(&open_device, relay_auth, &operator_schedule, start),
-        Some(e) => RelayScanSeries::run_engine(
-            &open_device,
-            &engine_servers(&relay_shards, &auth),
-            &operator_schedule,
-            start,
-            0,
-            e,
-        ),
-    };
+    // Connection ids are assigned per round: the rotation series starts
+    // after the operator series' two ids per round, whether or not any of
+    // its rounds failed.
+    let open = RelayScanSeries::run_engine(
+        &open_device,
+        &relay_servers,
+        &operator_schedule,
+        start,
+        0,
+        &engine,
+    );
     let fixed = RelayScanSeries::run(&fixed_device, &auth, &operator_schedule, start);
     artifacts.push_str(&report::render_fig3(&open, &fixed));
-    let rotation_series = match config.engine.as_ref() {
-        None => RelayScanSeries::run(&open_device, relay_auth, &rotation_schedule, start),
-        Some(e) => RelayScanSeries::run_engine(
-            &open_device,
-            &engine_servers(&relay_shards, &auth),
-            &rotation_schedule,
-            start,
-            2 * operator_schedule.rounds(),
-            e,
-        ),
-    };
+    let rotation_series = RelayScanSeries::run_engine(
+        &open_device,
+        &relay_servers,
+        &rotation_schedule,
+        start,
+        2 * operator_schedule.rounds(),
+        &engine,
+    );
     let rotation = RotationReport::from_series(&rotation_series);
     artifacts.push_str(&report::render_rotation(&rotation));
     metrics.relay_failures = open.failures + rotation_series.failures;
@@ -537,25 +519,16 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
     if let Some(e) = config.engine.as_ref() {
         storm_cfg.shards = e.shards.max(1);
     }
-    let storm_wire = channel.as_ref().map(|c| MasqueWire {
-        channels: if shard_channels.is_empty() {
-            vec![c]
-        } else {
-            shard_channels.iter().collect()
-        },
+    let storm_wire = (!stage_channels.is_empty()).then_some(MasqueWire {
+        channels: stage_channels,
     });
-    let storm = match (storm_wire.as_ref(), config.engine.as_ref()) {
-        (Some(wire), Some(e)) => masque_load::run_engine(&deployment, &storm_cfg, wire, e.workers),
-        (Some(wire), None) => masque_load::run_serial(&deployment, &storm_cfg, wire),
-        (None, Some(e)) => masque_load::run_engine(
-            &deployment,
-            &storm_cfg,
-            &masque_load::PerfectChannel,
-            e.workers,
-        ),
-        (None, None) => {
-            masque_load::run_serial(&deployment, &storm_cfg, &masque_load::PerfectChannel)
-        }
+    let storm_channel: &dyn masque_load::DatagramChannel = match &storm_wire {
+        Some(wire) => wire,
+        None => &masque_load::PerfectChannel,
+    };
+    let storm = match config.engine.as_ref() {
+        Some(e) => masque_load::run_engine(&deployment, &storm_cfg, storm_channel, e.workers),
+        None => masque_load::run_serial(&deployment, &storm_cfg, storm_channel),
     };
     for line in storm.render() {
         artifacts.push_str(&line);

@@ -10,7 +10,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tectonic::chaos::{check_invariants, run_pipeline, ChaosConfig, ChaosRun};
-use tectonic::simnet::scenarios;
+use tectonic::core::relay_scan::{RelayScanConfig, RelayScanSeries};
+use tectonic::geo::CountryCode;
+use tectonic::net::{Asn, Epoch};
+use tectonic::relay::{Deployment, DeploymentConfig, DnsMode};
+use tectonic::simnet::{scenarios, FaultedChannel, FaultedServer, Link};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 
@@ -96,6 +100,49 @@ fn scenario_relay_session_storm() {
 #[test]
 fn scenario_kitchen_sink() {
     run_scenario("kitchen-sink");
+}
+
+/// A dropped relay-DNS reply costs its own round and nothing else: every
+/// round that survives the faults logs exactly what the fault-free series
+/// logged at the same instant, because each round's connection ids are
+/// fixed by its index, not by how many earlier rounds succeeded.
+#[test]
+fn faulted_relay_series_only_loses_rounds() {
+    let seed = 1;
+    let deployment = Deployment::build(seed, DeploymentConfig::scaled(4096));
+    let auth = deployment.auth_server_unlimited();
+    let device = || {
+        deployment.vantage_device(
+            CountryCode::DE,
+            DnsMode::Open,
+            vec![Asn::CLOUDFLARE, Asn::AKAMAI_PR],
+        )
+    };
+    let config = RelayScanConfig::rotation_series();
+    let start = Epoch::May2022.start();
+    let golden = RelayScanSeries::run(&device(), &auth, &config, start);
+    assert_eq!(golden.failures, 0);
+    let by_time: HashMap<u64, _> = golden.rounds.iter().map(|r| (r.relative_secs, r)).collect();
+    for name in ["ingress-blackhole", "kitchen-sink"] {
+        let plan = scenarios::by_name(name).expect("scenario registered");
+        let channel = FaultedChannel::new(plan, seed);
+        let faulted_auth = FaultedServer::new(&channel, Link::RelayDns, &auth);
+        let faulted = RelayScanSeries::run(&device(), &faulted_auth, &config, start);
+        assert!(faulted.failures > 0, "{name}: no relay round failed");
+        assert_eq!(
+            faulted.rounds.len() as u64 + faulted.failures,
+            config.rounds(),
+            "{name}"
+        );
+        for round in &faulted.rounds {
+            assert_eq!(
+                Some(&round),
+                by_time.get(&round.relative_secs),
+                "{name}: round at {} s differs from the fault-free series",
+                round.relative_secs
+            );
+        }
+    }
 }
 
 /// Same seed + same plan ⇒ byte-identical artifacts and equal metrics.

@@ -1,9 +1,10 @@
 //! The engine's hard invariant, end to end: the sharded discrete-event
-//! scan engine must be unobservable in every pipeline output. A golden
-//! (fault-free) chaos run through the engine reproduces the legacy serial
-//! run's artifacts and metrics byte-for-byte, and any engine run — golden
-//! or kitchen-sink faulted — produces the same `ChaosRun` for every
-//! worker count.
+//! scan engine's geometry must be unobservable in every pipeline output. A
+//! golden (fault-free) chaos run on eight shards reproduces the artifacts
+//! and metrics of the `engine: None` run (every measurement on one shard,
+//! the storm serial) byte-for-byte, and any engine run — golden or
+//! kitchen-sink faulted — produces the same `ChaosRun` for every worker
+//! count.
 //!
 //! Unit-level equivalence (per-report field equality, per-stage shard
 //! alignment) lives next to each stage; this file is the integration
