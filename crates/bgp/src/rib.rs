@@ -22,8 +22,10 @@ pub struct RouteEntry {
 /// The routes live in one [`PrefixTable`]: a sorted map while the table
 /// loads, compiled into a [`FrozenLpm`] by [`freeze`](Rib::freeze). Later
 /// [`announce`](Rib::announce) / [`withdraw`](Rib::withdraw) churn lands in
-/// the table's delta overlay and is folded into the compiled arrays in
-/// O(affected subtree) per burst, never O(table).
+/// the table's delta overlay. Reads skip the overlay outside the root
+/// chunks it touches. Once enough patches pend, a fold merges them into
+/// the compiled arrays: linear in the table's key list, with only the
+/// dirty subtrees recompiled.
 #[derive(Debug, Default)]
 pub struct Rib {
     routes: PrefixTable<RouteEntry>,
@@ -62,8 +64,9 @@ impl Rib {
         self.routes.pending_patches()
     }
 
-    /// Arena slots that the next full rebuild of the frozen table will
-    /// reclaim. Diagnostics/test hook.
+    /// Superseded value slots that the next full rebuild of the frozen
+    /// table will reclaim; the node and entry segments that folds leave
+    /// behind are not counted. Diagnostics/test hook.
     pub fn garbage(&self) -> usize {
         self.routes.garbage()
     }

@@ -14,9 +14,11 @@
 //! * [`lpm`] — [`FrozenLpm`], the compiled, immutable flat-layout
 //!   longest-prefix-match table the steady-state lookup paths run on,
 //! * [`overlay`] — [`DeltaOverlay`], a bounded patch layer that absorbs
-//!   announce/withdraw churn over a frozen table (with subtree re-freeze
-//!   and copy-on-write epoch snapshots) so updates cost O(affected
-//!   subtree), not O(table),
+//!   announce/withdraw churn over a frozen table, so an update is one
+//!   sorted insert into a few thousand patches instead of a rebuild.
+//!   Reads outside the root chunks a patch touches skip it entirely; a
+//!   fold merges the patches back in linear time per family and
+//!   recompiles only the dirty subtrees,
 //! * [`table`] — [`PrefixTable`], the one-store owner type behind the BGP
 //!   RIB and the geolocation tables: a sorted map while loading, a
 //!   [`FrozenLpm`] plus [`DeltaOverlay`] once frozen,

@@ -24,7 +24,8 @@
 //! [`DeltaOverlay`](crate::overlay::DeltaOverlay) of exact-prefix patches on
 //! top of a frozen base, and
 //! [`refreeze_subtree`](FrozenLpm::refreeze_subtree) folds the patches back
-//! in by rebuilding only the affected root-stride subtrees. The arenas sit
+//! in: it re-merges the sorted key lists and rebuilds only the affected
+//! root-stride subtrees of the compiled arrays. The arenas sit
 //! behind one shared [`Arc`], so [`snapshot`](FrozenLpm::snapshot) hands out
 //! copy-on-write epoch views: k historical snapshots share one arena until
 //! a later compaction actually diverges from them.
@@ -340,7 +341,9 @@ impl<V> FrozenLpm<V> {
     }
 
     /// Unreachable value-arena slots left behind by subtree compactions —
-    /// the owner's signal that a full rebuild would pay for itself.
+    /// the owner's signal that a full rebuild would pay for itself. Counts
+    /// value slots only: the node and entry segments of replaced subtrees
+    /// are garbage too, and are not counted.
     pub fn garbage(&self) -> usize {
         self.core.values.len().saturating_sub(self.len())
     }

@@ -1,32 +1,42 @@
 //! Delta overlay and partial re-freeze for [`FrozenLpm`].
 //!
 //! A [`DeltaOverlay`] absorbs announce/withdraw churn as exact-prefix
-//! patches layered *over* a frozen base table, so a mutation costs
-//! O(log patches) instead of an O(table) rebuild. Every combined query is
-//! result-identical to freezing `base ∪ announces ∖ withdraws` from
-//! scratch (property-tested in `tests/prop_prefix_trie.rs`):
+//! patches layered *over* a frozen base, so a mutation is one sorted
+//! insert into at most a few thousand patches instead of an O(table)
+//! rebuild. Every combined query is result-identical to freezing
+//! `base ∪ announces ∖ withdraws` from scratch (property-tested in
+//! `tests/prop_prefix_trie.rs`):
 //!
-//! - An **announce** lands in a side [`PrefixTrie`] (and, if it shadows a
-//!   base prefix, simply wins the length tie — exactly what a re-insert
-//!   into the source trie would do).
-//! - A **withdraw** of a base prefix becomes a *tombstone*: the frozen walk
-//!   still finds the prefix, so the combined lookup must reject it and fall
-//!   back to the next-best surviving covering prefix via
-//!   [`FrozenLpm::longest_match_where`]. Withdrawing an overlay-only
-//!   announce just removes the patch.
+//! - Every patch lives in one vector sorted by `(family, bits, len)`. An
+//!   **announce** stores its value there (and, if it shadows a base prefix,
+//!   simply wins the length tie — exactly what a re-insert into the source
+//!   table would do).
+//! - A **withdraw** of a base prefix becomes a *tombstone*, a patch without
+//!   a value: the frozen walk still finds the prefix, so the combined
+//!   lookup must reject it and fall back to the next-best surviving
+//!   covering prefix via [`FrozenLpm::longest_match_where`]. Withdrawing an
+//!   overlay-only announce just removes the patch.
+//! - A **dirty-chunk index** keeps one bit per 16-bit root chunk per
+//!   family, set for every chunk a patch touches (a patch shorter than /16
+//!   marks its whole chunk range). A read whose address falls in a clean
+//!   chunk is answered by the base alone. A read in a dirty chunk pays one
+//!   binary search to the chunk's run of patches and a scan of that run;
+//!   only when the run holds no covering patch does it also probe once per
+//!   patch length shorter than /16.
 //!
 //! Steady-state combined lookups are allocation-free, and when the overlay
 //! is empty every query is a single delegated call to the base — which is
 //! how the overlay keeps the ≤ 10% lookup-regression budget.
 //!
 //! Once the overlay crosses [`DeltaOverlay::should_compact`],
-//! [`FrozenLpm::refreeze_subtree`] folds the patches into the base by
-//! rebuilding only the root-stride subtrees the dirty prefixes fall under:
+//! [`FrozenLpm::refreeze_subtree`] folds the patches into the base. The
+//! fold re-merges each patched family's whole sorted key list, then
+//! rebuilds only the root-stride subtrees the dirty prefixes fall under:
 //! fresh node/entry segments are appended to the arenas and spliced in
 //! through the existing `u32`-index indirection, leaving the untouched
 //! subtrees (the overwhelming majority under realistic churn) exactly where
-//! they were. Superseded value slots become garbage the owner can observe
-//! via [`FrozenLpm::garbage`] and amortise away with a full rebuild.
+//! they were. The superseded segments and value slots stay behind as
+//! garbage; [`FrozenLpm::garbage`] counts only the value slots.
 
 #![cfg_attr(
     not(test),
@@ -42,21 +52,28 @@
 use std::net::IpAddr;
 
 use crate::lpm::{
-    arena_idx, build_node, chunk_of, distinct_lens, net_bits, BatchScratch, FrozenLpm, KeyRec, NONE,
+    addr_bits, arena_idx, build_node, chunk_of, distinct_lens, mask_bits, net_bits, BatchScratch,
+    FrozenLpm, KeyRec, NONE,
 };
 use crate::prefix::IpNet;
-use crate::trie::PrefixTrie;
 
 /// One pending mutation against the frozen base, in the compiled key
-/// space: `bits` left-aligned as in [`KeyRec`], `tomb` marking a withdraw
-/// of a base prefix.
-#[derive(Debug, Clone, Copy)]
-struct Patch {
+/// space: `bits` left-aligned as in [`KeyRec`], `value` the announced
+/// value, or `None` for a tombstone (a withdraw of a base prefix).
+#[derive(Debug, Clone)]
+struct Patch<V> {
     v4: bool,
     bits: u128,
     len: u8,
-    tomb: bool,
     net: IpNet,
+    value: Option<V>,
+}
+
+impl<V> Patch<V> {
+    /// The announced `(prefix, value)`, or `None` for a tombstone.
+    fn live(&self) -> Option<(IpNet, &V)> {
+        self.value.as_ref().map(|v| (self.net, v))
+    }
 }
 
 /// Hard patch-count ceiling: past this the overlay's own probe costs start
@@ -69,20 +86,34 @@ const MIN_COMPACT: usize = 64;
 /// Between the two bounds, compact once patches exceed 1/RATIO of the base.
 const COMPACT_RATIO: usize = 8;
 
+/// Width of a dirty-index chunk: the top 16 bits of an address.
+const CHUNK_LEN: u8 = 16;
+/// Shift that brings a left-aligned key's top [`CHUNK_LEN`] bits down.
+const CHUNK_SHIFT: u32 = 128 - CHUNK_LEN as u32;
+/// Words of the dirty-chunk index per family (8 KiB each).
+const CHUNK_WORDS: usize = (1 << CHUNK_LEN) / 64;
+
 /// A bounded set of exact-prefix patches (announces + withdraw tombstones)
 /// consulted after the frozen walk. See the [module docs](self) for the
 /// combine semantics; see [`FrozenLpm::refreeze_subtree`] for how the
 /// patches are eventually folded back into the base.
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay<V> {
-    /// Announced (or re-announced) prefixes with their current values.
-    inserts: PrefixTrie<V>,
-    /// All patches — inserts and tombstones — sorted by `(v4, bits, len)`
-    /// so membership and subtree-range scans are binary searches.
-    patches: Vec<Patch>,
-    /// Number of tombstones in `patches`; the combined lookup only takes
-    /// the fallback slow path when this is non-zero.
+    /// All patches — announces and tombstones — sorted by
+    /// `(v4, bits, len)`, so membership and chunk-run scans are binary
+    /// searches.
+    patches: Vec<Patch<V>>,
+    /// Number of tombstones in `patches`; reads test a base match against
+    /// them only when this is non-zero.
     tombs: usize,
+    /// One bit per root chunk, IPv6 chunks first, then IPv4: set for every
+    /// chunk a patch recorded since the last [`clear`](DeltaOverlay::clear)
+    /// touches. Empty until the first patch.
+    dirty: Vec<u64>,
+    /// Bit `l` is set when a patch of length `l` < [`CHUNK_LEN`] was
+    /// recorded in that family since the last clear.
+    short_v4: u16,
+    short_v6: u16,
 }
 
 impl<V> Default for DeltaOverlay<V> {
@@ -96,9 +127,11 @@ impl<V> DeltaOverlay<V> {
     /// base.
     pub fn new() -> DeltaOverlay<V> {
         DeltaOverlay {
-            inserts: PrefixTrie::new(),
             patches: Vec::new(),
             tombs: 0,
+            dirty: Vec::new(),
+            short_v4: 0,
+            short_v6: 0,
         }
     }
 
@@ -120,8 +153,10 @@ impl<V> DeltaOverlay<V> {
     /// Drops all pending patches (after they have been folded into the
     /// base, or when the base itself is rebuilt from source).
     pub fn clear(&mut self) {
-        self.inserts = PrefixTrie::new();
         self.patches.clear();
+        self.dirty.fill(0);
+        self.short_v4 = 0;
+        self.short_v6 = 0;
         self.tombs = 0;
     }
 
@@ -136,7 +171,64 @@ impl<V> DeltaOverlay<V> {
 
     /// Position of `(v4, bits, len)` in the sorted patch list.
     fn patch_pos(&self, v4: bool, bits: u128, len: u8) -> Result<usize, usize> {
-        patch_search(&self.patches, v4, bits, len)
+        self.patches
+            .binary_search_by(|p| (p.v4, p.bits, p.len).cmp(&(v4, bits, len)))
+    }
+
+    /// The patch for exactly `(v4, bits, len)`, if one is pending.
+    fn find_patch(&self, v4: bool, bits: u128, len: u8) -> Option<&Patch<V>> {
+        self.patch_pos(v4, bits, len)
+            .ok()
+            .and_then(|at| self.patches.get(at))
+    }
+
+    /// One family's patches: IPv6 sorts first (`v4 = false`).
+    fn family_patches(&self, v4: bool) -> &[Patch<V>] {
+        let split = self.patches.partition_point(|p| !p.v4);
+        let range = if v4 {
+            self.patches.get(split..)
+        } else {
+            self.patches.get(..split)
+        };
+        range.unwrap_or_default()
+    }
+
+    /// Whether a patch may touch the root chunk of left-aligned `bits`.
+    #[inline]
+    fn is_dirty(&self, v4: bool, bits: u128) -> bool {
+        let bit = dirty_bit(v4, chunk_of(bits, CHUNK_SHIFT, CHUNK_LEN));
+        self.dirty
+            .get(bit / 64)
+            .is_some_and(|w| (w >> (bit % 64)) & 1 != 0)
+    }
+
+    /// Inserts `patch` at its sorted position `at` and marks every root
+    /// chunk it spans dirty.
+    fn insert_patch(&mut self, at: usize, patch: Patch<V>) {
+        if self.dirty.is_empty() {
+            self.dirty = vec![0; 2 * CHUNK_WORDS];
+        }
+        let first = dirty_bit(patch.v4, chunk_of(patch.bits, CHUNK_SHIFT, CHUNK_LEN));
+        // A prefix shorter than a chunk spans 2^(CHUNK_LEN - len) chunks,
+        // aligned to that count: whole words from 64 chunks up, else a run
+        // of bits inside one word.
+        let span = 1usize << CHUNK_LEN.saturating_sub(patch.len);
+        if span >= 64 {
+            for w in self.dirty.iter_mut().skip(first / 64).take(span / 64) {
+                *w = u64::MAX;
+            }
+        } else if let Some(w) = self.dirty.get_mut(first / 64) {
+            *w |= (1u64 << span).wrapping_sub(1) << (first % 64);
+        }
+        if patch.len < CHUNK_LEN {
+            let short = if patch.v4 {
+                &mut self.short_v4
+            } else {
+                &mut self.short_v6
+            };
+            *short |= 1u16 << patch.len;
+        }
+        self.patches.insert(at, patch);
     }
 
     /// Records an announce: the prefix now maps to `value` in the combined
@@ -144,24 +236,23 @@ impl<V> DeltaOverlay<V> {
     /// in the base (length ties resolve to the overlay).
     pub fn announce(&mut self, net: IpNet, value: V) {
         let (bits, len, v4) = net_bits(&net);
-        self.inserts.insert(net, value);
         match self.patch_pos(v4, bits, len) {
             Ok(at) => {
                 if let Some(p) = self.patches.get_mut(at) {
-                    if p.tomb {
+                    if p.value.is_none() {
                         self.tombs = self.tombs.saturating_sub(1);
                     }
-                    p.tomb = false;
+                    p.value = Some(value);
                 }
             }
-            Err(at) => self.patches.insert(
+            Err(at) => self.insert_patch(
                 at,
                 Patch {
                     v4,
                     bits,
                     len,
-                    tomb: false,
                     net,
+                    value: Some(value),
                 },
             ),
         }
@@ -172,59 +263,94 @@ impl<V> DeltaOverlay<V> {
     /// next compaction); an overlay-only announce is simply removed.
     /// Returns the overlay value that was dropped, if any.
     pub fn withdraw(&mut self, net: &IpNet, base: &FrozenLpm<V>) -> Option<V> {
+        self.withdraw_probed(net, base.contains(net)).flatten()
+    }
+
+    /// [`withdraw`](DeltaOverlay::withdraw) for a caller that has already
+    /// probed the base: `in_base` tells whether the base stores `net`.
+    /// Returns `None` when no patch for `net` was pending, else the value
+    /// the patch held (`None` for a tombstone).
+    pub(crate) fn withdraw_probed(&mut self, net: &IpNet, in_base: bool) -> Option<Option<V>> {
         let (bits, len, v4) = net_bits(net);
-        let prev = self.inserts.remove(net);
-        if base.contains(net) {
-            match self.patch_pos(v4, bits, len) {
-                Ok(at) => {
-                    if let Some(p) = self.patches.get_mut(at) {
-                        if !p.tomb {
-                            self.tombs = self.tombs.saturating_add(1);
-                        }
-                        p.tomb = true;
-                    }
+        match self.patch_pos(v4, bits, len) {
+            Ok(at) if in_base => {
+                let p = self.patches.get_mut(at)?;
+                let held = p.value.take();
+                if held.is_some() {
+                    self.tombs = self.tombs.saturating_add(1);
                 }
-                Err(at) => {
-                    self.patches.insert(
+                Some(held)
+            }
+            Ok(at) => Some(self.patches.remove(at).value),
+            Err(at) => {
+                if in_base {
+                    self.insert_patch(
                         at,
                         Patch {
                             v4,
                             bits,
                             len,
-                            tomb: true,
                             net: *net,
+                            value: None,
                         },
                     );
                     self.tombs = self.tombs.saturating_add(1);
                 }
+                None
             }
-        } else if let Ok(at) = self.patch_pos(v4, bits, len) {
-            self.patches.remove(at);
         }
-        prev
     }
 
-    /// Whether the exact prefix is tombstoned (withdrawn from the base and
-    /// not re-announced since).
-    fn tombstoned_key(&self, v4: bool, bits: u128, len: u8) -> bool {
-        matches!(
-            self.patch_pos(v4, bits, len)
-                .ok()
-                .and_then(|at| self.patches.get(at)),
-            Some(p) if p.tomb
-        )
-    }
-
-    /// Whether `net` is currently tombstoned in this overlay.
+    /// Whether `net` is currently tombstoned in this overlay (withdrawn
+    /// from the base and not re-announced since).
     pub fn is_tombstoned(&self, net: &IpNet) -> bool {
+        if self.tombs == 0 {
+            return false;
+        }
         let (bits, len, v4) = net_bits(net);
-        self.tombstoned_key(v4, bits, len)
+        self.is_dirty(v4, bits)
+            && matches!(self.find_patch(v4, bits, len), Some(p) if p.value.is_none())
     }
 
     /// The announced (or re-announced) patches, IPv4 first, each family in
-    /// ascending `(address, length)` order.
+    /// ascending `(address, length)` order — `IpNet`'s order, although the
+    /// patch list itself sorts IPv6 first.
     pub(crate) fn announced(&self) -> impl Iterator<Item = (IpNet, &V)> {
-        self.inserts.iter()
+        self.family_patches(true)
+            .iter()
+            .chain(self.family_patches(false))
+            .filter_map(Patch::live)
+    }
+
+    /// The most specific announced patch of family `v4` covering `bits`
+    /// at no more than `max` bits.
+    ///
+    /// A covering patch of at least [`CHUNK_LEN`] bits starts in the root
+    /// chunk of `bits` and sorts at or before `(bits, max)`, so one binary
+    /// search finds the end of its run and the scan walks back to the
+    /// chunk's start. Covering prefixes nest, so the first live one met is
+    /// the longest. Only when the run has none can a shorter patch win;
+    /// those are probed once per length recorded in the family.
+    fn patch_match(&self, v4: bool, bits: u128, max: u8) -> Option<(IpNet, &V)> {
+        let lo = mask_bits(bits, CHUNK_LEN);
+        let end = self
+            .patches
+            .partition_point(|p| (p.v4, p.bits, p.len) <= (v4, bits, max));
+        let short = if v4 { self.short_v4 } else { self.short_v6 };
+        self.patches
+            .get(..end)
+            .unwrap_or_default()
+            .iter()
+            .rev()
+            .take_while(|p| p.v4 == v4 && p.bits >= lo)
+            .filter(|p| p.len <= max && mask_bits(bits, p.len) == p.bits)
+            .find_map(Patch::live)
+            .or_else(|| {
+                (0..CHUNK_LEN)
+                    .rev()
+                    .filter(|&l| l <= max && (short >> l) & 1 != 0)
+                    .find_map(|l| self.find_patch(v4, mask_bits(bits, l), l)?.live())
+            })
     }
 
     /// Picks the combined winner of an overlay match and a base match:
@@ -247,13 +373,28 @@ impl<V> DeltaOverlay<V> {
         }
     }
 
-    /// The base's best surviving (non-tombstoned) match for `addr`. Only
-    /// takes the filtered slow path when tombstones exist at all.
-    fn base_match<'a>(&self, base: &'a FrozenLpm<V>, addr: IpAddr) -> Option<(IpNet, &'a V)> {
-        if self.tombs == 0 {
-            return base.longest_match(addr);
+    /// Combines the base's raw longest match `bm` for `addr` with the
+    /// patches. Clean chunk: `bm` stands. Dirty chunk: a tombstoned `bm`
+    /// falls back to the base's best surviving match, which then competes
+    /// with the best announced patch.
+    #[inline]
+    fn combine<'a>(
+        &'a self,
+        base: &'a FrozenLpm<V>,
+        addr: IpAddr,
+        bm: Option<(IpNet, &'a V)>,
+    ) -> Option<(IpNet, &'a V)> {
+        let (bits, v4) = addr_bits(&addr);
+        if !self.is_dirty(v4, bits) {
+            return bm;
         }
-        base.longest_match_where(addr, |n| !self.is_tombstoned(n))
+        let bm = match bm {
+            Some((n, _)) if self.is_tombstoned(&n) => {
+                base.longest_match_where(addr, |n| !self.is_tombstoned(n))
+            }
+            other => other,
+        };
+        Self::better(self.patch_match(v4, bits, if v4 { 32 } else { 128 }), bm)
     }
 
     /// Combined longest-prefix match — identical to freezing the patched
@@ -263,13 +404,7 @@ impl<V> DeltaOverlay<V> {
         base: &'a FrozenLpm<V>,
         addr: IpAddr,
     ) -> Option<(IpNet, &'a V)> {
-        if self.patches.is_empty() {
-            return base.longest_match(addr);
-        }
-        Self::better(
-            self.inserts.longest_match(addr),
-            self.base_match(base, addr),
-        )
+        self.combine(base, addr, base.longest_match(addr))
     }
 
     /// Alias for [`longest_match`](DeltaOverlay::longest_match), matching
@@ -282,16 +417,14 @@ impl<V> DeltaOverlay<V> {
     /// Combined exact-prefix lookup — identical to
     /// [`FrozenLpm::exact`] on the patched table.
     pub fn exact<'a>(&'a self, base: &'a FrozenLpm<V>, net: &IpNet) -> Option<&'a V> {
-        if self.patches.is_empty() {
+        let (bits, len, v4) = net_bits(net);
+        if !self.is_dirty(v4, bits) {
             return base.exact(net);
         }
-        if let Some(v) = self.inserts.exact(net) {
-            return Some(v);
+        match self.find_patch(v4, bits, len) {
+            Some(p) => p.value.as_ref(),
+            None => base.exact(net),
         }
-        if self.is_tombstoned(net) {
-            return None;
-        }
-        base.exact(net)
     }
 
     /// Whether the exact prefix exists in the combined view.
@@ -300,33 +433,40 @@ impl<V> DeltaOverlay<V> {
     }
 
     /// Combined [`FrozenLpm::longest_match_net`]: the most specific
-    /// surviving prefix fully containing `net`.
+    /// surviving prefix fully containing `net`. Any patch containing `net`
+    /// marks the chunk of `net`'s first address.
     pub fn longest_match_net<'a>(
         &'a self,
         base: &'a FrozenLpm<V>,
         net: &IpNet,
     ) -> Option<(IpNet, &'a V)> {
-        if self.patches.is_empty() {
+        let (bits, len, v4) = net_bits(net);
+        if !self.is_dirty(v4, bits) {
             return base.longest_match_net(net);
         }
-        let bm = if self.tombs == 0 {
-            base.longest_match_net(net)
-        } else {
-            base.longest_match_net_where(net, |n| !self.is_tombstoned(n))
+        let bm = match base.longest_match_net(net) {
+            Some((n, _)) if self.is_tombstoned(&n) => {
+                base.longest_match_net_where(net, |n| !self.is_tombstoned(n))
+            }
+            other => other,
         };
-        Self::better(self.inserts.longest_match_net(net), bm)
+        Self::better(self.patch_match(v4, bits, len), bm)
     }
 
     /// Combined [`FrozenLpm::covering`]: all surviving prefixes containing
     /// `addr`, shortest first (merge of the base's filtered list and the
     /// overlay's; a prefix in both contributes the overlay value).
     pub fn covering<'a>(&'a self, base: &'a FrozenLpm<V>, addr: IpAddr) -> Vec<(IpNet, &'a V)> {
-        if self.patches.is_empty() {
+        let (bits, v4) = addr_bits(&addr);
+        if !self.is_dirty(v4, bits) {
             return base.covering(addr);
         }
         let mut from_base = base.covering(addr);
         from_base.retain(|(n, _)| !self.is_tombstoned(n));
-        let from_ov = self.inserts.covering(addr);
+        let width: u8 = if v4 { 32 } else { 128 };
+        let from_ov: Vec<(IpNet, &V)> = (0..=width)
+            .filter_map(|l| self.find_patch(v4, mask_bits(bits, l), l)?.live())
+            .collect();
         let mut out = Vec::with_capacity(from_base.len().saturating_add(from_ov.len()));
         let mut bi = from_base.iter().peekable();
         let mut oi = from_ov.iter().peekable();
@@ -388,10 +528,10 @@ impl<V> DeltaOverlay<V> {
 
     /// Combined batch lookup with an inline projection, the overlay
     /// counterpart of [`FrozenLpm::lookup_batch_map_in`]. The frozen batch
-    /// kernel drives the walk; each raw base match is combined with the
-    /// overlay's answer for the same address before `f` sees it. Relies on
-    /// the kernel's documented contract that the projection runs exactly
-    /// once per input address, in input order.
+    /// kernel drives the walk; each raw base match whose address falls in
+    /// a dirty chunk is combined with the patches before `f` sees it.
+    /// Relies on the kernel's documented contract that the projection runs
+    /// exactly once per input address, in input order.
     pub fn lookup_batch_map_in<'a, T>(
         &'a self,
         base: &'a FrozenLpm<V>,
@@ -406,36 +546,32 @@ impl<V> DeltaOverlay<V> {
         }
         let mut i: usize = 0;
         base.lookup_batch_map_in(scratch, addrs, out, |bm| {
-            let addr = addrs.get(i).copied();
-            i = i.saturating_add(1);
-            let combined = match addr {
-                Some(a) => {
-                    // Reject a tombstoned base winner (fall back through the
-                    // filtered probe), then merge with the overlay's match.
-                    let bm = match bm {
-                        Some((n, _)) if self.tombs != 0 && self.is_tombstoned(&n) => {
-                            base.longest_match_where(a, |n| !self.is_tombstoned(n))
-                        }
-                        other => other,
-                    };
-                    Self::better(self.inserts.longest_match(a), bm)
-                }
+            let combined = match addrs.get(i) {
+                Some(a) => self.combine(base, *a, bm),
                 None => None,
             };
+            i = i.saturating_add(1);
             f(combined)
         });
     }
 }
 
-/// Binary search for `(v4, bits, len)` over the sorted patch list.
-fn patch_search(patches: &[Patch], v4: bool, bits: u128, len: u8) -> Result<usize, usize> {
-    patches.binary_search_by(|p| (p.v4, p.bits, p.len).cmp(&(v4, bits, len)))
+/// Bit of the dirty-chunk index for root `chunk` of family `v4`.
+#[inline]
+fn dirty_bit(v4: bool, chunk: usize) -> usize {
+    if v4 {
+        chunk | (1 << CHUNK_LEN)
+    } else {
+        chunk
+    }
 }
 
 impl<V: Clone> FrozenLpm<V> {
-    /// Folds a [`DeltaOverlay`] into this table by rebuilding only the
-    /// root-stride subtrees its patches fall under — O(affected subtree),
-    /// not O(table). The caller owns clearing the overlay afterwards (and,
+    /// Folds a [`DeltaOverlay`] into this table. Each patched family's
+    /// sorted key list is re-merged whole (and its distinct lengths
+    /// re-scanned), so a fold is linear in the family's size; the compiled
+    /// arrays are rebuilt only under the root-stride subtrees the patches
+    /// fall under. The caller owns clearing the overlay afterwards (and,
     /// per [`FrozenLpm::garbage`], deciding when accumulated superseded
     /// arena slots warrant a full rebuild).
     ///
@@ -458,18 +594,13 @@ impl<V: Clone> FrozenLpm<V> {
 }
 
 /// Rebuilds one address family of `core` under `delta`'s patches for that
-/// family. Merges the sorted key list with the sorted patches (dropping
-/// tombstones, appending fresh value slots for inserts), then patches the
-/// root node in place: in-node re-expansion only if a ≤ root-stride patch
-/// exists, and a fresh subtree build for each dirty root chunk, spliced in
-/// through the root's entry block.
+/// family. Merges the whole sorted key list with the sorted patches
+/// (dropping tombstones, appending fresh value slots for inserts), then
+/// patches the root node in place: in-node re-expansion only if a ≤
+/// root-stride patch exists, and a fresh subtree build for each dirty root
+/// chunk, spliced in through the root's entry block.
 fn refreeze_family<V: Clone>(core: &mut crate::lpm::Core<V>, delta: &DeltaOverlay<V>, v4: bool) {
-    let fam: Vec<Patch> = delta
-        .patches
-        .iter()
-        .filter(|p| p.v4 == v4)
-        .copied()
-        .collect();
+    let fam = delta.family_patches(v4);
     if fam.is_empty() {
         return;
     }
@@ -483,11 +614,8 @@ fn refreeze_family<V: Clone>(core: &mut crate::lpm::Core<V>, delta: &DeltaOverla
         &mut core.keys_v6
     });
     let mut merged: Vec<KeyRec> = Vec::with_capacity(old.len().saturating_add(fam.len()));
-    let push_patch = |p: &Patch, values: &mut Vec<(IpNet, V)>, merged: &mut Vec<KeyRec>| {
-        if p.tomb {
-            return;
-        }
-        if let Some(v) = delta.inserts.exact(&p.net) {
+    let push_patch = |p: &Patch<V>, values: &mut Vec<(IpNet, V)>, merged: &mut Vec<KeyRec>| {
+        if let Some(v) = &p.value {
             let idx = arena_idx(values.len());
             values.push((p.net, v.clone()));
             merged.push(KeyRec {
@@ -535,7 +663,7 @@ fn refreeze_family<V: Clone>(core: &mut crate::lpm::Core<V>, delta: &DeltaOverla
         // The family was empty at freeze time: build it fresh.
         build_node(&mut core.nodes, &mut core.entries, &merged, 0)
     } else {
-        patch_root(core, root, &merged, &fam);
+        patch_root(core, root, &merged, fam);
         root
     };
     if v4 {
@@ -555,7 +683,7 @@ fn patch_root<V: Clone>(
     core: &mut crate::lpm::Core<V>,
     root: u32,
     merged: &[KeyRec],
-    fam: &[Patch],
+    fam: &[Patch<V>],
 ) {
     let (off, stride) = match core.nodes.get(root as usize) {
         Some(n) => (n.entries_off as usize, n.stride),
@@ -636,6 +764,7 @@ fn patch_root<V: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trie::PrefixTrie;
 
     fn net(s: &str) -> IpNet {
         s.parse().unwrap()

@@ -13,9 +13,12 @@
 //! * **Frozen.** `freeze` moves the map into a [`FrozenLpm`]. Later
 //!   mutations land in a [`DeltaOverlay`], which the table folds back into
 //!   the compiled arrays once it crosses
-//!   [`should_compact`](DeltaOverlay::should_compact) (O(affected subtree),
-//!   see [`FrozenLpm::refreeze_subtree`]). A fold that leaves more garbage
-//!   arena slots than live prefixes triggers a full rebuild.
+//!   [`should_compact`](DeltaOverlay::should_compact). A fold re-merges
+//!   each patched family's whole key list and recompiles only the dirty
+//!   subtrees (see [`FrozenLpm::refreeze_subtree`]). A fold that leaves
+//!   more superseded value slots than live prefixes triggers a full
+//!   rebuild; the node and entry segments folds leave behind are not
+//!   counted.
 //!
 //! Every read answers identically in both states and at every point of the
 //! fold/rebuild cycle, and [`iter`](PrefixTable::iter) always yields IPv4
@@ -107,8 +110,9 @@ impl<V> PrefixTable<V> {
         self.delta.len()
     }
 
-    /// Arena slots left behind by folds that a full rebuild would reclaim
-    /// (zero while staged).
+    /// Superseded value slots left behind by folds, which a full rebuild
+    /// would reclaim (zero while staged). The node and entry segments that
+    /// folds leave behind are not counted.
     pub fn garbage(&self) -> usize {
         self.frozen.as_ref().map_or(0, FrozenLpm::garbage)
     }
@@ -221,11 +225,13 @@ impl<V: Clone> PrefixTable<V> {
     pub fn remove(&mut self, net: &IpNet) -> Option<V> {
         let prev = match &self.frozen {
             Some(lpm) => {
-                let prev = self.delta.exact(lpm, net).cloned();
-                if prev.is_some() {
-                    self.delta.withdraw(net, lpm);
+                // One probe of the base serves both the answer and the
+                // tombstone decision.
+                let in_base = lpm.exact(net);
+                match self.delta.withdraw_probed(net, in_base.is_some()) {
+                    Some(held) => held,
+                    None => in_base.cloned(),
                 }
-                prev
             }
             None => self.staged.remove(net),
         };
@@ -324,5 +330,35 @@ mod tests {
         assert_eq!((t.pending_patches(), t.garbage(), t.len()), (0, 0, 2));
         assert!(t.lookup("8.8.8.8".parse().unwrap()).is_none());
         assert_eq!(t.snapshot().map(|s| s.len()), Some(2));
+    }
+
+    #[test]
+    fn iter_yields_ipv4_before_ipv6_with_pending_patches() {
+        // The overlay's patch key sorts IPv6 (`v4 = false`) first, while
+        // `IpNet` orders IPv4 first; `iter` follows `IpNet`.
+        let net = |s: &str| s.parse::<IpNet>().unwrap();
+        let mut t = PrefixTable::new();
+        t.insert(net("10.0.0.0/8"), 0);
+        t.insert(net("2001:db8::/32"), 1);
+        t.freeze();
+        for (i, s) in ["2001:db8:1::/48", "192.0.2.0/24", "::/0", "0.0.0.0/0"]
+            .iter()
+            .enumerate()
+        {
+            t.insert(net(s), i + 2);
+        }
+        t.remove(&net("10.0.0.0/8"));
+        assert_eq!(t.pending_patches(), 5);
+        let got: Vec<(IpNet, usize)> = t.iter().map(|(n, v)| (n, *v)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (net("0.0.0.0/0"), 5),
+                (net("192.0.2.0/24"), 3),
+                (net("::/0"), 4),
+                (net("2001:db8::/32"), 1),
+                (net("2001:db8:1::/48"), 2),
+            ]
+        );
     }
 }

@@ -7,7 +7,7 @@
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
-use tectonic_net::{DeltaOverlay, FrozenLpm, IpNet, Ipv4Net, Ipv6Net, PrefixTrie};
+use tectonic_net::{BatchScratch, DeltaOverlay, FrozenLpm, IpNet, Ipv4Net, Ipv6Net, PrefixTrie};
 
 fn arb_v4net() -> impl Strategy<Value = Ipv4Net> {
     (any::<u32>(), 0u8..=32)
@@ -31,6 +31,61 @@ fn arb_addr() -> impl Strategy<Value = IpAddr> {
         any::<u32>().prop_map(|b| IpAddr::V4(Ipv4Addr::from(b))),
         any::<u128>().prop_map(|b| IpAddr::V6(Ipv6Addr::from(b))),
     ]
+}
+
+/// Prefixes of both families clustered in 2–3 adjacent 16-bit root
+/// chunks. IPv4 lengths run 8..=24, so the shorter prefixes span whole
+/// chunk ranges; each IPv6 prefix's top 16 bits are one of the same chunk
+/// values, so a chunk index that mixed up the families would show. Host
+/// bits are biased to all-zero and all-one, putting prefixes on chunk
+/// edges.
+fn arb_chunk_pool() -> impl Strategy<Value = Vec<IpNet>> {
+    let host = prop_oneof![Just(0u128), Just(u128::MAX), any::<u128>()];
+    (
+        any::<u16>(),
+        2u16..=3,
+        prop::collection::vec((any::<bool>(), any::<u16>(), host, any::<u8>()), 2..24),
+    )
+        .prop_map(|(first, chunks, picks)| {
+            let first = first.min(u16::MAX - 2);
+            picks
+                .into_iter()
+                .map(|(v4, off, host, len)| {
+                    let chunk = first + off % chunks;
+                    if v4 {
+                        let bits = (u32::from(chunk) << 16) | (host as u32 & 0xFFFF);
+                        IpNet::V4(Ipv4Net::clamped(Ipv4Addr::from(bits), 8 + len % 17))
+                    } else {
+                        let bits = (u128::from(chunk) << 112) | (host >> 16);
+                        IpNet::V6(Ipv6Net::clamped(Ipv6Addr::from(bits), 8 + len % 57))
+                    }
+                })
+                .collect()
+        })
+}
+
+/// `network − 1`, `network`, `broadcast` and `broadcast + 1` of `net`,
+/// wrapping at the ends of the address space.
+fn edge_addrs(net: &IpNet) -> [IpAddr; 4] {
+    match net {
+        IpNet::V4(n) => {
+            let (lo, hi) = (u32::from(n.network()), u32::from(n.broadcast()));
+            [lo.wrapping_sub(1), lo, hi, hi.wrapping_add(1)].map(|b| IpAddr::V4(Ipv4Addr::from(b)))
+        }
+        IpNet::V6(n) => {
+            let (lo, len) = n.bits();
+            let hi = lo | u128::MAX.checked_shr(u32::from(len)).unwrap_or(0);
+            [lo.wrapping_sub(1), lo, hi, hi.wrapping_add(1)].map(|b| IpAddr::V6(Ipv6Addr::from(b)))
+        }
+    }
+}
+
+/// The host route of `addr`.
+fn host_net(addr: IpAddr) -> IpNet {
+    match addr {
+        IpAddr::V4(a) => IpNet::V4(Ipv4Net::host(a)),
+        IpAddr::V6(a) => IpNet::V6(Ipv6Net::host(a)),
+    }
 }
 
 /// Brute-force longest-prefix match over a plain vector.
@@ -356,6 +411,83 @@ proptest! {
                 rebuilt.longest_match(addr).map(|(n, v)| (n, *v))
             );
         }
+    }
+
+    #[test]
+    fn overlay_chunk_index_is_exact_at_chunk_edges(
+        pool in arb_chunk_pool(),
+        base in prop::collection::vec(any::<usize>(), 0..12),
+        ops in prop::collection::vec((0u8..8, any::<usize>()), 1..60),
+    ) {
+        // A base drawn from the pool, then random announce / withdraw /
+        // fold interleavings over the same pool. Each read API must agree
+        // with a table rebuilt from the mirror at the four edge addresses
+        // of every pool prefix, where a chunk index that marked too few
+        // chunks (or the other family's) would answer from the stale base.
+        let mut mirror: PrefixTrie<usize> = base
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (pool[k % pool.len()], i))
+            .collect();
+        let mut frozen = mirror.freeze();
+        let mut delta = DeltaOverlay::new();
+        let mut next = 1_000usize;
+        for (kind, idx) in &ops {
+            let net = pool[idx % pool.len()];
+            match kind {
+                0..=3 => {
+                    next += 1;
+                    delta.announce(net, next);
+                    mirror.insert(net, next);
+                }
+                4..=6 => {
+                    delta.withdraw(&net, &frozen);
+                    mirror.remove(&net);
+                }
+                _ => {
+                    frozen.refreeze_subtree(&delta);
+                    delta.clear();
+                }
+            }
+        }
+        let rebuilt = mirror.freeze();
+        let probes: Vec<IpAddr> = pool.iter().flat_map(edge_addrs).collect();
+        for addr in &probes {
+            let want = rebuilt.longest_match(*addr).map(|(n, v)| (n, *v));
+            prop_assert_eq!(delta.longest_match(&frozen, *addr).map(|(n, v)| (n, *v)), want);
+            prop_assert_eq!(delta.lookup(&frozen, *addr).map(|(n, v)| (n, *v)), want);
+            let oc: Vec<(IpNet, usize)> =
+                delta.covering(&frozen, *addr).into_iter().map(|(n, v)| (n, *v)).collect();
+            let rc: Vec<(IpNet, usize)> =
+                rebuilt.covering(*addr).into_iter().map(|(n, v)| (n, *v)).collect();
+            prop_assert_eq!(oc, rc);
+        }
+        let nets: Vec<IpNet> = pool.iter().copied().chain(probes.iter().map(|a| host_net(*a))).collect();
+        for n in &nets {
+            prop_assert_eq!(delta.exact(&frozen, n).copied(), rebuilt.exact(n).copied());
+            prop_assert_eq!(delta.contains(&frozen, n), rebuilt.contains(n));
+            prop_assert_eq!(
+                delta.longest_match_net(&frozen, n).map(|(m, v)| (m, *v)),
+                rebuilt.longest_match_net(n).map(|(m, v)| (m, *v))
+            );
+        }
+        let want: Vec<Option<(IpNet, usize)>> = probes
+            .iter()
+            .map(|a| rebuilt.longest_match(*a).map(|(n, v)| (n, *v)))
+            .collect();
+        let mut got = Vec::new();
+        delta.lookup_batch(&frozen, &probes, &mut got);
+        prop_assert_eq!(got.iter().map(|m| m.map(|(n, v)| (n, *v))).collect::<Vec<_>>(), want.clone());
+        // The scratch-reusing kernel, twice over one scratch, and its
+        // projecting form.
+        let mut scratch = BatchScratch::new();
+        for _ in 0..2 {
+            delta.lookup_batch_in(&frozen, &mut scratch, &probes, &mut got);
+            prop_assert_eq!(got.iter().map(|m| m.map(|(n, v)| (n, *v))).collect::<Vec<_>>(), want.clone());
+        }
+        let mut projected = Vec::new();
+        delta.lookup_batch_map_in(&frozen, &mut scratch, &probes, &mut projected, |m| m.map(|(n, v)| (n, *v)));
+        prop_assert_eq!(projected, want);
     }
 
     #[test]
