@@ -107,7 +107,7 @@ pub fn generate(
     config: &PopulationConfig,
     public_source: &dyn Fn(ResolverKind, CountryCode) -> Ipv4Addr,
 ) -> Vec<Probe> {
-    if sites.is_empty() || config.probes == 0 {
+    if sites.is_empty() || config.resolver_mix.is_empty() || config.probes == 0 {
         return Vec::new();
     }
     let mut rng = rng.fork("atlas-population");
@@ -130,9 +130,11 @@ pub fn generate(
     };
 
     (0..config.probes)
-        .map(|i| {
-            let site = &sites[rng.pick_weighted(&site_weights).unwrap_or(0)];
-            let kind = config.resolver_mix[rng.pick_weighted(&kind_weights).unwrap_or(0)].0;
+        .filter_map(|i| {
+            let site = sites.get(rng.pick_weighted(&site_weights).unwrap_or(0))?;
+            let (kind, _) = *config
+                .resolver_mix
+                .get(rng.pick_weighted(&kind_weights).unwrap_or(0))?;
             let resolver_addr: IpAddr = match kind {
                 ResolverKind::Isp => IpAddr::V4(site.isp_resolver_addr),
                 ResolverKind::Local => IpAddr::V4(site.probe_addr),
@@ -152,7 +154,7 @@ pub fn generate(
             } else {
                 ResolverPolicy::Normal
             };
-            Probe {
+            Some(Probe {
                 id: i as u32,
                 asn: site.asn,
                 cc: site.cc,
@@ -161,7 +163,7 @@ pub fn generate(
                 resolver_addr,
                 policy,
                 flaky: config.flaky_fraction,
-            }
+            })
         })
         .collect()
 }
@@ -315,6 +317,15 @@ mod tests {
             &anycast,
         );
         assert!(zero.is_empty());
+    }
+
+    #[test]
+    fn empty_resolver_mix_yields_no_probes() {
+        let config = PopulationConfig {
+            resolver_mix: vec![],
+            ..PopulationConfig::paper().with_probes(50)
+        };
+        assert!(generate(&SimRng::new(1), &sites(), &config, &anycast).is_empty());
     }
 
     #[test]

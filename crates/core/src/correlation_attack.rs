@@ -104,15 +104,18 @@ fn generate_logs(
 /// Timing distance between two event trains: mean absolute offset of the
 /// best alignment of inter-arrival patterns.
 fn train_distance(a: &[HopEvent], b: &[HopEvent]) -> f64 {
-    let n = a.len().min(b.len());
-    if n == 0 {
-        return f64::MAX;
-    }
     // Estimate the constant relay delay as the median pairwise offset and
     // measure residual spread.
-    let mut offsets: Vec<i64> = (0..n).map(|i| b[i].at as i64 - a[i].at as i64).collect();
+    let mut offsets: Vec<i64> = a
+        .iter()
+        .zip(b)
+        .map(|(x, y)| y.at as i64 - x.at as i64)
+        .collect();
     offsets.sort_unstable();
-    let median = offsets[n / 2];
+    let n = offsets.len();
+    let Some(&median) = offsets.get(n / 2) else {
+        return f64::MAX;
+    };
     offsets
         .iter()
         .map(|o| (o - median).abs() as f64)
@@ -134,12 +137,11 @@ pub fn run_attack(config: &AttackConfig, seed: u64) -> AttackReport {
     for (session, ingress) in ingress_logs.iter().enumerate() {
         let best = egress_order
             .iter()
-            .min_by(|x, y| {
-                train_distance(ingress, &egress_logs[**x])
-                    .total_cmp(&train_distance(ingress, &egress_logs[**y]))
+            .filter_map(|&e| Some((e, egress_logs.get(e)?)))
+            .min_by(|(_, x), (_, y)| {
+                train_distance(ingress, x).total_cmp(&train_distance(ingress, y))
             })
-            .copied()
-            .unwrap_or(session);
+            .map_or(session, |(e, _)| e);
         if best == session {
             matched += 1;
         }

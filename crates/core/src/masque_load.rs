@@ -157,10 +157,10 @@ struct ClientSpec {
 fn client_specs(deployment: &Deployment, cfg: &StormConfig) -> Vec<ClientSpec> {
     let ases = deployment.world.ases();
     (0..cfg.clients)
-        .map(|c| {
+        .filter_map(|c| {
             let spread = ases.len().max(1);
-            let ase = &ases[c as usize % spread];
-            ClientSpec {
+            let ase = ases.get(c as usize % spread)?;
+            Some(ClientSpec {
                 key: SimRng::new(cfg.seed)
                     .fork_indexed("storm-client", u64::from(c))
                     .next_u64_raw(),
@@ -168,7 +168,7 @@ fn client_specs(deployment: &Deployment, cfg: &StormConfig) -> Vec<ClientSpec> {
                 cc: ase.cc,
                 geohash: client_cell(ase.cc),
                 udp_blocked: c % 16 == 15,
-            }
+            })
         })
         .collect()
 }
@@ -470,11 +470,12 @@ impl StormReport {
         };
         for sessions in chains.values() {
             for pair in sessions.windows(2) {
+                let [a, b] = pair else { continue };
                 stats.consecutive_pairs += 1;
-                if pair[0].addr != pair[1].addr {
+                if a.addr != b.addr {
                     stats.consecutive_rotated += 1;
                 }
-                if pair[0].operator != pair[1].operator {
+                if a.operator != b.operator {
                     stats.operator_changes += 1;
                 }
             }
@@ -667,12 +668,14 @@ pub fn run_serial(
                 continue;
             };
             let dest = egress_shard(operator, &spec.geohash, shards);
+            let (Some(ing), Some(node)) = (ingress.get_mut(shard), egress.get_mut(dest)) else {
+                continue;
+            };
             for agent in 0..2u32 {
-                if ingress[shard].admit(u64::from(client), t_open).is_err() {
+                if ing.admit(u64::from(client), t_open).is_err() {
                     continue;
                 }
                 let sid = cfg.session_id(client, round, agent);
-                let node = &mut egress[dest];
                 let _ = node.open(
                     sid,
                     cfg.chain_id(client, agent),

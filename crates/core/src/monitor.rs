@@ -80,12 +80,10 @@ pub struct EvolutionPoint {
 /// Folds a chronological scan sequence into a timeline.
 pub fn evolution(scans: &[(Epoch, EcsScanReport)]) -> Vec<EvolutionPoint> {
     let mut out = Vec::with_capacity(scans.len());
-    for (i, (epoch, scan)) in scans.iter().enumerate() {
-        let diff = if i > 0 {
-            Some(ScanDiff::between(&scans[i - 1].1, scan))
-        } else {
-            None
-        };
+    let mut previous: Option<&EcsScanReport> = None;
+    for (epoch, scan) in scans {
+        let diff = previous.map(|prev| ScanDiff::between(prev, scan));
+        previous = Some(scan);
         out.push(EvolutionPoint {
             epoch: *epoch,
             total: scan.total(),

@@ -31,11 +31,8 @@ pub struct QoeReport {
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
     let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    sorted.get(idx).or(sorted.last()).copied().unwrap_or(0.0)
 }
 
 /// Runs the experiment: `samples` connections from clients drawn out of
@@ -65,8 +62,12 @@ pub fn qoe_experiment(
     let mut within = 0usize;
     let mut faster = 0usize;
     for i in 0..samples {
-        let client = &ases[rng.index(ases.len())];
-        let target = targets[rng.pick_weighted(&target_weights).unwrap_or(0)].0;
+        let (Some(client), Some(&(target, _))) = (
+            ases.get(rng.index(ases.len())),
+            targets.get(rng.pick_weighted(&target_weights).unwrap_or(0)),
+        ) else {
+            continue;
+        };
         // The egress represents the client's own country (the default
         // "maintain region" setting).
         let conn = model.connection(client.cc, client.cc, target, seed ^ (i as u64));

@@ -80,8 +80,7 @@ impl QuicProbeReport {
     pub fn matches_paper(&self) -> bool {
         self.standard_timeouts == self.probed
             && self.negotiations == self.probed
-            && self.version_sets.len() == 1
-            && self.version_sets[0] == tectonic_quic::INGRESS_SUPPORTED_VERSIONS.to_vec()
+            && self.version_sets == [tectonic_quic::INGRESS_SUPPORTED_VERSIONS.to_vec()]
     }
 }
 

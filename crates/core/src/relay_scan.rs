@@ -189,8 +189,10 @@ impl RelayScanSeries {
     pub fn operator_changes(&self) -> Vec<u64> {
         self.rounds
             .windows(2)
-            .filter(|w| w[0].curl.operator != w[1].curl.operator)
-            .map(|w| w[1].relative_secs)
+            .filter_map(|w| match w {
+                [a, b] if a.curl.operator != b.curl.operator => Some(b.relative_secs),
+                _ => None,
+            })
             .collect()
     }
 

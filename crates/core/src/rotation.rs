@@ -38,7 +38,7 @@ impl RotationReport {
         let subnets: BTreeSet<&str> = curl.iter().map(|r| r.egress_subnet.as_str()).collect();
         let changes = curl
             .windows(2)
-            .filter(|w| w[0].egress_addr != w[1].egress_addr)
+            .filter(|w| matches!(w, [a, b] if a.egress_addr != b.egress_addr))
             .count();
         let divergent = series
             .rounds

@@ -88,36 +88,28 @@ impl EcsOption {
     /// payload is at most 4 header bytes + 16 address octets, so the hot
     /// wire-encode path can write it without touching the heap.
     pub fn wire_bytes(&self) -> ([u8; 20], usize) {
-        let mut out = [0u8; 20];
-        out[..2].copy_from_slice(&self.family().to_be_bytes());
-        out[2] = self.source_len;
-        out[3] = self.scope_len;
-        let n = match self.addr {
-            IpAddr::V4(a) => {
-                let octets = a.octets();
-                let n = self.wire_addr_octets().min(octets.len());
-                out[4..4 + n].copy_from_slice(&octets[..n]);
-                n
-            }
-            IpAddr::V6(a) => {
-                let octets = a.octets();
-                let n = self.wire_addr_octets().min(octets.len());
-                out[4..4 + n].copy_from_slice(&octets[..n]);
-                n
-            }
+        let wire = self.wire_addr_octets();
+        let (mut addr, n): ([u8; 16], usize) = match self.addr {
+            IpAddr::V4(a) => (padded(&a.octets(), wire), wire.min(4)),
+            IpAddr::V6(a) => (padded(&a.octets(), wire), wire.min(16)),
         };
         // Zero spare low bits of the last transmitted octet.
         let spare = (8 - (self.source_len % 8) % 8) % 8;
-        if spare != 0 && n > 0 {
-            out[3 + n] &= 0xFFu8 << spare;
+        if let Some(last) = n.checked_sub(1).and_then(|i| addr.get_mut(i)) {
+            *last &= 0xFFu8 << spare;
         }
+        let mut out = [0u8; 20];
+        let [family_hi, family_lo, source_len, scope_len, out_addr @ ..] = &mut out;
+        [*family_hi, *family_lo] = self.family().to_be_bytes();
+        (*source_len, *scope_len) = (self.source_len, self.scope_len);
+        *out_addr = addr;
         (out, 4 + n)
     }
 
     /// Encodes the option payload (family, lengths, truncated address).
     pub fn encode(&self) -> Vec<u8> {
         let (bytes, len) = self.wire_bytes();
-        bytes[..len].to_vec()
+        bytes.into_iter().take(len).collect()
     }
 
     /// Decodes an option payload. Returns `None` on malformed input
@@ -137,17 +129,13 @@ impl EcsOption {
                 if source_len > 32 || needed > 4 {
                     return None;
                 }
-                let mut o = [0u8; 4];
-                o[..needed].copy_from_slice(&addr_bytes[..needed]);
-                IpAddr::V4(Ipv4Addr::from(o))
+                IpAddr::V4(Ipv4Addr::from(padded::<4>(addr_bytes, needed)))
             }
             FAMILY_V6 => {
                 if source_len > 128 || needed > 16 {
                     return None;
                 }
-                let mut o = [0u8; 16];
-                o[..needed].copy_from_slice(&addr_bytes[..needed]);
-                IpAddr::V6(Ipv6Addr::from(o))
+                IpAddr::V6(Ipv6Addr::from(padded::<16>(addr_bytes, needed)))
             }
             _ => return None,
         };
@@ -225,6 +213,15 @@ impl OptRecord {
             .retain(|o| !matches!(o, EdnsOption::ClientSubnet(_)));
         self.options.push(EdnsOption::ClientSubnet(ecs));
     }
+}
+
+/// The first `n` bytes of `bytes`, zero-padded to `N`.
+fn padded<const N: usize>(bytes: &[u8], n: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    for (dst, src) in out.iter_mut().zip(bytes).take(n) {
+        *dst = *src;
+    }
+    out
 }
 
 #[cfg(test)]

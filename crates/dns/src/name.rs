@@ -56,7 +56,6 @@ impl DomainName {
         reason = "documented literal-only constructor; the single sanctioned panic site for static names"
     )]
     pub fn literal(s: &str) -> Self {
-        // lintkit: allow(panic-reachability) -- documented literal-only constructor; the single sanctioned panic site for static names
         DomainName::parse(s).expect("invalid DomainName literal")
     }
 
@@ -115,13 +114,10 @@ impl DomainName {
 
     /// The parent name (one label stripped), or `None` at the root.
     pub fn parent(&self) -> Option<DomainName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DomainName {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let (_, rest) = self.labels.split_first()?;
+        Some(DomainName {
+            labels: rest.to_vec(),
+        })
     }
 
     /// Whether `self` equals `zone` or lies underneath it

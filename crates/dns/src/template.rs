@@ -68,8 +68,8 @@ impl QueryTemplate {
             return None;
         }
         let off = *d0;
-        if wire_a[off..off + 3] != SENTINEL_A.octets()[..3]
-            || wire_b[off..off + 3] != SENTINEL_B.octets()[..3]
+        if wire_a.get(off..off + 3) != SENTINEL_A.octets().get(..3)
+            || wire_b.get(off..off + 3) != SENTINEL_B.octets().get(..3)
         {
             return None;
         }
@@ -124,10 +124,13 @@ impl PatchedQuery {
     /// Sets the query ID and the /24 subnet, returning the wire bytes.
     pub fn patch(&mut self, id: u16, subnet: Ipv4Net) -> &[u8] {
         debug_assert_eq!(subnet.len(), 24, "template is specialised to /24 subnets");
-        self.wire[QueryTemplate::ID_OFFSET..QueryTemplate::ID_OFFSET + 2]
-            .copy_from_slice(&id.to_be_bytes());
-        let octets = subnet.network().octets();
-        self.wire[self.ecs_addr_off..self.ecs_addr_off + 3].copy_from_slice(&octets[..3]);
+        if let Some([hi, lo, ..]) = self.wire.get_mut(QueryTemplate::ID_OFFSET..) {
+            [*hi, *lo] = id.to_be_bytes();
+        }
+        let [a, b, c, _] = subnet.network().octets();
+        if let Some([o0, o1, o2, ..]) = self.wire.get_mut(self.ecs_addr_off..) {
+            [*o0, *o1, *o2] = [a, b, c];
+        }
         &self.wire
     }
 }

@@ -99,7 +99,7 @@ impl CityUniverse {
         self.index
             .iter()
             .find(|(c, _, _)| *c == cc)
-            .map(|(_, start, len)| &self.cities[*start..*start + *len])
+            .and_then(|(_, start, len)| self.cities.get(*start..*start + *len))
             .unwrap_or(&[])
     }
 

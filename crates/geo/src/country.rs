@@ -44,7 +44,6 @@ impl CountryCode {
         reason = "documented literal-only constructor; the single sanctioned panic site for static country codes"
     )]
     pub fn literal(code: &str) -> CountryCode {
-        // lintkit: allow(panic-reachability) -- documented literal-only constructor; the single sanctioned panic site for static country codes
         CountryCode::new(code).expect("invalid CountryCode literal")
     }
 

@@ -365,11 +365,11 @@ fn quota_assignments(shares: &[f64], total: usize, rng: &mut SimRng) -> Vec<usiz
     // subnets cover the remaining countries with at-least-one semantics.
     let reserved = n.min(2);
     let mut used = 0usize;
-    for i in 0..reserved {
-        quotas[i] = ((shares[i] * total as f64).round() as usize)
+    for (i, (quota, share)) in quotas.iter_mut().zip(shares).take(reserved).enumerate() {
+        *quota = ((share * total as f64).round() as usize)
             .max(1)
             .min(total - used - (reserved - i - 1));
-        used += quotas[i];
+        used += *quota;
     }
     let remaining = total - used;
     let tail = n - reserved;
@@ -386,17 +386,19 @@ fn quota_assignments(shares: &[f64], total: usize, rng: &mut SimRng) -> Vec<usiz
             let share_total: f64 = shares.iter().skip(reserved).sum();
             let mut fractional: Vec<(usize, f64)> = Vec::with_capacity(tail);
             let mut assigned = 0usize;
-            for (i, share) in shares.iter().enumerate().skip(reserved) {
+            for (i, (quota, share)) in quotas.iter_mut().zip(shares).enumerate().skip(reserved) {
                 let exact = share / share_total * extra as f64;
                 let floor = exact.floor() as usize;
-                quotas[i] += floor;
+                *quota += floor;
                 assigned += floor;
                 fractional.push((i, exact - floor as f64));
             }
             // Largest remainders get the leftover units.
             fractional.sort_by(|a, b| b.1.total_cmp(&a.1));
             for (i, _) in fractional.into_iter().take(extra - assigned) {
-                quotas[i] += 1;
+                if let Some(quota) = quotas.get_mut(i) {
+                    *quota += 1;
+                }
             }
         }
     }
@@ -461,9 +463,12 @@ pub fn generate(
             let emit_count = ((*full_count as f64) * scale).round() as usize;
             let block = 1u64 << (32 - *len as u32);
             for i in 0..*full_count {
-                let pfx_idx = i % bgp_v4.len();
-                let base = bgp_v4[pfx_idx];
-                let offset = cursors[pfx_idx];
+                let pfx_idx = i % bgp_v4.len().max(1);
+                let (Some(base), Some(cursor)) = (bgp_v4.get(pfx_idx), cursors.get_mut(pfx_idx))
+                else {
+                    break; // no v4 footprint configured
+                };
+                let offset = *cursor;
                 assert!(
                     offset + block <= base.addr_count(),
                     "{}: BGP prefix {} exhausted",
@@ -471,7 +476,7 @@ pub fn generate(
                     base
                 );
                 let addr = base.nth_addr(offset);
-                cursors[pfx_idx] = offset + block;
+                *cursor = offset + block;
                 if i < emit_count {
                     v4_subnets.push(Ipv4Net::clamped(addr, *len));
                 }
@@ -506,31 +511,24 @@ pub fn generate(
                       ccs: &[CountryCode],
                       pools: &[Vec<&crate::city::City>],
                       rng: &mut SimRng|
-         -> EgressEntry {
-            let cc = ccs[cc_idx];
-            let pool = &pools[cc_idx];
-            let blank = rng.chance(BLANK_CITY_FRACTION);
-            if blank || pool.is_empty() {
-                EgressEntry {
-                    subnet,
-                    cc,
-                    region: format!("{cc}-R00"),
-                    city: None,
-                }
+         -> Option<EgressEntry> {
+            let (&cc, pool) = (ccs.get(cc_idx)?, pools.get(cc_idx)?);
+            let city = if rng.chance(BLANK_CITY_FRACTION) {
+                None
             } else {
-                let city = pool[rng.index(pool.len())];
-                EgressEntry {
-                    subnet,
-                    cc,
-                    region: city.region.clone(),
-                    city: Some(city.name.clone()),
-                }
-            }
+                rng.pick(pool)
+            };
+            Some(EgressEntry {
+                subnet,
+                cc,
+                region: city.map_or_else(|| format!("{cc}-R00"), |c| c.region.clone()),
+                city: city.map(|c| c.name.clone()),
+            })
         };
 
         let assignments_v4 = quota_assignments(&shares_v4, v4_subnets.len(), &mut op_rng);
         for (subnet, cc_idx) in v4_subnets.into_iter().zip(assignments_v4) {
-            entries.push(assign(
+            entries.extend(assign(
                 IpNet::V4(subnet),
                 cc_idx,
                 &ccs_v4,
@@ -540,7 +538,7 @@ pub fn generate(
         }
         let assignments_v6 = quota_assignments(&shares_v6, v6_subnets.len(), &mut op_rng);
         for (subnet, cc_idx) in v6_subnets.into_iter().zip(assignments_v6) {
-            entries.push(assign(
+            entries.extend(assign(
                 IpNet::V6(subnet),
                 cc_idx,
                 &ccs_v6,

@@ -2,8 +2,7 @@
 //!
 //! [`CallGraph::build`] links the per-file symbol tables from
 //! [`crate::symbols`] into one graph. Resolution is name-based and
-//! deliberately over-approximate — every plausible callee gets an edge —
-//! with one designed escape hatch for dynamic dispatch:
+//! deliberately over-approximate — every plausible callee gets an edge:
 //!
 //! * **Path calls** (`a::b::f(..)`, `Type::new(..)`): candidates are all
 //!   workspace functions named `f`, narrowed by any qualifier that matches
@@ -12,15 +11,12 @@
 //!   same-name candidates stay — over-approximation beats a missed edge.
 //! * **Bare calls** (`f(..)`): prefer same module, then same crate, then
 //!   any workspace function named `f`.
-//! * **Method calls** (`x.m(..)`): if `m` is declared by any workspace
-//!   `trait`, the receiver may be a `dyn`/`impl` object the analysis cannot
-//!   type, so the call edges to *every* workspace implementation of `m`
-//!   **plus the ⊥ node** — the "unknown callee" that propagates *may
-//!   panic*. Otherwise the call edges to every inherent method named `m`.
+//! * **Method calls** (`x.m(..)`): the receiver is untyped, so the call
+//!   edges to every workspace method named `m` — inherent methods, trait
+//!   impls and trait default bodies alike.
 //! * Calls that resolve to nothing in the workspace (`std`, vendored
-//!   shims) are non-panicking leaves. This is the analysis boundary: `std`
-//!   panics (`Vec::push` on OOM, arithmetic in debug) are out of scope,
-//!   matching clippy's panic lints, which flag call sites only.
+//!   shims, a trait method only external code implements) are leaves: the
+//!   analysis boundary.
 //!
 //! The graph also answers "which locks does this function transitively
 //! acquire" (for the lock-order rule) and renders itself as GraphViz DOT
@@ -30,22 +26,12 @@ use std::collections::{BTreeSet, HashMap};
 
 use crate::symbols::{CallSite, Event, FileSymbols, FuncDef, LockDecl};
 
-/// The callee of one resolved call-site edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Callee {
-    /// A workspace function, by index into [`CallGraph::funcs`].
-    Func(usize),
-    /// The ⊥ node: a dynamically-dispatched callee the analysis cannot
-    /// resolve. Conservatively assumed to panic.
-    Bottom,
-}
-
 /// One resolved call edge.
 #[derive(Debug, Clone)]
 pub struct Edge {
-    /// Where the edge lands.
-    pub callee: Callee,
-    /// The called name as written (for ⊥ diagnostics).
+    /// The callee, by index into [`CallGraph::funcs`].
+    pub callee: usize,
+    /// The called name as written.
     pub name: String,
     /// 1-indexed call-site line in the caller's file.
     pub line: u32,
@@ -60,8 +46,6 @@ pub struct CallGraph {
     pub edges: Vec<Vec<Edge>>,
     /// Every `Mutex`/`RwLock` field declaration seen.
     pub locks: Vec<LockDecl>,
-    /// Method names declared in workspace `trait` blocks.
-    pub trait_methods: BTreeSet<String>,
     /// Known crate names (for qualifier narrowing).
     crates: BTreeSet<String>,
     /// Known module names (file stems).
@@ -77,7 +61,6 @@ impl CallGraph {
     pub fn build(files: Vec<FileSymbols>) -> CallGraph {
         let mut g = CallGraph::default();
         for mut file in files {
-            g.trait_methods.extend(file.trait_methods.drain(..));
             g.locks.append(&mut file.locks);
             g.funcs.append(&mut file.funcs);
         }
@@ -108,43 +91,25 @@ impl CallGraph {
 
     /// Resolves one call site to its conservative edge set.
     fn resolve(&self, caller: &FuncDef, call: &CallSite) -> Vec<Edge> {
-        let edge = |callee: Callee| Edge {
+        let edge = |callee: usize| Edge {
             callee,
             name: call.name.clone(),
             line: call.line,
         };
         let Some(candidates) = self.by_name.get(&call.name) else {
-            // No workspace function of this name: for a statically-named
-            // call that is the analysis boundary (external leaf), but a
-            // trait-*declared* method may still dispatch to code the
-            // workspace never wrote (an external impl): keep ⊥.
-            return if call.is_method && self.trait_methods.contains(&call.name) {
-                vec![edge(Callee::Bottom)]
-            } else {
-                Vec::new()
-            };
+            // No workspace function of this name: an external leaf.
+            return Vec::new();
         };
         if call.is_method {
-            if self.trait_methods.contains(&call.name) {
-                // Dynamic dispatch: every impl (and trait default body),
-                // plus ⊥ for the impl the workspace cannot see.
-                let mut out: Vec<Edge> = candidates
-                    .iter()
-                    .filter(|&&i| self.funcs[i].self_type.is_some())
-                    .map(|&i| edge(Callee::Func(i)))
-                    .collect();
-                out.push(edge(Callee::Bottom));
-                return out;
-            }
-            // Inherent method: only actual workspace methods qualify. A
-            // name that exists only as a free function cannot be the
-            // receiver's method — the call is external (iterator adapters
-            // like `.collect()` must not resolve to a free `collect`).
+            // Only actual workspace methods qualify. A name that exists
+            // only as a free function cannot be the receiver's method — the
+            // call is external (iterator adapters like `.collect()` must
+            // not resolve to a free `collect`).
             return candidates
                 .iter()
                 .copied()
                 .filter(|&i| self.funcs[i].self_type.is_some())
-                .map(|i| edge(Callee::Func(i)))
+                .map(edge)
                 .collect();
         }
         // Path call: a qualified name whose innermost qualifier names
@@ -228,13 +193,13 @@ impl CallGraph {
                 }
             }
         }
-        pool.into_iter().map(|i| edge(Callee::Func(i))).collect()
+        pool.into_iter().map(edge).collect()
     }
 
     /// Resolves an entry-point pattern (`crate::module::name`, where `name`
     /// may be `*`) to function indices. An empty result means the pattern
-    /// no longer matches anything — the caller reports that as a finding so
-    /// a rename cannot silently disable the analysis.
+    /// no longer matches anything — the alloc-in-hot-path rule reports that
+    /// as a finding so a rename cannot silently disable it.
     pub fn resolve_entry(&self, pattern: &str) -> Vec<usize> {
         let parts: Vec<&str> = pattern.split("::").collect();
         let [crate_name, module, name] = parts.as_slice() else {
@@ -252,33 +217,19 @@ impl CallGraph {
             .collect()
     }
 
-    /// Renders the graph as GraphViz DOT. Entry functions are boxed, ⊥ is a
-    /// double circle, and functions with intrinsic panic sites are shaded.
-    pub fn to_dot(&self, entries: &[usize]) -> String {
+    /// Renders the graph as GraphViz DOT.
+    pub fn to_dot(&self) -> String {
         let mut out =
             String::from("digraph lintkit_callgraph {\n  rankdir=LR;\n  node [fontsize=10];\n");
-        out.push_str("  bottom [label=\"⊥\", shape=doublecircle];\n");
         for (i, f) in self.funcs.iter().enumerate() {
-            let mut attrs = vec![format!("label=\"{}\"", f.path())];
-            if entries.contains(&i) {
-                attrs.push("shape=box".to_string());
-            }
-            if !f.panic_sites.is_empty() {
-                attrs.push("style=filled".to_string());
-                attrs.push("fillcolor=lightpink".to_string());
-            }
-            out.push_str(&format!("  n{} [{}];\n", i, attrs.join(", ")));
+            out.push_str(&format!("  n{} [label=\"{}\"];\n", i, f.path()));
         }
         for (i, edges) in self.edges.iter().enumerate() {
             // One DOT edge per distinct target, not per call site.
             let mut seen = BTreeSet::new();
             for e in edges {
-                let target = match e.callee {
-                    Callee::Func(j) => format!("n{j}"),
-                    Callee::Bottom => "bottom".to_string(),
-                };
-                if seen.insert(target.clone()) {
-                    out.push_str(&format!("  n{i} -> {target};\n"));
+                if seen.insert(e.callee) {
+                    out.push_str(&format!("  n{i} -> n{};\n", e.callee));
                 }
             }
         }
@@ -310,10 +261,7 @@ mod tests {
             .expect("function in graph");
         g.edges[i]
             .iter()
-            .map(|e| match e.callee {
-                Callee::Func(j) => g.funcs[j].path(),
-                Callee::Bottom => format!("⊥({})", e.name),
-            })
+            .map(|e| g.funcs[e.callee].path())
             .collect()
     }
 
@@ -351,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn trait_method_call_gets_bottom_edge() {
+    fn trait_method_call_edges_to_the_impl() {
         let g = graph(&[(
             "alpha",
             "lib",
@@ -361,13 +309,14 @@ mod tests {
              impl Server for S { fn handle(&self) {} }\n\
              pub fn entry(s: &dyn Server) { s.handle(); }",
         )]);
-        let edges = edges_of(&g, "alpha::lib::entry");
-        assert!(edges.contains(&"alpha::lib::handle".to_string()));
-        assert!(edges.contains(&"⊥(handle)".to_string()));
+        assert_eq!(
+            edges_of(&g, "alpha::lib::entry"),
+            vec!["alpha::lib::handle"]
+        );
     }
 
     #[test]
-    fn inherent_method_call_has_no_bottom() {
+    fn inherent_method_call_resolves_to_the_method() {
         let g = graph(&[(
             "alpha",
             "lib",
@@ -425,18 +374,16 @@ mod tests {
     }
 
     #[test]
-    fn dot_output_has_nodes_and_bottom() {
+    fn dot_output_has_nodes_and_edges() {
         let g = graph(&[(
             "alpha",
             "lib",
             "crates/alpha/src/lib.rs",
-            "trait T { fn m(&self); }\npub fn entry(t: &dyn T) { t.m(); }",
+            "pub fn entry() { helper(); }\nfn helper() {}",
         )]);
-        let entries = g.resolve_entry("alpha::lib::entry");
-        let dot = g.to_dot(&entries);
+        let dot = g.to_dot();
         assert!(dot.contains("digraph lintkit_callgraph"));
-        assert!(dot.contains("alpha::lib::entry"));
-        assert!(dot.contains("shape=box"));
-        assert!(dot.contains("-> bottom"));
+        assert!(dot.contains("n0 [label=\"alpha::lib::entry\"]"));
+        assert!(dot.contains("n0 -> n1;"));
     }
 }

@@ -3,10 +3,11 @@
 //! The reproduction's pipelines parse hostile or malformed external inputs
 //! (DNS wire replies, the published egress CSV, Atlas measurement dumps).
 //! One stray `unwrap` turns a bad record into an aborted multi-hour scan.
-//! The per-file half of that policy — no panics, no prints, no unsafe, no
-//! indexing on parse paths, no lossy casts or unchecked arithmetic in the
-//! kernels — is clippy's: each crate root and strict file declares the
-//! lints (see DESIGN.md §8). This crate enforces what clippy cannot see:
+//! The per-function half of that policy — no panics, no prints, no unsafe,
+//! no indexing, no wall-clock reads, no lossy casts or unchecked arithmetic
+//! in the kernels — is clippy's: each crate root and strict file declares
+//! the lints and `clippy.toml` bans the wall-clock methods (see DESIGN.md
+//! §8). This crate enforces what clippy cannot see:
 //!
 //! * **vendor-manifest** — the vendored dependency shims match the
 //!   checked-in public-API manifest (`vendor/API_MANIFEST.txt`),
@@ -14,16 +15,11 @@
 //!   comment must name one of lintkit's rules and give a reason.
 //!
 //! On top of that, the pass builds a workspace-wide symbol table
-//! ([`symbols`]) and conservative call graph ([`graph`]) and runs seven
-//! interprocedural rules ([`reach`], [`order`], [`resource`]):
+//! ([`symbols`]) and conservative call graph ([`graph`]) and runs five
+//! call-graph rules ([`reach`], [`order`], [`resource`]):
 //!
-//! * **panic-reachability** — no panic site may be transitively reachable
-//!   from a declared hostile-input entry point (unresolvable dynamic
-//!   dispatch is a ⊥ node that conservatively "may panic"),
 //! * **lock-order** — the derived `Mutex`/`RwLock` acquisition-order graph
 //!   must be acyclic,
-//! * **determinism-taint** — `SystemTime::now`/`Instant::now`/`thread_rng`
-//!   sources must be unreachable from `SimClock`/`SimRng`-driven code,
 //! * **map-iter-order** — `HashMap`/`HashSet` iteration order must not
 //!   reach a function's output without a sorting boundary; functions that
 //!   leak it taint their callers to a fixpoint ([`order`]),
@@ -36,10 +32,9 @@
 //!   declared steady-state hot entry point, with construction/setup
 //!   boundaries carved out via [`Config::warm_paths`] ([`resource`]).
 //!
-//! Accepted findings live in the `lint-baseline.json` ratchet ([`baseline`]):
-//! new findings fail, and so do stale baseline entries, so the debt only
-//! burns down. `--json` and `--sarif` ([`sarif`]) export the findings for
-//! CI artifacts and code-hosting annotation UIs.
+//! Any finding fails the gate; a reasoned allow comment at the site is the
+//! only suppression. `--sarif` ([`sarif`]) exports the findings for CI
+//! artifacts and code-hosting annotation UIs.
 //!
 //! Built without external dependencies (no crates.io access in the build
 //! environment, so no `syn`): the lexer in [`lexer`] provides just enough
@@ -58,12 +53,17 @@
         clippy::unimplemented,
         clippy::print_stdout,
         clippy::print_stderr,
-        clippy::allow_attributes_without_reason
+        clippy::allow_attributes_without_reason,
+        clippy::indexing_slicing
     )
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "a build-time tool over token vectors it builds itself; a bad index \
+              fails the lint run, never a measurement"
 )]
 #![deny(rust_2018_idioms)]
 
-pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod manifest;
@@ -85,14 +85,11 @@ pub use rules::{Finding, Rule};
 pub struct Config {
     /// Workspace root (the directory holding the top-level `Cargo.toml`).
     pub root: PathBuf,
-    /// Entry points for the panic-reachability rule, as
+    /// Steady-state entry points for the `alloc-in-hot-path` rule — the
+    /// per-reply / per-packet kernels that must run allocation-free — as
     /// `crate::module::name` patterns (`name` may be `*` for every
     /// function in the module). A pattern that matches nothing is itself a
     /// finding, so renames cannot silently disable the analysis.
-    pub entry_points: Vec<String>,
-    /// Steady-state entry points for the `alloc-in-hot-path` rule — the
-    /// per-reply / per-packet kernels that must run allocation-free. Same
-    /// pattern syntax and liveness check as `entry_points`.
     pub hot_paths: Vec<String>,
     /// Construction/setup boundaries for `alloc-in-hot-path`: reachability
     /// is pruned at these functions, so allocation behind them (building
@@ -109,57 +106,10 @@ pub struct Config {
 }
 
 impl Config {
-    /// The project policy: reachability entry points on every surface that
-    /// parses hostile bytes or serves the request path, and the hot/warm
-    /// boundaries of the allocation rule.
+    /// The project policy: the hot/warm boundaries of the allocation rule.
     pub fn for_workspace(root: &Path) -> Config {
         Config {
             root: root.to_path_buf(),
-            entry_points: vec![
-                // The explicit-list ECS scan: one engine shard driving the
-                // query, retry and attribution kernels.
-                "core::ecs_scan::scan_subnets".to_string(),
-                // Batched longest-prefix matching under the scan's
-                // per-reply attribution.
-                "net::lpm::lookup_batch".to_string(),
-                // Overlay-combined lookups: the steady-state read path under
-                // BGP churn routes every query through these.
-                "net::overlay::longest_match".to_string(),
-                "net::overlay::longest_match_net".to_string(),
-                "net::overlay::exact".to_string(),
-                "net::overlay::lookup_batch_in".to_string(),
-                // The prefix table's reads: every RIB and geolocation query
-                // (route lookup, covering prefix, exact origin, the scan's
-                // batched attribution) enters here.
-                "net::table::lookup".to_string(),
-                "net::table::lookup_net".to_string(),
-                "net::table::get".to_string(),
-                "net::table::lookup_batch_map_in".to_string(),
-                // DNS wire decoding of hostile reply bytes.
-                "dns::wire::decode_message".to_string(),
-                // The published egress CSV (lossy parse path).
-                "geo::csv::parse_csv_lossy".to_string(),
-                // QUIC Version Negotiation probing (paper §6).
-                "quic::probe::*".to_string(),
-                // The relay client request path.
-                "relay::client::request".to_string(),
-                "relay::client::request_pair_with_ids".to_string(),
-                "relay::client::odoh_resolve".to_string(),
-                // The fault-injection delivery hot path (chaos harness).
-                "simnet::channel::deliver".to_string(),
-                // CONNECT-UDP codecs fed hostile tunnel bytes.
-                "quic::capsule::decode_capsule".to_string(),
-                "quic::capsule::decode_datagram".to_string(),
-                // The session layer's receive path: unframing and opening
-                // datagrams a faulted channel may have truncated or
-                // corrupted.
-                "relay::session::unframe_datagram".to_string(),
-                "relay::session::open_payload".to_string(),
-                // The sharded discrete-event engine: scheduler loop and
-                // every shard-facing surface must be panic-free — a panic
-                // in one worker poisons the whole scan.
-                "engine::sched::*".to_string(),
-            ],
             hot_paths: vec![
                 // Query encoding runs once per probe across the whole scan.
                 "dns::wire::encode_message_into".to_string(),
@@ -221,8 +171,6 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// The linked workspace call graph.
     pub graph: graph::CallGraph,
-    /// Resolved entry-point function indices into `graph.funcs`.
-    pub entries: Vec<usize>,
 }
 
 /// One file the pass must visit, in deterministic walk order.
@@ -269,47 +217,23 @@ pub fn analyze_workspace(config: &Config) -> io::Result<Analysis> {
     let graph = graph::CallGraph::build(file_symbols);
     findings.extend(reach::check_graph(
         &graph,
-        &config.entry_points,
         &config.hot_paths,
         &config.warm_paths,
     ));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    let entries = config
-        .entry_points
-        .iter()
-        .flat_map(|p| graph.resolve_entry(p))
-        .collect();
-    Ok(Analysis {
-        findings,
-        graph,
-        entries,
-    })
+    Ok(Analysis { findings, graph })
 }
 
-/// The tier-1 gate check: the workspace policy plus baseline-ratchet
-/// semantics, as one call usable from any crate's tests. Returns `Err`
-/// with a rendered report when there are unbaselined findings or stale
-/// baseline entries.
+/// The tier-1 gate check: the workspace policy, as one call usable from
+/// any crate's tests. Returns `Err` with a rendered report when there is
+/// any finding.
 pub fn check_workspace_gate(root: &Path) -> Result<(), String> {
     let config = Config::for_workspace(root);
     let findings = lint_workspace(&config).map_err(|e| format!("lint pass failed: {e}"))?;
-    let baseline_text = fs::read_to_string(root.join(baseline::BASELINE_FILE)).unwrap_or_default();
-    let entries = baseline::parse(&baseline_text).map_err(|e| format!("bad baseline: {e}"))?;
-    let outcome = baseline::apply(&findings, &entries);
-    if outcome.is_clean() {
+    if findings.is_empty() {
         return Ok(());
     }
-    let mut msg = String::new();
-    for f in &outcome.unbaselined {
-        msg.push_str(&format!("  {f}\n"));
-    }
-    for e in &outcome.stale {
-        msg.push_str(&format!(
-            "  stale baseline entry {}:{}: {} (regenerate with `cargo run -p xtask -- lint --update-baseline`)\n",
-            e.file, e.line, e.rule
-        ));
-    }
-    Err(msg)
+    Err(findings.iter().map(|f| format!("  {f}\n")).collect())
 }
 
 /// Walks the workspace and lists every `.rs` file the pass must visit, in

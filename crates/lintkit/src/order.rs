@@ -32,12 +32,12 @@
 //!
 //! Findings anchor at the **seed** (the iteration or the tainted call),
 //! the line a fix or a reasoned `// lintkit: allow(map-iter-order)`
-//! belongs on. Like determinism-taint, ⊥ (dynamic dispatch) does not
-//! propagate order-taint: the rule checks known sources.
+//! belongs on. The rule checks known sources: code outside the workspace
+//! (an external trait impl) propagates no order-taint.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::graph::{CallGraph, Callee};
+use crate::graph::CallGraph;
 use crate::rules::{Finding, Rule};
 use crate::symbols::{FuncDef, Site};
 
@@ -157,19 +157,18 @@ fn analyze(graph: &CallGraph, i: usize, ret_tainted: &[bool]) -> FnOrder {
                 if e.line != *line || &e.name != name {
                     continue;
                 }
-                if let Callee::Func(j) = e.callee {
-                    if graph.funcs[j].ret_unordered_container {
-                        call_container = true;
-                    }
-                    if ret_tainted[j] && !allowed(*line) && call_taint.is_none() {
-                        call_taint = Some(Site {
-                            line: *line,
-                            what: format!(
-                                "unordered iteration order returned by `{}`",
-                                graph.funcs[j].path()
-                            ),
-                        });
-                    }
+                let j = e.callee;
+                if graph.funcs[j].ret_unordered_container {
+                    call_container = true;
+                }
+                if ret_tainted[j] && !allowed(*line) && call_taint.is_none() {
+                    call_taint = Some(Site {
+                        line: *line,
+                        what: format!(
+                            "unordered iteration order returned by `{}`",
+                            graph.funcs[j].path()
+                        ),
+                    });
                 }
             }
         }
@@ -258,19 +257,18 @@ fn analyze(graph: &CallGraph, i: usize, ret_tainted: &[bool]) -> FnOrder {
                     if e.line != m.line || e.name != m.name {
                         continue;
                     }
-                    if let Callee::Func(j) = e.callee {
-                        if graph.funcs[j].ret_unordered_container {
-                            callee_container = true;
-                        }
-                        if ret_tainted[j] && chain_taint.is_none() && !allowed(m.line) {
-                            chain_taint = Some(Site {
-                                line: m.line,
-                                what: format!(
-                                    "unordered iteration order returned by `{}`",
-                                    graph.funcs[j].path()
-                                ),
-                            });
-                        }
+                    let j = e.callee;
+                    if graph.funcs[j].ret_unordered_container {
+                        callee_container = true;
+                    }
+                    if ret_tainted[j] && chain_taint.is_none() && !allowed(m.line) {
+                        chain_taint = Some(Site {
+                            line: m.line,
+                            what: format!(
+                                "unordered iteration order returned by `{}`",
+                                graph.funcs[j].path()
+                            ),
+                        });
                     }
                 }
                 chain_container = callee_container;

@@ -1,41 +1,28 @@
-//! The interprocedural rules, run over [`crate::graph::CallGraph`]:
+//! The call-graph rules, run over [`crate::graph::CallGraph`]:
 //!
-//! * **panic-reachability** — no panic site (and no ⊥ edge) may be
-//!   transitively reachable from a declared hostile-input entry point.
-//!   Findings carry the shortest call path from the entry so the report is
-//!   actionable (`scan_subnets → … → attempt_query → ⊥(handle_query_into)`).
 //! * **lock-order** — the derived lock-acquisition-order graph must be
 //!   acyclic. An order edge `A → B` exists when `B` is acquired (directly
 //!   or via a callee) while `A` is held; guards are conservatively assumed
 //!   held until the end of the acquiring function.
-//! * **determinism-taint** — no wall-clock/OS-randomness source may be
-//!   reachable from a function whose signature takes a `SimClock`/`SimRng`.
-//!   Unlike panic-reachability, ⊥ does not propagate taint: the rule
-//!   checks *known* sources, so dynamic dispatch to unseen code is out of
-//!   scope (the clippy.toml syntactic bans still cover every workspace
-//!   file directly).
+//! * **rng-fork-order** and **shard-state-escape** — the engine's
+//!   order-free RNG and shard-isolation contracts (see each function).
 //!
 //! Findings deduplicate by `(rule, file, line)`, keeping the first
 //! (shortest-path) witness, and come back in deterministic order.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use crate::graph::{CallGraph, Callee};
+use crate::graph::CallGraph;
 use crate::rules::{Finding, Rule};
 use crate::symbols::Event;
 
-/// Runs all seven interprocedural rules (plus the allocation-reachability
-/// pass from [`crate::resource`], which shares this module's BFS shape).
-pub fn check_graph(
-    graph: &CallGraph,
-    entry_points: &[String],
-    hot_paths: &[String],
-    warm_paths: &[String],
-) -> Vec<Finding> {
+/// Runs the five call-graph rules: lock-order, map-iter-order
+/// ([`crate::order`]), rng-fork-order, shard-state-escape and
+/// alloc-in-hot-path ([`crate::resource`], which shares this module's BFS
+/// shape).
+pub fn check_graph(graph: &CallGraph, hot_paths: &[String], warm_paths: &[String]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    panic_reachability(graph, entry_points, &mut findings);
     lock_order(graph, &mut findings);
-    determinism_taint(graph, &mut findings);
     crate::order::map_iter_order(graph, &mut findings);
     rng_fork_order(graph, &mut findings);
     shard_state_escape(graph, &mut findings);
@@ -127,11 +114,10 @@ fn bfs(graph: &CallGraph, start: usize) -> HashMap<usize, usize> {
     let mut queue = VecDeque::from([start]);
     while let Some(i) = queue.pop_front() {
         for e in &graph.edges[i] {
-            if let Callee::Func(j) = e.callee {
-                if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(j) {
-                    slot.insert(i);
-                    queue.push_back(j);
-                }
+            let j = e.callee;
+            if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(j) {
+                slot.insert(i);
+                queue.push_back(j);
             }
         }
     }
@@ -157,96 +143,6 @@ pub(crate) fn path_to(graph: &CallGraph, parent: &HashMap<usize, usize>, target:
         .join(" → ")
 }
 
-fn panic_reachability(graph: &CallGraph, entry_points: &[String], findings: &mut Vec<Finding>) {
-    let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
-    for pattern in entry_points {
-        let entries = graph.resolve_entry(pattern);
-        if entries.is_empty() {
-            findings.push(Finding {
-                rule: Rule::PanicReachability,
-                file: "lintkit.config".to_string(),
-                line: 0,
-                message: format!(
-                    "entry point `{pattern}` matches no workspace function — \
-                     update the entry list so the analysis stays live"
-                ),
-            });
-            continue;
-        }
-        for entry in entries {
-            let parent = bfs(graph, entry);
-            // Deterministic order: visit reached functions by index.
-            let mut reached: Vec<usize> = parent.keys().copied().collect();
-            reached.sort_unstable();
-            for i in reached {
-                let f = &graph.funcs[i];
-                for site in &f.panic_sites {
-                    if seen.insert((f.file.clone(), site.line)) {
-                        findings.push(Finding {
-                            rule: Rule::PanicReachability,
-                            file: f.file.clone(),
-                            line: site.line,
-                            message: format!(
-                                "{} reachable from entry `{}` via {}",
-                                site.what,
-                                graph.funcs[entry].path(),
-                                path_to(graph, &parent, i),
-                            ),
-                        });
-                    }
-                }
-                for e in &graph.edges[i] {
-                    if e.callee == Callee::Bottom && seen.insert((f.file.clone(), e.line)) {
-                        findings.push(Finding {
-                            rule: Rule::PanicReachability,
-                            file: f.file.clone(),
-                            line: e.line,
-                            message: format!(
-                                "dynamic call `.{}()` may reach unanalyzed code (⊥) \
-                                 from entry `{}` via {}",
-                                e.name,
-                                graph.funcs[entry].path(),
-                                path_to(graph, &parent, i),
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn determinism_taint(graph: &CallGraph, findings: &mut Vec<Finding>) {
-    let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
-    for (p, protected) in graph.funcs.iter().enumerate() {
-        if !protected.takes_sim_types {
-            continue;
-        }
-        let parent = bfs(graph, p);
-        let mut reached: Vec<usize> = parent.keys().copied().collect();
-        reached.sort_unstable();
-        for i in reached {
-            let f = &graph.funcs[i];
-            for site in &f.taint_sites {
-                if seen.insert((f.file.clone(), site.line)) {
-                    findings.push(Finding {
-                        rule: Rule::DeterminismTaint,
-                        file: f.file.clone(),
-                        line: site.line,
-                        message: format!(
-                            "{} reachable from SimClock/SimRng-driven `{}` via {} — \
-                             route time/randomness through the simulation types",
-                            site.what,
-                            protected.path(),
-                            path_to(graph, &parent, i),
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 /// One edge of the derived lock-order graph: `B` acquired while `A` held.
 #[derive(Debug, Clone)]
 struct OrderSite {
@@ -256,8 +152,8 @@ struct OrderSite {
 
 fn lock_order(graph: &CallGraph, findings: &mut Vec<Finding>) {
     // Transitive lock sets: which locks can each function acquire, itself
-    // or through its callees (⊥ contributes nothing — an unknown impl
-    // cannot reach workspace-private lock fields).
+    // or through its callees (an external impl cannot reach
+    // workspace-private lock fields).
     let n = graph.funcs.len();
     let mut trans: Vec<BTreeSet<String>> = graph
         .funcs
@@ -277,15 +173,14 @@ fn lock_order(graph: &CallGraph, findings: &mut Vec<Finding>) {
         changed = false;
         for i in 0..n {
             for e in &graph.edges[i] {
-                if let Callee::Func(j) = e.callee {
-                    if j == i {
-                        continue;
-                    }
-                    let add: Vec<String> = trans[j].difference(&trans[i]).cloned().collect();
-                    if !add.is_empty() {
-                        trans[i].extend(add);
-                        changed = true;
-                    }
+                let j = e.callee;
+                if j == i {
+                    continue;
+                }
+                let add: Vec<String> = trans[j].difference(&trans[i]).cloned().collect();
+                if !add.is_empty() {
+                    trans[i].extend(add);
+                    changed = true;
                 }
             }
         }
@@ -320,15 +215,14 @@ fn lock_order(graph: &CallGraph, findings: &mut Vec<Finding>) {
                         .iter()
                         .filter(|e| e.line == call.line && e.name == call.name)
                     {
-                        if let Callee::Func(j) = e.callee {
-                            for b in &trans[j] {
-                                for a in &held {
-                                    if a != b {
-                                        order.entry((a.clone(), b.clone())).or_insert(OrderSite {
-                                            file: f.file.clone(),
-                                            line: call.line,
-                                        });
-                                    }
+                        let j = e.callee;
+                        for b in &trans[j] {
+                            for a in &held {
+                                if a != b {
+                                    order.entry((a.clone(), b.clone())).or_insert(OrderSite {
+                                        file: f.file.clone(),
+                                        line: call.line,
+                                    });
                                 }
                             }
                         }
@@ -420,135 +314,28 @@ mod tests {
     use crate::graph::CallGraph;
     use crate::symbols::collect;
 
-    fn run(files: &[(&str, &str, &str, &str)], entries: &[&str]) -> Vec<Finding> {
+    fn run(files: &[(&str, &str, &str, &str)]) -> Vec<Finding> {
         let graph = CallGraph::build(
             files
                 .iter()
                 .map(|(krate, module, path, src)| collect(krate, module, path, src))
                 .collect(),
         );
-        check_graph(
-            &graph,
-            &entries.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-            &[],
-            &[],
-        )
-    }
-
-    #[test]
-    fn panic_behind_indirection_is_reached() {
-        let f = run(
-            &[(
-                "alpha",
-                "lib",
-                "crates/alpha/src/lib.rs",
-                "pub fn entry(x: Option<u8>) { mid(x); }\n\
-                 fn mid(x: Option<u8>) { deep(x); }\n\
-                 fn deep(x: Option<u8>) { x.unwrap(); }",
-            )],
-            &["alpha::lib::entry"],
-        );
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::PanicReachability);
-        assert_eq!(f[0].line, 3);
-        assert!(f[0].message.contains("entry → mid → deep"));
-    }
-
-    #[test]
-    fn unreachable_panic_is_not_flagged() {
-        let f = run(
-            &[(
-                "alpha",
-                "lib",
-                "crates/alpha/src/lib.rs",
-                "pub fn entry() {}\n\
-                 pub fn other(x: Option<u8>) { x.unwrap(); }",
-            )],
-            &["alpha::lib::entry"],
-        );
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn missing_entry_is_a_config_finding() {
-        let f = run(
-            &[(
-                "alpha",
-                "lib",
-                "crates/alpha/src/lib.rs",
-                "pub fn entry() {}",
-            )],
-            &["alpha::lib::renamed"],
-        );
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].file, "lintkit.config");
-        assert!(f[0].message.contains("alpha::lib::renamed"));
-    }
-
-    #[test]
-    fn bottom_edge_is_flagged_from_entry() {
-        let f = run(
-            &[(
-                "alpha",
-                "lib",
-                "crates/alpha/src/lib.rs",
-                "trait T { fn m(&self); }\n\
-                 pub fn entry(t: &dyn T) { t.m(); }",
-            )],
-            &["alpha::lib::entry"],
-        );
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("⊥"));
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn taint_reaches_through_calls() {
-        let f = run(
-            &[(
-                "alpha",
-                "lib",
-                "crates/alpha/src/lib.rs",
-                "pub fn sim(clock: &mut SimClock) { helper(); }\n\
-                 fn helper() { let t = SystemTime::now(); }",
-            )],
-            &[],
-        );
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::DeterminismTaint);
-        assert_eq!(f[0].line, 2);
-        assert!(f[0].message.contains("alpha::lib::sim"));
-    }
-
-    #[test]
-    fn taint_in_unprotected_code_is_fine() {
-        let f = run(
-            &[(
-                "alpha",
-                "lib",
-                "crates/alpha/src/lib.rs",
-                "pub fn wallclock() { let t = SystemTime::now(); }",
-            )],
-            &[],
-        );
-        assert!(f.is_empty());
+        check_graph(&graph, &[], &[])
     }
 
     #[test]
     fn lock_order_cycle_detected_with_exact_site() {
-        let f = run(
-            &[(
-                "alpha",
-                "lib",
-                "crates/alpha/src/lib.rs",
-                "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
+        let f = run(&[(
+            "alpha",
+            "lib",
+            "crates/alpha/src/lib.rs",
+            "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
                  impl S {\n\
                  fn ab(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
                  fn ba(&self) { let g = self.b.lock(); let h = self.a.lock(); }\n\
                  }",
-            )],
-            &[],
-        );
+        )]);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::LockOrder);
         assert_eq!(f[0].file, "crates/alpha/src/lib.rs");
@@ -559,20 +346,17 @@ mod tests {
 
     #[test]
     fn lock_order_cycle_through_callee() {
-        let f = run(
-            &[(
-                "alpha",
-                "lib",
-                "crates/alpha/src/lib.rs",
-                "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
+        let f = run(&[(
+            "alpha",
+            "lib",
+            "crates/alpha/src/lib.rs",
+            "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
                  impl S {\n\
                  fn outer(&self) { let g = self.a.lock(); self.inner(); }\n\
                  fn inner(&self) { let h = self.b.lock(); }\n\
                  fn reversed(&self) { let h = self.b.lock(); let g = self.a.lock(); }\n\
                  }",
-            )],
-            &[],
-        );
+        )]);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::LockOrder);
         // The A→B leg comes from the call site in `outer`.
@@ -583,19 +367,16 @@ mod tests {
 
     #[test]
     fn consistent_lock_order_is_clean() {
-        let f = run(
-            &[(
-                "alpha",
-                "lib",
-                "crates/alpha/src/lib.rs",
-                "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
+        let f = run(&[(
+            "alpha",
+            "lib",
+            "crates/alpha/src/lib.rs",
+            "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
                  impl S {\n\
                  fn one(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
                  fn two(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
                  }",
-            )],
-            &[],
-        );
+        )]);
         assert!(f.is_empty());
     }
 }

@@ -5,10 +5,9 @@
 //! ([`crate::Config::hot_paths`]). "Allocates" propagates through the call
 //! graph; traversal is pruned at the [`crate::Config::warm_paths`]
 //! boundary, the construction/setup functions whose allocations are
-//! one-time cost rather than steady state. ⊥ (dynamic dispatch) does *not*
-//! propagate allocation: the rule checks known sites, mirroring
-//! determinism-taint, so the baseline stays reserved for
-//! panic-reachability ⊥ findings.
+//! one-time cost rather than steady state. Only workspace code is
+//! analyzed: allocation inside `std` or an external trait impl is out of
+//! scope.
 //!
 //! Integer casts and arithmetic in the kernels are clippy's job
 //! (`cast_possible_truncation`, `arithmetic_side_effects`, … at the top of
@@ -16,7 +15,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use crate::graph::{CallGraph, Callee};
+use crate::graph::CallGraph;
 use crate::rules::{Finding, Rule};
 
 /// Heap-constructing type heads for path calls (`Vec::with_capacity`,
@@ -116,14 +115,13 @@ fn bfs_pruned(graph: &CallGraph, start: usize, warm: &BTreeSet<usize>) -> HashMa
     let mut queue = VecDeque::from([start]);
     while let Some(i) = queue.pop_front() {
         for e in &graph.edges[i] {
-            if let Callee::Func(j) = e.callee {
-                if warm.contains(&j) {
-                    continue;
-                }
-                if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(j) {
-                    slot.insert(i);
-                    queue.push_back(j);
-                }
+            let j = e.callee;
+            if warm.contains(&j) {
+                continue;
+            }
+            if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(j) {
+                slot.insert(i);
+                queue.push_back(j);
             }
         }
     }

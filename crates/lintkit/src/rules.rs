@@ -1,10 +1,10 @@
 //! The rule set, findings, and the allow-comment parser shared by the
 //! graph rules.
 //!
-//! The panic, print, index, cast and arithmetic policies are clippy lints
-//! declared in each crate root and strict file (see DESIGN.md §8); lintkit
-//! keeps what clippy cannot see: the call graph and the vendored-shim
-//! manifest. A graph finding can be suppressed with an allow comment that
+//! The panic, print, index, wall-clock, cast and arithmetic policies are
+//! clippy's: lints declared in each crate root and strict file, and
+//! `clippy.toml`'s banned methods (see DESIGN.md §8). lintkit keeps what
+//! clippy cannot see: the call graph and the vendored-shim manifest. A graph finding can be suppressed with an allow comment that
 //! *must* carry a justification:
 //!
 //! ```text
@@ -26,14 +26,8 @@ pub enum Rule {
     AllowNeedsReason,
     /// Vendored shims must match the checked-in public-API manifest.
     VendorManifest,
-    /// No panic site (`unwrap`/`expect`/panic macros/scalar indexing) may be
-    /// transitively reachable from a declared hostile-input entry point.
-    PanicReachability,
     /// The interprocedural lock-acquisition-order graph must be acyclic.
     LockOrder,
-    /// No wall-clock or OS-randomness source may be reachable from a
-    /// function that takes a `SimClock`/`SimRng`.
-    DeterminismTaint,
     /// Iteration order of a `HashMap`/`HashSet` must not reach a function's
     /// output (return value, tail expression, `&mut` out-param or `self`
     /// field) without passing a sorting boundary — collecting into a
@@ -62,12 +56,10 @@ pub enum Rule {
 impl Rule {
     /// Every rule, in declaration order. SARIF rule indices derive from
     /// this list, so order is load-bearing: append new rules at the end.
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 7] = [
         Rule::AllowNeedsReason,
         Rule::VendorManifest,
-        Rule::PanicReachability,
         Rule::LockOrder,
-        Rule::DeterminismTaint,
         Rule::MapIterOrder,
         Rule::RngForkOrder,
         Rule::ShardStateEscape,
@@ -79,9 +71,7 @@ impl Rule {
         match self {
             Rule::AllowNeedsReason => "allow-needs-reason",
             Rule::VendorManifest => "vendor-manifest",
-            Rule::PanicReachability => "panic-reachability",
             Rule::LockOrder => "lock-order",
-            Rule::DeterminismTaint => "determinism-taint",
             Rule::MapIterOrder => "map-iter-order",
             Rule::RngForkOrder => "rng-fork-order",
             Rule::ShardStateEscape => "shard-state-escape",
@@ -94,9 +84,7 @@ impl Rule {
         match s {
             "allow-needs-reason" => Some(Rule::AllowNeedsReason),
             "vendor-manifest" => Some(Rule::VendorManifest),
-            "panic-reachability" => Some(Rule::PanicReachability),
             "lock-order" => Some(Rule::LockOrder),
-            "determinism-taint" => Some(Rule::DeterminismTaint),
             "map-iter-order" => Some(Rule::MapIterOrder),
             "rng-fork-order" => Some(Rule::RngForkOrder),
             "shard-state-escape" => Some(Rule::ShardStateEscape),
@@ -166,86 +154,6 @@ pub fn check_allows(rel_path: &str, src: &str) -> Vec<Finding> {
             })
         })
         .collect()
-}
-
-/// Whether the token before `[` makes it an index expression: an
-/// identifier that is not an expression-introducing keyword, or a closing
-/// `)` / `]` (call result / nested index).
-pub(crate) fn is_index_base(prev: &Token) -> bool {
-    match prev.kind {
-        TokenKind::Punct(b')') | TokenKind::Punct(b']') => true,
-        TokenKind::Ident => !matches!(
-            prev.text.as_str(),
-            "let"
-                | "mut"
-                | "ref"
-                | "in"
-                | "if"
-                | "else"
-                | "while"
-                | "loop"
-                | "for"
-                | "match"
-                | "return"
-                | "break"
-                | "continue"
-                | "move"
-                | "as"
-                | "dyn"
-                | "impl"
-                | "where"
-                | "box"
-                | "const"
-                | "static"
-                | "type"
-                | "use"
-                | "pub"
-                | "unsafe"
-                | "async"
-                | "await"
-                | "yield"
-        ),
-        _ => false,
-    }
-}
-
-/// Index of the `]` matching the `[` at `open`, if any.
-pub(crate) fn matching_bracket(code: &[&Token], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, t) in code.iter().enumerate().skip(open) {
-        if t.is_punct(b'[') {
-            depth += 1;
-        } else if t.is_punct(b']') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
-}
-
-/// Whether `code[open+1..close]` contains a `..` at the outermost bracket
-/// depth — i.e. the expression is a range slice, not a scalar index.
-pub(crate) fn contains_top_level_range(code: &[&Token], open: usize, close: usize) -> bool {
-    let mut depth = 0i32;
-    let mut k = open + 1;
-    while k < close {
-        let t = code[k];
-        if t.is_punct(b'[') || t.is_punct(b'(') {
-            depth += 1;
-        } else if t.is_punct(b']') || t.is_punct(b')') {
-            depth -= 1;
-        } else if depth == 0 && t.is_punct(b'.') {
-            if let Some(next) = code.get(k + 1) {
-                if next.is_punct(b'.') {
-                    return true;
-                }
-            }
-        }
-        k += 1;
-    }
-    false
 }
 
 /// Token-index ranges (inclusive) of items gated behind `#[cfg(test)]`
@@ -460,8 +368,8 @@ mod tests {
 
     #[test]
     fn allow_for_unknown_rule_is_reported() {
-        // The per-file rules that clippy enforces are unknown to lintkit: a
-        // leftover allow for one of them is loud, not a silent no-op.
+        // The rules that clippy enforces are unknown to lintkit: a leftover
+        // allow for one of them is loud, not a silent no-op.
         for rule in [
             "no-such-rule",
             "no-panic",
@@ -470,6 +378,8 @@ mod tests {
             "forbid-unsafe",
             "narrowing-cast",
             "unchecked-arith",
+            "panic-reachability",
+            "determinism-taint",
         ] {
             let src = format!("fn f() {{}} // lintkit: allow({rule}) -- because");
             let f = check(&src);

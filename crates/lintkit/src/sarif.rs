@@ -2,22 +2,19 @@
 //!
 //! SARIF (Static Analysis Results Interchange Format) is the
 //! OASIS-standard envelope that code-hosting CI surfaces ingest to
-//! annotate pull requests with analyzer findings. The export mirrors the
-//! `--json` report in [`crate::baseline::report_json`]: one `result` per
+//! annotate pull requests with analyzer findings: one `result` per
 //! finding, anchored to the workspace-relative file and 1-indexed line.
 //!
 //! Like the rest of lintkit the writer is dependency-free — the document
-//! is small and append-only, so a string builder over
-//! [`crate::baseline::json_string`] (the escape-correct literal writer)
-//! is all it takes. Shape kept to the minimal valid core of §3 of the
-//! spec:
+//! is small and append-only, so a string builder over [`json_string`]
+//! (the escape-correct literal writer) is all it takes. Shape kept to the
+//! minimal valid core of §3 of the spec:
 //!
 //! * `runs[0].tool.driver` names the analyzer and carries the full rule
 //!   table (every [`Rule`] with its one-line description), so viewers can
 //!   render rule help without out-of-band metadata,
 //! * each `result` carries `ruleId`, `ruleIndex` (into that table),
-//!   `level: "error"` (the gate treats every unbaselined finding as
-//!   fatal), `message.text`, and one `physicalLocation` with
+//!   `level: "error"` (the gate treats every finding as fatal), `message.text`, and one `physicalLocation` with
 //!   `artifactLocation.uri` + `region.startLine`.
 //!
 //! `startLine` is clamped to ≥ 1: SARIF regions are 1-indexed, and a few
@@ -26,21 +23,18 @@
 
 use std::fmt::Write as _;
 
-use crate::baseline::json_string;
 use crate::rules::{Finding, Rule};
 
 /// Every rule lintkit defines, in the stable order used for
 /// `runs[0].tool.driver.rules` (and therefore for `ruleIndex`).
-pub const RULES: [Rule; 9] = Rule::ALL;
+pub const RULES: [Rule; 7] = Rule::ALL;
 
 /// One-line rule help shown by SARIF viewers next to each result.
 fn description(rule: Rule) -> &'static str {
     match rule {
         Rule::AllowNeedsReason => "lintkit allow comments must name a rule and a justification",
         Rule::VendorManifest => "vendored shims must match the public-API manifest",
-        Rule::PanicReachability => "no panic site reachable from a hostile-input entry point",
         Rule::LockOrder => "the lock acquisition-order graph must be acyclic",
-        Rule::DeterminismTaint => "wall-clock and OS randomness unreachable from simulated code",
         Rule::MapIterOrder => {
             "unordered-container iteration must pass a sorting boundary before \
              escaping a function's output"
@@ -107,6 +101,27 @@ pub fn report_sarif(findings: &[Finding]) -> String {
     } else {
         out.push_str("\n      ]\n    }\n  ]\n}\n");
     }
+    out
+}
+
+/// Renders `s` as a JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }
 

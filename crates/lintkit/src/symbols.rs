@@ -4,25 +4,18 @@
 //! nesting, and records for every function outside `#[cfg(test)]` ranges:
 //!
 //! * its identity — crate, module (file stem), name, `impl` self type,
-//! * its **panic sites** — `unwrap`/`expect`/panic-family macros and scalar
-//!   `expr[i]` indexing (sites suppressed by a reasoned
-//!   `// lintkit: allow(panic-reachability)` comment are *not* recorded:
-//!   the allow documents why the site cannot fire, so the interprocedural
-//!   pass trusts it; a clippy `#[expect]` alone does not suppress a site),
 //! * its **call sites** — bare calls, `a::b::f()` path calls and `.m()`
 //!   method calls, the raw material for [`crate::graph`],
 //! * its **lock events** — acquisitions of struct fields declared as
 //!   `Mutex`/`RwLock` (blocking `lock`/`read`/`write`; `try_lock` cannot
 //!   deadlock and is ignored), interleaved with the call sites so the
 //!   lock-order analysis sees what is held across which calls,
-//! * its **determinism-taint sources** — `SystemTime::now`, `Instant::now`,
-//!   `thread_rng`-style wall-clock/OS-randomness reads,
-//! * whether its signature mentions `SimClock`/`SimRng` (the functions the
-//!   determinism rule protects).
+//! * its order-dependent `.fork(` calls, shared-mutable-state touches,
+//!   allocation sites and order IR, for the determinism and resource rules.
 //!
-//! Trait declarations are recorded too: a method *name* declared in any
-//! workspace `trait` marks every `.name()` call as dynamic dispatch, which
-//! the graph resolves conservatively (all impls plus the ⊥ node).
+//! Default method bodies inside `trait` blocks are recorded as functions
+//! whose self type is the trait, so a `.name()` call on a trait object
+//! links to them as well as to every impl.
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::rules::{collect_reasoned_allows, test_gated_ranges, Rule};
@@ -48,8 +41,6 @@ pub struct FuncDef {
     pub file: String,
     /// 1-indexed line of the `fn` keyword.
     pub line: u32,
-    /// Whether the signature mentions `SimClock` or `SimRng`.
-    pub takes_sim_types: bool,
     /// Whether the signature declares a `->` return type.
     pub returns_value: bool,
     /// Whether the return type mentions `HashMap`/`HashSet` — callers
@@ -65,10 +56,6 @@ pub struct FuncDef {
     /// `HashMap`/`HashSet` struct-field names declared in the same file,
     /// visible to this function as `self.<field>`.
     pub map_fields: Vec<String>,
-    /// Unsuppressed may-panic sites in the body.
-    pub panic_sites: Vec<Site>,
-    /// Wall-clock / OS-randomness reads in the body.
-    pub taint_sites: Vec<Site>,
     /// Unsuppressed order-dependent `.fork(` call sites.
     pub fork_sites: Vec<Site>,
     /// Unsuppressed shared-mutable-state touches (`Mutex`, `OnceLock`,
@@ -100,7 +87,7 @@ impl FuncDef {
 pub struct Site {
     /// 1-indexed line.
     pub line: u32,
-    /// What sits there (`.unwrap()`, `panic!`, `indexing`, …).
+    /// What sits there (`.fork()`, `vec!`, `Mutex`, …).
     pub what: String,
 }
 
@@ -207,21 +194,15 @@ impl LockDecl {
 pub struct FileSymbols {
     /// The functions defined in the file (test-gated ones excluded).
     pub funcs: Vec<FuncDef>,
-    /// Method names declared in `trait` blocks (dynamic-dispatch markers).
-    pub trait_methods: Vec<String>,
     /// `Mutex`/`RwLock` struct fields declared in the file.
     pub locks: Vec<LockDecl>,
     /// `HashMap`/`HashSet` struct-field names declared in the file.
     pub map_fields: Vec<String>,
 }
 
-/// Panic-family macros (the ones `clippy::{panic, unreachable, todo, unimplemented}` flag).
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
 /// Extracts the symbol table of one file.
 pub fn collect(crate_name: &str, module: &str, rel_path: &str, src: &str) -> FileSymbols {
     let tokens = lex(src);
-    let suppressed = collect_reasoned_allows(&tokens, &[Rule::PanicReachability]);
     let order_allows = collect_reasoned_allows(&tokens, &[Rule::MapIterOrder]);
     let fork_allows = collect_reasoned_allows(&tokens, &[Rule::RngForkOrder]);
     let shared_allows = collect_reasoned_allows(&tokens, &[Rule::ShardStateEscape]);
@@ -236,7 +217,6 @@ pub fn collect(crate_name: &str, module: &str, rel_path: &str, src: &str) -> Fil
     let mut walker = Walker {
         code: &code,
         skip: &skip,
-        suppressed: &suppressed,
         order_allows: &order_allows,
         fork_allows: &fork_allows,
         shared_allows: &shared_allows,
@@ -372,7 +352,6 @@ struct Ctx {
 struct Walker<'a> {
     code: &'a [&'a Token],
     skip: &'a [(usize, usize)],
-    suppressed: &'a [u32],
     order_allows: &'a [u32],
     fork_allows: &'a [u32],
     shared_allows: &'a [u32],
@@ -479,15 +458,12 @@ impl Walker<'_> {
         }
     }
 
-    /// Records the method names a `trait` block declares, then walks its
-    /// default bodies as ordinary functions (tagged `in_trait`).
+    /// Walks a `trait` block's default bodies as ordinary functions (tagged
+    /// `in_trait`).
     fn trait_body(&mut self, lo: usize, hi: usize, trait_name: Option<&str>) {
         let mut i = lo;
         while i < hi {
             if self.code[i].is_ident("fn") {
-                if let Some(name) = self.code.get(i + 1).filter(|t| t.kind == TokenKind::Ident) {
-                    self.out.trait_methods.push(name.text.clone());
-                }
                 let ctx = Ctx {
                     self_type: trait_name.map(String::from),
                     impl_trait: trait_name.map(String::from),
@@ -622,15 +598,12 @@ impl Walker<'_> {
         // default body) at angle-depth 0.
         let mut j = fn_kw + 2;
         let mut angle = 0i32;
-        let mut takes_sim_types = false;
         while j < hi {
             let t = self.code[j];
             if t.is_punct(b'<') {
                 angle += 1;
             } else if t.is_punct(b'>') {
                 angle -= 1;
-            } else if t.is_ident("SimClock") || t.is_ident("SimRng") {
-                takes_sim_types = true;
             } else if (t.is_punct(b'{') || t.is_punct(b';')) && angle <= 0 {
                 break;
             }
@@ -652,15 +625,12 @@ impl Walker<'_> {
             in_trait: ctx.in_trait,
             file: self.rel_path.to_string(),
             line: self.code[fn_kw].line,
-            takes_sim_types,
             returns_value: sig.returns_value,
             ret_unordered_container: sig.ret_unordered,
             params: sig.params,
             unordered_params: sig.unordered_params,
             ref_mut_params: sig.ref_mut_params,
             map_fields: Vec::new(),
-            panic_sites: Vec::new(),
-            taint_sites: Vec::new(),
             fork_sites: Vec::new(),
             shared_sites: Vec::new(),
             alloc_sites: Vec::new(),
@@ -776,70 +746,13 @@ impl Walker<'_> {
         }
     }
 
-    /// Scans a function body for panic sites, taint sources, lock
-    /// acquisitions and call sites.
+    /// Scans a function body for fork, shared-state and allocation sites,
+    /// lock acquisitions and call sites.
     fn body(&mut self, lo: usize, hi: usize, def: &mut FuncDef) {
         let code = self.code;
-        let is_suppressed = |line: u32| self.suppressed.contains(&line);
         let mut i = lo;
         while i < hi {
             let tok = code[i];
-            // `.unwrap()` / `.expect(`.
-            if tok.is_punct(b'.') {
-                if let (Some(name), Some(paren)) = (code.get(i + 1), code.get(i + 2)) {
-                    if paren.is_punct(b'(')
-                        && (name.is_ident("unwrap") || name.is_ident("expect"))
-                        && !is_suppressed(name.line)
-                    {
-                        def.panic_sites.push(Site {
-                            line: name.line,
-                            what: format!(".{}()", name.text),
-                        });
-                    }
-                }
-            }
-            // Panic-family macros and taint sources.
-            if tok.kind == TokenKind::Ident {
-                if code.get(i + 1).is_some_and(|t| t.is_punct(b'!'))
-                    && PANIC_MACROS.contains(&tok.text.as_str())
-                    && !is_suppressed(tok.line)
-                {
-                    def.panic_sites.push(Site {
-                        line: tok.line,
-                        what: format!("{}!", tok.text),
-                    });
-                }
-                let now_call = (tok.is_ident("SystemTime") || tok.is_ident("Instant"))
-                    && code.get(i + 1).is_some_and(|t| t.is_punct(b':'))
-                    && code.get(i + 2).is_some_and(|t| t.is_punct(b':'))
-                    && code.get(i + 3).is_some_and(|t| t.is_ident("now"));
-                let rng_call = (tok.is_ident("thread_rng") || tok.is_ident("from_entropy"))
-                    && code.get(i + 1).is_some_and(|t| t.is_punct(b'('));
-                if now_call || rng_call {
-                    let what = if now_call {
-                        format!("{}::now()", tok.text)
-                    } else {
-                        format!("{}()", tok.text)
-                    };
-                    def.taint_sites.push(Site {
-                        line: tok.line,
-                        what,
-                    });
-                }
-            }
-            // Scalar indexing.
-            if tok.is_punct(b'[') && i > lo && crate::rules::is_index_base(code[i - 1]) {
-                if let Some(close) = crate::rules::matching_bracket(code, i) {
-                    if !crate::rules::contains_top_level_range(code, i, close)
-                        && !is_suppressed(tok.line)
-                    {
-                        def.panic_sites.push(Site {
-                            line: tok.line,
-                            what: "indexing".to_string(),
-                        });
-                    }
-                }
-            }
             // Order-dependent RNG forks: `.fork(` (the order-free variant
             // is `.fork_indexed(`, a different identifier).
             if tok.is_punct(b'.') {
@@ -1318,25 +1231,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_sites_and_suppressions() {
-        let s = symbols(
-            "fn f(v: &[u8]) {\n\
-             v.unwrap();\n\
-             x.expect(\"m\"); // lintkit: allow(panic-reachability) -- fixture reason\n\
-             panic!();\n\
-             let a = v[0];\n\
-             let b = &v[1..2];\n\
-             }",
-        );
-        let sites: Vec<&str> = s.funcs[0]
-            .panic_sites
-            .iter()
-            .map(|p| p.what.as_str())
-            .collect();
-        assert_eq!(sites, vec![".unwrap()", "panic!", "indexing"]);
-    }
-
-    #[test]
     fn calls_paths_and_methods() {
         let s = symbols(
             "fn f() {\n\
@@ -1400,37 +1294,8 @@ mod tests {
              fn twice(&self, b: &[u8]) -> u8 { self.handle(b) }\n\
              }",
         );
-        assert_eq!(s.trait_methods, vec!["handle", "twice"]);
         assert_eq!(s.funcs.len(), 1);
         assert_eq!(s.funcs[0].name, "twice");
         assert!(s.funcs[0].in_trait);
-    }
-
-    #[test]
-    fn sim_type_signatures_detected() {
-        let s = symbols(
-            "fn sim(clock: &mut SimClock) {}\n\
-             fn rng(r: &SimRng) {}\n\
-             fn plain(x: u64) {}",
-        );
-        assert!(s.funcs[0].takes_sim_types);
-        assert!(s.funcs[1].takes_sim_types);
-        assert!(!s.funcs[2].takes_sim_types);
-    }
-
-    #[test]
-    fn taint_sources_detected() {
-        let s = symbols(
-            "fn bad() { let t = SystemTime::now(); let i = Instant::now(); let r = thread_rng(); }",
-        );
-        let what: Vec<&str> = s.funcs[0]
-            .taint_sites
-            .iter()
-            .map(|t| t.what.as_str())
-            .collect();
-        assert_eq!(
-            what,
-            vec!["SystemTime::now()", "Instant::now()", "thread_rng()"]
-        );
     }
 }

@@ -1,11 +1,5 @@
-//! Hostile-input decoder fixture: the seeded panic sits one call behind
-//! the public API.
+//! Decoder fixture: the far end of the scan loop's cross-crate call.
 
 pub fn decode_entry(x: u32) -> u32 {
-    deep(x)
-}
-
-fn deep(x: u32) -> u32 {
-    let v = vec![x];
-    *v.first().unwrap()
+    x + 1
 }

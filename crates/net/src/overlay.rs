@@ -41,7 +41,6 @@
 #![cfg_attr(
     not(test),
     deny(
-        clippy::indexing_slicing,
         clippy::arithmetic_side_effects,
         clippy::cast_possible_truncation,
         clippy::cast_sign_loss,

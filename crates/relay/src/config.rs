@@ -63,16 +63,16 @@ pub struct IngressFleetPlan {
 impl IngressFleetPlan {
     /// Fleet size at `epoch` for the given family.
     pub fn size_at(&self, epoch: Epoch, v6: bool) -> usize {
-        let idx = match epoch {
-            Epoch::Jan2022 => 0,
-            Epoch::Feb2022 => 1,
-            Epoch::Mar2022 => 2,
-            Epoch::Apr2022 | Epoch::May2022 => 3,
-        };
-        if v6 {
-            self.v6_by_epoch[idx]
+        let [jan, feb, mar, apr] = if v6 {
+            self.v6_by_epoch
         } else {
-            self.v4_by_epoch[idx]
+            self.v4_by_epoch
+        };
+        match epoch {
+            Epoch::Jan2022 => jan,
+            Epoch::Feb2022 => feb,
+            Epoch::Mar2022 => mar,
+            Epoch::Apr2022 | Epoch::May2022 => apr,
         }
     }
 

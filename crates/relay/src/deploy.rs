@@ -293,18 +293,27 @@ impl Deployment {
         AuthoritativeServer::new().with_zone(self.mask_zone())
     }
 
+    /// Host `n` of the first client AS of country `cc` (falling back to the
+    /// first AS overall) and that AS's country. An empty client world
+    /// falls back to TEST-NET-1 in `cc`, as `ClientAs::host_addr` does
+    /// for an AS without prefixes.
+    fn home(&self, cc: CountryCode, n: u64) -> (Ipv4Addr, CountryCode) {
+        let ases = self.world.ases();
+        ases.iter()
+            .find(|a| a.cc == cc)
+            .or_else(|| ases.first())
+            .map_or((Ipv4Addr::new(192, 0, 2, 1), cc), |a| {
+                (a.host_addr(n), a.cc)
+            })
+    }
+
     /// A device homed in the first client AS of country `cc` (falling back
     /// to the first AS overall).
     pub fn device_in_country(&self, cc: CountryCode, dns_mode: DnsMode) -> Device {
-        let client_as = self
-            .world
-            .ases()
-            .iter()
-            .find(|a| a.cc == cc)
-            .unwrap_or_else(|| &self.world.ases()[0]);
+        let (addr, home_cc) = self.home(cc, 7);
         Device::new(
-            client_as.host_addr(7),
-            client_as.cc,
+            addr,
+            home_cc,
             dns_mode,
             self.fleets.clone(),
             self.selector.clone(),
@@ -320,24 +329,13 @@ impl Deployment {
         dns_mode: DnsMode,
         operators: Vec<Asn>,
     ) -> Device {
-        let client_as = self
-            .world
-            .ases()
-            .iter()
-            .find(|a| a.cc == cc)
-            .unwrap_or_else(|| &self.world.ases()[0]);
         let restricted = Arc::new((*self.selector).clone().with_operators(operators));
         let host_index = match dns_mode {
             DnsMode::Open => 7,
             DnsMode::Fixed(_) => 8,
         };
-        Device::new(
-            client_as.host_addr(host_index),
-            client_as.cc,
-            dns_mode,
-            self.fleets.clone(),
-            restricted,
-        )
+        let (addr, home_cc) = self.home(cc, host_index);
+        Device::new(addr, home_cc, dns_mode, self.fleets.clone(), restricted)
     }
 
     /// Whether an address belongs to any announced relay/egress prefix of

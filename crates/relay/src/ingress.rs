@@ -66,17 +66,13 @@ impl IngressFleets {
             assert_eq!(v6_prefixes.len(), plan.v6_prefixes, "v6 pool too small");
             let max4 = plan.max_size(false);
             let v4: Vec<Ipv4Addr> = (0..max4)
-                .map(|i| {
-                    let p = v4_prefixes[i % v4_prefixes.len().max(1)];
-                    p.nth_addr(1 + (i / v4_prefixes.len().max(1)) as u64)
-                })
+                .zip(v4_prefixes.iter().cycle())
+                .map(|(i, p)| p.nth_addr(1 + (i / v4_prefixes.len().max(1)) as u64))
                 .collect();
             let max6 = plan.max_size(true);
             let v6: Vec<Ipv6Addr> = (0..max6)
-                .map(|i| {
-                    let p = v6_prefixes[i % v6_prefixes.len().max(1)];
-                    p.nth_addr(1 + (i / v6_prefixes.len().max(1)) as u128)
-                })
+                .zip(v6_prefixes.iter().cycle())
+                .map(|(i, p)| p.nth_addr(1 + (i / v6_prefixes.len().max(1)) as u128))
                 .collect();
             for p in &v4_prefixes {
                 reverse.insert(*p, plan.asn);
@@ -148,7 +144,7 @@ impl IngressFleets {
             return &[];
         };
         let size = self.config_size(domain, asn, 0, epoch);
-        &pool.v4[..size.min(pool.v4.len())]
+        pool.v4.get(..size).unwrap_or(&pool.v4)
     }
 
     /// The active IPv6 fleet window at `epoch`.
@@ -157,7 +153,7 @@ impl IngressFleets {
             return &[];
         };
         let size = self.config_size(domain, asn, 1, epoch);
-        &pool.v6[..size.min(pool.v6.len())]
+        pool.v6.get(..size).unwrap_or(&pool.v6)
     }
 
     /// Every active IPv4 ingress address at `epoch`, across domains and
@@ -200,12 +196,12 @@ impl IngressFleets {
                 let end = ((*cum * fleet.len() as f64) as usize).max(start + 1);
                 let start = start.min(fleet.len() - 1);
                 let end = end.min(fleet.len()).max(start + 1);
-                return &fleet[start..end];
+                return fleet.get(start..end).unwrap_or(fleet);
             }
             prev = *cum;
         }
         // Unknown country: the first cluster.
-        &fleet[..1]
+        fleet.get(..1).unwrap_or(fleet)
     }
 }
 

@@ -21,8 +21,6 @@
 //! by session id, never drawn from a shared stream, so the sharded engine
 //! can replay sessions on any worker count with byte-identical reports.
 
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
-
 use std::collections::BTreeMap;
 use std::net::IpAddr;
 use std::sync::Arc;

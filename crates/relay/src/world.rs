@@ -172,19 +172,25 @@ impl ClientWorld {
                 .collect();
             // Fix rounding drift on the largest AS.
             let assigned: u64 = counts.iter().sum();
-            let largest = (0..as_count)
-                .max_by(|a, b| raw[*a].total_cmp(&raw[*b]))
-                .unwrap_or(0);
-            if assigned < slash24_total {
-                counts[largest] += slash24_total - assigned;
-            } else if assigned > slash24_total {
-                let excess = assigned - slash24_total;
-                counts[largest] = counts[largest].saturating_sub(excess).max(1);
+            let largest = counts
+                .iter_mut()
+                .zip(&raw)
+                .max_by(|(_, a), (_, b)| a.total_cmp(b));
+            if let Some((largest, _)) = largest {
+                if assigned < slash24_total {
+                    *largest += slash24_total - assigned;
+                } else if assigned > slash24_total {
+                    let excess = assigned - slash24_total;
+                    *largest = largest.saturating_sub(excess).max(1);
+                }
             }
             // Users proportional to subnet counts within the category.
             let count_total: u64 = counts.iter().sum();
             for count in counts {
-                let cc_idx = rng.pick_weighted(&cc_weights).unwrap_or(0);
+                let Some(country) = countries.get(rng.pick_weighted(&cc_weights).unwrap_or(0))
+                else {
+                    continue;
+                };
                 let users = ((count as f64 / count_total as f64) * user_total as f64)
                     .round()
                     .max(1.0) as u64;
@@ -192,7 +198,7 @@ impl ClientWorld {
                 ases.push(ClientAs {
                     asn: Asn(next_asn),
                     category,
-                    cc: countries[cc_idx].code,
+                    cc: country.code,
                     slash24_count: count,
                     users,
                     prefixes,

@@ -13,8 +13,7 @@
 //! Determinism is load-bearing: every random draw comes from a
 //! [`SimRng`](tectonic_net::SimRng) fork and every timestamp from the
 //! caller's [`SimTime`](tectonic_net::SimTime) — no wall clock, no OS
-//! entropy — so the `determinism-taint` lint stays clean and same-seed runs
-//! are byte-identical.
+//! entropy — so same-seed runs are byte-identical.
 //!
 //! The pieces:
 //!
@@ -41,7 +40,8 @@
         clippy::unimplemented,
         clippy::print_stdout,
         clippy::print_stderr,
-        clippy::allow_attributes_without_reason
+        clippy::allow_attributes_without_reason,
+        clippy::indexing_slicing
     )
 )]
 #![deny(rust_2018_idioms)]

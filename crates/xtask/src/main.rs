@@ -3,23 +3,18 @@
 //! Subcommands:
 //!
 //! * `lint` — run the [`lintkit`] pass (allow-comment hygiene plus the
-//!   interprocedural call-graph rules) over every workspace crate and the
-//!   vendored-shim manifest, then apply the `lint-baseline.json` ratchet;
-//!   exits non-zero on any unbaselined finding *or* any stale baseline
-//!   entry. The per-file panic/print/index/cast/arithmetic rules are
-//!   clippy lints declared in the crate roots: run
+//!   call-graph rules) over every workspace crate and the vendored-shim
+//!   manifest; exits non-zero on any finding. The panic, print, index,
+//!   wall-clock, cast and arithmetic rules are clippy lints declared in
+//!   the crate roots, the strict files and `clippy.toml`: run
 //!   `cargo clippy --workspace --all-targets -- -D warnings` for those.
 //! * `lint --update-manifest` — regenerate `vendor/API_MANIFEST.txt` from
 //!   the current shim sources, then lint.
-//! * `lint --update-baseline` — regenerate `lint-baseline.json` from the
-//!   current findings, then lint (always clean afterwards — review the
-//!   diff before committing).
 //! * `lint --graph[=PATH]` — dump the workspace call graph as GraphViz DOT
 //!   to stdout (or PATH).
-//! * `lint --json PATH` — write the machine-readable findings report
-//!   (rule/file/line/message) for CI artifacts.
-//! * `lint --sarif PATH` — write the same findings as a SARIF v2.1.0 log
-//!   (one result per finding) for code-hosting annotation UIs.
+//! * `lint --sarif PATH` — write the findings as a SARIF v2.1.0 log (one
+//!   result per finding) for CI artifacts and code-hosting annotation
+//!   UIs.
 //! * `bench-report [--suite lpm|scan|masque|all]` — run an ablation bench
 //!   with the shim's `BENCH_JSON` line output enabled and distil it into
 //!   `BENCH_lpm.json` / `BENCH_scan.json` / `BENCH_masque.json` (bench
@@ -42,7 +37,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lintkit::{analyze_workspace, baseline, manifest, sarif, Config};
+use lintkit::{analyze_workspace, manifest, sarif, Config};
 
 fn workspace_root() -> PathBuf {
     // xtask lives at <root>/crates/xtask; CARGO_MANIFEST_DIR is compiled in,
@@ -56,19 +51,15 @@ fn workspace_root() -> PathBuf {
 /// Parsed `lint` options.
 struct LintOpts {
     update_manifest: bool,
-    update_baseline: bool,
     /// `Some(None)` = DOT to stdout, `Some(Some(path))` = DOT to file.
     graph: Option<Option<String>>,
-    json: Option<String>,
     sarif: Option<String>,
 }
 
 fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
     let mut opts = LintOpts {
         update_manifest: false,
-        update_baseline: false,
         graph: None,
-        json: None,
         sarif: None,
     };
     let mut i = 0;
@@ -76,18 +67,10 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
         let arg = &args[i];
         if arg == "--update-manifest" {
             opts.update_manifest = true;
-        } else if arg == "--update-baseline" {
-            opts.update_baseline = true;
         } else if arg == "--graph" {
             opts.graph = Some(None);
         } else if let Some(path) = arg.strip_prefix("--graph=") {
             opts.graph = Some(Some(path.to_string()));
-        } else if arg == "--json" {
-            i += 1;
-            let path = args.get(i).ok_or("--json needs a path")?;
-            opts.json = Some(path.clone());
-        } else if let Some(path) = arg.strip_prefix("--json=") {
-            opts.json = Some(path.to_string());
         } else if arg == "--sarif" {
             i += 1;
             let path = args.get(i).ok_or("--sarif needs a path")?;
@@ -107,8 +90,7 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         eprintln!(
             "usage: cargo run -p xtask -- lint \
-             [--update-manifest] [--update-baseline] [--graph[=PATH]] [--json PATH] \
-             [--sarif PATH]\n\
+             [--update-manifest] [--graph[=PATH]] [--sarif PATH]\n\
              \x20      cargo run -p xtask -- bench-report [--suite lpm|scan|masque|all] [--out PATH]\n\
              \x20      cargo run -p xtask -- chaos (--scenario NAME | --all) \
              [--seed N] [--seeds K] [--out PATH]"
@@ -521,7 +503,7 @@ fn lint(opts: &LintOpts) -> ExitCode {
         }
     };
     if let Some(target) = &opts.graph {
-        let dot = analysis.graph.to_dot(&analysis.entries);
+        let dot = analysis.graph.to_dot();
         match target {
             None => print!("{dot}"),
             Some(path) => {
@@ -533,14 +515,6 @@ fn lint(opts: &LintOpts) -> ExitCode {
             }
         }
     }
-    if let Some(path) = &opts.json {
-        let report = baseline::report_json(&analysis.findings);
-        if let Err(e) = fs::write(path, report) {
-            eprintln!("xtask lint: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote findings report to {path}");
-    }
     if let Some(path) = &opts.sarif {
         let report = sarif::report_sarif(&analysis.findings);
         if let Err(e) = fs::write(path, report) {
@@ -549,51 +523,16 @@ fn lint(opts: &LintOpts) -> ExitCode {
         }
         println!("wrote SARIF report to {path}");
     }
-    let baseline_path = root.join(baseline::BASELINE_FILE);
-    if opts.update_baseline {
-        let text = baseline::generate(&analysis.findings);
-        if let Err(e) = fs::write(&baseline_path, text) {
-            eprintln!("xtask lint: writing {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("updated {}", baseline_path.display());
-    }
-    let accepted = match fs::read_to_string(&baseline_path) {
-        Ok(text) => match baseline::parse(&text) {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("xtask lint: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        // No baseline file means an empty baseline: every finding fails.
-        Err(_) => Vec::new(),
-    };
-    let outcome = baseline::apply(&analysis.findings, &accepted);
-    if outcome.is_clean() {
+    if analysis.findings.is_empty() {
         println!(
-            "xtask lint: clean — {} functions, {} entry points, {} baselined finding(s), \
-             vendored-shim manifest verified",
+            "xtask lint: clean — {} functions, vendored-shim manifest verified",
             analysis.graph.funcs.len(),
-            analysis.entries.len(),
-            accepted.len(),
         );
         return ExitCode::SUCCESS;
     }
-    for f in &outcome.unbaselined {
+    for f in &analysis.findings {
         println!("{f}");
     }
-    for b in &outcome.stale {
-        println!(
-            "stale-baseline: {}:{}: `{}` no longer fires — delete the entry \
-             (or run `cargo run -p xtask -- lint --update-baseline`)",
-            b.file, b.line, b.rule
-        );
-    }
-    println!(
-        "xtask lint: {} unbaselined finding(s), {} stale baseline entr(y/ies)",
-        outcome.unbaselined.len(),
-        outcome.stale.len()
-    );
+    println!("xtask lint: {} finding(s)", analysis.findings.len());
     ExitCode::FAILURE
 }

@@ -37,7 +37,8 @@
         clippy::unimplemented,
         clippy::print_stdout,
         clippy::print_stderr,
-        clippy::allow_attributes_without_reason
+        clippy::allow_attributes_without_reason,
+        clippy::indexing_slicing
     )
 )]
 

@@ -2,14 +2,14 @@
 //! only runs the current package's targets) still enforces the static-analysis
 //! policy:
 //!
-//! * lintkit's pass — allow-comment hygiene, the call-graph rules, and the
-//!   `lint-baseline.json` ratchet (no unbaselined findings, no stale
-//!   entries); the richer assertions live in
+//! * lintkit's pass — allow-comment hygiene and the call-graph rules, with
+//!   zero findings; the richer assertions live in
 //!   `crates/lintkit/tests/workspace_gate.rs`;
-//! * the presence of the clippy policy in every crate root. The lints
-//!   themselves (no panics, no prints, checked indexing and arithmetic) run
-//!   under CI's `cargo clippy --workspace --all-targets -- -D warnings`;
-//!   this gate only proves that no crate has opted out of them.
+//! * the presence of the clippy policy in every crate root and in
+//!   `clippy.toml`. The lints themselves (no panics, no prints, no
+//!   indexing, no wall-clock reads, checked arithmetic) run under CI's
+//!   `cargo clippy --workspace --all-targets -- -D warnings`; this gate
+//!   only proves that no crate has opted out of them.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,11 +25,17 @@ const PANIC_LINTS: [&str; 6] = [
 ];
 
 /// The rest of the policy, library crates only: binaries own their stdout.
-const LIBRARY_LINTS: [&str; 3] = [
+const LIBRARY_LINTS: [&str; 4] = [
     "clippy::print_stdout",
     "clippy::print_stderr",
     "clippy::allow_attributes_without_reason",
+    "clippy::indexing_slicing",
 ];
+
+/// The one crate root allowed a crate-level `#![expect]` of
+/// `clippy::indexing_slicing`: lintkit, a build-time tool over token
+/// vectors it builds itself.
+const INDEXING_EXEMPT_ROOT: &str = "crates/lintkit/src/lib.rs";
 
 #[test]
 fn workspace_passes_lint_gate() {
@@ -61,6 +67,19 @@ fn read(path: &Path) -> String {
     fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
+/// Every `.rs` file under `dir`, binary targets (`bin/`) excluded.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("listing {}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() && !path.ends_with("bin") {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
 #[test]
 fn every_crate_root_carries_the_clippy_policy() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -87,6 +106,27 @@ fn every_crate_root_carries_the_clippy_policy() {
                 lib.display()
             );
         }
+        // Beyond the root's deny, no library file names the index lint,
+        // so no module or item opts out of it; lintkit's crate-level
+        // `#![expect]` is the one exemption.
+        let mut files = Vec::new();
+        rs_files(lib.parent().expect("src/ dir"), &mut files);
+        for file in files {
+            let expected = if file != *lib {
+                0
+            } else if lib.ends_with(INDEXING_EXEMPT_ROOT) {
+                2
+            } else {
+                1
+            };
+            assert_eq!(
+                read(&file).matches("clippy::indexing_slicing").count(),
+                expected,
+                "{}: only the crate root's deny (and lintkit's one #![expect]) may name \
+                 clippy::indexing_slicing",
+                file.display()
+            );
+        }
     }
     let cli = root.join("src/bin/tectonic.rs");
     let block = deny_block(&cli, &read(&cli));
@@ -95,6 +135,23 @@ fn every_crate_root_carries_the_clippy_policy() {
             block.contains(lint),
             "{} does not deny {lint}",
             cli.display()
+        );
+    }
+}
+
+#[test]
+fn clippy_toml_bans_wall_clock_reads() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let text = read(&root.join("clippy.toml"));
+    let start = text
+        .find("disallowed-methods = [")
+        .expect("clippy.toml has a disallowed-methods list");
+    let list = &text[start..];
+    let list = &list[..list.find("\n]").unwrap_or(list.len())];
+    for method in ["std::time::SystemTime::now", "std::time::Instant::now"] {
+        assert!(
+            list.contains(&format!("path = \"{method}\"")),
+            "clippy.toml's disallowed-methods no longer lists {method}"
         );
     }
 }
