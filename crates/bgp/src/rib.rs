@@ -357,12 +357,13 @@ mod tests {
         rib.announce(net("17.6.0.0/16"), Asn(64513));
         let epoch1 = rib.snapshot().expect("frozen");
         // Epoch 0 still answers with the pre-mutation table.
-        let a: IpAddr = "17.5.1.1".parse().unwrap();
-        assert_eq!(epoch0.lookup(a).map(|(n, _)| n), Some(net("17.5.0.0/16")));
-        assert_eq!(epoch1.lookup(a).map(|(n, _)| n), Some(net("17.0.0.0/8")));
-        let b: IpAddr = "17.6.1.1".parse().unwrap();
-        assert_eq!(epoch0.lookup(b).map(|(n, _)| n), Some(net("17.0.0.0/8")));
-        assert_eq!(epoch1.lookup(b).map(|(n, _)| n), Some(net("17.6.0.0/16")));
+        let at = |e: &FrozenLpm<RouteEntry>, a: &str| {
+            e.longest_match(a.parse().unwrap()).map(|(n, _)| n)
+        };
+        assert_eq!(at(&epoch0, "17.5.1.1"), Some(net("17.5.0.0/16")));
+        assert_eq!(at(&epoch1, "17.5.1.1"), Some(net("17.0.0.0/8")));
+        assert_eq!(at(&epoch0, "17.6.1.1"), Some(net("17.0.0.0/8")));
+        assert_eq!(at(&epoch1, "17.6.1.1"), Some(net("17.6.0.0/16")));
         // Diffing the two epochs' prefix sets shows exactly the churn.
         let set = |e: &tectonic_net::FrozenLpm<RouteEntry>| {
             let mut v: Vec<String> = e.iter().map(|(n, _)| n.to_string()).collect();

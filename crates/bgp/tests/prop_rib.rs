@@ -1,12 +1,13 @@
 //! Property tests for the RIB: longest-prefix match against a brute-force
 //! reference, announce/withdraw laws, per-origin bookkeeping, and every
-//! read API against a trie oracle under churn, frozen or not.
+//! read API against a `BTreeMap` oracle under churn, frozen or not.
 
+use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
 use tectonic_bgp::Rib;
-use tectonic_net::{Asn, BatchScratch, IpNet, Ipv4Net, Ipv6Net, PrefixTrie};
+use tectonic_net::{Asn, BatchScratch, IpNet, Ipv4Net, Ipv6Net};
 
 fn arb_route() -> impl Strategy<Value = (IpNet, Asn)> {
     (any::<u32>(), 0u8..=28, 1u32..2000).prop_map(|(bits, len, asn)| {
@@ -145,16 +146,29 @@ fn arb_op() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Every read API of `rib` against the oracle trie.
+/// The oracle's most specific route whose prefix `covers` accepts, by
+/// linear scan.
+fn linear_match(
+    oracle: &BTreeMap<IpNet, Asn>,
+    covers: impl Fn(&IpNet) -> bool,
+) -> Option<(IpNet, Asn)> {
+    oracle
+        .iter()
+        .filter(|(n, _)| covers(n))
+        .max_by_key(|(n, _)| n.len())
+        .map(|(n, a)| (*n, *a))
+}
+
+/// Every read API of `rib` against the oracle map.
 fn check_reads(
     rib: &Rib,
-    oracle: &PrefixTrie<Asn>,
+    oracle: &BTreeMap<IpNet, Asn>,
     pool: &[IpNet],
     probes: &[IpAddr],
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(rib.len(), oracle.len());
     prop_assert_eq!(rib.is_empty(), oracle.is_empty());
-    let want: Vec<(IpNet, Asn)> = oracle.iter().map(|(n, a)| (n, *a)).collect();
+    let want: Vec<(IpNet, Asn)> = oracle.iter().map(|(n, a)| (*n, *a)).collect();
     prop_assert_eq!(rib.iter().collect::<Vec<_>>(), want.clone());
     let mut origins: Vec<Asn> = want.iter().map(|(_, a)| *a).collect();
     origins.sort();
@@ -174,16 +188,16 @@ fn check_reads(
     rib.lookup_batch_in(&mut BatchScratch::new(), probes, &mut batch);
     prop_assert_eq!(batch.len(), probes.len());
     for (addr, batched) in probes.iter().zip(&batch) {
-        let want = oracle.longest_match(*addr).map(|(n, a)| (n, *a));
+        let want = linear_match(oracle, |n| n.contains(*addr));
         prop_assert_eq!(rib.lookup(*addr), want);
         prop_assert_eq!(*batched, want);
     }
     for net in pool {
         prop_assert_eq!(
             rib.lookup_net(net),
-            oracle.longest_match_net(net).map(|(n, a)| (n, *a))
+            linear_match(oracle, |n| n.contains_net(net))
         );
-        prop_assert_eq!(rib.origin_of(net), oracle.exact(net).copied());
+        prop_assert_eq!(rib.origin_of(net), oracle.get(net).copied());
     }
     Ok(())
 }
@@ -192,20 +206,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn every_read_matches_a_trie_oracle_under_churn(
+    fn every_read_matches_a_map_oracle_under_churn(
         pool in prop::collection::vec(arb_nested_net(), 100..120),
         ops in prop::collection::vec(arb_op(), 1000..1400),
         extra in prop::collection::vec(any::<u32>(), 16),
     ) {
         // The same interleaving drives a never-frozen RIB (staged map
         // only) and one frozen up front (compiled table + overlay, folded
-        // and rebuilt by the churn itself), both against a trie oracle.
+        // and rebuilt by the churn itself), both against a map read by
+        // linear scans.
         let mut pool = pool;
         pool.sort();
         pool.dedup();
         let mut probes: Vec<IpAddr> = pool.iter().map(IpNet::network).collect();
         probes.extend(extra.iter().map(|b| IpAddr::V4(Ipv4Addr::from((b % 4 + 10) << 24 | b >> 8))));
-        let mut oracle: PrefixTrie<Asn> = PrefixTrie::new();
+        let mut oracle: BTreeMap<IpNet, Asn> = BTreeMap::new();
         let mut staged = Rib::new();
         let mut frozen = Rib::new();
         frozen.freeze();

@@ -26,9 +26,7 @@ use tectonic_dns::{
     QType, QueryTemplate, Rcode,
 };
 use tectonic_engine::{Engine, EngineConfig, ShardCtx, ShardModel};
-use tectonic_net::{
-    Asn, BatchScratch, IpNet, Ipv4Net, PrefixTrie, SimClock, SimDuration, SimRng, SimTime,
-};
+use tectonic_net::{Asn, BatchScratch, IpNet, Ipv4Net, SimClock, SimDuration, SimRng, SimTime};
 
 /// Scanner configuration.
 #[derive(Debug, Clone)]
@@ -283,6 +281,49 @@ impl ScanScratch {
     }
 }
 
+/// The server-returned scopes a scan honours (§7), kept as disjoint
+/// blocks in ascending address order. A scope nested inside a stored block
+/// adds nothing; a wider one replaces the stored blocks it contains.
+#[derive(Debug, Default)]
+struct ScopeSet {
+    blocks: Vec<Ipv4Net>,
+}
+
+impl ScopeSet {
+    /// The stored block containing `addr`. Blocks are disjoint and sorted,
+    /// so only the last one starting at or before `addr` can.
+    fn block_of(&self, addr: Ipv4Addr) -> Option<&Ipv4Net> {
+        let after = self.blocks.partition_point(|b| b.network() <= addr);
+        after
+            .checked_sub(1)
+            .and_then(|i| self.blocks.get(i))
+            .filter(|b| b.contains(addr))
+    }
+
+    /// Whether a stored scope covers `addr`.
+    fn covers(&self, addr: Ipv4Addr) -> bool {
+        self.block_of(addr).is_some()
+    }
+
+    /// Records `net` unless a stored block already contains it. Covering
+    /// `net`'s first address is not enough: a stored /24 there leaves the
+    /// rest of a wider `net` uncovered.
+    fn insert(&mut self, net: Ipv4Net) {
+        if self
+            .block_of(net.network())
+            .is_some_and(|b| b.contains_net(&net))
+        {
+            return;
+        }
+        // Every stored block starting inside `net` is nested in it.
+        let from = self.blocks.partition_point(|b| b.network() < net.network());
+        let to = self
+            .blocks
+            .partition_point(|b| b.network() <= net.broadcast());
+        self.blocks.splice(from..to, [net]);
+    }
+}
+
 impl EcsScanner {
     /// A scanner with the given configuration.
     pub fn new(config: EcsScanConfig) -> EcsScanner {
@@ -380,15 +421,15 @@ impl EcsScanner {
     /// Records one successful response into the report: scope bookkeeping,
     /// ingress attribution, and per-client-AS serving credit.
     ///
-    /// Returns the scope net newly inserted into `known_scopes`, if any —
-    /// the engine uses it to announce the scope to sibling shards.
+    /// Returns the scope net offered to `known_scopes`, if any — the
+    /// engine uses it to announce the scope to sibling shards.
     fn process_response(
         &self,
         subnet: Ipv4Net,
         response: &Message,
         rib: &Rib,
         scratch: &mut ScanScratch,
-        known_scopes: &mut PrefixTrie<()>,
+        known_scopes: &mut ScopeSet,
         report: &mut EcsScanReport,
     ) -> Option<Ipv4Net> {
         if response.rcode != Rcode::NoError {
@@ -403,7 +444,7 @@ impl EcsScanner {
         {
             if self.config.respect_scopes && scope < 24 {
                 if let Ok(scope_net) = Ipv4Net::new(subnet.network(), scope) {
-                    known_scopes.insert(scope_net, ());
+                    known_scopes.insert(scope_net);
                     inserted_scope = Some(scope_net);
                 }
             }
@@ -653,7 +694,7 @@ impl EcsScanner {
                     attempts: 0,
                     start,
                     scratch,
-                    known_scopes: PrefixTrie::new(),
+                    known_scopes: ScopeSet::default(),
                     report: EcsScanReport::empty(domain.clone()),
                 }
             })
@@ -772,7 +813,7 @@ enum ScanEvent {
 
 /// One engine shard: a scanner with a per-shard source address, a
 /// contiguous slice of the candidate list, and a fully local stat sled
-/// (report, scope trie, scratch buffers). The only cross-shard traffic is
+/// (report, scope set, scratch buffers). The only cross-shard traffic is
 /// [`ScanEvent::Scope`] announcements.
 struct ScanShard<'a> {
     scanner: EcsScanner,
@@ -788,7 +829,7 @@ struct ScanShard<'a> {
     attempts: u32,
     start: SimTime,
     scratch: ScanScratch,
-    known_scopes: PrefixTrie<()>,
+    known_scopes: ScopeSet,
     report: EcsScanReport,
 }
 
@@ -810,12 +851,7 @@ impl ScanShard<'_> {
         // announcement-aligned shards — provably the same decisions as the
         // one-shard scan).
         while let Some(subnet) = self.subnets.get(self.idx) {
-            if self.scanner.config.respect_scopes
-                && self
-                    .known_scopes
-                    .longest_match(IpAddr::V4(subnet.network()))
-                    .is_some()
-            {
+            if self.scanner.config.respect_scopes && self.known_scopes.covers(subnet.network()) {
                 self.report.skipped_by_scope += 1;
                 self.idx += 1;
             } else {
@@ -885,7 +921,7 @@ impl ShardModel for ScanShard<'_> {
             ScanEvent::Attempt => self.attempt(now, ctx),
             ScanEvent::Scope(net) => {
                 if self.scanner.config.respect_scopes {
-                    self.known_scopes.insert(net, ());
+                    self.known_scopes.insert(net);
                 }
             }
         }
@@ -1079,14 +1115,10 @@ mod tests {
         let config = scanner.config();
         let start = clock.now();
         let mut report = EcsScanReport::empty(domain.clone());
-        let mut known_scopes: PrefixTrie<()> = PrefixTrie::new();
+        let mut known_scopes = ScopeSet::default();
         let mut scratch = ScanScratch::new(&domain);
         'subnets: for subnet in subnets {
-            if config.respect_scopes
-                && known_scopes
-                    .longest_match(IpAddr::V4(subnet.network()))
-                    .is_some()
-            {
+            if config.respect_scopes && known_scopes.covers(subnet.network()) {
                 report.skipped_by_scope += 1;
                 continue;
             }
@@ -1408,5 +1440,61 @@ mod failure_tests {
         assert_eq!(report.total(), 0, "garbage must not become addresses");
         assert!(report.queries_sent > 0);
         assert!(report.decode_errors > 0, "undecodable replies are counted");
+    }
+}
+
+#[cfg(test)]
+mod scope_set_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Scopes of /8–/24 in three /8s, two of them adjacent. Offsets are
+    /// biased to a few /16 and /24 boundaries so blocks often share a
+    /// first address, which makes nesting in both directions and a wider
+    /// block starting where a stored one starts common.
+    fn arb_scope() -> impl Strategy<Value = Ipv4Net> {
+        let offset = prop_oneof![
+            (0u32..4, 0u32..4).prop_map(|(hi, mid)| (hi << 16) | (mid << 8)),
+            any::<u32>(),
+        ];
+        (0usize..3, offset, 8u8..=24).prop_map(|(slash8, offset, len)| {
+            let top = [10u32, 11, 17][slash8] << 24;
+            Ipv4Net::clamped(Ipv4Addr::from(top | (offset & 0x00FF_FFFF)), len)
+        })
+    }
+
+    /// Each block's first and last address and the addresses just
+    /// outside it.
+    fn edges(n: &Ipv4Net) -> [Ipv4Addr; 4] {
+        let (lo, hi) = (u32::from(n.network()), u32::from(n.broadcast()));
+        [lo.wrapping_sub(1), lo, hi, hi.wrapping_add(1)].map(Ipv4Addr::from)
+    }
+
+    proptest! {
+        #[test]
+        fn scope_set_matches_linear_oracle(
+            scopes in prop::collection::vec(arb_scope(), 1..40),
+        ) {
+            let mut set = ScopeSet::default();
+            let mut oracle: Vec<Ipv4Net> = Vec::new();
+            for scope in &scopes {
+                set.insert(*scope);
+                oracle.push(*scope);
+                prop_assert!(
+                    set.blocks.windows(2).all(|w| w[0].broadcast() < w[1].network()),
+                    "blocks not sorted and disjoint: {:?}",
+                    set.blocks
+                );
+                for addr in oracle.iter().flat_map(edges) {
+                    prop_assert_eq!(
+                        set.covers(addr),
+                        oracle.iter().any(|n| n.contains(addr)),
+                        "{} after {:?}",
+                        addr,
+                        oracle
+                    );
+                }
+            }
+        }
     }
 }

@@ -115,12 +115,12 @@ impl Config {
                 "dns::wire::encode_message_into".to_string(),
                 // Per-reply attribution: one lookup per decoded answer.
                 "net::lpm::longest_match_net".to_string(),
-                "net::lpm::lookup_batch".to_string(),
+                "net::lpm::lookup_batch_map_in".to_string(),
                 // Overlay-combined steady-state lookups must stay
                 // allocation-free: churn is absorbed by patches, not by
                 // per-query buffers.
                 "net::overlay::longest_match".to_string(),
-                "net::overlay::lookup_batch_in".to_string(),
+                "net::overlay::lookup_batch_map_in".to_string(),
                 // The prefix table's per-reply reads: the scan's client-AS
                 // lookup and batched ingress attribution.
                 "net::table::lookup".to_string(),

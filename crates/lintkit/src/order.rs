@@ -6,7 +6,7 @@
 //! depends on that order breaks the repo's headline guarantee — serial ≡
 //! engine(workers=N), byte for byte, run after run. The rule is a
 //! *dataflow-lite* taint analysis over the statement IR that
-//! [`crate::symbols`] retains per function ([`OrderStmt`]):
+//! [`crate::symbols`] retains per function ([`crate::symbols::OrderStmt`]):
 //!
 //! * **Sources** — iterating a place typed `HashMap`/`HashSet` (a local
 //!   bound from `HashMap::new()`/a `collect` into a hash container, a

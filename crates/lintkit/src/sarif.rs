@@ -6,7 +6,7 @@
 //! finding, anchored to the workspace-relative file and 1-indexed line.
 //!
 //! Like the rest of lintkit the writer is dependency-free — the document
-//! is small and append-only, so a string builder over [`json_string`]
+//! is small and append-only, so a string builder over `json_string`
 //! (the escape-correct literal writer) is all it takes. Shape kept to the
 //! minimal valid core of §3 of the spec:
 //!

@@ -8,9 +8,6 @@
 //!
 //! * [`prefix`] — IPv4/IPv6 CIDR prefixes ([`Ipv4Net`], [`Ipv6Net`], [`IpNet`])
 //!   with parsing, containment, splitting and iteration,
-//! * [`trie`] — a binary prefix trie with longest-prefix-match lookup, for
-//!   small mutable indexes and as the reference the compiled tables are
-//!   tested against,
 //! * [`lpm`] — [`FrozenLpm`], the compiled, immutable flat-layout
 //!   longest-prefix-match table the steady-state lookup paths run on,
 //! * [`overlay`] — [`DeltaOverlay`], a bounded patch layer that absorbs
@@ -58,7 +55,6 @@ pub mod overlay;
 pub mod prefix;
 pub mod rng;
 pub mod table;
-pub mod trie;
 
 pub use asn::Asn;
 pub use clock::{Epoch, SimClock, SimDuration, SimTime};
@@ -68,4 +64,3 @@ pub use overlay::DeltaOverlay;
 pub use prefix::{IpNet, Ipv4Net, Ipv6Net};
 pub use rng::SimRng;
 pub use table::PrefixTable;
-pub use trie::PrefixTrie;

@@ -1,23 +1,20 @@
 //! A compiled, immutable longest-prefix-match engine.
 //!
-//! [`FrozenLpm`] is the steady-state counterpart of the build-side
-//! structures: [`FrozenLpm::from_pairs`] (and [`PrefixTrie::freeze`])
-//! compile a prefix set into a flat multi-bit-stride table in the LC-trie /
-//! tree-bitmap tradition — a contiguous node array addressed by `u32`
-//! indices instead of per-node `Box` pointers, with all values in one
-//! arena. A lookup consumes 8 or 16 address bits per step, so an IPv4
-//! match costs at most three dependent memory accesses (IPv6: sixteen)
-//! instead of up to 32 (128) pointer chases, and the node array is
-//! cache-resident for realistic table sizes.
+//! [`FrozenLpm::from_pairs`] compiles a prefix set into a flat
+//! multi-bit-stride table in the LC-trie / tree-bitmap tradition — a
+//! contiguous node array addressed by `u32` indices instead of per-node
+//! `Box` pointers, with all values in one arena. A lookup consumes 8 or 16
+//! address bits per step, so an IPv4 match costs at most three dependent
+//! memory accesses (IPv6: sixteen) instead of up to 32 (128) pointer
+//! chases, and the node array is cache-resident for realistic table sizes.
 //!
-//! Every query API is result-identical to the trie it was frozen from:
-//! [`longest_match`](FrozenLpm::longest_match), [`exact`](FrozenLpm::exact),
-//! [`covering`](FrozenLpm::covering) and
-//! [`longest_match_net`](FrozenLpm::longest_match_net) agree with their
-//! [`PrefixTrie`] namesakes on every input (property-tested in
-//! `tests/prop_prefix_trie.rs`). [`lookup_batch`](FrozenLpm::lookup_batch)
-//! resolves a burst of addresses in interleaved lock-step so the dependent
-//! load chains of four lookups overlap in the memory pipeline.
+//! [`longest_match`](FrozenLpm::longest_match), [`exact`](FrozenLpm::exact)
+//! and [`longest_match_net`](FrozenLpm::longest_match_net) agree with a
+//! linear scan of the source pairs on every input (property-tested in
+//! `tests/prop_prefix_trie.rs`).
+//! [`lookup_batch_map_in`](FrozenLpm::lookup_batch_map_in) resolves a burst
+//! of addresses level by level, so the dependent load chains of different
+//! lookups overlap in the memory pipeline.
 //!
 //! Mutation under churn does not mean "throw the table away": the
 //! [`overlay`](crate::overlay) module layers a bounded
@@ -46,7 +43,6 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use crate::prefix::IpNet;
-use crate::trie::PrefixTrie;
 
 /// Sentinel for "no node / no value" in the `u32` index space.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -85,8 +81,7 @@ pub(crate) const EMPTY_ENTRY: Entry = Entry {
 };
 
 /// A compiled prefix key: bits left-aligned in a `u128` (IPv4 shifted into
-/// the top 32 bits, exactly like the trie's internal key), the prefix
-/// length, and the value-arena index.
+/// the top 32 bits), the prefix length, and the value-arena index.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KeyRec {
     pub(crate) bits: u128,
@@ -120,8 +115,7 @@ pub(crate) fn arena_idx(n: usize) -> u32 {
 }
 
 /// Reusable walk state for the batch lookup kernel
-/// ([`FrozenLpm::lookup_batch_in`] /
-/// [`FrozenLpm::lookup_batch_map_in`]). A caller that keeps one scratch
+/// ([`FrozenLpm::lookup_batch_map_in`]). A caller that keeps one scratch
 /// across bursts pays zero allocations per batch once its vectors have
 /// grown to the burst size.
 #[derive(Debug)]
@@ -188,34 +182,32 @@ pub(crate) struct Core<V> {
     /// compaction) superseded slots no key references any more.
     pub(crate) values: Vec<(IpNet, V)>,
     /// Per-family keys sorted by `(bits, len)`, for the exact-membership
-    /// queries (`exact`, `covering`, `longest_match_net`).
+    /// queries (`exact`, `longest_match_net`).
     pub(crate) keys_v4: Vec<KeyRec>,
     pub(crate) keys_v6: Vec<KeyRec>,
     /// Distinct prefix lengths per family, ascending — bounds the probe
-    /// loops of `covering` / `longest_match_net`.
+    /// loops of `longest_match_net` and the filtered matches.
     pub(crate) lens_v4: Vec<u8>,
     pub(crate) lens_v6: Vec<u8>,
     pub(crate) root_v4: u32,
     pub(crate) root_v6: u32,
 }
 
-/// An immutable, flat-layout longest-prefix-match snapshot of a
-/// [`PrefixTrie`].
+/// An immutable, flat-layout longest-prefix-match table.
 ///
-/// Built with [`PrefixTrie::freeze`]; see the module docs for the layout.
-/// The snapshot owns clones of the trie's values, so the trie remains free
-/// to mutate afterwards. Consumers either re-freeze when they need the
-/// changes, or absorb them incrementally through a
-/// [`DeltaOverlay`](crate::overlay::DeltaOverlay) +
-/// [`refreeze_subtree`](FrozenLpm::refreeze_subtree).
+/// Built with [`FrozenLpm::from_pairs`]; see the module docs for the
+/// layout. The table owns its values and never changes in place except
+/// through [`refreeze_subtree`](FrozenLpm::refreeze_subtree), which folds
+/// a [`DeltaOverlay`](crate::overlay::DeltaOverlay) of pending patches in.
 ///
 /// ```
-/// use tectonic_net::{IpNet, PrefixTrie};
+/// use tectonic_net::{FrozenLpm, IpNet};
 ///
-/// let mut trie = PrefixTrie::new();
-/// trie.insert("17.0.0.0/8".parse::<IpNet>().unwrap(), "apple");
-/// trie.insert("17.5.0.0/16".parse::<IpNet>().unwrap(), "apple-dc");
-/// let lpm = trie.freeze();
+/// let net = |s: &str| s.parse::<IpNet>().unwrap();
+/// let lpm = FrozenLpm::from_pairs([
+///     (net("17.0.0.0/8"), "apple"),
+///     (net("17.5.0.0/16"), "apple-dc"),
+/// ]);
 /// let (prefix, value) = lpm.longest_match("17.5.1.2".parse().unwrap()).unwrap();
 /// assert_eq!(prefix.to_string(), "17.5.0.0/16");
 /// assert_eq!(*value, "apple-dc");
@@ -235,19 +227,9 @@ impl<V> Clone for FrozenLpm<V> {
     }
 }
 
-impl<V: Clone> PrefixTrie<V> {
-    /// Compiles the trie's current contents into a [`FrozenLpm`] snapshot.
-    ///
-    /// The trie stays usable (and mutable) as the build-side structure; the
-    /// snapshot does not track later inserts or removals.
-    pub fn freeze(&self) -> FrozenLpm<V> {
-        FrozenLpm::from_pairs(self.iter().map(|(n, v)| (n, v.clone())))
-    }
-}
-
 impl<V> FrozenLpm<V> {
     /// Compiles an explicit `(prefix, value)` list. Later duplicates of the
-    /// same prefix replace earlier ones, matching repeated trie inserts.
+    /// same prefix replace earlier ones, as repeated map inserts would.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (IpNet, V)>) -> FrozenLpm<V> {
         // Sort once by (family, bits, len, arrival); equal prefixes then sit
         // adjacent with the latest last, so duplicate resolution is a linear
@@ -282,8 +264,8 @@ impl<V> FrozenLpm<V> {
         let mut keys_v6: Vec<KeyRec> = Vec::new();
         let mut raw = raw.into_iter().peekable();
         while let Some(r) = raw.next() {
-            // A later duplicate of the same prefix replaces this one
-            // (trie-insert semantics): keep only the last of each run.
+            // A later duplicate of the same prefix replaces this one: keep
+            // only the last of each run.
             let superseded = matches!(
                 raw.peek(),
                 Some(n) if n.v4 == r.v4 && n.bits == r.bits && n.len == r.len
@@ -394,19 +376,12 @@ impl<V> FrozenLpm<V> {
         best
     }
 
-    /// Longest-prefix match for an address — identical to
-    /// [`PrefixTrie::longest_match`] on the frozen contents.
+    /// Longest-prefix match for an address: the most specific stored
+    /// prefix containing `addr`.
     pub fn longest_match(&self, addr: IpAddr) -> Option<(IpNet, &V)> {
         let (bits, v4) = addr_bits(&addr);
         let best = self.lookup_idx(bits, v4);
         self.core.values.get(best as usize).map(|(n, v)| (*n, v))
-    }
-
-    /// Alias for [`longest_match`](FrozenLpm::longest_match) — the
-    /// route-lookup verb used by the RIB.
-    #[inline]
-    pub fn lookup(&self, addr: IpAddr) -> Option<(IpNet, &V)> {
-        self.longest_match(addr)
     }
 
     /// [`longest_match`](FrozenLpm::longest_match) restricted to prefixes
@@ -459,50 +434,17 @@ impl<V> FrozenLpm<V> {
         None
     }
 
-    /// Resolves a burst of addresses in one call, writing one
-    /// `Option<(prefix, &value)>` per input address (`out` is cleared
-    /// first). Results are exactly `addrs.iter().map(|a| lookup(*a))`.
+    /// Resolves a burst of addresses in one call: `out` is cleared and
+    /// receives `f(longest_match(a))` for each address, in order. Callers
+    /// that store a derived type (the RIB keeps `(prefix, origin)`) reuse
+    /// their typed buffer with no intermediate allocation.
     ///
     /// The walk is level-synchronous: every pass advances all still-live
     /// lookups one node, so within a pass the node/entry loads of different
     /// addresses are independent and overlap in the memory pipeline instead
-    /// of serialising down one walk at a time — which is where a batch
-    /// beats N single calls on tables larger than the cache.
-    pub fn lookup_batch<'a>(&'a self, addrs: &[IpAddr], out: &mut Vec<Option<(IpNet, &'a V)>>) {
-        self.lookup_batch_map(addrs, out, |m| m);
-    }
-
-    /// [`lookup_batch`](FrozenLpm::lookup_batch) against caller-owned walk
-    /// state: with a reused [`BatchScratch`] the whole batch runs without
-    /// touching the allocator once the scratch has grown to the burst size.
-    pub fn lookup_batch_in<'a>(
-        &'a self,
-        scratch: &mut BatchScratch,
-        addrs: &[IpAddr],
-        out: &mut Vec<Option<(IpNet, &'a V)>>,
-    ) {
-        self.lookup_batch_map_in(scratch, addrs, out, |m| m);
-    }
-
-    /// [`lookup_batch`](FrozenLpm::lookup_batch) with an inline projection:
-    /// each raw match is passed through `f` before landing in `out`, so
-    /// callers that store a derived type (the RIB keeps `(prefix, origin)`)
-    /// reuse their typed buffer with no intermediate allocation. Allocates
-    /// fresh walk state per call — batch loops should hold a
-    /// [`BatchScratch`] and use
-    /// [`lookup_batch_map_in`](FrozenLpm::lookup_batch_map_in) instead.
-    pub fn lookup_batch_map<'a, T>(
-        &'a self,
-        addrs: &[IpAddr],
-        out: &mut Vec<T>,
-        f: impl FnMut(Option<(IpNet, &'a V)>) -> T,
-    ) {
-        let mut scratch = BatchScratch::new();
-        self.lookup_batch_map_in(&mut scratch, addrs, out, f);
-    }
-
-    /// The allocation-free batch kernel: walk state lives in `scratch`,
-    /// results in `out`, both owned by the caller and reused across bursts.
+    /// of serialising down one walk at a time. Walk state lives in
+    /// `scratch`, results in `out`, both owned by the caller and reused
+    /// across bursts, so the kernel allocates nothing once they have grown.
     ///
     /// Invocation-order contract: `f` is called exactly once per input
     /// address, in input order (lane `k` of the final drain corresponds to
@@ -605,40 +547,15 @@ impl<V> FrozenLpm<V> {
             .and_then(|at| keys.get(at))
     }
 
-    /// Exact-prefix lookup — identical to [`PrefixTrie::exact`].
+    /// Exact-prefix lookup: the value stored under exactly `net`.
     pub fn exact(&self, net: &IpNet) -> Option<&V> {
         let (bits, len, v4) = net_bits(net);
         let key = self.find_key(bits, len, v4)?;
         self.core.values.get(key.value as usize).map(|(_, v)| v)
     }
 
-    /// Whether the exact prefix is stored.
-    pub fn contains(&self, net: &IpNet) -> bool {
-        self.exact(net).is_some()
-    }
-
-    /// All stored prefixes containing `addr`, shortest first — identical to
-    /// [`PrefixTrie::covering`]. Probes only the prefix lengths that occur
-    /// in the table, one binary search each.
-    pub fn covering(&self, addr: IpAddr) -> Vec<(IpNet, &V)> {
-        let (bits, v4) = addr_bits(&addr);
-        let width: u8 = if v4 { 32 } else { 128 };
-        let mut out = Vec::new();
-        for len in self.lens(v4).iter().copied() {
-            if len > width {
-                break;
-            }
-            if let Some(key) = self.find_key(mask_bits(bits, len), len, v4) {
-                if let Some((n, v)) = self.core.values.get(key.value as usize) {
-                    out.push((*n, v));
-                }
-            }
-        }
-        out
-    }
-
     /// The most specific stored prefix fully containing `net` (possibly
-    /// `net` itself) — identical to [`PrefixTrie::longest_match_net`].
+    /// `net` itself).
     pub fn longest_match_net(&self, net: &IpNet) -> Option<(IpNet, &V)> {
         let (bits, len, v4) = net_bits(net);
         for l in self.lens(v4).iter().rev().copied() {
@@ -763,22 +680,38 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn sample() -> PrefixTrie<&'static str> {
-        let mut t = PrefixTrie::new();
-        t.insert(net("0.0.0.0/0"), "default");
-        t.insert(net("17.0.0.0/8"), "apple8");
-        t.insert(net("17.5.0.0/16"), "apple16");
-        t.insert(net("23.32.0.0/11"), "akamai");
-        t.insert(net("2620:149::/32"), "apple6");
-        t.insert(net("2620:149:a::/48"), "apple6-dc");
-        t.insert(net("198.51.100.7/32"), "host");
-        t
+    fn sample() -> Vec<(IpNet, &'static str)> {
+        [
+            ("0.0.0.0/0", "default"),
+            ("17.0.0.0/8", "apple8"),
+            ("17.5.0.0/16", "apple16"),
+            ("23.32.0.0/11", "akamai"),
+            ("2620:149::/32", "apple6"),
+            ("2620:149:a::/48", "apple6-dc"),
+            ("198.51.100.7/32", "host"),
+        ]
+        .into_iter()
+        .map(|(n, v)| (net(n), v))
+        .collect()
+    }
+
+    /// The most specific pair whose prefix satisfies `covers`, by linear
+    /// scan — the oracle the compiled walk is checked against.
+    fn linear_match(
+        pairs: &[(IpNet, &'static str)],
+        covers: impl Fn(&IpNet) -> bool,
+    ) -> Option<(IpNet, &'static str)> {
+        pairs
+            .iter()
+            .filter(|(n, _)| covers(n))
+            .max_by_key(|(n, _)| n.len())
+            .copied()
     }
 
     #[test]
-    fn matches_trie_on_longest_match() {
-        let t = sample();
-        let lpm = t.freeze();
+    fn longest_match_agrees_with_linear_scan() {
+        let pairs = sample();
+        let lpm = FrozenLpm::from_pairs(pairs.clone());
         for a in [
             "17.5.1.2",
             "17.9.9.9",
@@ -793,45 +726,34 @@ mod tests {
             let a = addr(a);
             assert_eq!(
                 lpm.longest_match(a).map(|(n, v)| (n, *v)),
-                t.longest_match(a).map(|(n, v)| (n, *v)),
+                linear_match(&pairs, |n| n.contains(a)),
                 "{a}"
-            );
-            assert_eq!(
-                lpm.lookup(a).map(|(n, _)| n),
-                lpm.longest_match(a).map(|(n, _)| n)
             );
         }
     }
 
     #[test]
     fn no_v6_default_means_v6_miss() {
-        let t = sample();
-        let lpm = t.freeze();
+        let lpm = FrozenLpm::from_pairs(sample());
         assert!(lpm.longest_match(addr("2001:db8::1")).is_none());
         assert_eq!(lpm.longest_match(addr("8.8.8.8")).unwrap().1, &"default");
     }
 
     #[test]
-    fn exact_and_covering_match_trie() {
-        let t = sample();
-        let lpm = t.freeze();
+    fn exact_finds_only_stored_prefixes() {
+        let pairs = sample();
+        let lpm = FrozenLpm::from_pairs(pairs.clone());
         for n in ["17.0.0.0/8", "17.5.0.0/16", "17.0.0.0/16", "::/0"] {
             let n = net(n);
-            assert_eq!(lpm.exact(&n), t.exact(&n), "{n}");
-            assert_eq!(lpm.contains(&n), t.contains(&n));
-        }
-        for a in ["17.5.1.2", "8.8.8.8", "2620:149:a::1", "2001:db8::1"] {
-            let a = addr(a);
-            let got: Vec<_> = lpm.covering(a).into_iter().map(|(n, v)| (n, *v)).collect();
-            let want: Vec<_> = t.covering(a).into_iter().map(|(n, v)| (n, *v)).collect();
-            assert_eq!(got, want, "{a}");
+            let want = pairs.iter().find(|(m, _)| *m == n).map(|(_, v)| v);
+            assert_eq!(lpm.exact(&n), want, "{n}");
         }
     }
 
     #[test]
-    fn longest_match_net_matches_trie() {
-        let t = sample();
-        let lpm = t.freeze();
+    fn longest_match_net_agrees_with_linear_scan() {
+        let pairs = sample();
+        let lpm = FrozenLpm::from_pairs(pairs.clone());
         for n in [
             "17.5.3.0/24",
             "17.6.0.0/16",
@@ -844,7 +766,7 @@ mod tests {
             let n = net(n);
             assert_eq!(
                 lpm.longest_match_net(&n).map(|(c, v)| (c, *v)),
-                t.longest_match_net(&n).map(|(c, v)| (c, *v)),
+                linear_match(&pairs, |c| c.contains_net(&n)),
                 "{n}"
             );
         }
@@ -852,8 +774,7 @@ mod tests {
 
     #[test]
     fn batch_equals_map_of_single_lookups() {
-        let t = sample();
-        let lpm = t.freeze();
+        let lpm = FrozenLpm::from_pairs(sample());
         let addrs: Vec<IpAddr> = [
             "17.5.1.2",
             "8.8.8.8",
@@ -866,8 +787,9 @@ mod tests {
         .iter()
         .map(|s| addr(s))
         .collect();
+        let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
-        lpm.lookup_batch(&addrs, &mut out);
+        lpm.lookup_batch_map_in(&mut scratch, &addrs, &mut out, |m| m);
         assert_eq!(out.len(), addrs.len());
         for (a, got) in addrs.iter().zip(&out) {
             assert_eq!(
@@ -876,8 +798,8 @@ mod tests {
                 "{a}"
             );
         }
-        // The output buffer is reused across calls.
-        lpm.lookup_batch(&addrs[..2], &mut out);
+        // The scratch and the output buffer are reused across calls.
+        lpm.lookup_batch_map_in(&mut scratch, &addrs[..2], &mut out, |m| m);
         assert_eq!(out.len(), 2);
     }
 
@@ -889,44 +811,48 @@ mod tests {
     }
 
     #[test]
-    fn empty_freeze_answers_nothing() {
-        let t: PrefixTrie<u8> = PrefixTrie::new();
-        let lpm = t.freeze();
+    fn empty_table_answers_nothing() {
+        let lpm: FrozenLpm<u8> = FrozenLpm::from_pairs([]);
         assert!(lpm.is_empty());
         assert_eq!(lpm.len(), 0);
         assert!(lpm.longest_match(addr("1.2.3.4")).is_none());
-        assert!(lpm.covering(addr("::1")).is_empty());
+        assert!(lpm.longest_match_net(&net("::/0")).is_none());
         let mut out = Vec::new();
-        lpm.lookup_batch(&[addr("1.2.3.4"), addr("::1")], &mut out);
+        lpm.lookup_batch_map_in(
+            &mut BatchScratch::new(),
+            &[addr("1.2.3.4"), addr("::1")],
+            &mut out,
+            |m| m,
+        );
         assert_eq!(out, vec![None, None]);
     }
 
     #[test]
     fn wide_root_engages_on_large_tables() {
-        // Cross the WIDE_ROOT_MIN threshold and verify lookups still agree.
-        let mut t = PrefixTrie::new();
-        for i in 0..5000u32 {
+        // Cross the WIDE_ROOT_MIN threshold and verify lookups still land
+        // in the /24 each address was drawn from.
+        let slash24 = |i: u32| {
             let a = std::net::Ipv4Addr::from(0x0A00_0000 | (i << 8));
-            t.insert(crate::prefix::Ipv4Net::clamped(a, 24), i);
-        }
-        let lpm = t.freeze();
+            IpNet::V4(crate::prefix::Ipv4Net::clamped(a, 24))
+        };
+        let lpm = FrozenLpm::from_pairs((0..5000u32).map(|i| (slash24(i), i)));
         assert_eq!(lpm.len(), 5000);
         for i in (0..5000u32).step_by(97) {
             let a = IpAddr::V4(std::net::Ipv4Addr::from(0x0A00_0001 | (i << 8)));
             assert_eq!(
                 lpm.longest_match(a).map(|(n, v)| (n, *v)),
-                t.longest_match(a).map(|(n, v)| (n, *v))
+                Some((slash24(i), i))
             );
         }
     }
 
     #[test]
     fn iter_yields_all_pairs() {
-        let t = sample();
-        let lpm = t.freeze();
-        let mut got: Vec<String> = lpm.iter().map(|(n, _)| n.to_string()).collect();
+        let pairs = sample();
+        let lpm = FrozenLpm::from_pairs(pairs.clone());
+        let mut got: Vec<(IpNet, &str)> = lpm.iter().map(|(n, v)| (n, *v)).collect();
         got.sort();
-        let mut want: Vec<String> = t.iter().map(|(n, _)| n.to_string()).collect();
+        let mut want = pairs;
         want.sort();
         assert_eq!(got, want);
     }
@@ -946,8 +872,7 @@ mod tests {
 
     #[test]
     fn longest_match_where_skips_filtered_prefixes() {
-        let t = sample();
-        let lpm = t.freeze();
+        let lpm = FrozenLpm::from_pairs(sample());
         let a = addr("17.5.1.2");
         // Unfiltered: identical to the plain walk.
         assert_eq!(

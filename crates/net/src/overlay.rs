@@ -262,7 +262,8 @@ impl<V> DeltaOverlay<V> {
     /// next compaction); an overlay-only announce is simply removed.
     /// Returns the overlay value that was dropped, if any.
     pub fn withdraw(&mut self, net: &IpNet, base: &FrozenLpm<V>) -> Option<V> {
-        self.withdraw_probed(net, base.contains(net)).flatten()
+        self.withdraw_probed(net, base.exact(net).is_some())
+            .flatten()
     }
 
     /// [`withdraw`](DeltaOverlay::withdraw) for a caller that has already
@@ -406,13 +407,6 @@ impl<V> DeltaOverlay<V> {
         self.combine(base, addr, base.longest_match(addr))
     }
 
-    /// Alias for [`longest_match`](DeltaOverlay::longest_match), matching
-    /// [`FrozenLpm::lookup`].
-    #[inline]
-    pub fn lookup<'a>(&'a self, base: &'a FrozenLpm<V>, addr: IpAddr) -> Option<(IpNet, &'a V)> {
-        self.longest_match(base, addr)
-    }
-
     /// Combined exact-prefix lookup — identical to
     /// [`FrozenLpm::exact`] on the patched table.
     pub fn exact<'a>(&'a self, base: &'a FrozenLpm<V>, net: &IpNet) -> Option<&'a V> {
@@ -424,11 +418,6 @@ impl<V> DeltaOverlay<V> {
             Some(p) => p.value.as_ref(),
             None => base.exact(net),
         }
-    }
-
-    /// Whether the exact prefix exists in the combined view.
-    pub fn contains(&self, base: &FrozenLpm<V>, net: &IpNet) -> bool {
-        self.exact(base, net).is_some()
     }
 
     /// Combined [`FrozenLpm::longest_match_net`]: the most specific
@@ -452,85 +441,15 @@ impl<V> DeltaOverlay<V> {
         Self::better(self.patch_match(v4, bits, len), bm)
     }
 
-    /// Combined [`FrozenLpm::covering`]: all surviving prefixes containing
-    /// `addr`, shortest first (merge of the base's filtered list and the
-    /// overlay's; a prefix in both contributes the overlay value).
-    pub fn covering<'a>(&'a self, base: &'a FrozenLpm<V>, addr: IpAddr) -> Vec<(IpNet, &'a V)> {
-        let (bits, v4) = addr_bits(&addr);
-        if !self.is_dirty(v4, bits) {
-            return base.covering(addr);
-        }
-        let mut from_base = base.covering(addr);
-        from_base.retain(|(n, _)| !self.is_tombstoned(n));
-        let width: u8 = if v4 { 32 } else { 128 };
-        let from_ov: Vec<(IpNet, &V)> = (0..=width)
-            .filter_map(|l| self.find_patch(v4, mask_bits(bits, l), l)?.live())
-            .collect();
-        let mut out = Vec::with_capacity(from_base.len().saturating_add(from_ov.len()));
-        let mut bi = from_base.iter().peekable();
-        let mut oi = from_ov.iter().peekable();
-        loop {
-            match (bi.peek(), oi.peek()) {
-                (Some(b), Some(o)) => {
-                    if b.0.len() < o.0.len() {
-                        out.push(**b);
-                        bi.next();
-                    } else {
-                        if b.0.len() == o.0.len() {
-                            // Same prefix present in both: overlay shadows.
-                            bi.next();
-                        }
-                        out.push(**o);
-                        oi.next();
-                    }
-                }
-                (Some(b), None) => {
-                    out.push(**b);
-                    bi.next();
-                }
-                (None, Some(o)) => {
-                    out.push(**o);
-                    oi.next();
-                }
-                (None, None) => break,
-            }
-        }
-        out
-    }
-
-    /// Combined batch lookup — results are exactly
-    /// `addrs.iter().map(|a| self.lookup(base, *a))`. See
-    /// [`lookup_batch_in`](DeltaOverlay::lookup_batch_in) for the
-    /// scratch-reusing form.
-    pub fn lookup_batch<'a>(
-        &'a self,
-        base: &'a FrozenLpm<V>,
-        addrs: &[IpAddr],
-        out: &mut Vec<Option<(IpNet, &'a V)>>,
-    ) {
-        let mut scratch = BatchScratch::new();
-        self.lookup_batch_map_in(base, &mut scratch, addrs, out, |m| m);
-    }
-
-    /// Combined batch lookup against caller-owned scratch; allocation-free
-    /// once the scratch and output buffers have grown to the burst size
-    /// (tombstone fallbacks excepted — they probe, not allocate).
-    pub fn lookup_batch_in<'a>(
-        &'a self,
-        base: &'a FrozenLpm<V>,
-        scratch: &mut BatchScratch,
-        addrs: &[IpAddr],
-        out: &mut Vec<Option<(IpNet, &'a V)>>,
-    ) {
-        self.lookup_batch_map_in(base, scratch, addrs, out, |m| m);
-    }
-
     /// Combined batch lookup with an inline projection, the overlay
-    /// counterpart of [`FrozenLpm::lookup_batch_map_in`]. The frozen batch
-    /// kernel drives the walk; each raw base match whose address falls in
-    /// a dirty chunk is combined with the patches before `f` sees it.
-    /// Relies on the kernel's documented contract that the projection runs
-    /// exactly once per input address, in input order.
+    /// counterpart of [`FrozenLpm::lookup_batch_map_in`]: `out` receives
+    /// `f(longest_match(base, a))` for each address, in order. The frozen
+    /// batch kernel drives the walk; each raw base match whose address
+    /// falls in a dirty chunk is combined with the patches before `f` sees
+    /// it. Allocation-free once the scratch and output buffers have grown
+    /// to the burst size (tombstone fallbacks probe, they do not
+    /// allocate). Relies on the kernel's documented contract that the
+    /// projection runs exactly once per input address, in input order.
     pub fn lookup_batch_map_in<'a, T>(
         &'a self,
         base: &'a FrozenLpm<V>,
@@ -763,7 +682,7 @@ fn patch_root<V: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trie::PrefixTrie;
+    use std::collections::BTreeMap;
 
     fn net(s: &str) -> IpNet {
         s.parse().unwrap()
@@ -774,12 +693,12 @@ mod tests {
     }
 
     fn base() -> FrozenLpm<&'static str> {
-        let mut t = PrefixTrie::new();
-        t.insert(net("0.0.0.0/0"), "default");
-        t.insert(net("17.0.0.0/8"), "apple8");
-        t.insert(net("17.5.0.0/16"), "apple16");
-        t.insert(net("2620:149::/32"), "apple6");
-        t.freeze()
+        FrozenLpm::from_pairs([
+            (net("0.0.0.0/0"), "default"),
+            (net("17.0.0.0/8"), "apple8"),
+            (net("17.5.0.0/16"), "apple16"),
+            (net("2620:149::/32"), "apple6"),
+        ])
     }
 
     #[test]
@@ -790,7 +709,6 @@ mod tests {
         let a = addr("17.5.1.2");
         assert_eq!(d.longest_match(&b, a), b.longest_match(a));
         assert_eq!(d.exact(&b, &net("17.0.0.0/8")), b.exact(&net("17.0.0.0/8")));
-        assert_eq!(d.covering(&b, a), b.covering(a));
     }
 
     #[test]
@@ -828,13 +746,6 @@ mod tests {
         // longest_match_net also skips the tombstone.
         let (n, _) = d.longest_match_net(&b, &net("17.5.3.0/24")).unwrap();
         assert_eq!(n, net("17.0.0.0/8"));
-        // covering drops it too.
-        let cov: Vec<_> = d
-            .covering(&b, addr("17.5.1.2"))
-            .iter()
-            .map(|(n, _)| *n)
-            .collect();
-        assert_eq!(cov, vec![net("0.0.0.0/0"), net("17.0.0.0/8")]);
     }
 
     #[test]
@@ -873,22 +784,22 @@ mod tests {
             .map(|s| addr(s))
             .collect();
         let mut out = Vec::new();
-        d.lookup_batch(&b, &addrs, &mut out);
+        d.lookup_batch_map_in(&b, &mut BatchScratch::new(), &addrs, &mut out, |m| m);
         assert_eq!(out.len(), addrs.len());
         for (a, got) in addrs.iter().zip(&out) {
-            assert_eq!(*got, d.lookup(&b, *a), "{a}");
+            assert_eq!(*got, d.longest_match(&b, *a), "{a}");
         }
     }
 
     #[test]
     fn refreeze_subtree_matches_full_rebuild() {
-        let mut t = PrefixTrie::new();
+        let mut t = BTreeMap::new();
         for i in 0..64u32 {
             let a = std::net::Ipv4Addr::from(0x0A00_0000 | (i << 16));
-            t.insert(crate::prefix::Ipv4Net::clamped(a, 16), i);
+            t.insert(IpNet::V4(crate::prefix::Ipv4Net::clamped(a, 16)), i);
         }
         t.insert(net("0.0.0.0/0"), 999);
-        let mut frozen = t.freeze();
+        let mut frozen = FrozenLpm::from_pairs(t.clone());
         let mut d = DeltaOverlay::new();
         // Mutate: withdraw one /16, announce a /24 inside another, replace
         // the default route, and add a v6 prefix to the empty family.
@@ -902,7 +813,7 @@ mod tests {
         t.insert(net("2620:149::/32"), 6666);
 
         frozen.refreeze_subtree(&d);
-        let full = t.freeze();
+        let full = FrozenLpm::from_pairs(t);
         assert_eq!(frozen.len(), full.len());
         assert!(frozen.garbage() > 0, "superseded slots become garbage");
         for a in ["10.3.1.2", "10.5.9.1", "10.5.8.1", "10.40.0.1", "8.8.8.8"] {
@@ -926,10 +837,7 @@ mod tests {
 
     #[test]
     fn refreeze_unshares_outstanding_snapshots() {
-        let mut t = PrefixTrie::new();
-        t.insert(net("10.0.0.0/8"), 1);
-        t.insert(net("10.5.0.0/16"), 2);
-        let mut live = t.freeze();
+        let mut live = FrozenLpm::from_pairs([(net("10.0.0.0/8"), 1), (net("10.5.0.0/16"), 2)]);
         let epoch0 = live.snapshot();
         assert!(live.is_shared());
 

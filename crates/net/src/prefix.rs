@@ -226,7 +226,7 @@ impl Ipv4Net {
         Ipv4Addr::from((u32::from(self.addr) as u64 + off) as u32)
     }
 
-    /// The raw `(bits, len)` pair used by the prefix trie.
+    /// The raw `(bits, len)` pair the compiled prefix tables key on.
     pub fn bits(&self) -> (u32, u8) {
         (u32::from(self.addr), self.len)
     }
@@ -445,7 +445,7 @@ impl Ipv6Net {
         Ipv6Addr::from(u128::from(self.addr) | (n % slots))
     }
 
-    /// The raw `(bits, len)` pair used by the prefix trie.
+    /// The raw `(bits, len)` pair the compiled prefix tables key on.
     pub fn bits(&self) -> (u128, u8) {
         (u128::from(self.addr), self.len)
     }

@@ -127,7 +127,7 @@ impl<V> PrefixTable<V> {
     /// Longest-prefix match for an address.
     pub fn lookup(&self, addr: IpAddr) -> Option<(IpNet, &V)> {
         match &self.frozen {
-            Some(lpm) => self.delta.lookup(lpm, addr),
+            Some(lpm) => self.delta.longest_match(lpm, addr),
             None => self.staged_match(addr, width(addr)),
         }
     }

@@ -170,7 +170,7 @@ impl Deployment {
         }
         // The table is fully loaded: compile it so every steady-state
         // consumer (scanner, analyses, correlation) looks up through the
-        // flat engine instead of the pointer trie. Later churn (the chaos
+        // flat engine instead of the staged map. Later churn (the chaos
         // pipeline's BGP flaps) patches the compiled table through the
         // RIB's delta overlay rather than invalidating it.
         rib.freeze();

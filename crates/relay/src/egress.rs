@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use tectonic_net::{Asn, IpNet, Ipv4Net, PrefixTrie, SimDuration, SimRng, SimTime};
+use tectonic_net::{Asn, FrozenLpm, IpNet, Ipv4Net, SimDuration, SimRng, SimTime};
 
 use tectonic_geo::country::{nearest_country, CountryCode};
 use tectonic_geo::egress::{EgressList, OperatorFootprint};
@@ -69,16 +69,11 @@ impl EgressSelector {
         // attribution is then a flat longest-prefix match instead of a
         // linear scan (the full list has ~240 k subnets against ~1.5 k
         // prefixes).
-        let mut trie: PrefixTrie<Asn> = PrefixTrie::new();
-        for f in footprints {
-            for p in &f.bgp_v4 {
-                trie.insert(*p, f.asn);
-            }
-            for p in &f.bgp_v6 {
-                trie.insert(*p, f.asn);
-            }
-        }
-        let index = trie.freeze();
+        let index = FrozenLpm::from_pairs(footprints.iter().flat_map(|f| {
+            let v4 = f.bgp_v4.iter().map(|p| IpNet::V4(*p));
+            let v6 = f.bgp_v6.iter().map(|p| IpNet::V6(*p));
+            v4.chain(v6).map(move |p| (p, f.asn))
+        }));
         for entry in list.entries() {
             let Some((_, op)) = index.longest_match_net(&entry.subnet) else {
                 continue;

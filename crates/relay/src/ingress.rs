@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use tectonic_net::{Asn, Epoch, FrozenLpm, Ipv4Net, Ipv6Net, PrefixTrie};
+use tectonic_net::{Asn, Epoch, FrozenLpm, IpNet, Ipv4Net, Ipv6Net};
 
 use tectonic_geo::country::{all_countries, CountryCode};
 use tectonic_quic::IngressQuicBehavior;
@@ -49,7 +49,7 @@ impl IngressFleets {
     /// Allocates every fleet from the configuration.
     pub fn build(config: &DeploymentConfig) -> IngressFleets {
         let mut pools = HashMap::new();
-        let mut reverse = PrefixTrie::new();
+        let mut reverse = Vec::new();
         let mut config_sizes = HashMap::new();
         for plan in &config.ingress_plans {
             let v4_prefixes: Vec<Ipv4Net> = plan
@@ -74,12 +74,8 @@ impl IngressFleets {
                 .zip(v6_prefixes.iter().cycle())
                 .map(|(i, p)| p.nth_addr(1 + (i / v6_prefixes.len().max(1)) as u128))
                 .collect();
-            for p in &v4_prefixes {
-                reverse.insert(*p, plan.asn);
-            }
-            for p in &v6_prefixes {
-                reverse.insert(*p, plan.asn);
-            }
+            reverse.extend(v4_prefixes.iter().map(|p| (IpNet::V4(*p), plan.asn)));
+            reverse.extend(v6_prefixes.iter().map(|p| (IpNet::V6(*p), plan.asn)));
             config_sizes.insert(
                 (plan.domain, plan.asn),
                 [plan.v4_by_epoch, plan.v6_by_epoch],
@@ -106,7 +102,7 @@ impl IngressFleets {
             .collect();
         IngressFleets {
             pools,
-            reverse: reverse.freeze(),
+            reverse: FrozenLpm::from_pairs(reverse),
             config_sizes,
             quic: IngressQuicBehavior::default(),
             cc_cumweights,

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
 use serde::{Deserialize, Serialize};
-use tectonic_net::{Asn, FrozenLpm, Ipv4Net, PrefixTrie, SimRng};
+use tectonic_net::{Asn, FrozenLpm, IpNet, Ipv4Net, SimRng};
 
 use tectonic_geo::country::{all_countries, CountryCode};
 
@@ -124,8 +124,8 @@ pub struct ClientWorld {
     ases: Vec<ClientAs>,
     by_asn: HashMap<Asn, usize>,
     /// Maps announced client CIDRs to indices into `ases`. The world is
-    /// immutable once generated, so the index is built as a trie and kept
-    /// only in compiled form.
+    /// immutable once generated, so the index is compiled once from its
+    /// pairs.
     lpm: FrozenLpm<usize>,
     apple_share_in_both: f64,
     split_seed: u64,
@@ -236,18 +236,16 @@ impl ClientWorld {
             &mut cursor,
         );
 
-        let mut trie = PrefixTrie::new();
+        let mut pairs = Vec::new();
         let mut by_asn = HashMap::with_capacity(ases.len());
         for (i, client_as) in ases.iter().enumerate() {
             by_asn.insert(client_as.asn, i);
-            for p in &client_as.prefixes {
-                trie.insert(*p, i);
-            }
+            pairs.extend(client_as.prefixes.iter().map(|p| (IpNet::V4(*p), i)));
         }
         ClientWorld {
             ases,
             by_asn,
-            lpm: trie.freeze(),
+            lpm: FrozenLpm::from_pairs(pairs),
             apple_share_in_both: config.both_apple_subnet_share,
             split_seed: gen_rng.next_u64_raw(),
         }
@@ -271,7 +269,7 @@ impl ClientWorld {
     }
 
     /// The announced client CIDR covering `addr`, if any.
-    pub fn covering_prefix(&self, addr: IpAddr) -> Option<Ipv4Net> {
+    pub fn prefix_of_addr(&self, addr: IpAddr) -> Option<Ipv4Net> {
         self.lpm
             .longest_match(addr)
             .and_then(|(net, _)| net.as_v4().copied())
@@ -470,11 +468,11 @@ mod tests {
     }
 
     #[test]
-    fn covering_prefix_contains_addr() {
+    fn prefix_of_addr_contains_addr() {
         let w = world();
         let client_as = &w.ases()[0];
         let addr = client_as.host_addr(0);
-        let covering = w.covering_prefix(IpAddr::V4(addr)).unwrap();
+        let covering = w.prefix_of_addr(IpAddr::V4(addr)).unwrap();
         assert!(covering.contains(addr));
         assert!(client_as.prefixes.contains(&covering));
     }

@@ -146,7 +146,7 @@ impl MaskZone {
         match self.world.as_of_addr(addr) {
             Some(client_as) if client_as.category != ServiceSplit::Both => self
                 .world
-                .covering_prefix(addr)
+                .prefix_of_addr(addr)
                 .map(|p| p.len().min(24))
                 .unwrap_or(24),
             _ => 24,

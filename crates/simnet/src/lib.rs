@@ -23,10 +23,9 @@
 //!   ingress blackholes, and a BGP announce/withdraw flap spec. Built via
 //!   [`FaultPlan::named`] + [`FaultPlan::with_link`], or looked up in the
 //!   [`scenarios`] registry.
-//! * [`FaultedChannel`](channel::FaultedChannel) — the delivery layer that
-//!   rolls the dice, keeps per-link [`LinkStats`](channel::LinkStats), and
-//!   wraps any [`NameServer`](tectonic_dns::server::NameServer) via
-//!   [`FaultedServer`](channel::FaultedServer).
+//! * [`FaultedChannel`] — the delivery layer that rolls the dice, keeps
+//!   per-link [`LinkStats`], and wraps any
+//!   [`NameServer`](tectonic_dns::server::NameServer) via [`FaultedServer`].
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -172,7 +171,7 @@ impl LinkFaults {
 
 /// A complete, named chaos scenario: the per-link fault mixes plus an
 /// optional BGP flap. Plans are plain data — the dice live in
-/// [`FaultedChannel`](channel::FaultedChannel).
+/// [`FaultedChannel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     name: String,

@@ -15,14 +15,6 @@
 //! * `lint --sarif PATH` — write the findings as a SARIF v2.1.0 log (one
 //!   result per finding) for CI artifacts and code-hosting annotation
 //!   UIs.
-//! * `bench-report [--suite lpm|scan|masque|all]` — run an ablation bench
-//!   with the shim's `BENCH_JSON` line output enabled and distil it into
-//!   `BENCH_lpm.json` / `BENCH_scan.json` / `BENCH_masque.json` (bench
-//!   name → ns/op, median), the artifacts CI uploads. The scan suite
-//!   appends derived `speedup_engine_w8_*` ratios; the lpm suite appends
-//!   `speedup_churn_*` (full-refreeze over amortized-overlay update
-//!   cost); the masque suite appends `sessions_per_sec_*` throughput and
-//!   the serial/engine speedup. Default suite: `lpm`.
 //! * `chaos` — run the fault-injection scenario matrix in-process:
 //!   `--scenario NAME --seed N` for one cell, `--all --seeds K` for the
 //!   whole registry, `--out PATH` for a JSON invariant report. Exits
@@ -91,7 +83,6 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: cargo run -p xtask -- lint \
              [--update-manifest] [--graph[=PATH]] [--sarif PATH]\n\
-             \x20      cargo run -p xtask -- bench-report [--suite lpm|scan|masque|all] [--out PATH]\n\
              \x20      cargo run -p xtask -- chaos (--scenario NAME | --all) \
              [--seed N] [--seeds K] [--out PATH]"
         );
@@ -105,10 +96,9 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        "bench-report" => bench_report(&args[1..]),
         "chaos" => chaos(&args[1..]),
         other => {
-            eprintln!("unknown subcommand `{other}`; expected `lint`, `bench-report`, or `chaos`");
+            eprintln!("unknown subcommand `{other}`; expected `lint` or `chaos`");
             ExitCode::FAILURE
         }
     }
@@ -242,238 +232,6 @@ fn chaos(args: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// One `bench-report` suite: which bench target to run and which report
-/// file its medians land in.
-struct BenchSuite {
-    name: &'static str,
-    bench: &'static str,
-    report: &'static str,
-}
-
-const BENCH_SUITES: [BenchSuite; 3] = [
-    BenchSuite {
-        name: "lpm",
-        bench: "ablation_rib_lpm",
-        report: "BENCH_lpm.json",
-    },
-    BenchSuite {
-        name: "scan",
-        bench: "ablation_scan_engine",
-        report: "BENCH_scan.json",
-    },
-    BenchSuite {
-        name: "masque",
-        bench: "ablation_masque",
-        report: "BENCH_masque.json",
-    },
-];
-
-/// Sessions per storm in `ablation_masque` (clients × rounds × 2 agents);
-/// mirrors the `StormConfig::sized` calls in the bench so the report can
-/// derive sessions/sec from ns/op medians.
-const MASQUE_STORM_SESSIONS: [(&str, f64); 2] = [("small", 256.0), ("large", 4_800.0)];
-
-/// Runs one or more ablation benches and condenses the shim's
-/// `BENCH_JSON` lines into flat bench-name → ns/op (median) reports.
-/// `--suite lpm` (the default, matching the original behaviour), `--suite
-/// scan`, `--suite masque`, or `--suite all`; the scan suite appends
-/// derived `speedup_engine_w8_*` ratios (serial median / engine-8-worker
-/// median), the lpm suite appends `speedup_churn_*` ratios (full-refreeze
-/// median / amortized-overlay median, per table size), and the masque
-/// suite appends `sessions_per_sec_*` throughput rows plus the
-/// serial/engine speedup per storm size.
-fn bench_report(args: &[String]) -> ExitCode {
-    let root = workspace_root();
-    let mut out_path: Option<PathBuf> = None;
-    let mut suite = "lpm".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if arg == "--out" {
-            i += 1;
-            match args.get(i) {
-                Some(p) => out_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("xtask bench-report: --out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(p) = arg.strip_prefix("--out=") {
-            out_path = Some(PathBuf::from(p));
-        } else if arg == "--suite" {
-            i += 1;
-            match args.get(i) {
-                Some(s) => suite = s.clone(),
-                None => {
-                    eprintln!("xtask bench-report: --suite needs a name");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(s) = arg.strip_prefix("--suite=") {
-            suite = s.to_string();
-        } else {
-            eprintln!("xtask bench-report: unknown option `{arg}`");
-            return ExitCode::FAILURE;
-        }
-        i += 1;
-    }
-    let selected: Vec<&BenchSuite> = if suite == "all" {
-        BENCH_SUITES.iter().collect()
-    } else {
-        match BENCH_SUITES.iter().find(|s| s.name == suite) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!(
-                    "xtask bench-report: unknown suite `{suite}` (known: lpm, scan, masque, all)"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    if out_path.is_some() && selected.len() > 1 {
-        eprintln!("xtask bench-report: --out only works with a single suite");
-        return ExitCode::FAILURE;
-    }
-    for s in selected {
-        let out = out_path.clone().unwrap_or_else(|| root.join(s.report));
-        if let Err(e) = run_bench_suite(&root, s, &out) {
-            eprintln!("xtask bench-report: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_bench_suite(root: &PathBuf, suite: &BenchSuite, out_path: &PathBuf) -> Result<(), String> {
-    let lines_path = root
-        .join("target")
-        .join(format!("bench-{}-lines.jsonl", suite.name));
-    let _ = fs::remove_file(&lines_path);
-    let status = std::process::Command::new(env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
-        .args(["bench", "-p", "tectonic-bench", "--bench", suite.bench])
-        .env("BENCH_JSON", &lines_path)
-        .current_dir(root)
-        .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => return Err(format!("cargo bench failed: {s}")),
-        Err(e) => return Err(format!("running cargo bench: {e}")),
-    }
-    let lines = fs::read_to_string(&lines_path)
-        .map_err(|e| format!("no BENCH_JSON output at {}: {e}", lines_path.display()))?;
-    let mut rows: Vec<(String, f64)> = Vec::new();
-    for line in lines.lines().filter(|l| !l.trim().is_empty()) {
-        let (Some(bench), Some(median)) = (json_str(line, "bench"), json_num(line, "median_ns"))
-        else {
-            return Err(format!("unparseable line: {line}"));
-        };
-        rows.push((bench.to_string(), median));
-    }
-    if rows.is_empty() {
-        return Err("bench produced no measurements".to_string());
-    }
-    // The scan suite's headline numbers: wall-clock ratio of the serial
-    // (one-shard) scan over the 8-worker engine, per deployment size.
-    if suite.name == "scan" {
-        let mut derived: Vec<(String, f64)> = Vec::new();
-        let median = |name: &str| rows.iter().find(|(n, _)| n == name).map(|(_, ns)| *ns);
-        for size in ["small", "large"] {
-            if let (Some(serial), Some(engine)) = (
-                median(&format!("serial_{size}")),
-                median(&format!("engine_w8_{size}")),
-            ) {
-                if engine > 0.0 {
-                    derived.push((format!("speedup_engine_w8_{size}"), serial / engine));
-                }
-            }
-        }
-        rows.extend(derived);
-    }
-    // The masque suite's headline numbers: session throughput of the
-    // serial driver and the 8-worker engine (sessions/sec, derived from
-    // the ns/op median and the storm's fixed session count), plus the
-    // wall-clock ratio between them.
-    if suite.name == "masque" {
-        let mut derived: Vec<(String, f64)> = Vec::new();
-        let median = |name: &str| rows.iter().find(|(n, _)| n == name).map(|(_, ns)| *ns);
-        for (size, sessions) in MASQUE_STORM_SESSIONS {
-            let serial = median(&format!("serial_{size}"));
-            let engine = median(&format!("engine_w8_{size}"));
-            if let Some(ns) = serial {
-                if ns > 0.0 {
-                    derived.push((
-                        format!("sessions_per_sec_serial_{size}"),
-                        sessions * 1e9 / ns,
-                    ));
-                }
-            }
-            if let Some(ns) = engine {
-                if ns > 0.0 {
-                    derived.push((
-                        format!("sessions_per_sec_engine_w8_{size}"),
-                        sessions * 1e9 / ns,
-                    ));
-                }
-            }
-            if let (Some(serial), Some(engine)) = (serial, engine) {
-                if engine > 0.0 {
-                    derived.push((format!("speedup_engine_w8_{size}"), serial / engine));
-                }
-            }
-        }
-        rows.extend(derived);
-    }
-    // The churn suite's headline numbers: per-update cost of a whole-table
-    // refreeze over the amortized overlay + subtree-compaction path.
-    if suite.name == "lpm" {
-        let mut derived: Vec<(String, f64)> = Vec::new();
-        let median = |name: &str| rows.iter().find(|(n, _)| n == name).map(|(_, ns)| *ns);
-        for size in ["100k", "900k"] {
-            if let (Some(full), Some(overlay)) = (
-                median(&format!("update_full_refreeze_{size}")),
-                median(&format!("update_overlay_{size}")),
-            ) {
-                if overlay > 0.0 {
-                    derived.push((format!("speedup_churn_{size}"), full / overlay));
-                }
-            }
-        }
-        rows.extend(derived);
-    }
-    let body = rows
-        .iter()
-        .map(|(name, ns)| format!("  \"{name}\": {ns:.1}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    fs::write(out_path, format!("{{\n{body}\n}}\n"))
-        .map_err(|e| format!("writing {}: {e}", out_path.display()))?;
-    println!(
-        "xtask bench-report: wrote {} ({} entries, ns/op medians)",
-        out_path.display(),
-        rows.len()
-    );
-    Ok(())
-}
-
-/// Extracts a string field from one flat `BENCH_JSON` line.
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = field_value(line, key)?;
-    rest.strip_prefix('"')?.split('"').next()
-}
-
-/// Extracts a numeric field from one flat `BENCH_JSON` line.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let rest = field_value(line, key)?;
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn field_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    Some(&line[start..])
 }
 
 fn lint(opts: &LintOpts) -> ExitCode {

@@ -7,7 +7,7 @@
 //! This crate re-exports every workspace member under one roof so examples
 //! and downstream users can depend on a single crate:
 //!
-//! * [`net`] — CIDR prefixes, prefix tries, ASNs, deterministic RNG, sim time
+//! * [`net`] — CIDR prefixes, LPM tables, ASNs, deterministic RNG, sim time
 //! * [`dns`] — DNS wire format, EDNS0 Client Subnet, servers and resolvers
 //! * [`bgp`] — RIB, AS topology, visibility history, AS populations
 //! * [`geo`] — countries/cities, geohash, the Apple egress list
