@@ -1,13 +1,12 @@
 //! Ablation — the CDN backbone optimisation (§2's Argo discussion):
 //! does the two-hop relay equalise its latency drawback?
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::qoe::{qoe_experiment, render_qoe};
 use tectonic_relay::LatencyModel;
 
-fn bench(c: &mut Criterion) {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     let optimised = qoe_experiment(d, &LatencyModel::default(), 5_000, 7);
     let plain = qoe_experiment(
         d,
@@ -24,14 +23,4 @@ fn bench(c: &mut Criterion) {
         "(the paper's §2 hypothesis: backbone measures \"might be enough to \
          equalize any latency drawbacks due to the two-hop relay system\")"
     );
-
-    let model = LatencyModel::default();
-    let mut group = c.benchmark_group("ablation_qoe");
-    group.bench_function("qoe_5k_connections", |b| {
-        b.iter(|| qoe_experiment(d, &model, 5_000, 7))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,14 +1,13 @@
 //! Ablation — the §7 ethics optimisations: query counts with and without
 //! honouring server-returned ECS scopes and the routed-space filter.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::ecs_scan::{EcsScanConfig, EcsScanner};
 use tectonic_net::{Epoch, SimClock};
 use tectonic_relay::Domain;
 
-fn bench(c: &mut Criterion) {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     let auth = d.auth_server_unlimited();
 
     let scan_with = |respect_scopes: bool| {
@@ -53,27 +52,4 @@ fn bench(c: &mut Criterion) {
         "routed-space filter: {routed} of {unicast} unicast /24s queried ({:.1}% skipped)",
         100.0 * (1.0 - routed as f64 / unicast as f64)
     );
-
-    // Timing kernels on a fixed 32k-subnet slice.
-    let slice: Vec<_> = scanner
-        .candidate_subnets(&d.rib)
-        .into_iter()
-        .take(32_768)
-        .collect();
-    let kernel = |respect_scopes: bool| {
-        let scanner = EcsScanner::new(EcsScanConfig {
-            respect_scopes,
-            ..EcsScanConfig::default()
-        });
-        let mut clock = SimClock::new(Epoch::Apr2022.start());
-        scanner.scan_subnets(Domain::MaskQuic.name(), &slice, &auth, &d.rib, &mut clock)
-    };
-    let mut group = c.benchmark_group("ablation_ecs_scope");
-    group.sample_size(10);
-    group.bench_function("scan_with_scopes_32k", |b| b.iter(|| kernel(true)));
-    group.bench_function("scan_without_scopes_32k", |b| b.iter(|| kernel(false)));
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

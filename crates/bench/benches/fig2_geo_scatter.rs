@@ -2,13 +2,12 @@
 //! rendered as per-operator point clouds (lat/lon series), split by IP
 //! version for Figure 5.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, paper_deployment};
 use tectonic_core::egress_analysis::EgressAnalysis;
 use tectonic_net::Asn;
 
-fn bench(c: &mut Criterion) {
-    let d = paper_deployment();
+fn main() {
+    let d = &paper_deployment();
     let analysis = EgressAnalysis::new(&d.egress_list, &d.rib);
     let points = analysis.geo_points(&d.universe);
     banner("Figures 2/5: egress subnet geolocation per operator");
@@ -43,14 +42,4 @@ fn bench(c: &mut Criterion) {
         }
     }
     println!("(paper: strong focus on North America and Europe, US ≈ 58% of subnets)");
-
-    let mut group = c.benchmark_group("fig2");
-    group.sample_size(10);
-    group.bench_function("geo_points_full_list", |b| {
-        b.iter(|| analysis.geo_points(&d.universe))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -3,7 +3,6 @@
 //! The device sits at a DE vantage point where (as at the authors'
 //! location) only Cloudflare and Akamai PR appear as egress operators.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic_core::report::render_fig3;
@@ -11,8 +10,8 @@ use tectonic_geo::country::CountryCode;
 use tectonic_net::{Asn, Epoch};
 use tectonic_relay::{DnsMode, Domain};
 
-fn bench(c: &mut Criterion) {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     let auth = d.auth_server_unlimited();
     let vantage_ops = vec![Asn::CLOUDFLARE, Asn::AKAMAI_PR];
     let open_device = d.vantage_device(CountryCode::DE, DnsMode::Open, vantage_ops.clone());
@@ -29,14 +28,4 @@ fn bench(c: &mut Criterion) {
     println!(
         "(paper: only Cloudflare and AkamaiPR visible; a handful of changes, no regular pattern)"
     );
-
-    let mut group = c.benchmark_group("fig3");
-    group.sample_size(10);
-    group.bench_function("relay_scan_day", |b| {
-        b.iter(|| RelayScanSeries::run(&open_device, &auth, &config, start))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,13 +1,12 @@
 //! Figure 4 — CDFs of subnets per city (a, b) and per country (c, d), for
 //! IPv4 and IPv6, per egress operator AS.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, paper_deployment};
 use tectonic_core::egress_analysis::EgressAnalysis;
 use tectonic_core::report::render_fig4;
 
-fn bench(c: &mut Criterion) {
-    let d = paper_deployment();
+fn main() {
+    let d = &paper_deployment();
     let analysis = EgressAnalysis::new(&d.egress_list, &d.rib);
     banner("Figure 4: subnet-location CDFs per operator");
     print!(
@@ -27,12 +26,4 @@ fn bench(c: &mut Criterion) {
         render_fig4(&analysis.cdf(false, false), "d: IPv6 countries")
     );
     println!("(paper: heavily skewed — few cities/countries hold most subnets)");
-
-    let mut group = c.benchmark_group("fig4");
-    group.sample_size(10);
-    group.bench_function("cdf_cities_v6", |b| b.iter(|| analysis.cdf(true, false)));
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

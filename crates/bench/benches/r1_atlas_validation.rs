@@ -5,7 +5,6 @@
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_atlas::population::PopulationConfig;
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::atlas_campaign::{AtlasCampaignReport, AtlasSetup};
@@ -14,8 +13,8 @@ use tectonic_dns::QType;
 use tectonic_net::{Epoch, SimClock};
 use tectonic_relay::Domain;
 
-fn bench(c: &mut Criterion) {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     let auth = d.auth_server_unlimited();
     let scanner = EcsScanner::default();
     let mut clock = SimClock::new(Epoch::Apr2022.start());
@@ -40,14 +39,4 @@ fn bench(c: &mut Criterion) {
     );
     println!("ECS-only addresses   : {}", ecs.total() - in_ecs);
     println!("(paper: Atlas 1382 vs ECS 1586; all but one Atlas address also in ECS)");
-
-    let mut group = c.benchmark_group("r1");
-    group.sample_size(10);
-    group.bench_function("atlas_a_campaign", |b| {
-        b.iter(|| atlas.run_mask_campaign(d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 7))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

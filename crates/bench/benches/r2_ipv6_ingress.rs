@@ -2,7 +2,6 @@
 //! 1575 addresses in the paper, split 346 Apple / 1229 Akamai PR, because
 //! ECS over IPv6 always answers with scope 0.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_atlas::population::PopulationConfig;
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::atlas_campaign::{AtlasCampaignReport, AtlasSetup};
@@ -34,8 +33,8 @@ fn show_v6_scope_zero(d: &tectonic_relay::Deployment) {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     banner("R2: IPv6 ingress enumeration via Atlas AAAA campaign (April)");
     show_v6_scope_zero(d);
     let atlas = AtlasSetup::build(d, &PopulationConfig::paper().with_probes(3_000), 9);
@@ -48,14 +47,4 @@ fn bench(c: &mut Criterion) {
         report.v6_count_for(Asn::AKAMAI_PR),
     );
     println!("(paper: 1575 total = 346 Apple + 1229 AkamaiPR)");
-
-    let mut group = c.benchmark_group("r2");
-    group.sample_size(10);
-    group.bench_function("atlas_aaaa_campaign", |b| {
-        b.iter(|| atlas.run_mask_campaign(d, Domain::MaskQuic, QType::AAAA, Epoch::Apr2022, 9))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! R3 — the service-blocking survey (§4.1): share of probes behind
 //! resolvers that block the relay domains, with the RCODE breakdown.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_atlas::population::PopulationConfig;
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::atlas_campaign::AtlasSetup;
@@ -22,8 +21,8 @@ fn control_server() -> AuthoritativeServer {
     AuthoritativeServer::new().with_zone(zone)
 }
 
-fn bench(c: &mut Criterion) {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     let atlas = AtlasSetup::build(d, &PopulationConfig::paper().with_probes(11_700), 3);
     let mask_results = atlas.run_mask_campaign(d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 3);
     let control = control_server();
@@ -36,14 +35,4 @@ fn bench(c: &mut Criterion) {
         "(paper: 10% timeouts, 7% failing responses — 72% NXDOMAIN / 13% NOERROR / 5% REFUSED, \
          645 probes = 5.5% blocked, one hijack)"
     );
-
-    let mut group = c.benchmark_group("r3");
-    group.sample_size(10);
-    group.bench_function("blocking_classification", |b| {
-        b.iter(|| survey(&mask_results, &control_results, &is_ingress))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -4,7 +4,6 @@
 //! address from a three-address pool per operator and geohash cell, so
 //! about 1 − 1/3 of consecutive and parallel requests differ.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic_core::report::render_rotation;
@@ -13,8 +12,8 @@ use tectonic_geo::country::CountryCode;
 use tectonic_net::{Asn, Epoch};
 use tectonic_relay::DnsMode;
 
-fn bench(c: &mut Criterion) {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     let auth = d.auth_server_unlimited();
     let device = d.vantage_device(
         CountryCode::DE,
@@ -28,17 +27,4 @@ fn bench(c: &mut Criterion) {
     print!("{}", render_rotation(&report));
     println!("(paper: 6 addresses / 4 subnets, >66% change rate, parallel requests diverge)");
     println!("(model: 3 addresses per operator and cell, ~1 - 1/3 = 67% change and divergence)");
-
-    let mut group = c.benchmark_group("r4");
-    group.sample_size(10);
-    group.bench_function("rotation_scan_48h", |b| {
-        b.iter(|| {
-            let series = RelayScanSeries::run(&device, &auth, &config, Epoch::May2022.start());
-            RotationReport::from_series(&series)
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,26 +1,15 @@
 //! R5 — the §6 prefix census of AS36183 (Akamai PR): announced prefixes,
 //! how many carry ingress or egress relays, and the used share (92.2 %).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, paper_deployment};
 use tectonic_core::correlation::CorrelationReport;
 use tectonic_core::report::render_correlation;
 use tectonic_net::Epoch;
 
-fn bench(c: &mut Criterion) {
-    let d = paper_deployment();
+fn main() {
+    let d = &paper_deployment();
     let report = CorrelationReport::audit(d, Epoch::Apr2022);
     banner("R5: AkamaiPR prefix census (paper scale)");
     print!("{}", render_correlation(&report));
     println!("(paper: 478 IPv4 + 1335 IPv6 announced; ingress in 201, egress in 1472; 92.2% used)");
-
-    let mut group = c.benchmark_group("r5");
-    group.sample_size(10);
-    group.bench_function("prefix_census", |b| {
-        b.iter(|| CorrelationReport::audit(d, Epoch::Apr2022))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

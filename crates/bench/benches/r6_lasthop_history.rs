@@ -5,13 +5,12 @@
 //! router, and by scanning monthly BGP snapshots back to 2016 to show the
 //! AS first appeared in June 2021.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, paper_deployment};
 use tectonic_net::{Asn, Epoch};
 use tectonic_relay::Domain;
 
-fn bench(c: &mut Criterion) {
-    let d = paper_deployment();
+fn main() {
+    let d = &paper_deployment();
     banner("R6: last-hop sharing + BGP visibility history");
 
     // Pick one ingress and search egress subnets sharing its last hop.
@@ -81,27 +80,4 @@ fn bench(c: &mut Criterion) {
         "{}",
         tectonic_core::correlation_attack::render_attack(&attack)
     );
-
-    let mut group = c.benchmark_group("r6");
-    group.bench_function("first_seen_scan", |b| {
-        b.iter(|| d.history.first_seen(Asn::AKAMAI_PR))
-    });
-    group.bench_function("timing_attack_40_sessions", |b| {
-        b.iter(|| {
-            tectonic_core::correlation_attack::run_attack(
-                &tectonic_core::correlation_attack::AttackConfig::default(),
-                2022,
-            )
-        })
-    });
-    group.bench_function("traceroute", |b| {
-        b.iter(|| {
-            d.routers
-                .traceroute(client_asn, Asn::AKAMAI_PR, std::net::IpAddr::V4(ingress))
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

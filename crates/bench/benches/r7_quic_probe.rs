@@ -1,14 +1,12 @@
 //! R7 — QUIC probing of ingress nodes (§3): standard Initials time out,
 //! a forced negotiation reveals QUIC v1 + drafts 29–27.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::quic_probe::QuicProbeReport;
 use tectonic_core::report::render_quic;
-use tectonic_quic::{IngressQuicBehavior, QuicProber};
 
-fn bench(c: &mut Criterion) {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     let report = QuicProbeReport::probe(d, 200);
     banner("R7: QUIC probing of ingress nodes");
     print!("{}", render_quic(&report));
@@ -17,15 +15,4 @@ fn bench(c: &mut Criterion) {
         report.matches_paper()
     );
     println!("(paper: no Initial response; VN advertises QUICv1 and drafts 29–27)");
-
-    let behavior = IngressQuicBehavior::default();
-    let prober = QuicProber;
-    let mut group = c.benchmark_group("r7");
-    group.bench_function("probe_pair_wire_round_trip", |b| {
-        b.iter(|| prober.probe_ingress(&behavior))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -2,17 +2,16 @@
 //! default (QUIC) and fallback (TCP) domains.
 //!
 //! Regenerates the table by running the ECS enumeration scan at each epoch
-//! against the simulated deployment, then benchmarks one full scan.
+//! against the simulated deployment.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::ecs_scan::EcsScanner;
 use tectonic_core::report::render_table1;
 use tectonic_net::{Epoch, SimClock};
 use tectonic_relay::Domain;
 
-fn regenerate_and_print() {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     let auth = d.auth_server_unlimited();
     let scanner = EcsScanner::default();
     let rows: Vec<_> = Epoch::SCANS
@@ -38,29 +37,3 @@ fn regenerate_and_print() {
         apr.duration.as_secs() / 3600,
     );
 }
-
-fn bench(c: &mut Criterion) {
-    regenerate_and_print();
-    let d = bench_deployment();
-    let auth = d.auth_server_unlimited();
-    let scanner = EcsScanner::default();
-    // Timing kernel: a fixed 32k-subnet slice so the measured work is
-    // independent of the deployment scale (the full scan ran above).
-    let slice: Vec<_> = scanner
-        .candidate_subnets(&d.rib)
-        .into_iter()
-        .take(32_768)
-        .collect();
-    let mut group = c.benchmark_group("table1");
-    group.sample_size(10);
-    group.bench_function("ecs_scan_32k_subnets", |b| {
-        b.iter(|| {
-            let mut clock = SimClock::new(Epoch::Apr2022.start());
-            scanner.scan_subnets(Domain::MaskQuic.name(), &slice, &auth, &d.rib, &mut clock)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Table 2 — client ASes served per ingress operator, joined with
 //! APNIC-style AS populations.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, bench_deployment};
 use tectonic_core::attribution::Table2;
 use tectonic_core::ecs_scan::EcsScanner;
@@ -9,8 +8,8 @@ use tectonic_core::report::render_table2;
 use tectonic_net::{Epoch, SimClock};
 use tectonic_relay::Domain;
 
-fn bench(c: &mut Criterion) {
-    let d = bench_deployment();
+fn main() {
+    let d = &bench_deployment();
     let auth = d.auth_server_unlimited();
     let scanner = EcsScanner::default();
     let mut clock = SimClock::new(Epoch::Apr2022.start());
@@ -21,13 +20,4 @@ fn bench(c: &mut Criterion) {
     println!(
         "(paper: AkamaiPR 994M users / 34.6k ASes, Apple 105M / 20.8k, Both 2373M / 17.3k, Apple share in Both 76%)"
     );
-
-    let mut group = c.benchmark_group("table2");
-    group.bench_function("attribution_join", |b| {
-        b.iter(|| Table2::build(&report, &d.aspop))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,13 +1,12 @@
 //! Table 3 — egress subnets, BGP prefixes, addresses and country coverage
 //! per operating AS, at full paper scale (the egress list is cheap enough).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, paper_deployment};
 use tectonic_core::egress_analysis::EgressAnalysis;
 use tectonic_core::report::render_table3;
 
-fn bench(c: &mut Criterion) {
-    let d = paper_deployment();
+fn main() {
+    let d = &paper_deployment();
     let analysis = EgressAnalysis::new(&d.egress_list, &d.rib);
     let table = analysis.table3();
     banner("Table 3: egress subnets per operating AS (May snapshot, paper scale)");
@@ -28,17 +27,4 @@ fn bench(c: &mut Criterion) {
         phantoms.len(),
         phantoms.iter().take(3).collect::<Vec<_>>()
     );
-
-    let mut group = c.benchmark_group("table3");
-    group.sample_size(10);
-    group.bench_function("egress_table3_full_list", |b| {
-        b.iter(|| {
-            let analysis = EgressAnalysis::new(&d.egress_list, &d.rib);
-            analysis.table3()
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

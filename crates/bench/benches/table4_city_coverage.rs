@@ -1,12 +1,11 @@
 //! Table 4 — covered cities per egress operator (total / IPv4 / IPv6).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use tectonic_bench::{banner, paper_deployment};
 use tectonic_core::egress_analysis::EgressAnalysis;
 use tectonic_core::report::render_table4;
 
-fn bench(c: &mut Criterion) {
-    let d = paper_deployment();
+fn main() {
+    let d = &paper_deployment();
     let analysis = EgressAnalysis::new(&d.egress_list, &d.rib);
     let table = analysis.table4();
     banner("Table 4: covered cities per egress operator (paper scale)");
@@ -15,12 +14,4 @@ fn bench(c: &mut Criterion) {
         "(paper: AkamaiPR 14088/853/14085, AkamaiEG 7507/455/7507, \
          Cloudflare 5228/1134/5228, Fastly 848/848/848)"
     );
-
-    let mut group = c.benchmark_group("table4");
-    group.sample_size(10);
-    group.bench_function("egress_table4_full_list", |b| b.iter(|| analysis.table4()));
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

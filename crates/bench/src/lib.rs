@@ -1,12 +1,9 @@
-//! Shared setup for the tectonic benchmark suite.
+//! Shared setup for the paper-artefact targets.
 //!
-//! Every bench target regenerates one of the paper's tables or figures.
-//! Deployments are cached per scale so targets that share a scale don't pay
-//! the build cost repeatedly within one process.
-//!
-//! The benches print their regenerated artefact once, before timing the
-//! computational kernel, so `cargo bench` output doubles as the
-//! reproduction record used in `EXPERIMENTS.md`.
+//! Every bench target regenerates one of the paper's tables or figures,
+//! prints it and exits, so `cargo bench -p tectonic-bench` output is the
+//! reproduction record used in `EXPERIMENTS.md`. Nothing here is timed:
+//! perfbench (`BENCHMARK.json`) is the repository's only timing harness.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -26,8 +23,6 @@
 )]
 #![deny(rust_2018_idioms)]
 
-use std::sync::OnceLock;
-
 use tectonic_relay::{Deployment, DeploymentConfig};
 
 /// The scale divisor used by the benchmark deployments: client world and
@@ -38,26 +33,21 @@ pub const BENCH_SCALE: u64 = 16;
 /// The deterministic seed every bench uses.
 pub const BENCH_SEED: u64 = 2022;
 
-static DEPLOYMENT: OnceLock<Deployment> = OnceLock::new();
-static PAPER_DEPLOYMENT: OnceLock<Deployment> = OnceLock::new();
-
-/// The shared 1/16-scale deployment.
-pub fn bench_deployment() -> &'static Deployment {
-    DEPLOYMENT.get_or_init(|| Deployment::build(BENCH_SEED, DeploymentConfig::scaled(BENCH_SCALE)))
+/// The 1/16-scale deployment.
+pub fn bench_deployment() -> Deployment {
+    Deployment::build(BENCH_SEED, DeploymentConfig::scaled(BENCH_SCALE))
 }
 
 /// A deployment with paper-scale ingress fleets, egress list and prefix
 /// structure, but a reduced client world (the censuses and fleet analyses
 /// don't touch it, so the memory cost would be wasted).
-pub fn paper_deployment() -> &'static Deployment {
-    PAPER_DEPLOYMENT.get_or_init(|| {
-        let mut config = DeploymentConfig::paper();
-        config.client_world = config.client_world.scaled_down(128);
-        Deployment::build(BENCH_SEED, config)
-    })
+pub fn paper_deployment() -> Deployment {
+    let mut config = DeploymentConfig::paper();
+    config.client_world = config.client_world.scaled_down(128);
+    Deployment::build(BENCH_SEED, config)
 }
 
-/// Prints a banner separating artefact output from criterion noise.
+/// Prints the banner that opens an artefact's output.
 #[expect(
     clippy::print_stdout,
     reason = "bench harness banner; stdout IS the reproduction record here"

@@ -97,23 +97,11 @@ impl Archive {
         serde_json::from_str(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
-    /// Loads the egress CSV next to an archive, if present. Strict: the
-    /// first malformed row fails the load.
-    pub fn load_egress(dir: &Path) -> io::Result<Option<EgressList>> {
-        let path = dir.join("egress-ip-ranges.csv");
-        if !path.exists() {
-            return Ok(None);
-        }
-        let text = fs::read_to_string(path)?;
-        EgressList::parse_csv(&text)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    /// Loads the egress CSV leniently: malformed rows are skipped and
-    /// counted, so one corrupt row cannot abort a Table 3/4 run. Returns
-    /// `None` stats when no CSV file is present.
-    pub fn load_egress_lossy(dir: &Path) -> io::Result<Option<(EgressList, CsvParseStats)>> {
+    /// Loads the egress CSV next to an archive, if present. The file comes
+    /// from outside the program, so the parse is lossy: malformed rows are
+    /// skipped and counted in the returned [`CsvParseStats`], and one
+    /// corrupt row cannot abort a Table 3/4 run.
+    pub fn load_egress(dir: &Path) -> io::Result<Option<(EgressList, CsvParseStats)>> {
         let path = dir.join("egress-ip-ranges.csv");
         if !path.exists() {
             return Ok(None);
@@ -171,10 +159,11 @@ mod tests {
             archive.scans.get("Apr").unwrap().discovered
         );
         assert_eq!(loaded.table2, archive.table2);
-        let egress = Archive::load_egress(&dir)
+        let (egress, stats) = Archive::load_egress(&dir)
             .expect("load csv")
             .expect("csv present");
         assert_eq!(egress.len(), d.egress_list.len());
+        assert_eq!(stats.rows_skipped, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -195,6 +184,26 @@ mod tests {
         assert!(Archive::load_from_dir(&dir).is_err());
         // A missing egress CSV is not an error, just absent.
         assert!(Archive::load_egress(&dir).unwrap().is_none());
+    }
+
+    #[test]
+    fn corrupt_egress_row_is_skipped_and_counted() {
+        let dir = tempdir("corrupt-egress");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("egress-ip-ranges.csv"),
+            "172.224.0.0/27,US,US-CA,Los Angeles\n\
+             172.224.0.32/27,US,US-CA\n\
+             2a02:26f7::/64,DE,DE-BE,Berlin\n",
+        )
+        .unwrap();
+        let (egress, stats) = Archive::load_egress(&dir)
+            .expect("a corrupt row must not fail the load")
+            .expect("csv present");
+        assert_eq!(egress.len(), 2);
+        assert_eq!((stats.rows_ok, stats.rows_skipped), (2, 1));
+        assert_eq!(stats.errors.first().map(|e| e.line()), Some(2));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

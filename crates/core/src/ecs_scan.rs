@@ -1371,7 +1371,7 @@ mod v6_tests {
 #[cfg(test)]
 mod failure_tests {
     use super::*;
-    use tectonic_dns::server::{NameServer, QueryContext, ServerReply};
+    use tectonic_dns::server::{NameServer, QueryContext};
     use tectonic_net::Epoch;
     use tectonic_relay::{Deployment, DeploymentConfig, Domain};
 
@@ -1379,8 +1379,13 @@ mod failure_tests {
     struct BlackHole;
 
     impl NameServer for BlackHole {
-        fn handle_query(&self, _wire: &[u8], _ctx: &QueryContext) -> ServerReply {
-            ServerReply::Dropped
+        fn handle_query_into(
+            &self,
+            _wire: &[u8],
+            _ctx: &QueryContext,
+            _out: &mut BytesMut,
+        ) -> ReplyOutcome {
+            ReplyOutcome::Dropped
         }
     }
 
@@ -1426,8 +1431,15 @@ mod failure_tests {
     struct GarbageServer;
 
     impl NameServer for GarbageServer {
-        fn handle_query(&self, _wire: &[u8], _ctx: &QueryContext) -> ServerReply {
-            ServerReply::Response(vec![0xde, 0xad, 0xbe])
+        fn handle_query_into(
+            &self,
+            _wire: &[u8],
+            _ctx: &QueryContext,
+            out: &mut BytesMut,
+        ) -> ReplyOutcome {
+            out.clear();
+            out.extend_from_slice(&[0xde, 0xad, 0xbe]);
+            ReplyOutcome::Written
         }
     }
 

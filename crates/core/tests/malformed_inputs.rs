@@ -4,10 +4,11 @@
 //! These pin the PR's two acceptance fixtures: a truncated DNS reply and a
 //! corrupt `egress-ip-ranges.csv` row.
 
+use bytes::BytesMut;
 use tectonic_core::ecs_scan::EcsScanner;
 use tectonic_core::egress_analysis::EgressAnalysis;
 use tectonic_core::report::{render_table3, render_table4};
-use tectonic_dns::server::{NameServer, QueryContext, ServerReply};
+use tectonic_dns::server::{NameServer, QueryContext, ReplyOutcome};
 use tectonic_geo::egress::EgressList;
 use tectonic_net::{Epoch, SimClock};
 use tectonic_relay::{Deployment, DeploymentConfig, Domain};
@@ -20,14 +21,15 @@ struct TruncatingServer<S> {
 }
 
 impl<S: NameServer> NameServer for TruncatingServer<S> {
-    fn handle_query(&self, wire: &[u8], ctx: &QueryContext) -> ServerReply {
-        match self.inner.handle_query(wire, ctx) {
-            ServerReply::Response(mut bytes) => {
-                bytes.truncate(self.keep);
-                ServerReply::Response(bytes)
-            }
-            ServerReply::Dropped => ServerReply::Dropped,
-        }
+    fn handle_query_into(
+        &self,
+        wire: &[u8],
+        ctx: &QueryContext,
+        out: &mut BytesMut,
+    ) -> ReplyOutcome {
+        let outcome = self.inner.handle_query_into(wire, ctx, out);
+        out.truncate(self.keep);
+        outcome
     }
 }
 

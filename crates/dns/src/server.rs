@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use tectonic_net::{SimDuration, SimTime};
 
 use crate::message::{Message, QClass, Rcode};
-use crate::wire::{decode_message, encode_message, MessageEncoder};
+use crate::wire::{decode_message, MessageEncoder};
 use crate::zone::{QueryInfo, Zone, ZoneAnswer};
 
 /// Per-query context a server sees.
@@ -48,29 +48,25 @@ pub enum ReplyOutcome {
 
 /// Anything that answers DNS queries at the wire level.
 pub trait NameServer: Send + Sync {
-    /// Handles one wire-format query from `ctx.src` at `ctx.now`.
-    fn handle_query(&self, wire: &[u8], ctx: &QueryContext) -> ServerReply;
-
-    /// Like [`handle_query`], but writes the response into `out` (cleared
-    /// first) so a caller polling in a loop can reuse one buffer. The
-    /// default implementation falls back to [`handle_query`]; servers on a
-    /// hot path (see [`AuthoritativeServer`]) override it to encode
-    /// directly into `out`.
-    ///
-    /// [`handle_query`]: NameServer::handle_query
+    /// Handles one wire-format query from `ctx.src` at `ctx.now`, writing
+    /// the response into `out` (cleared first) so a caller polling in a
+    /// loop can reuse one buffer.
     fn handle_query_into(
         &self,
         wire: &[u8],
         ctx: &QueryContext,
         out: &mut BytesMut,
-    ) -> ReplyOutcome {
-        match self.handle_query(wire, ctx) {
-            ServerReply::Response(bytes) => {
-                out.clear();
-                out.extend_from_slice(&bytes);
-                ReplyOutcome::Written
-            }
-            ServerReply::Dropped => ReplyOutcome::Dropped,
+    ) -> ReplyOutcome;
+
+    /// Like [`handle_query_into`], but returns the response as an owned
+    /// [`ServerReply`].
+    ///
+    /// [`handle_query_into`]: NameServer::handle_query_into
+    fn handle_query(&self, wire: &[u8], ctx: &QueryContext) -> ServerReply {
+        let mut out = BytesMut::with_capacity(512);
+        match self.handle_query_into(wire, ctx, &mut out) {
+            ReplyOutcome::Written => ServerReply::Response(out.into_vec()),
+            ReplyOutcome::Dropped => ServerReply::Dropped,
         }
     }
 }
@@ -150,9 +146,9 @@ impl RateLimiter {
 pub struct AuthoritativeServer {
     zones: Vec<Zone>,
     rate_limiter: Option<RateLimiter>,
-    /// Shared reusable encoder for the scratch-buffer reply path. Under
-    /// contention (parallel scan workers) callers fall back to a fresh
-    /// encoder rather than serialise on the lock.
+    /// Shared reusable reply encoder. Under contention (parallel scan
+    /// workers) callers fall back to a fresh encoder rather than serialise
+    /// on the lock.
     encoder: Mutex<MessageEncoder>,
 }
 
@@ -268,13 +264,6 @@ impl AuthoritativeServer {
 }
 
 impl NameServer for AuthoritativeServer {
-    fn handle_query(&self, wire: &[u8], ctx: &QueryContext) -> ServerReply {
-        match self.reply_message(wire, ctx) {
-            Some(response) => ServerReply::Response(encode_message(&response)),
-            None => ServerReply::Dropped,
-        }
-    }
-
     fn handle_query_into(
         &self,
         wire: &[u8],
@@ -298,6 +287,7 @@ mod tests {
     use crate::edns::EcsOption;
     use crate::message::{QType, RData, Record};
     use crate::name::{mask_domain, DomainName};
+    use crate::wire::encode_message;
     use crate::zone::Zone;
     use std::net::Ipv4Addr;
 

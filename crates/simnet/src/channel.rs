@@ -15,7 +15,7 @@ use std::net::IpAddr;
 
 use bytes::BytesMut;
 use parking_lot::Mutex;
-use tectonic_dns::server::{NameServer, QueryContext, ReplyOutcome, ServerReply};
+use tectonic_dns::server::{NameServer, QueryContext, ReplyOutcome};
 use tectonic_net::{Asn, IpNet, SimDuration, SimRng, SimTime};
 
 use crate::{FaultPlan, Link};
@@ -426,38 +426,6 @@ impl<'a> FaultedServer<'a> {
 }
 
 impl NameServer for FaultedServer<'_> {
-    fn handle_query(&self, wire: &[u8], ctx: &QueryContext) -> ServerReply {
-        let jitter = self.channel.jitter_draw(self.link);
-        let ctx = QueryContext {
-            src: ctx.src,
-            now: ctx.now + jitter,
-        };
-        let mut bytes = match self.inner.handle_query(wire, &ctx) {
-            ServerReply::Response(bytes) => bytes,
-            ServerReply::Dropped => return ServerReply::Dropped,
-        };
-        let noerror = reply_is_noerror(&bytes);
-        match self
-            .channel
-            .deliver(self.link, ctx.src, ctx.now, bytes.len(), noerror)
-        {
-            Delivery::Deliver => ServerReply::Response(bytes),
-            Delivery::Drop => ServerReply::Dropped,
-            Delivery::Truncate(len) => {
-                bytes.truncate(len);
-                ServerReply::Response(bytes)
-            }
-            Delivery::CorruptCounts => {
-                stomp_count_fields(&mut bytes);
-                ServerReply::Response(bytes)
-            }
-            Delivery::RewriteRcode(rcode) => {
-                rewrite_rcode_nibble(&mut bytes, rcode);
-                ServerReply::Response(bytes)
-            }
-        }
-    }
-
     fn handle_query_into(
         &self,
         wire: &[u8],
@@ -501,6 +469,7 @@ mod tests {
     use super::*;
     use crate::{scenarios, Burst, LinkFaults, RcodeRewrite};
     use std::net::Ipv4Addr;
+    use tectonic_dns::server::ServerReply;
 
     fn src(last: u8) -> IpAddr {
         IpAddr::V4(Ipv4Addr::new(192, 0, 2, last))
@@ -719,12 +688,18 @@ mod tests {
     fn faulted_server_mutations_are_observable_on_the_wire() {
         struct Fixed;
         impl NameServer for Fixed {
-            fn handle_query(&self, _wire: &[u8], _ctx: &QueryContext) -> ServerReply {
+            fn handle_query_into(
+                &self,
+                _wire: &[u8],
+                _ctx: &QueryContext,
+                out: &mut BytesMut,
+            ) -> ReplyOutcome {
                 // Minimal NoError header: id 0xBEEF, QR set, zero counts.
-                let mut reply = vec![0xBE, 0xEF, 0x80, 0x00];
-                reply.extend_from_slice(&[0u8; 8]);
-                reply.extend_from_slice(&[0xAA; 20]);
-                ServerReply::Response(reply)
+                out.clear();
+                out.extend_from_slice(&[0xBE, 0xEF, 0x80, 0x00]);
+                out.extend_from_slice(&[0u8; 8]);
+                out.extend_from_slice(&[0xAA; 20]);
+                ReplyOutcome::Written
             }
         }
         let plan = FaultPlan::named("rewrite").with_link(

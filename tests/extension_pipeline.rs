@@ -103,8 +103,9 @@ fn archive_reload_supports_future_monitoring() {
     assert!(diff.added.is_empty());
     assert!(diff.removed.is_empty());
     // The archived egress list round-trips.
-    let egress = Archive::load_egress(&dir).unwrap().unwrap();
+    let (egress, stats) = Archive::load_egress(&dir).unwrap().unwrap();
     assert_eq!(egress.len(), d.egress_list.len());
+    assert_eq!(stats.rows_skipped, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -67,12 +67,12 @@ fn read(path: &Path) -> String {
     fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
-/// Every `.rs` file under `dir`, binary targets (`bin/`) excluded.
+/// Every `.rs` file under `dir`.
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("listing {}: {e}", dir.display()));
     for entry in entries {
         let path = entry.expect("directory entry").path();
-        if path.is_dir() && !path.ends_with("bin") {
+        if path.is_dir() {
             rs_files(&path, out);
         } else if path.extension().is_some_and(|ext| ext == "rs") {
             out.push(path);
@@ -108,9 +108,12 @@ fn every_crate_root_carries_the_clippy_policy() {
         }
         // Beyond the root's deny, no library file names the index lint,
         // so no module or item opts out of it; lintkit's crate-level
-        // `#![expect]` is the one exemption.
+        // `#![expect]` is the one exemption. Binary targets (`bin/`) are
+        // not library code.
+        let src = lib.parent().expect("src/ dir");
         let mut files = Vec::new();
-        rs_files(lib.parent().expect("src/ dir"), &mut files);
+        rs_files(src, &mut files);
+        files.retain(|file| !file.starts_with(src.join("bin")));
         for file in files {
             let expected = if file != *lib {
                 0
@@ -152,6 +155,20 @@ fn clippy_toml_bans_wall_clock_reads() {
         assert!(
             list.contains(&format!("path = \"{method}\"")),
             "clippy.toml's disallowed-methods no longer lists {method}"
+        );
+    }
+    // Nothing opts out of the ban: no source file, binaries and vendored
+    // crates included, names the lint that enforces it.
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples", "vendor"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 100, "found only {} .rs files", files.len());
+    for file in files {
+        assert!(
+            !read(&file).contains("clippy::disallowed_methods"),
+            "{} names clippy::disallowed_methods; the wall-clock ban has no exemption",
+            file.display()
         );
     }
 }
