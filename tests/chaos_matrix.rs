@@ -5,8 +5,16 @@
 //! Golden runs are computed once per seed and shared across scenario
 //! tests through a process-wide cache, so the matrix stays affordable
 //! under plain `cargo test -q`.
+//!
+//! The runs are also pinned to committed files under `tests/golden/`: the
+//! golden runs' artifacts and metrics in full (`pipeline-seed<N>.txt`) and
+//! one digest line per faulted cell (`chaos-cells.txt`). A mismatch writes
+//! the actual file under `target/tmp/golden/` and names it in the failure;
+//! re-blessing an intended change means copying that file over the
+//! committed one, so the change shows up as a reviewed diff.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tectonic::chaos::{check_invariants, run_pipeline, ChaosConfig, ChaosRun};
@@ -31,6 +39,7 @@ fn golden(seed: u64) -> Arc<ChaosRun> {
 
 fn run_scenario(name: &str) {
     let plan = scenarios::by_name(name).expect("scenario registered");
+    let mut lines = Vec::new();
     for seed in SEEDS {
         let golden_run = golden(seed);
         let run = run_pipeline(seed, Some(&plan), &ChaosConfig::default());
@@ -39,7 +48,108 @@ fn run_scenario(name: &str) {
             violations.is_empty(),
             "scenario {name} seed {seed} violated invariants:\n{violations:#?}"
         );
+        lines.push(cell_line(name, seed, &run));
     }
+    check_cells(name, &lines);
+}
+
+/// The committed golden file `name`.
+fn golden_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+/// Writes `actual` where a re-blessing copies it from and returns the path.
+fn write_actual(name: &str, actual: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
+    std::fs::create_dir_all(&dir).expect("create the actual-output directory");
+    let path = dir.join(name);
+    std::fs::write(&path, actual).expect("write the actual output");
+    path
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One `chaos-cells.txt` line: the cell and a digest of everything the run
+/// produced — artifacts, metrics and both fault ledgers.
+fn cell_line(scenario: &str, seed: u64, run: &ChaosRun) -> String {
+    let dump = format!(
+        "{:?}\n{:?}\n{:?}\n{:?}",
+        run.artifacts, run.metrics, run.stats, run.atlas_a_stats
+    );
+    format!(
+        "{scenario} seed={seed} engine=off fnv1a={:016x}",
+        fnv1a(dump.as_bytes())
+    )
+}
+
+/// The cell key of a `chaos-cells.txt` line: scenario position and seed.
+fn cell_key(line: &str) -> Option<(usize, String)> {
+    let mut fields = line.split(' ');
+    let scenario = fields.next()?;
+    let position = scenarios::ALL.iter().position(|s| *s == scenario)?;
+    Some((position, fields.next()?.to_string()))
+}
+
+/// Checks one scenario's cell lines against `chaos-cells.txt`. Scenario
+/// tests run in parallel, so a mismatching test folds its lines into one
+/// shared actual file: after the run it holds every mismatching cell.
+fn check_cells(scenario: &str, lines: &[String]) {
+    static ACTUAL: OnceLock<Mutex<BTreeMap<(usize, String), String>>> = OnceLock::new();
+    let committed = std::fs::read_to_string(golden_path("chaos-cells.txt")).unwrap_or_default();
+    let expected: Vec<&str> = committed
+        .lines()
+        .filter(|l| l.split(' ').next() == Some(scenario))
+        .collect();
+    if expected == lines.iter().map(String::as_str).collect::<Vec<_>>() {
+        return;
+    }
+    let actual = ACTUAL.get_or_init(|| {
+        Mutex::new(
+            committed
+                .lines()
+                .filter_map(|l| Some((cell_key(l)?, l.to_string())))
+                .collect(),
+        )
+    });
+    let mut actual = actual.lock().unwrap_or_else(|e| e.into_inner());
+    actual.retain(|_, l| l.split(' ').next() != Some(scenario));
+    for line in lines {
+        actual.insert(cell_key(line).expect("a registered scenario"), line.clone());
+    }
+    let text: String = actual.values().map(|l| format!("{l}\n")).collect();
+    let path = write_actual("chaos-cells.txt", &text);
+    panic!(
+        "scenario {scenario}: cell digests differ from tests/golden/chaos-cells.txt; \
+         actual file: {}",
+        path.display()
+    );
+}
+
+/// The golden (fault-free) runs' artifacts and metrics are the committed
+/// `pipeline-seed<N>.txt` files, byte for byte.
+#[test]
+fn golden_runs_match_committed_pipelines() {
+    let mut mismatches = Vec::new();
+    for seed in SEEDS {
+        let run = golden(seed);
+        let actual = format!("{}{:#?}\n", run.artifacts, run.metrics);
+        let name = format!("pipeline-seed{seed}.txt");
+        let committed = std::fs::read_to_string(golden_path(&name)).unwrap_or_default();
+        if committed != actual {
+            mismatches.push(write_actual(&name, &actual));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "golden pipelines differ from tests/golden/; actual files: {mismatches:#?}"
+    );
 }
 
 #[test]
