@@ -9,13 +9,26 @@
 use std::net::IpAddr;
 use std::sync::Arc;
 
+use tectonic_dns::name::whoami_domain;
 use tectonic_dns::server::AuthoritativeServer;
 use tectonic_dns::zone::{EcsAnswer, EcsAnswerer, QueryInfo};
 use tectonic_dns::{DomainName, QType, Question, RData, Zone};
 
 /// The dynamic answerer echoing the query source.
-#[derive(Debug, Default)]
-pub struct WhoamiZone;
+#[derive(Debug)]
+pub struct WhoamiZone {
+    /// The name answered, built once: [`DomainName`] equality is
+    /// ASCII-case-insensitive, so queries compare without lower-casing.
+    name: DomainName,
+}
+
+impl Default for WhoamiZone {
+    fn default() -> Self {
+        WhoamiZone {
+            name: whoami_domain(),
+        }
+    }
+}
 
 impl EcsAnswerer for WhoamiZone {
     fn answer(
@@ -24,7 +37,7 @@ impl EcsAnswerer for WhoamiZone {
         _ecs: Option<&tectonic_dns::EcsOption>,
         info: &QueryInfo,
     ) -> Option<EcsAnswer> {
-        if question.name.to_ascii_lower() != "whoami.akamai.net" {
+        if question.name != self.name {
             return None;
         }
         let rdatas = match (question.qtype, info.src) {
@@ -43,7 +56,8 @@ impl EcsAnswerer for WhoamiZone {
 
 /// Builds an authoritative server hosting only the whoami zone.
 pub fn whoami_server() -> AuthoritativeServer {
-    let zone = Zone::new(DomainName::literal("akamai.net")).with_dynamic(Arc::new(WhoamiZone));
+    let zone =
+        Zone::new(DomainName::literal("akamai.net")).with_dynamic(Arc::new(WhoamiZone::default()));
     AuthoritativeServer::new().with_zone(zone)
 }
 

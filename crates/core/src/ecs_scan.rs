@@ -23,7 +23,7 @@ use tectonic_bgp::Rib;
 use tectonic_dns::server::{NameServer, QueryContext, ReplyOutcome, ServerReply};
 use tectonic_dns::{
     decode_message, encode_message, DomainName, EcsOption, Message, MessageEncoder, PatchedQuery,
-    QType, QueryTemplate, Rcode,
+    QType, QueryTemplate, Rcode, ReplyView,
 };
 use tectonic_engine::{Engine, EngineConfig, ShardCtx, ShardModel};
 use tectonic_net::{Asn, BatchScratch, IpNet, Ipv4Net, SimClock, SimDuration, SimRng, SimTime};
@@ -231,8 +231,9 @@ pub struct EcsScanner {
 ///
 /// Holding these across the whole subnet loop is what makes the hot path
 /// allocation-free: each query is patched in place in a pre-encoded
-/// template, the reply lands in a reused buffer, and a reply's answers are
-/// attributed with one batched RIB lookup.
+/// template, the reply lands in a reused buffer and is read through a
+/// borrowed [`ReplyView`], its A answers are copied into a reused batch,
+/// and the batch is attributed with one RIB lookup.
 struct ScanScratch {
     /// The next query's ID (wraps; seeded to match the historical scanner).
     query_id: u16,
@@ -245,20 +246,33 @@ struct ScanScratch {
     query_buf: BytesMut,
     /// Reply buffer the server encodes into.
     reply: BytesMut,
-    /// Ingress-address batch for one reply's answers, attributed with a
-    /// single [`Rib::lookup_batch_in`] call per burst.
+    /// The last reply's A answers, attributed with a single
+    /// [`Rib::lookup_batch_in`] call per burst.
     addr_batch: Vec<IpAddr>,
     /// Attribution results for `addr_batch` (reused across replies).
     batch_out: Vec<Option<(IpNet, Asn)>>,
     /// Walk state for the RIB's batch lookup, reused so the frozen-path
     /// attribution never allocates per burst.
     lpm_scratch: BatchScratch,
+    /// The routed prefixes attributed answers fell in. Rendered into
+    /// [`EcsScanReport::ingress_prefixes`] once, when the scan ends.
+    ingress_prefixes: BTreeSet<IpNet>,
+}
+
+/// The parts of a decodable reply the scan reads besides its A answers,
+/// which [`EcsScanner::attempt_query`] leaves in
+/// [`ScanScratch::addr_batch`].
+#[derive(Debug, Clone, Copy)]
+struct ReplyHead {
+    rcode: Rcode,
+    /// The scope of the reply's first decodable ECS option.
+    ecs_scope: Option<u8>,
 }
 
 /// What one ECS query attempt produced.
 enum AttemptOutcome {
     /// A decodable DNS response (any rcode).
-    Answered(Message),
+    Answered(ReplyHead),
     /// A reply that failed wire decoding.
     Undecodable,
     /// No reply — rate limiting or injected loss.
@@ -277,7 +291,15 @@ impl ScanScratch {
             addr_batch: Vec::new(),
             batch_out: Vec::new(),
             lpm_scratch: BatchScratch::new(),
+            ingress_prefixes: BTreeSet::new(),
         }
+    }
+
+    /// Renders the collected ingress prefixes into `report`.
+    fn render_prefixes(&self, report: &mut EcsScanReport) {
+        report
+            .ingress_prefixes
+            .extend(self.ingress_prefixes.iter().map(IpNet::to_string));
     }
 }
 
@@ -385,8 +407,9 @@ impl EcsScanner {
     /// The query is the scratch template with five bytes patched (or, if
     /// the template failed its self-check, rebuilt through the reusable
     /// encoder). The reply is written into the scratch buffer via
-    /// [`NameServer::handle_query_into`] — the steady state allocates only
-    /// inside message *decoding*.
+    /// [`NameServer::handle_query_into`] and read through a [`ReplyView`],
+    /// which validates it exactly as `decode_message` would; its A answers
+    /// land in `scratch.addr_batch`. The steady state allocates nothing.
     fn attempt_query(
         &self,
         domain: &DomainName,
@@ -410,8 +433,17 @@ impl EcsScanner {
             now,
         };
         match auth.handle_query_into(wire, &ctx, &mut scratch.reply) {
-            ReplyOutcome::Written => match decode_message(&scratch.reply) {
-                Ok(response) => AttemptOutcome::Answered(response),
+            ReplyOutcome::Written => match ReplyView::parse(&scratch.reply) {
+                Ok(view) => {
+                    scratch.addr_batch.clear();
+                    for addr in view.answers_v4() {
+                        scratch.addr_batch.push(IpAddr::V4(addr));
+                    }
+                    AttemptOutcome::Answered(ReplyHead {
+                        rcode: view.rcode(),
+                        ecs_scope: view.ecs_scope(),
+                    })
+                }
                 Err(_) => AttemptOutcome::Undecodable,
             },
             ReplyOutcome::Dropped => AttemptOutcome::Dropped,
@@ -419,29 +451,25 @@ impl EcsScanner {
     }
 
     /// Records one successful response into the report: scope bookkeeping,
-    /// ingress attribution, and per-client-AS serving credit.
+    /// ingress attribution of the A answers in `scratch.addr_batch`, and
+    /// per-client-AS serving credit.
     ///
     /// Returns the scope net offered to `known_scopes`, if any — the
     /// engine uses it to announce the scope to sibling shards.
     fn process_response(
         &self,
         subnet: Ipv4Net,
-        response: &Message,
+        reply: ReplyHead,
         rib: &Rib,
         scratch: &mut ScanScratch,
         known_scopes: &mut ScopeSet,
         report: &mut EcsScanReport,
     ) -> Option<Ipv4Net> {
-        if response.rcode != Rcode::NoError {
+        if reply.rcode != Rcode::NoError {
             return None;
         }
         let mut inserted_scope = None;
-        if let Some(scope) = response
-            .edns
-            .as_ref()
-            .and_then(|o| o.ecs())
-            .map(|e| e.scope_len)
-        {
+        if let Some(scope) = reply.ecs_scope {
             if self.config.respect_scopes && scope < 24 {
                 if let Ok(scope_net) = Ipv4Net::new(subnet.network(), scope) {
                     known_scopes.insert(scope_net);
@@ -449,37 +477,31 @@ impl EcsScanner {
                 }
             }
         }
-        let answers = response.a_answers();
-        let mut seen_ops: BTreeSet<Asn> = BTreeSet::new();
         let scope_credit = {
-            let scope = response
-                .edns
-                .as_ref()
-                .and_then(|o| o.ecs())
-                .map(|e| e.scope_len)
-                .unwrap_or(24);
+            let scope = reply.ecs_scope.unwrap_or(24);
             if self.config.respect_scopes && scope < 24 {
                 1u64 << (24 - scope.min(24))
             } else {
                 1
             }
         };
-        scratch.addr_batch.clear();
-        scratch
-            .addr_batch
-            .extend(answers.iter().map(|a| IpAddr::V4(*a)));
         rib.lookup_batch_in(
             &mut scratch.lpm_scratch,
             &scratch.addr_batch,
             &mut scratch.batch_out,
         );
-        for (addr, hit) in answers.iter().zip(&scratch.batch_out) {
-            report.discovered.insert(*addr);
-            *report.subnets_served.entry(*addr).or_insert(0) += scope_credit;
+        // Which operators answered; the credit below is additive, so the
+        // order they answered in does not matter.
+        let (mut apple, mut akamai) = (false, false);
+        for (addr, hit) in scratch.addr_batch.iter().zip(&scratch.batch_out) {
+            let IpAddr::V4(addr) = *addr else { continue };
+            report.discovered.insert(addr);
+            *report.subnets_served.entry(addr).or_insert(0) += scope_credit;
             if let Some((prefix, asn)) = hit {
-                report.by_ingress_as.entry(*asn).or_default().insert(*addr);
-                report.ingress_prefixes.insert(prefix.to_string());
-                seen_ops.insert(*asn);
+                report.by_ingress_as.entry(*asn).or_default().insert(addr);
+                scratch.ingress_prefixes.insert(*prefix);
+                apple |= *asn == Asn::APPLE;
+                akamai |= *asn == Asn::AKAMAI_PR;
             }
         }
         if let Some((_, client_asn)) = rib.lookup(IpAddr::V4(subnet.network())) {
@@ -491,12 +513,11 @@ impl EcsScanner {
                 // scanner will skip them (the paper reports Table 2 at
                 // full /24 granularity).
                 let entry = report.per_client_as.entry(client_asn).or_default();
-                for op in seen_ops {
-                    match op {
-                        Asn::APPLE => entry.apple_subnets += scope_credit,
-                        Asn::AKAMAI_PR => entry.akamai_subnets += scope_credit,
-                        _ => {}
-                    }
+                if apple {
+                    entry.apple_subnets += scope_credit;
+                }
+                if akamai {
+                    entry.akamai_subnets += scope_credit;
                 }
             }
         }
@@ -868,12 +889,12 @@ impl ScanShard<'_> {
             .scanner
             .attempt_query(&self.domain, subnet, self.auth, now, &mut self.scratch)
         {
-            AttemptOutcome::Answered(response) => {
+            AttemptOutcome::Answered(reply) => {
                 self.attempts = 0;
                 self.idx += 1;
                 let inserted = self.scanner.process_response(
                     subnet,
-                    &response,
+                    reply,
                     self.rib,
                     &mut self.scratch,
                     &mut self.known_scopes,
@@ -927,7 +948,8 @@ impl ShardModel for ScanShard<'_> {
         }
     }
 
-    fn finish(self) -> EcsScanReport {
+    fn finish(mut self) -> EcsScanReport {
+        self.scratch.render_prefixes(&mut self.report);
         self.report
     }
 }
@@ -1123,12 +1145,12 @@ mod tests {
                 continue;
             }
             let mut attempts = 0;
-            let response = loop {
+            let reply = loop {
                 let now = clock.now();
                 report.queries_sent += 1;
                 clock.advance(config.query_pacing);
                 match scanner.attempt_query(&domain, *subnet, auth, now, &mut scratch) {
-                    AttemptOutcome::Answered(response) => break response,
+                    AttemptOutcome::Answered(reply) => break reply,
                     AttemptOutcome::Undecodable => {
                         report.decode_errors += 1;
                         continue 'subnets;
@@ -1147,13 +1169,14 @@ mod tests {
             };
             scanner.process_response(
                 *subnet,
-                &response,
+                reply,
                 rib,
                 &mut scratch,
                 &mut known_scopes,
                 &mut report,
             );
         }
+        scratch.render_prefixes(&mut report);
         report.duration = clock.now() - start;
         report
     }

@@ -34,6 +34,9 @@ pub struct EcsOption {
 }
 
 impl EcsOption {
+    /// The EDNS0 option code of Client Subnet.
+    pub const CODE: u16 = 8;
+
     /// Builds a query option for an IPv4 subnet (scope 0 as required by the
     /// RFC for queries). Host bits below `source_len` are cleared.
     pub fn for_v4_net(net: Ipv4Net) -> EcsOption {
@@ -160,7 +163,7 @@ impl EdnsOption {
     /// The option code (ECS is 8).
     pub fn code(&self) -> u16 {
         match self {
-            EdnsOption::ClientSubnet(_) => 8,
+            EdnsOption::ClientSubnet(_) => EcsOption::CODE,
             EdnsOption::Other(code, _) => *code,
         }
     }

@@ -88,14 +88,78 @@ impl MessageEncoder {
     /// Encodes `m` into `out`, clearing it first. Output is byte-identical
     /// to [`encode_message`].
     pub fn encode_into(&mut self, m: &Message, out: &mut BytesMut) {
+        self.sink(out).put_message(m);
+    }
+
+    /// Encodes a server reply given as borrowed parts into `out`, clearing
+    /// it first: byte for byte what [`encode_into`](Self::encode_into)
+    /// makes of the equivalent [`Message`], written by the same header,
+    /// question, record and OPT pieces, so name compression stays one
+    /// implementation.
+    pub(crate) fn encode_reply_into(&mut self, reply: &Reply<'_>, out: &mut BytesMut) {
+        self.sink(out).put_reply(reply);
+    }
+
+    /// A sink over the cleared `out`, with the compression state reset.
+    fn sink<'a>(&'a mut self, out: &'a mut BytesMut) -> Sink<'a> {
         out.clear();
         self.label_offsets.clear();
-        let mut sink = Sink {
+        Sink {
             buf: out,
             label_offsets: &mut self.label_offsets,
-        };
-        sink.put_message(m);
+        }
     }
+}
+
+/// The answer section of a [`Reply`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ReplyAnswers<'a> {
+    /// No answer records.
+    Empty,
+    /// Whole records: static answers and the CNAME chase.
+    Records(&'a [Record]),
+    /// One class-IN record per rdata, all owned by `owner` with `ttl`: a
+    /// dynamic answer, written without building a [`Record`] per address.
+    Rdatas {
+        /// The owner of every record (the question name).
+        owner: &'a DomainName,
+        /// The TTL of every record.
+        ttl: u32,
+        /// The records' data, in answer order.
+        rdatas: &'a [RData],
+    },
+}
+
+impl ReplyAnswers<'_> {
+    fn len(&self) -> usize {
+        match self {
+            ReplyAnswers::Empty => 0,
+            ReplyAnswers::Records(records) => records.len(),
+            ReplyAnswers::Rdatas { rdatas, .. } => rdatas.len(),
+        }
+    }
+}
+
+/// A server reply as parts borrowed from the query and the zone answer:
+/// the [`Message`] a typed handler would build, minus the building. It has
+/// no authority or additional records besides the OPT record.
+#[derive(Debug, Clone)]
+pub(crate) struct Reply<'a> {
+    /// Transaction ID.
+    pub id: u16,
+    /// Header flags.
+    pub flags: Flags,
+    /// Response code.
+    pub rcode: Rcode,
+    /// Question section.
+    pub questions: &'a [Question],
+    /// Answer section.
+    pub answers: ReplyAnswers<'a>,
+    /// Whether the reply carries a default [`OptRecord`] (it does when the
+    /// query did).
+    pub edns: bool,
+    /// The ECS option that OPT record carries, if any.
+    pub ecs: Option<EcsOption>,
 }
 
 /// Compares the name suffix `labels` against the (possibly compressed) name
@@ -212,15 +276,20 @@ impl Sink<'_> {
     }
 
     fn put_record(&mut self, r: &Record) {
-        self.put_name(&r.name);
-        self.buf.put_u16(r.rdata.rtype().number());
-        self.buf.put_u16(r.class.number());
-        self.buf.put_u32(r.ttl);
+        self.put_record_parts(&r.name, r.class, r.ttl, &r.rdata);
+    }
+
+    /// Writes one record from its parts: owner, class, TTL and data.
+    fn put_record_parts(&mut self, owner: &DomainName, class: QClass, ttl: u32, rdata: &RData) {
+        self.put_name(owner);
+        self.buf.put_u16(rdata.rtype().number());
+        self.buf.put_u16(class.number());
+        self.buf.put_u32(ttl);
         // Reserve rdlength, fill after writing rdata.
         let len_pos = self.buf.len();
         self.buf.put_u16(0);
         let start = self.buf.len();
-        match &r.rdata {
+        match rdata {
             RData::A(a) => self.buf.put_slice(&a.octets()),
             RData::Aaaa(a) => self.buf.put_slice(&a.octets()),
             RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => self.put_name(n),
@@ -253,11 +322,34 @@ impl Sink<'_> {
             }
             RData::Raw(bytes) => self.buf.put_slice(bytes),
         }
+        self.patch_rdlen(len_pos, start);
+    }
+
+    /// Back-patches the rdlength reserved at `len_pos` with the bytes
+    /// written since `start`.
+    fn patch_rdlen(&mut self, len_pos: usize, start: usize) {
         let rdlen = count16(self.buf.len().saturating_sub(start));
         self.patch_u16(len_pos, rdlen);
     }
 
     fn put_opt(&mut self, opt: &OptRecord, rcode: Rcode) {
+        let (len_pos, start) = self.put_opt_head(opt, rcode);
+        for o in &opt.options {
+            match o {
+                EdnsOption::ClientSubnet(e) => self.put_ecs(e),
+                EdnsOption::Other(code, p) => {
+                    self.buf.put_u16(*code);
+                    self.buf.put_u16(count16(p.len()));
+                    self.buf.put_slice(p);
+                }
+            }
+        }
+        self.patch_rdlen(len_pos, start);
+    }
+
+    /// Writes an OPT record up to its options and returns where its
+    /// rdlength goes and where its options start.
+    fn put_opt_head(&mut self, opt: &OptRecord, rcode: Rcode) -> (usize, usize) {
         self.buf.put_u8(0); // root owner name
         self.buf.put_u16(QType::OPT.number());
         self.buf.put_u16(opt.udp_size);
@@ -268,54 +360,58 @@ impl Sink<'_> {
         self.buf.put_u16(0);
         let len_pos = self.buf.len();
         self.buf.put_u16(0);
-        let start = self.buf.len();
-        for o in &opt.options {
-            self.buf.put_u16(o.code());
-            match o {
-                EdnsOption::ClientSubnet(e) => {
-                    // Stack-encoded: the hot encode path writes the ECS
-                    // payload without the Vec the old `encode()` built.
-                    let (payload, n) = e.wire_bytes();
-                    let payload = payload.get(..n).unwrap_or_default();
-                    self.buf.put_u16(count16(payload.len()));
-                    self.buf.put_slice(payload);
-                }
-                EdnsOption::Other(_, p) => {
-                    self.buf.put_u16(count16(p.len()));
-                    self.buf.put_slice(p);
-                }
-            }
-        }
-        let rdlen = count16(self.buf.len().saturating_sub(start));
-        self.patch_u16(len_pos, rdlen);
+        (len_pos, self.buf.len())
     }
 
-    fn put_message(&mut self, m: &Message) {
-        self.buf.put_u16(m.id);
+    fn put_ecs(&mut self, e: &EcsOption) {
+        self.buf.put_u16(EcsOption::CODE);
+        // Stack-encoded: the hot encode path writes the ECS payload without
+        // the Vec the old `encode()` built.
+        let (payload, n) = e.wire_bytes();
+        let payload = payload.get(..n).unwrap_or_default();
+        self.buf.put_u16(count16(payload.len()));
+        self.buf.put_slice(payload);
+    }
+
+    fn put_header(&mut self, id: u16, flags: Flags, rcode: Rcode, counts: [u16; 4]) {
+        self.buf.put_u16(id);
         let mut b1: u8 = 0;
-        if m.flags.qr {
+        if flags.qr {
             b1 |= 0x80;
         }
-        if m.flags.aa {
+        if flags.aa {
             b1 |= 0x04;
         }
-        if m.flags.tc {
+        if flags.tc {
             b1 |= 0x02;
         }
-        if m.flags.rd {
+        if flags.rd {
             b1 |= 0x01;
         }
-        let mut b2: u8 = m.rcode.number() & 0x0F;
-        if m.flags.ra {
+        let mut b2: u8 = rcode.number() & 0x0F;
+        if flags.ra {
             b2 |= 0x80;
         }
         self.buf.put_u8(b1);
         self.buf.put_u8(b2);
-        self.buf.put_u16(count16(m.questions.len()));
-        self.buf.put_u16(count16(m.answers.len()));
-        self.buf.put_u16(count16(m.authority.len()));
+        for count in counts {
+            self.buf.put_u16(count);
+        }
+    }
+
+    fn put_message(&mut self, m: &Message) {
         let arcount = count16(m.additional.len()).saturating_add(u16::from(m.edns.is_some()));
-        self.buf.put_u16(arcount);
+        self.put_header(
+            m.id,
+            m.flags,
+            m.rcode,
+            [
+                count16(m.questions.len()),
+                count16(m.answers.len()),
+                count16(m.authority.len()),
+                arcount,
+            ],
+        );
         for q in &m.questions {
             self.put_question(q);
         }
@@ -330,6 +426,43 @@ impl Sink<'_> {
         }
         if let Some(opt) = &m.edns {
             self.put_opt(opt, m.rcode);
+        }
+    }
+
+    fn put_reply(&mut self, reply: &Reply<'_>) {
+        self.put_header(
+            reply.id,
+            reply.flags,
+            reply.rcode,
+            [
+                count16(reply.questions.len()),
+                count16(reply.answers.len()),
+                0,
+                u16::from(reply.edns),
+            ],
+        );
+        for q in reply.questions {
+            self.put_question(q);
+        }
+        match reply.answers {
+            ReplyAnswers::Empty => {}
+            ReplyAnswers::Records(records) => {
+                for r in records {
+                    self.put_record(r);
+                }
+            }
+            ReplyAnswers::Rdatas { owner, ttl, rdatas } => {
+                for rdata in rdatas {
+                    self.put_record_parts(owner, QClass::IN, ttl, rdata);
+                }
+            }
+        }
+        if reply.edns {
+            let (len_pos, start) = self.put_opt_head(&OptRecord::default(), reply.rcode);
+            if let Some(e) = &reply.ecs {
+                self.put_ecs(e);
+            }
+            self.patch_rdlen(len_pos, start);
         }
     }
 }
@@ -351,6 +484,7 @@ pub fn encode_message_into(m: &Message, out: &mut BytesMut) {
 
 // ---------------------------------------------------------------- decoding
 
+#[derive(Debug, Clone)]
 struct Decoder<'a> {
     data: &'a [u8],
     pos: usize,
@@ -385,9 +519,12 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
-    /// Reads a possibly-compressed name starting at the cursor.
-    fn take_name(&mut self) -> Result<DomainName, DnsWireError> {
-        let mut labels: Vec<String> = Vec::new();
+    /// Walks a possibly-compressed name starting at the cursor, handing
+    /// each label's raw bytes to `on_label` in order, and leaves the cursor
+    /// after the name. Errs on the structural faults only: running out of
+    /// bytes, a pointer that does not go strictly backwards or a chain of
+    /// more than 16, and the reserved label types.
+    fn walk_name(&mut self, mut on_label: impl FnMut(&'a [u8])) -> Result<(), DnsWireError> {
         let mut pos = self.pos;
         let mut jumped = false;
         let mut jumps = 0u32;
@@ -401,7 +538,7 @@ impl<'a> Decoder<'a> {
                     if !jumped {
                         self.pos = pos;
                     }
-                    break;
+                    return Ok(());
                 }
                 l if l & 0xC0 == 0xC0 => {
                     let Some(&lo) = pos.checked_add(1).and_then(|i| self.data.get(i)) else {
@@ -425,19 +562,46 @@ impl<'a> Decoder<'a> {
                 }
                 l if l & 0xC0 != 0 => return Err(DnsWireError::BadName),
                 l => {
-                    let l = l as usize;
                     let start = pos.saturating_add(1);
-                    let end = start.saturating_add(l);
+                    let end = start.saturating_add(usize::from(l));
                     let Some(bytes) = self.data.get(start..end) else {
                         return Err(DnsWireError::Truncated);
                     };
-                    let label = String::from_utf8_lossy(bytes).into_owned();
-                    labels.push(label);
+                    on_label(bytes);
                     pos = end;
                 }
             }
         }
+    }
+
+    /// Reads a possibly-compressed name starting at the cursor.
+    fn take_name(&mut self) -> Result<DomainName, DnsWireError> {
+        let mut labels: Vec<String> = Vec::new();
+        self.walk_name(|bytes| labels.push(String::from_utf8_lossy(bytes).into_owned()))?;
         DomainName::from_labels(labels).map_err(|_| DnsWireError::BadName)
+    }
+
+    /// Walks a name like [`take_name`](Self::take_name) and applies the
+    /// checks [`DomainName::from_labels`] applies to the labels
+    /// `take_name` would build, without building them. Those labels are
+    /// the *lossy UTF-8* renderings, so the limits are measured on
+    /// [`lossy_len`]. Returns whether the name is the root.
+    fn check_name(&mut self) -> Result<bool, DnsWireError> {
+        let mut labels = 0usize;
+        let mut encoded_len = 1usize; // trailing root byte
+        let mut valid = true;
+        self.walk_name(|bytes| {
+            let len = lossy_len(bytes);
+            // Raw ASCII bytes survive the lossy rendering unchanged, and the
+            // replacement character contains neither '.' nor NUL.
+            valid &= len <= 63 && !bytes.iter().any(|b| *b == b'.' || *b == 0);
+            encoded_len = encoded_len.saturating_add(1).saturating_add(len);
+            labels = labels.saturating_add(1);
+        })?;
+        if !valid || encoded_len > 255 {
+            return Err(DnsWireError::BadName);
+        }
+        Ok(labels == 0)
     }
 
     fn take_question(&mut self) -> Result<Question, DnsWireError> {
@@ -462,7 +626,6 @@ impl<'a> Decoder<'a> {
             if !name.is_root() {
                 return Err(DnsWireError::BadOpt);
             }
-            let rdata_start = self.pos;
             let rdata = self.take_slice(rdlen)?;
             let mut options = Vec::new();
             let mut od = Decoder {
@@ -473,7 +636,7 @@ impl<'a> Decoder<'a> {
                 let code = od.take_u16()?;
                 let len = od.take_u16()? as usize;
                 let payload = od.take_slice(len)?;
-                let opt = if code == 8 {
+                let opt = if code == EcsOption::CODE {
                     match EcsOption::decode(payload) {
                         Some(e) => EdnsOption::ClientSubnet(e),
                         None => EdnsOption::Other(code, payload.to_vec()),
@@ -487,7 +650,6 @@ impl<'a> Decoder<'a> {
                 return Err(DnsWireError::BadOpt);
             }
             let [ext_rcode, version, _, _] = ttl.to_be_bytes();
-            let _ = rdata_start;
             return Ok(DecodedRecord::Opt(OptRecord {
                 udp_size: class_num,
                 ext_rcode,
@@ -578,7 +740,9 @@ pub fn decode_message(data: &[u8]) -> Result<Message, DnsWireError> {
         rd: b1 & 0x01 != 0,
         ra: b2 & 0x80 != 0,
     };
-    let mut rcode = Rcode::from_number(b2 & 0x0F);
+    // The 4-bit header code; an OPT record's extended-rcode bits are kept
+    // in `OptRecord::ext_rcode`, since `Rcode` cannot hold them.
+    let rcode = Rcode::from_number(b2 & 0x0F);
     let qdcount = d.take_u16()?;
     let ancount = d.take_u16()?;
     let nscount = d.take_u16()?;
@@ -610,11 +774,6 @@ pub fn decode_message(data: &[u8]) -> Result<Message, DnsWireError> {
                 if edns.is_some() {
                     return Err(DnsWireError::BadOpt);
                 }
-                // Extended rcode: high 8 bits from OPT TTL, low 4 from header.
-                if opt.ext_rcode != 0 {
-                    let full = ((opt.ext_rcode as u16) << 4) | (rcode.number() as u16);
-                    rcode = Rcode::from_number((full & 0x0F) as u8);
-                }
                 edns = Some(opt);
             }
         }
@@ -632,6 +791,218 @@ pub fn decode_message(data: &[u8]) -> Result<Message, DnsWireError> {
         additional,
         edns,
     })
+}
+
+// ---------------------------------------------------------------- reply view
+
+/// Length of `String::from_utf8_lossy(bytes)`, computed without building
+/// it: each maximal invalid sequence becomes one 3-byte U+FFFD.
+fn lossy_len(bytes: &[u8]) -> usize {
+    let mut len = 0usize;
+    for chunk in bytes.utf8_chunks() {
+        len = len.saturating_add(chunk.valid().len());
+        if !chunk.invalid().is_empty() {
+            len = len.saturating_add(char::REPLACEMENT_CHARACTER.len_utf8());
+        }
+    }
+    len
+}
+
+/// What [`Decoder::check_record`] found.
+enum CheckedRecord {
+    /// An ordinary record.
+    Plain,
+    /// An OPT record, with the scope of its first decodable ECS option.
+    Opt { ecs_scope: Option<u8> },
+}
+
+impl Decoder<'_> {
+    /// Reads past one record, applying every check
+    /// [`take_record`](Self::take_record) applies, in the same order.
+    fn check_record(&mut self) -> Result<CheckedRecord, DnsWireError> {
+        let root = self.check_name()?;
+        let rtype = QType::from_number(self.take_u16()?);
+        let _class = self.take_u16()?;
+        let _ttl = self.take_u32()?;
+        let rdlen = usize::from(self.take_u16()?);
+        // An OPT owner must be the root, checked before the rdata is read.
+        if rtype == QType::OPT && !root {
+            return Err(DnsWireError::BadOpt);
+        }
+        let rdata_start = self.pos;
+        let rdata = self.take_slice(rdlen)?;
+        if rtype == QType::OPT {
+            let mut od = Decoder {
+                data: rdata,
+                pos: 0,
+            };
+            let mut ecs_scope = None;
+            while od.remaining() >= 4 {
+                let code = od.take_u16()?;
+                let len = usize::from(od.take_u16()?);
+                let payload = od.take_slice(len)?;
+                if code == EcsOption::CODE && ecs_scope.is_none() {
+                    ecs_scope = EcsOption::decode(payload).map(|e| e.scope_len);
+                }
+            }
+            if od.remaining() != 0 {
+                return Err(DnsWireError::BadOpt);
+            }
+            return Ok(CheckedRecord::Opt { ecs_scope });
+        }
+        match rtype {
+            QType::A if rdlen != 4 => return Err(DnsWireError::BadRdata(rtype)),
+            QType::AAAA if rdlen != 16 => return Err(DnsWireError::BadRdata(rtype)),
+            QType::CNAME | QType::NS | QType::PTR | QType::SOA => {
+                // As in `take_record`: names inside rdata are read from the
+                // whole message, so they may run past the rdlength.
+                let mut sub = Decoder {
+                    data: self.data,
+                    pos: rdata_start,
+                };
+                sub.check_name()?;
+                if rtype == QType::SOA {
+                    sub.check_name()?;
+                    sub.take_u32()?;
+                }
+            }
+            QType::TXT => {
+                let mut td = Decoder {
+                    data: rdata,
+                    pos: 0,
+                };
+                while td.remaining() > 0 {
+                    let l = usize::from(td.take_u8()?);
+                    td.take_slice(l)?;
+                }
+            }
+            _ => {}
+        }
+        Ok(CheckedRecord::Plain)
+    }
+}
+
+/// A borrowed, validating view of a DNS reply: what the ECS scan reads
+/// from each reply, taken from the wire bytes without building a
+/// [`Message`].
+///
+/// [`ReplyView::parse`] walks the reply once and applies every check
+/// [`decode_message`] applies, so it errs exactly when the decoder errs,
+/// with the same [`DnsWireError`]. It allocates nothing. `decode_message`
+/// is its oracle: `tests/prop_wire.rs` compares the two on real replies
+/// and their mutations.
+#[derive(Debug, Clone, Copy)]
+pub struct ReplyView<'a> {
+    data: &'a [u8],
+    rcode: Rcode,
+    ecs_scope: Option<u8>,
+    /// Offset of the answer section.
+    answers_start: usize,
+    ancount: u16,
+}
+
+impl<'a> ReplyView<'a> {
+    /// Validates `data` as one DNS message and keeps what the scan reads.
+    pub fn parse(data: &'a [u8]) -> Result<ReplyView<'a>, DnsWireError> {
+        let mut d = Decoder { data, pos: 0 };
+        let _id = d.take_u16()?;
+        let _b1 = d.take_u8()?;
+        let b2 = d.take_u8()?;
+        let qdcount = d.take_u16()?;
+        let ancount = d.take_u16()?;
+        let nscount = d.take_u16()?;
+        let arcount = d.take_u16()?;
+        for _ in 0..qdcount {
+            d.check_name()?;
+            d.take_u16()?;
+            d.take_u16()?;
+        }
+        let answers_start = d.pos;
+        // OPT belongs in the additional section only.
+        for _ in 0..ancount {
+            if let CheckedRecord::Opt { .. } = d.check_record()? {
+                return Err(DnsWireError::BadOpt);
+            }
+        }
+        for _ in 0..nscount {
+            if let CheckedRecord::Opt { .. } = d.check_record()? {
+                return Err(DnsWireError::BadOpt);
+            }
+        }
+        let mut opt_seen = false;
+        let mut ecs_scope = None;
+        for _ in 0..arcount {
+            if let CheckedRecord::Opt { ecs_scope: scope } = d.check_record()? {
+                if opt_seen {
+                    return Err(DnsWireError::BadOpt);
+                }
+                opt_seen = true;
+                ecs_scope = scope;
+            }
+        }
+        if d.remaining() != 0 {
+            return Err(DnsWireError::TrailingBytes(d.remaining()));
+        }
+        Ok(ReplyView {
+            data,
+            rcode: Rcode::from_number(b2 & 0x0F),
+            ecs_scope,
+            answers_start,
+            ancount,
+        })
+    }
+
+    /// The response code (the header's 4 bits, as [`Message::rcode`]).
+    pub fn rcode(&self) -> Rcode {
+        self.rcode
+    }
+
+    /// The scope of the OPT record's first decodable ECS option — the one
+    /// [`OptRecord::ecs`] returns.
+    pub fn ecs_scope(&self) -> Option<u8> {
+        self.ecs_scope
+    }
+
+    /// The answer section's A records in order, as
+    /// [`Message::a_answers`] lists them. Re-reads the section `parse`
+    /// validated.
+    pub fn answers_v4(&self) -> AnswersV4<'a> {
+        AnswersV4 {
+            d: Decoder {
+                data: self.data,
+                pos: self.answers_start,
+            },
+            left: self.ancount,
+        }
+    }
+}
+
+/// Iterator over a [`ReplyView`]'s A answers.
+#[derive(Debug, Clone)]
+pub struct AnswersV4<'a> {
+    d: Decoder<'a>,
+    left: u16,
+}
+
+impl Iterator for AnswersV4<'_> {
+    type Item = Ipv4Addr;
+
+    fn next(&mut self) -> Option<Ipv4Addr> {
+        while self.left > 0 {
+            self.left = self.left.saturating_sub(1);
+            // `ReplyView::parse` validated every record, so none of these
+            // reads fails; a failure would end the iteration.
+            self.d.walk_name(|_| {}).ok()?;
+            let rtype = self.d.take_u16().ok()?;
+            self.d.take_slice(6).ok()?; // class, TTL
+            let rdlen = usize::from(self.d.take_u16().ok()?);
+            let rdata = self.d.take_slice(rdlen).ok()?;
+            if let (QType::A, [a, b, c, d]) = (QType::from_number(rtype), rdata) {
+                return Some(Ipv4Addr::new(*a, *b, *c, *d));
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -845,6 +1216,20 @@ mod tests {
         bytes.extend_from_slice(&[0, 0, 41, 0x04, 0xD0, 0, 0, 0, 0, 0, 0]);
         bytes[11] = 2; // arcount low byte
         assert!(matches!(decode_message(&bytes), Err(DnsWireError::BadOpt)));
+    }
+
+    #[test]
+    fn extended_rcode_bits_leave_the_header_rcode() {
+        // An OPT record's nonzero extended-rcode byte does not change the
+        // decoded rcode: `Rcode` holds the header's 4 bits only.
+        let q = Message::query(1, mask_domain(), QType::A);
+        let mut r = q.response_to(Rcode::NxDomain);
+        r.edns.as_mut().unwrap().ext_rcode = 0x0F;
+        let bytes = encode_message(&r);
+        let back = decode_message(&bytes).unwrap();
+        assert_eq!(back.rcode, Rcode::NxDomain);
+        assert_eq!(back.edns.unwrap().ext_rcode, 0x0F);
+        assert_eq!(ReplyView::parse(&bytes).unwrap().rcode(), Rcode::NxDomain);
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub struct EcsAnswer {
 /// Dynamic answer logic attached to a zone.
 ///
 /// Returning `None` falls through to the zone's static records; returning
-/// an empty `rdatas` produces a NOERROR/no-data response.
+/// an empty `rdatas` produces a NOERROR/no-data response (which still
+/// echoes the ECS option with the answer's scope).
 pub trait EcsAnswerer: Send + Sync {
     /// Answers `question`, optionally considering the ECS option and the
     /// query context.
@@ -143,23 +144,12 @@ impl Zone {
     ) -> ZoneAnswer {
         if let Some(dynamic) = &self.dynamic {
             if let Some(ans) = dynamic.answer(question, ecs, info) {
-                let records = ans
-                    .rdatas
-                    .into_iter()
-                    .map(|rd| Record::new(question.name.clone(), ans.ttl, rd))
-                    .collect();
-                return ZoneAnswer::Answer {
-                    records,
-                    scope_len: Some(ans.scope_len),
-                };
+                return ZoneAnswer::Dynamic(ans);
             }
         }
         let direct = self.lookup_static(&question.name, question.qtype);
         if !direct.is_empty() {
-            return ZoneAnswer::Answer {
-                records: direct,
-                scope_len: None,
-            };
+            return ZoneAnswer::Answer(direct);
         }
         // CNAME chase (single step is enough for the simulated zones).
         let cnames = self.lookup_static(&question.name, QType::CNAME);
@@ -167,10 +157,7 @@ impl Zone {
             if let RData::Cname(target) = &cname_rec.rdata {
                 let mut records = vec![cname_rec.clone()];
                 records.extend(self.lookup_static(target, question.qtype));
-                return ZoneAnswer::Answer {
-                    records,
-                    scope_len: None,
-                };
+                return ZoneAnswer::Answer(records);
             }
         }
         if self.name_exists(&question.name) {
@@ -184,14 +171,11 @@ impl Zone {
 /// Result of resolving a question inside a zone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ZoneAnswer {
-    /// Records found (possibly via CNAME). `scope_len` is set when the
-    /// answer came from the dynamic ECS hook.
-    Answer {
-        /// Answer-section records.
-        records: Vec<Record>,
-        /// ECS scope to report, when ECS-derived.
-        scope_len: Option<u8>,
-    },
+    /// The dynamic hook's answer: one record per rdata, each owned by the
+    /// question name, and the ECS scope to report.
+    Dynamic(EcsAnswer),
+    /// Static answer-section records (possibly via CNAME).
+    Answer(Vec<Record>),
     /// Name exists but has no records of the queried type.
     NoData,
     /// Name does not exist in the zone.
@@ -243,10 +227,9 @@ mod tests {
     fn static_lookup_by_type() {
         let z = test_zone();
         match z.resolve(&q("www.icloud.com", QType::A), None, &info()) {
-            ZoneAnswer::Answer { records, scope_len } => {
+            ZoneAnswer::Answer(records) => {
                 assert_eq!(records.len(), 1);
                 assert_eq!(records[0].rdata.as_a(), Some(Ipv4Addr::new(17, 253, 1, 1)));
-                assert_eq!(scope_len, None);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -269,7 +252,7 @@ mod tests {
     fn cname_chase_includes_target_records() {
         let z = test_zone();
         match z.resolve(&q("alias.icloud.com", QType::A), None, &info()) {
-            ZoneAnswer::Answer { records, .. } => {
+            ZoneAnswer::Answer(records) => {
                 assert_eq!(records.len(), 2);
                 assert!(matches!(records[0].rdata, RData::Cname(_)));
                 assert!(matches!(records[1].rdata, RData::A(_)));
@@ -310,9 +293,9 @@ mod tests {
         let z = z.with_dynamic(Arc::new(FixedAnswerer));
         let ecs = EcsOption::for_v4_net("100.64.3.0/24".parse().unwrap());
         match z.resolve(&q("mask.icloud.com", QType::A), Some(&ecs), &info()) {
-            ZoneAnswer::Answer { records, scope_len } => {
-                assert_eq!(records[0].rdata.as_a(), Some(Ipv4Addr::new(17, 0, 0, 1)));
-                assert_eq!(scope_len, Some(24));
+            ZoneAnswer::Dynamic(ans) => {
+                assert_eq!(ans.rdatas, [RData::A(Ipv4Addr::new(17, 0, 0, 1))]);
+                assert_eq!(ans.scope_len, 24);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -128,15 +128,11 @@ impl Config {
                 // The scheduler's window drain — the inner loop of every
                 // simulated scan.
                 "engine::sched::run_window".to_string(),
-                // The ECS reply loop (decode → classify → record).
+                // The ECS query/reply kernel: patch the query, read the
+                // reply through the borrowed view, batch its answers.
                 "core::ecs_scan::attempt_query".to_string(),
             ],
             warm_paths: vec![
-                // Reply decoding materializes owned names/records by
-                // design; the hot loop hands bytes over and gets a parsed
-                // message back. Allocation inside the decoder is the
-                // decoder's contract, not a steady-state leak.
-                "dns::wire::decode_message".to_string(),
                 // The ShardModel event handlers are simulation payload —
                 // the code playing remote resolvers, relays, and probe
                 // campaigns. The scheduler's window drain is the hot

@@ -19,13 +19,13 @@ use std::sync::Arc;
 
 use tectonic_dns::zone::{EcsAnswer, EcsAnswerer, QueryInfo};
 use tectonic_dns::{DomainName, EcsOption, QType, Question, RData};
-use tectonic_net::{Asn, Epoch, Ipv4Net, PrefixTable, SimTime};
+use tectonic_net::{Asn, Epoch, IpNet, Ipv4Net, PrefixTable, SimTime};
 
 use tectonic_geo::country::CountryCode;
 
 use crate::config::Domain;
 use crate::ingress::IngressFleets;
-use crate::world::{ClientWorld, ServiceSplit};
+use crate::world::{ClientAs, ClientWorld, ServiceSplit};
 
 /// Stateless keyed hash (SplitMix64 finaliser).
 fn mix(seed: u64, key: u64) -> u64 {
@@ -54,9 +54,16 @@ pub struct MaskZone {
     /// (public-resolver anycast sites), compiled by [`seal`](MaskZone::seal)
     /// for the per-query lookups.
     extra_cc: PrefixTable<CountryCode>,
+    /// The names answered, built once: [`DomainName`] equality is
+    /// ASCII-case-insensitive, so queries compare without lower-casing.
+    names: [(DomainName, Domain); 2],
     max_records: usize,
     seed: u64,
 }
+
+/// The client-world announcement covering a query's client subnet, and
+/// the AS owning it.
+type Announcement<'a> = (IpNet, &'a ClientAs);
 
 impl MaskZone {
     /// Creates the answerer.
@@ -70,6 +77,7 @@ impl MaskZone {
             fleets,
             world,
             extra_cc: PrefixTable::new(),
+            names: Domain::ALL.map(|d| (d.name(), d)),
             max_records: max_records.max(1),
             seed,
         }
@@ -91,14 +99,10 @@ impl MaskZone {
     }
 
     fn domain_of(&self, name: &DomainName) -> Option<Domain> {
-        let lower = name.to_ascii_lower();
-        if lower == "mask.icloud.com" {
-            Some(Domain::MaskQuic)
-        } else if lower == "mask-h2.icloud.com" {
-            Some(Domain::MaskH2)
-        } else {
-            None
-        }
+        self.names
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, domain)| *domain)
     }
 
     /// The effective client subnet for operator selection: ECS if present
@@ -116,39 +120,31 @@ impl MaskZone {
     }
 
     /// Resolves the country a query effectively originates from.
-    fn cc_of(&self, subnet: Option<Ipv4Net>, src: IpAddr) -> Option<CountryCode> {
-        if let Some(subnet) = subnet {
-            if let Some(client_as) = self.world.as_of_addr(IpAddr::V4(subnet.network())) {
-                return Some(client_as.cc);
-            }
+    fn cc_of(&self, client: Option<Announcement<'_>>, src: IpAddr) -> Option<CountryCode> {
+        if let Some((_, client_as)) = client {
+            return Some(client_as.cc);
         }
         self.extra_cc.lookup(src).map(|(_, cc)| *cc)
     }
 
     /// The operator that serves this client subnet.
-    fn operator_of(&self, subnet: Option<Ipv4Net>) -> Asn {
-        match subnet {
-            Some(subnet) => self
-                .world
-                .serving_operator(subnet)
-                .unwrap_or_else(|| self.world.split_operator(subnet)),
+    fn operator_of(&self, subnet: Option<Ipv4Net>, client: Option<Announcement<'_>>) -> Asn {
+        match (subnet, client) {
+            (Some(subnet), Some((_, client_as))) => self.world.operator_in(client_as, subnet),
+            (Some(subnet), None) => self.world.split_operator(subnet),
             // IPv6-only source with no ECS: fall back to the global split.
-            None => Asn::AKAMAI_PR,
+            (None, _) => Asn::AKAMAI_PR,
         }
     }
 
     /// ECS scope for a v4 answer: /24 normally; the AS's covering prefix
     /// for single-operator ASes (safe to widen — every subnet in the AS
     /// gets the same operator and country, hence the same answer).
-    fn scope_for(&self, subnet: Option<Ipv4Net>) -> u8 {
-        let Some(subnet) = subnet else { return 24 };
-        let addr = IpAddr::V4(subnet.network());
-        match self.world.as_of_addr(addr) {
-            Some(client_as) if client_as.category != ServiceSplit::Both => self
-                .world
-                .prefix_of_addr(addr)
-                .map(|p| p.len().min(24))
-                .unwrap_or(24),
+    fn scope_for(&self, client: Option<Announcement<'_>>) -> u8 {
+        match client {
+            Some((prefix, client_as)) if client_as.category != ServiceSplit::Both => {
+                prefix.as_v4().map(|p| p.len().min(24)).unwrap_or(24)
+            }
             _ => 24,
         }
     }
@@ -172,8 +168,11 @@ impl EcsAnswerer for MaskZone {
         }
         let epoch = epoch_of(info.now);
         let subnet = self.client_subnet(ecs, info.src);
-        let operator = self.operator_of(subnet);
-        let cc = self.cc_of(subnet, info.src);
+        // One client-world longest-match serves the operator, the country
+        // and the scope.
+        let client = subnet.and_then(|s| self.world.announcement_of_addr(IpAddr::V4(s.network())));
+        let operator = self.operator_of(subnet, client);
+        let cc = self.cc_of(client, info.src);
         let subnet_key = subnet
             .map(|s| u32::from(s.network()) as u64)
             .unwrap_or(match info.src {
@@ -222,7 +221,7 @@ impl EcsAnswerer for MaskZone {
                 .collect()
         };
         let scope_len = match question.qtype {
-            QType::A => self.scope_for(subnet),
+            QType::A => self.scope_for(client),
             // AAAA: scope 0 — the whole IPv6 space (§3).
             _ => 0,
         };
