@@ -126,7 +126,7 @@ impl DnsCampaign {
         let outcome = if flake_rng.chance(probe.flaky) {
             MeasurementOutcome::Timeout
         } else {
-            let resolver = probe.resolver(self.policy_suffixes.clone());
+            let mut resolver = probe.resolver(self.policy_suffixes.clone());
             match resolver.resolve(
                 std::net::IpAddr::V4(probe.addr),
                 &self.qname,

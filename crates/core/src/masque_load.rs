@@ -827,27 +827,27 @@ mod tests {
 
     #[test]
     fn lossy_channel_accounting_reconciles() {
-        /// Deterministically drops every third datagram and corrupts every
-        /// seventh (post-drop) — content-independent so both drivers see
-        /// the same sequence.
-        struct Lossy {
-            calls: std::sync::Mutex<Vec<u64>>,
-        }
+        /// Drops about one datagram in three and corrupts about one in seven
+        /// of the rest, keyed on the sender, the send time and the bytes:
+        /// both drivers send the same datagrams, so both see the same
+        /// faults, and the channel holds no state.
+        struct Lossy;
         impl DatagramChannel for Lossy {
             fn transfer(
                 &self,
-                shard: usize,
-                _src: IpAddr,
-                _now: SimTime,
+                _shard: usize,
+                src: IpAddr,
+                now: SimTime,
                 wire: &[u8],
             ) -> Option<Vec<u8>> {
-                let mut calls = self.calls.lock().unwrap();
-                let n = &mut calls[shard];
-                *n += 1;
-                if n.is_multiple_of(3) {
+                use std::hash::{DefaultHasher, Hash, Hasher};
+                let mut hasher = DefaultHasher::new();
+                (src, now, wire).hash(&mut hasher);
+                let key = hasher.finish();
+                if key.is_multiple_of(3) {
                     return None;
                 }
-                if n.is_multiple_of(7) {
+                if key.is_multiple_of(7) {
                     let mut w = wire.to_vec();
                     if let Some(b) = w.get_mut(1) {
                         *b ^= 0xFF;
@@ -859,11 +859,8 @@ mod tests {
         }
         let d = deployment();
         let cfg = StormConfig::sized(32, 2, 11);
-        let channel = || Lossy {
-            calls: std::sync::Mutex::new(vec![0; cfg.shards]),
-        };
-        let serial = run_serial(&d, &cfg, &channel());
-        let engine = run_engine(&d, &cfg, &channel(), 4);
+        let serial = run_serial(&d, &cfg, &Lossy);
+        let engine = run_engine(&d, &cfg, &Lossy, 4);
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&engine).unwrap()

@@ -113,7 +113,8 @@ pub struct IdsReport {
 }
 
 /// Drives `requests` through the relay from one device and measures how a
-/// per-IP session stitcher fragments them.
+/// per-IP session stitcher fragments them. Request `i` is the device's
+/// connection `i + 1`.
 pub fn ids_fragmentation(
     device: &Device,
     auth: &dyn NameServer,
@@ -124,7 +125,7 @@ pub fn ids_fragmentation(
     let mut sources: Vec<IpAddr> = Vec::with_capacity(requests);
     for i in 0..requests {
         let now = start + SimDuration::from_millis(interval.as_millis() * i as u64);
-        if let Ok(req) = device.request(RequestAgent::Safari, auth, now) {
+        if let Ok(req) = device.request(RequestAgent::Safari, auth, now, i as u64 + 1) {
             sources.push(req.egress.addr);
         }
     }
@@ -205,7 +206,9 @@ mod tests {
         let mut flows = Vec::new();
         for i in 0..30 {
             let now = Epoch::May2022.start() + SimDuration::from_secs(30 * i);
-            let req = device.request(RequestAgent::Curl, &auth, now).unwrap();
+            let req = device
+                .request(RequestAgent::Curl, &auth, now, i + 1)
+                .unwrap();
             flows.push(FlowRecord {
                 src: IpAddr::V4(device.addr()),
                 dst: req.ingress,
@@ -276,7 +279,9 @@ mod tests {
         let mut flows = Vec::new();
         for i in 0..40 {
             let now = Epoch::May2022.start() + SimDuration::from_secs(60 * i);
-            let req = device.request(RequestAgent::Curl, &auth, now).unwrap();
+            let req = device
+                .request(RequestAgent::Curl, &auth, now, i + 1)
+                .unwrap();
             flows.push(FlowRecord {
                 src: IpAddr::V4(device.addr()),
                 dst: req.ingress,

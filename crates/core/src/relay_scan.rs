@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use tectonic_dns::server::NameServer;
 use tectonic_engine::{Engine, EngineConfig, ShardCtx, ShardModel};
 use tectonic_net::{Asn, SimDuration, SimRng, SimTime};
-use tectonic_relay::client::{ClientRequest, Device};
+use tectonic_relay::client::{ClientRequest, Device, RequestAgent};
 
 /// Scan schedule configuration.
 #[derive(Debug, Clone)]
@@ -86,24 +86,16 @@ pub struct RelayScanSeries {
 }
 
 impl RelayScanSeries {
-    /// Runs the scan with `device` starting at `start`: reserves two
-    /// connection ids per round from the device, then runs the series on
-    /// one engine shard ([`RelayScanSeries::run_engine`]).
+    /// Runs the scan with a fresh `device` starting at `start`, on one
+    /// engine shard ([`RelayScanSeries::run_engine`] from connection id
+    /// base 0).
     pub fn run(
         device: &Device,
         auth: &dyn NameServer,
         config: &RelayScanConfig,
         start: SimTime,
     ) -> RelayScanSeries {
-        let first_connection_id = device.reserve_connection_ids(2 * config.rounds());
-        RelayScanSeries::run_engine(
-            device,
-            &[auth],
-            config,
-            start,
-            first_connection_id,
-            &EngineConfig::new(1, 1),
-        )
+        RelayScanSeries::run_engine(device, &[auth], config, start, 0, &EngineConfig::new(1, 1))
     }
 
     /// Runs the scan on the sharded discrete-event engine.
@@ -227,11 +219,16 @@ impl ShardModel for RoundShard<'_> {
 
     fn handle(&mut self, now: SimTime, round: u64, _ctx: &mut ShardCtx<u64>) {
         let safari_id = self.first_connection_id + 2 * round + 1;
-        let curl_id = safari_id + 1;
-        match self
+        let pair = self
             .device
-            .request_pair_with_ids(self.auth, now, safari_id, curl_id)
-        {
+            .request(RequestAgent::Safari, self.auth, now, safari_id)
+            .and_then(|safari| {
+                let curl =
+                    self.device
+                        .request(RequestAgent::Curl, self.auth, now, safari_id + 1)?;
+                Ok((safari, curl))
+            });
+        match pair {
             Ok((safari, curl)) => self.rounds.push(ScanRound {
                 relative_secs: (now - self.start).as_secs(),
                 safari: LoggedRequest::from_request(&safari),
@@ -251,7 +248,6 @@ mod tests {
     use super::*;
     use tectonic_geo::country::CountryCode;
     use tectonic_net::Epoch;
-    use tectonic_relay::client::RequestAgent;
     use tectonic_relay::{Deployment, DeploymentConfig, DnsMode};
 
     fn series(mode: DnsMode) -> (Deployment, RelayScanSeries) {
@@ -307,12 +303,10 @@ mod tests {
         assert_eq!(s.failures, 0);
     }
 
-    /// Pins the relay series byte-for-byte across the `SimRng::fork` audit
-    /// in `Deployment::build` / `Deployment::mask_zone`. All four fork
-    /// sites were judged serial-only and kept on label forks
-    /// (`lintkit: allow(rng-fork-order)` at each site); these goldens prove
-    /// the audit changed nothing, and will catch any future fork →
-    /// fork_indexed migration that silently rewrites the derived streams.
+    /// Pins the relay series byte-for-byte. `Deployment::build` and
+    /// `Deployment::mask_zone` derive their streams with label forks; any
+    /// change to those labels, or a move to `fork_indexed`, rewrites the
+    /// derived streams and moves these goldens.
     #[test]
     fn relay_series_pinned_across_fork_audit() {
         let (_, s) = series(DnsMode::Open);
@@ -360,10 +354,9 @@ mod tests {
         assert_eq!(RelayScanConfig::rotation_series().rounds(), 5760);
     }
 
-    /// A counter-driven series, the oracle the engine series is checked
-    /// against: each round's Safari and curl requests take the device's
-    /// next connection ids through [`Device::request`].
-    fn counter_series(
+    /// A serial loop, the oracle the engine series is checked against:
+    /// round `i`'s Safari and curl requests take ids `2i + 1` and `2i + 2`.
+    fn serial_series(
         device: &Device,
         auth: &dyn NameServer,
         config: &RelayScanConfig,
@@ -376,8 +369,13 @@ mod tests {
         for i in 0..config.rounds() {
             let now = start + config.interval.times(i);
             let pair = device
-                .request(RequestAgent::Safari, auth, now)
-                .and_then(|safari| Ok((safari, device.request(RequestAgent::Curl, auth, now)?)));
+                .request(RequestAgent::Safari, auth, now, 2 * i + 1)
+                .and_then(|safari| {
+                    Ok((
+                        safari,
+                        device.request(RequestAgent::Curl, auth, now, 2 * i + 2)?,
+                    ))
+                });
             match pair {
                 Ok((safari, curl)) => series.rounds.push(ScanRound {
                     relative_secs: (now - start).as_secs(),
@@ -391,13 +389,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_series_matches_counter_loop_and_is_worker_invariant() {
+    fn engine_series_matches_serial_loop_and_is_worker_invariant() {
         let (d, run) = series(DnsMode::Open);
         let auth = d.auth_server_unlimited();
         let config = RelayScanConfig::operator_series();
         let start = Epoch::May2022.start();
-        // Fresh device per run: every run starts at connection id 1.
-        let oracle = counter_series(
+        // A fresh device per run, each with its own token ledger.
+        let oracle = serial_series(
             &d.device_in_country(CountryCode::DE, DnsMode::Open),
             &auth,
             &config,
@@ -417,39 +415,6 @@ mod tests {
             );
             assert_eq!(s, oracle, "shards={shards} workers={workers}");
         }
-    }
-
-    #[test]
-    fn engine_series_connection_id_base_continues_a_device() {
-        let d = Deployment::build(66, DeploymentConfig::scaled(512));
-        let auth = d.auth_server_unlimited();
-        let config = RelayScanConfig::operator_series();
-        // Legacy: one device runs two back-to-back series on its counter.
-        let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
-        let first = RelayScanSeries::run(&device, &auth, &config, Epoch::May2022.start());
-        let second_start = Epoch::May2022.start() + config.duration;
-        let second = RelayScanSeries::run(&device, &auth, &config, second_start);
-        // Engine: a fresh device, second series continuing at the first's
-        // connection count (two ids per completed round).
-        let fresh = d.device_in_country(CountryCode::DE, DnsMode::Open);
-        let engine_first = RelayScanSeries::run_engine(
-            &fresh,
-            &[&auth],
-            &config,
-            Epoch::May2022.start(),
-            0,
-            &EngineConfig::new(4, 2),
-        );
-        let engine_second = RelayScanSeries::run_engine(
-            &fresh,
-            &[&auth],
-            &config,
-            second_start,
-            2 * config.rounds(),
-            &EngineConfig::new(4, 2),
-        );
-        assert_eq!(engine_first, first);
-        assert_eq!(engine_second, second);
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub struct DomainName {
 impl DomainName {
     /// The root name (zero labels).
     pub fn root() -> Self {
-        // lintkit: allow(alloc-in-hot-path) -- Vec::new is a zero-capacity constructor and performs no heap allocation
         DomainName { labels: Vec::new() }
     }
 

@@ -11,7 +11,6 @@
 
 use std::net::{IpAddr, Ipv4Addr};
 
-use parking_lot::Mutex;
 use tectonic_net::{Ipv4Net, SimTime};
 
 use crate::edns::EcsOption;
@@ -112,7 +111,7 @@ pub struct Resolver {
     /// Domain suffixes the policy applies to (empty = policy applies to
     /// nothing, i.e. behaves like `Normal`).
     blocked_suffixes: Vec<DomainName>,
-    next_id: Mutex<u16>,
+    next_id: u16,
 }
 
 impl std::fmt::Debug for Resolver {
@@ -152,7 +151,7 @@ impl Resolver {
             addr,
             policy: ResolverPolicy::Normal,
             blocked_suffixes: Vec::new(),
-            next_id: Mutex::new(1),
+            next_id: 1,
         }
     }
 
@@ -195,10 +194,9 @@ impl Resolver {
         self.policy.is_blocking() && self.blocked_suffixes.iter().any(|s| name.is_within(s))
     }
 
-    fn fresh_id(&self) -> u16 {
-        let mut id = self.next_id.lock();
-        *id = id.wrapping_add(1).max(1);
-        *id
+    fn fresh_id(&mut self) -> u16 {
+        self.next_id = self.next_id.wrapping_add(1).max(1);
+        self.next_id
     }
 
     /// Resolves `name`/`qtype` on behalf of `client_addr` against `auth`.
@@ -207,7 +205,7 @@ impl Resolver {
     /// IPv6 clients); otherwise the authoritative only sees the resolver's
     /// own source address.
     pub fn resolve(
-        &self,
+        &mut self,
         client_addr: IpAddr,
         name: &DomainName,
         qtype: QType,
@@ -250,14 +248,15 @@ impl Resolver {
 
     /// The policy verdict for a blocked name, or `None` under
     /// [`ResolverPolicy::Normal`] (the caller resolves normally).
-    fn apply_policy(&self, name: &DomainName, qtype: QType) -> Option<ResolutionOutcome> {
-        let make = |rcode: Rcode| {
+    fn apply_policy(&mut self, name: &DomainName, qtype: QType) -> Option<ResolutionOutcome> {
+        let policy = self.policy;
+        let mut make = |rcode: Rcode| {
             let q = Message::query(self.fresh_id(), name.clone(), qtype);
             let mut r = q.response_to(rcode);
             r.flags.ra = true;
             r
         };
-        match self.policy {
+        match policy {
             ResolverPolicy::Normal => None,
             ResolverPolicy::BlockNxDomain => {
                 Some(ResolutionOutcome::Answered(make(Rcode::NxDomain)))
@@ -308,7 +307,7 @@ mod tests {
 
     #[test]
     fn normal_resolution_returns_answer() {
-        let r = Resolver::public(ResolverKind::CloudflarePublic);
+        let mut r = Resolver::public(ResolverKind::CloudflarePublic);
         let out = r.resolve(client(), &mask_domain(), QType::A, &auth(), SimTime(0));
         let m = out.message().unwrap();
         assert_eq!(m.rcode, Rcode::NoError);
@@ -346,7 +345,7 @@ mod tests {
             (ResolverPolicy::BlockFormErr, Rcode::FormErr),
         ];
         for (policy, want) in cases {
-            let r = Resolver::new(ResolverKind::Isp, "192.0.2.53".parse().unwrap())
+            let mut r = Resolver::new(ResolverKind::Isp, "192.0.2.53".parse().unwrap())
                 .with_policy(policy, vec!["icloud.com".parse().unwrap()]);
             let out = r.resolve(client(), &mask_domain(), QType::A, &auth(), SimTime(0));
             let m = out.message().unwrap();
@@ -357,7 +356,7 @@ mod tests {
 
     #[test]
     fn nodata_block_is_noerror_nodata_shape() {
-        let r = Resolver::new(ResolverKind::Isp, "192.0.2.53".parse().unwrap()).with_policy(
+        let mut r = Resolver::new(ResolverKind::Isp, "192.0.2.53".parse().unwrap()).with_policy(
             ResolverPolicy::BlockNoData,
             vec!["icloud.com".parse().unwrap()],
         );
@@ -367,7 +366,7 @@ mod tests {
 
     #[test]
     fn timeout_policy_times_out_only_blocked_names() {
-        let r = Resolver::new(ResolverKind::Local, "192.0.2.53".parse().unwrap())
+        let mut r = Resolver::new(ResolverKind::Local, "192.0.2.53".parse().unwrap())
             .with_policy(ResolverPolicy::Timeout, vec!["icloud.com".parse().unwrap()]);
         assert_eq!(
             r.resolve(client(), &mask_domain(), QType::A, &auth(), SimTime(0)),
@@ -387,7 +386,7 @@ mod tests {
     #[test]
     fn hijack_answers_with_other_address() {
         let hijack_addr = Ipv4Addr::new(185, 228, 168, 10);
-        let r = Resolver::new(ResolverKind::Local, "192.0.2.53".parse().unwrap()).with_policy(
+        let mut r = Resolver::new(ResolverKind::Local, "192.0.2.53".parse().unwrap()).with_policy(
             ResolverPolicy::Hijack(hijack_addr),
             vec!["icloud.com".parse().unwrap()],
         );
@@ -422,7 +421,7 @@ mod tests {
                 burst: 1,
                 per_second: 0.0001,
             });
-        let r = Resolver::public(ResolverKind::Quad9);
+        let mut r = Resolver::public(ResolverKind::Quad9);
         let first = r.resolve(client(), &mask_domain(), QType::A, &auth, SimTime(0));
         assert!(first.message().is_some());
         let second = r.resolve(client(), &mask_domain(), QType::A, &auth, SimTime(0));
@@ -431,7 +430,7 @@ mod tests {
 
     #[test]
     fn ecs_is_stripped_from_stub_response() {
-        let r = Resolver::public(ResolverKind::GooglePublic);
+        let mut r = Resolver::public(ResolverKind::GooglePublic);
         let out = r.resolve(client(), &mask_domain(), QType::A, &auth(), SimTime(0));
         let m = out.message().unwrap();
         if let Some(opt) = &m.edns {

@@ -79,8 +79,6 @@ impl MessageEncoder {
     /// A fresh encoder.
     pub fn new() -> Self {
         MessageEncoder {
-            // lintkit: allow(alloc-in-hot-path) -- capacity-zero Vec::new
-            // performs no heap allocation; growth is amortized by reuse
             label_offsets: Vec::new(),
         }
     }

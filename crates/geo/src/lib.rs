@@ -29,7 +29,8 @@
         clippy::print_stdout,
         clippy::print_stderr,
         clippy::allow_attributes_without_reason,
-        clippy::indexing_slicing
+        clippy::indexing_slicing,
+        clippy::iter_over_hash_type
     )
 )]
 #![warn(missing_docs)]

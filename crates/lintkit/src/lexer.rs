@@ -1,8 +1,8 @@
 //! A minimal Rust lexer.
 //!
-//! The analyzer needs just enough lexical structure to find macro
-//! invocations, method calls and attributes without being fooled by
-//! comments, string literals or lifetimes. No external crates (`syn` is
+//! The manifest check needs just enough lexical structure to find `pub`
+//! items without being fooled by comments, string literals or lifetimes.
+//! No external crates (`syn` is
 //! unavailable in the build environment), so this hand-rolled lexer covers
 //! the token shapes that actually occur in the workspace: identifiers,
 //! punctuation, lifetimes, numeric/char/byte/string literals (including
@@ -11,7 +11,7 @@
 //!
 //! The lexer is loss-tolerant: an unterminated literal or a stray byte
 //! yields a [`TokenKind::Error`] token and lexing continues, so a syntax
-//! error in one corner of a file cannot hide findings elsewhere.
+//! error in one corner of a file cannot hide items elsewhere.
 
 /// The kind of one lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

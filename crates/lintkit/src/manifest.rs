@@ -14,12 +14,27 @@
 //! `cargo run -p xtask -- lint --update-manifest`.
 
 use std::collections::BTreeSet;
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 
 use crate::lexer::{lex, TokenKind};
-use crate::rules::{Finding, Rule};
+
+/// One drift between the shims and the checked-in manifest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Workspace-relative path of the manifest.
+    pub file: String,
+    /// Human-readable description.
+    pub message: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "vendor-manifest: {}: {}", self.file, self.message)
+    }
+}
 
 /// File name of the checked-in manifest, relative to `vendor/`.
 pub const MANIFEST_FILE: &str = "API_MANIFEST.txt";
@@ -76,9 +91,7 @@ pub fn check(vendor_dir: &Path) -> io::Result<Vec<Finding>> {
         Ok(s) => s,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             return Ok(vec![Finding {
-                rule: Rule::VendorManifest,
                 file: rel_manifest,
-                line: 0,
                 message: "manifest missing — run `cargo run -p xtask -- lint --update-manifest`"
                     .to_string(),
             }]);
@@ -96,17 +109,13 @@ pub fn check(vendor_dir: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     for added in want_set.difference(&have_set) {
         findings.push(Finding {
-            rule: Rule::VendorManifest,
             file: rel_manifest.clone(),
-            line: 0,
             message: format!("shim API gained `{added}` — update the manifest if intended"),
         });
     }
     for removed in have_set.difference(&want_set) {
         findings.push(Finding {
-            rule: Rule::VendorManifest,
             file: rel_manifest.clone(),
-            line: 0,
             message: format!("shim API lost `{removed}` — update the manifest if intended"),
         });
     }
@@ -114,7 +123,7 @@ pub fn check(vendor_dir: &Path) -> io::Result<Vec<Finding>> {
 }
 
 /// Recursively collects `.rs` files under `dir`.
-pub fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
+fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {

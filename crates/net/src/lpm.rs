@@ -133,11 +133,8 @@ impl BatchScratch {
     /// are reused afterwards.
     pub fn new() -> BatchScratch {
         BatchScratch {
-            // lintkit: allow(alloc-in-hot-path) -- capacity-zero Vec::new touches no heap; growth is amortized by scratch reuse
             lanes: Vec::new(),
-            // lintkit: allow(alloc-in-hot-path) -- capacity-zero Vec::new touches no heap; growth is amortized by scratch reuse
             active: Vec::new(),
-            // lintkit: allow(alloc-in-hot-path) -- capacity-zero Vec::new touches no heap; growth is amortized by scratch reuse
             next: Vec::new(),
         }
     }

@@ -20,7 +20,6 @@
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tectonic_dns::server::{NameServer, QueryContext};
 use tectonic_dns::{decode_message, encode_message, Message, QType};
 use tectonic_net::{Asn, Ipv4Net, SimTime};
@@ -111,7 +110,6 @@ pub struct Device {
     issuer: Arc<TokenIssuer>,
     /// Whether the network blocks UDP (forces the HTTP/2 fallback).
     udp_blocked: bool,
-    connection_counter: Mutex<u64>,
 }
 
 impl std::fmt::Debug for Device {
@@ -143,7 +141,6 @@ impl Device {
             // but must not throttle a day of 30-second scan rounds.
             issuer: Arc::new(TokenIssuer::new(20_000)),
             udp_blocked: false,
-            connection_counter: Mutex::new(0),
         }
     }
 
@@ -206,52 +203,16 @@ impl Device {
         }
     }
 
-    /// Issues one request through the relay.
+    /// Issues one request through the relay as connection `connection_id`.
     ///
     /// The returned [`ClientRequest`] records the ingress the connection
-    /// used and the egress address the destination server logged. Each call
-    /// is a fresh connection, so the egress address rotates (§4.3).
+    /// used and the egress address the destination server logged. Each
+    /// connection id is a fresh connection, so the egress address rotates
+    /// (§4.3). The id feeds egress selection only, and the caller numbers
+    /// its requests: a device holds no counter, so rounds run on any shard
+    /// take the same ids, and a failed request never shifts the ids of the
+    /// requests after it.
     pub fn request(
-        &self,
-        agent: RequestAgent,
-        auth: &dyn NameServer,
-        now: SimTime,
-    ) -> Result<ClientRequest, ConnectError> {
-        let ingress = self.resolve_ingress(auth, now)?;
-        if !self.fleets.is_ingress(IpAddr::V4(ingress)) {
-            return Err(ConnectError::NotAnIngress(IpAddr::V4(ingress)));
-        }
-        // The counter advances only for requests that reach connection
-        // establishment — a failed resolution consumes no id.
-        let connection_id = {
-            let mut counter = self.connection_counter.lock();
-            *counter += 1;
-            *counter
-        };
-        self.connect(agent, now, ingress, connection_id)
-    }
-
-    /// Reserves `n` connection ids from the device's counter and returns
-    /// the base: the caller owns ids `base + 1 ..= base + n`, the ids the
-    /// next `n` successful [`Device::request`] calls would have taken.
-    pub fn reserve_connection_ids(&self, n: u64) -> u64 {
-        let mut counter = self.connection_counter.lock();
-        let base = *counter;
-        *counter += n;
-        base
-    }
-
-    /// [`Device::request`] with an explicit connection id, bypassing the
-    /// device's internal counter.
-    ///
-    /// The discrete-event engine runs a device's rounds across shards, so
-    /// callers assign each round's ids up front (round `i` of a series
-    /// uses ids `base + 2i + 1` and `base + 2i + 2` via
-    /// [`Device::request_pair_with_ids`], `base` from
-    /// [`Device::reserve_connection_ids`]) instead of racing a shared
-    /// counter. The id feeds egress selection only, so a failed round never
-    /// shifts the ids of the rounds after it.
-    pub fn request_with_id(
         &self,
         agent: RequestAgent,
         auth: &dyn NameServer,
@@ -333,21 +294,6 @@ impl Device {
         })
     }
 
-    /// The Safari + curl request pair the paper's scan issues each round,
-    /// with explicit connection ids (see [`Device::request_with_id`]):
-    /// Safari takes `safari_id`, curl takes `curl_id`.
-    pub fn request_pair_with_ids(
-        &self,
-        auth: &dyn NameServer,
-        now: SimTime,
-        safari_id: u64,
-        curl_id: u64,
-    ) -> Result<(ClientRequest, ClientRequest), ConnectError> {
-        let safari = self.request_with_id(RequestAgent::Safari, auth, now, safari_id)?;
-        let curl = self.request_with_id(RequestAgent::Curl, auth, now, curl_id)?;
-        Ok((safari, curl))
-    }
-
     /// Appendix B: shortly after connecting to a (possibly forced) ingress,
     /// the device opens an additional management QUIC connection whose
     /// target lies in the same prefix as the configured ingress.
@@ -385,8 +331,9 @@ impl Device {
         relay_auth: &dyn NameServer,
         now: SimTime,
     ) -> Result<tectonic_dns::resolver::ResolutionOutcome, ConnectError> {
-        // Establish (or reuse) a relay connection to learn the egress addr.
-        let request = self.request(RequestAgent::Safari, relay_auth, now)?;
+        // Establish (or reuse) a relay connection to learn the egress addr:
+        // one connection per resolution, so it is always connection 1.
+        let request = self.request(RequestAgent::Safari, relay_auth, now, 1)?;
         let IpAddr::V4(egress_v4) = request.egress.addr else {
             return Err(ConnectError::NoEgressAvailable);
         };
@@ -432,7 +379,7 @@ mod tests {
         let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
         let now = Epoch::May2022.start();
         let req = device
-            .request(RequestAgent::Curl, &auth, now)
+            .request(RequestAgent::Curl, &auth, now, 1)
             .expect("request should succeed");
         assert!(d.fleets.is_ingress(req.ingress));
         assert!(req.egress.subnet.contains(req.egress.addr));
@@ -445,7 +392,7 @@ mod tests {
         let auth = d.auth_server_unlimited();
         let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
         let req = device
-            .request(RequestAgent::Curl, &auth, Epoch::May2022.start())
+            .request(RequestAgent::Curl, &auth, Epoch::May2022.start(), 1)
             .unwrap();
         // The egress saw the device's cell and drew connection 1 from that
         // cell's pool with the device's seed.
@@ -477,7 +424,7 @@ mod tests {
             .device_in_country(CountryCode::DE, DnsMode::Open)
             .with_token_issuer(Arc::new(TokenIssuer::new(0)));
         let err = device
-            .request(RequestAgent::Curl, &auth, Epoch::May2022.start())
+            .request(RequestAgent::Curl, &auth, Epoch::May2022.start(), 1)
             .unwrap_err();
         assert_eq!(
             err,
@@ -496,7 +443,7 @@ mod tests {
             .fleet_v4(Epoch::Apr2022, Domain::MaskQuic, Asn::APPLE)[3];
         let device = d.device_in_country(CountryCode::DE, DnsMode::Fixed(forced));
         let req = device
-            .request(RequestAgent::Safari, &auth, Epoch::May2022.start())
+            .request(RequestAgent::Safari, &auth, Epoch::May2022.start(), 1)
             .unwrap();
         assert_eq!(req.ingress, IpAddr::V4(forced));
         assert_eq!(req.ingress_asn, Some(Asn::APPLE));
@@ -509,7 +456,7 @@ mod tests {
         let device =
             d.device_in_country(CountryCode::DE, DnsMode::Fixed("9.9.9.9".parse().unwrap()));
         let err = device
-            .request(RequestAgent::Curl, &auth, Epoch::May2022.start())
+            .request(RequestAgent::Curl, &auth, Epoch::May2022.start(), 1)
             .unwrap_err();
         assert!(matches!(err, ConnectError::NotAnIngress(_)));
     }
@@ -536,13 +483,13 @@ mod tests {
         for i in 0..60 {
             let t = now + SimDuration::from_secs(30).times(i);
             set1.insert(
-                dev1.request(RequestAgent::Curl, &auth, t)
+                dev1.request(RequestAgent::Curl, &auth, t, i + 1)
                     .unwrap()
                     .egress
                     .addr,
             );
             set2.insert(
-                dev2.request(RequestAgent::Curl, &auth, t)
+                dev2.request(RequestAgent::Curl, &auth, t, i + 1)
                     .unwrap()
                     .egress
                     .addr,
@@ -559,8 +506,11 @@ mod tests {
         let mut differing = 0;
         for i in 0..40 {
             let t = Epoch::May2022.start() + SimDuration::from_mins(5).times(i);
-            let (safari, curl) = device
-                .request_pair_with_ids(&auth, t, 2 * i + 1, 2 * i + 2)
+            let safari = device
+                .request(RequestAgent::Safari, &auth, t, 2 * i + 1)
+                .unwrap();
+            let curl = device
+                .request(RequestAgent::Curl, &auth, t, 2 * i + 2)
                 .unwrap();
             if safari.egress.addr != curl.egress.addr {
                 differing += 1;

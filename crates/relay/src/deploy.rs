@@ -112,15 +112,12 @@ impl Deployment {
     /// ```
     pub fn build(seed: u64, config: DeploymentConfig) -> Deployment {
         let rng = SimRng::new(seed);
-        // Fork-order audit: `build` runs once, serially, before any shard
-        // or scheduler exists, and every fork below hangs off this private
-        // root with a unique label — there is no interleaving that could
-        // reorder them. Migrating to `fork_indexed` would change every
-        // derived stream (and so every golden artifact) for no soundness
-        // gain; see `relay_series_pinned_across_fork_audit`.
-        // lintkit: allow(rng-fork-order) -- serial build path, single-threaded
-        // construction before the engine starts; label-unique forks off a
-        // private root cannot race
+        // Every stream below is a label fork of this private root. `fork`
+        // mixes only the root's state and the label and advances nothing,
+        // so the order of the forks cannot change a stream. Moving them to
+        // `fork_indexed` would change every derived stream (and so every
+        // golden artifact); `relay_series_pinned_across_fork_audit` pins
+        // them.
         let mut universe_rng = rng.fork("cities");
         let universe = CityUniverse::generate(&mut universe_rng, config.city_universe_size);
         let world = Arc::new(ClientWorld::generate(&rng, &config.client_world));
@@ -207,14 +204,10 @@ impl Deployment {
             aspop.set(client_as.asn, client_as.users);
         }
 
-        // lintkit: allow(rng-fork-order) -- serial build path (see the
-        // fork-order audit note above); reduced to a raw seed immediately
         let routers = RouterTopology::new(24, rng.fork("routers").next_u64_raw());
         let selector = Arc::new(EgressSelector::build(
             &egress_list,
             &egress_footprints,
-            // lintkit: allow(rng-fork-order) -- serial build path (see the
-            // fork-order audit note above); reduced to a raw seed immediately
             rng.fork("egress-selector").next_u64_raw(),
         ));
 
@@ -256,9 +249,6 @@ impl Deployment {
             self.fleets.clone(),
             self.world.clone(),
             self.config.max_records_per_answer,
-            // lintkit: allow(rng-fork-order) -- single fork off a fresh
-            // deployment-seed root in serial zone construction; no sibling
-            // forks share this root, so fork order cannot vary
             SimRng::new(self.seed).fork("mask-zone").next_u64_raw(),
         );
         for kind in ResolverKind::PUBLIC {

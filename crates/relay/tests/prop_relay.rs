@@ -2,6 +2,11 @@
 //! laws, client-world structure, and ECS zone behaviour under arbitrary
 //! query subnets.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "build-once fixtures shared by the proptest cases; each is read-only after init"
+)]
+
 use std::collections::{BTreeSet, HashSet};
 use std::net::IpAddr;
 use std::sync::OnceLock;

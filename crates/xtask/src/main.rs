@@ -2,34 +2,26 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` — run the [`lintkit`] pass (allow-comment hygiene plus the
-//!   call-graph rules) over every workspace crate and the vendored-shim
-//!   manifest; exits non-zero on any finding. The panic, print, index,
-//!   wall-clock, cast and arithmetic rules are clippy lints declared in
-//!   the crate roots, the strict files and `clippy.toml`: run
-//!   `cargo clippy --workspace --all-targets -- -D warnings` for those.
+//! * `lint` — check that the vendored shims under `vendor/` match the
+//!   checked-in public-API manifest ([`lintkit`]); exits non-zero on any
+//!   drift. The rest of the static policy is clippy's: run
+//!   `cargo clippy --workspace --all-targets -- -D warnings`.
 //! * `lint --update-manifest` — regenerate `vendor/API_MANIFEST.txt` from
-//!   the current shim sources, then lint.
-//! * `lint --graph[=PATH]` — dump the workspace call graph as GraphViz DOT
-//!   to stdout (or PATH).
-//! * `lint --sarif PATH` — write the findings as a SARIF v2.1.0 log (one
-//!   result per finding) for CI artifacts and code-hosting annotation
-//!   UIs.
+//!   the current shim sources, then check.
 //! * `chaos` — run the fault-injection scenario matrix in-process:
 //!   `--scenario NAME --seed N` for one cell, `--all --seeds K` for the
 //!   whole registry, `--out PATH` for a JSON invariant report. Exits
 //!   non-zero if any scenario violates its invariants (see DESIGN.md §10).
 //!
-//! The same pass runs as a tier-1 test (`tests/lint_gate.rs` and
-//! `crates/lintkit/tests/workspace_gate.rs`) and as a CI job, so `xtask
-//! lint` passing locally means the lintkit gates pass too.
+//! The manifest check also runs as a tier-1 test (`tests/lint_gate.rs`)
+//! and in CI's fmt + clippy job.
 
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lintkit::{analyze_workspace, manifest, sarif, Config};
+use lintkit::manifest;
 
 fn workspace_root() -> PathBuf {
     // xtask lives at <root>/crates/xtask; CARGO_MANIFEST_DIR is compiled in,
@@ -40,62 +32,25 @@ fn workspace_root() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("."))
 }
 
-/// Parsed `lint` options.
-struct LintOpts {
-    update_manifest: bool,
-    /// `Some(None)` = DOT to stdout, `Some(Some(path))` = DOT to file.
-    graph: Option<Option<String>>,
-    sarif: Option<String>,
-}
-
-fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
-    let mut opts = LintOpts {
-        update_manifest: false,
-        graph: None,
-        sarif: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if arg == "--update-manifest" {
-            opts.update_manifest = true;
-        } else if arg == "--graph" {
-            opts.graph = Some(None);
-        } else if let Some(path) = arg.strip_prefix("--graph=") {
-            opts.graph = Some(Some(path.to_string()));
-        } else if arg == "--sarif" {
-            i += 1;
-            let path = args.get(i).ok_or("--sarif needs a path")?;
-            opts.sarif = Some(path.clone());
-        } else if let Some(path) = arg.strip_prefix("--sarif=") {
-            opts.sarif = Some(path.to_string());
-        } else {
-            return Err(format!("unknown lint option `{arg}`"));
-        }
-        i += 1;
-    }
-    Ok(opts)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!(
-            "usage: cargo run -p xtask -- lint \
-             [--update-manifest] [--graph[=PATH]] [--sarif PATH]\n\
+            "usage: cargo run -p xtask -- lint [--update-manifest]\n\
              \x20      cargo run -p xtask -- chaos (--scenario NAME | --all) \
              [--seed N] [--seeds K] [--out PATH]"
         );
         return ExitCode::FAILURE;
     };
     match cmd.as_str() {
-        "lint" => match parse_lint_opts(&args[1..]) {
-            Ok(opts) => lint(&opts),
-            Err(e) => {
-                eprintln!("xtask lint: {e}");
-                ExitCode::FAILURE
+        "lint" => {
+            let opts = &args[1..];
+            if let Some(other) = opts.iter().find(|a| *a != "--update-manifest") {
+                eprintln!("xtask lint: unknown lint option `{other}`");
+                return ExitCode::FAILURE;
             }
-        },
+            lint(!opts.is_empty())
+        }
         "chaos" => chaos(&args[1..]),
         other => {
             eprintln!("unknown subcommand `{other}`; expected `lint` or `chaos`");
@@ -234,10 +189,9 @@ fn chaos(args: &[String]) -> ExitCode {
     }
 }
 
-fn lint(opts: &LintOpts) -> ExitCode {
-    let root = workspace_root();
-    let vendor = root.join("vendor");
-    if opts.update_manifest {
+fn lint(update_manifest: bool) -> ExitCode {
+    let vendor = workspace_root().join("vendor");
+    if update_manifest {
         let text = match manifest::generate(&vendor) {
             Ok(t) => t,
             Err(e) => {
@@ -252,45 +206,20 @@ fn lint(opts: &LintOpts) -> ExitCode {
         }
         println!("updated {}", path.display());
     }
-    let config = Config::for_workspace(&root);
-    let analysis = match analyze_workspace(&config) {
-        Ok(a) => a,
+    let findings = match manifest::check(&vendor) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("xtask lint: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(target) = &opts.graph {
-        let dot = analysis.graph.to_dot();
-        match target {
-            None => print!("{dot}"),
-            Some(path) => {
-                if let Err(e) = fs::write(path, dot) {
-                    eprintln!("xtask lint: writing {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote call graph to {path}");
-            }
-        }
-    }
-    if let Some(path) = &opts.sarif {
-        let report = sarif::report_sarif(&analysis.findings);
-        if let Err(e) = fs::write(path, report) {
-            eprintln!("xtask lint: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote SARIF report to {path}");
-    }
-    if analysis.findings.is_empty() {
-        println!(
-            "xtask lint: clean — {} functions, vendored-shim manifest verified",
-            analysis.graph.funcs.len(),
-        );
+    if findings.is_empty() {
+        println!("xtask lint: clean — vendored-shim manifest verified");
         return ExitCode::SUCCESS;
     }
-    for f in &analysis.findings {
+    for f in &findings {
         println!("{f}");
     }
-    println!("xtask lint: {} finding(s)", analysis.findings.len());
+    println!("xtask lint: {} finding(s)", findings.len());
     ExitCode::FAILURE
 }

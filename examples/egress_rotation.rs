@@ -9,6 +9,7 @@
 use tectonic::core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic::core::report::{render_fig3, render_rotation};
 use tectonic::core::rotation::RotationReport;
+use tectonic::engine::EngineConfig;
 use tectonic::geo::country::CountryCode;
 use tectonic::net::{Asn, Epoch};
 use tectonic::relay::{Deployment, DeploymentConfig, DnsMode, Domain};
@@ -32,12 +33,17 @@ fn main() {
     let fixed = RelayScanSeries::run(&fixed_device, &auth, &config, start);
     print!("{}", render_fig3(&open, &fixed));
 
-    // The fine-grained rotation run: 30-second rounds over 48 hours.
-    let rotation_series = RelayScanSeries::run(
+    // The fine-grained rotation run: 30-second rounds over 48 hours, on
+    // the same devices, so each continues after the Figure 3 series' ids.
+    let rotation_base = 2 * config.rounds();
+    let one_shard = EngineConfig::new(1, 1);
+    let rotation_series = RelayScanSeries::run_engine(
         &open_device,
-        &auth,
+        &[&auth],
         &RelayScanConfig::rotation_series(),
         start,
+        rotation_base,
+        &one_shard,
     );
     let rotation = RotationReport::from_series(&rotation_series);
     println!();
@@ -50,11 +56,13 @@ fn main() {
 
     // §4.3's closing check: forcing a specific ingress does not change the
     // egress behaviour.
-    let fixed_rotation = RotationReport::from_series(&RelayScanSeries::run(
+    let fixed_rotation = RotationReport::from_series(&RelayScanSeries::run_engine(
         &fixed_device,
-        &auth,
+        &[&auth],
         &RelayScanConfig::rotation_series(),
         start,
+        rotation_base,
+        &one_shard,
     ));
     println!(
         "\nforced-ingress scan: {} addresses, change rate {:.1}% \

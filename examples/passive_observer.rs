@@ -41,7 +41,7 @@ fn main() {
     for i in 0..200 {
         let now = Epoch::May2022.start() + SimDuration::from_secs(30 * i);
         let request = device
-            .request(RequestAgent::Safari, &auth, now)
+            .request(RequestAgent::Safari, &auth, now, i + 1)
             .expect("relay up");
         flows.push(FlowRecord {
             src: IpAddr::V4(device.addr()),

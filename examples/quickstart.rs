@@ -39,7 +39,7 @@ fn main() {
     for i in 0..3 {
         let now = Epoch::May2022.start() + tectonic::net::SimDuration::from_secs(30 * i);
         let request = device
-            .request(RequestAgent::Curl, &auth, now)
+            .request(RequestAgent::Curl, &auth, now, i + 1)
             .expect("relay request");
         println!(
             "  ingress {} [{}]  →  egress {} [{}]",
@@ -54,7 +54,7 @@ fn main() {
     //    detect relay traffic by matching destinations against the ingress
     //    dataset collected in step 1.
     let request = device
-        .request(RequestAgent::Safari, &auth, Epoch::May2022.start())
+        .request(RequestAgent::Safari, &auth, Epoch::May2022.start(), 4)
         .expect("relay request");
     let is_relay_traffic = match request.ingress {
         std::net::IpAddr::V4(a) => report.discovered.contains(&a),

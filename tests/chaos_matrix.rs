@@ -13,6 +13,12 @@
 //! re-blessing an intended change means copying that file over the
 //! committed one, so the change shows up as a reviewed diff.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-process caches shared by the parallel test threads: the golden runs and \
+              the mismatching cell lines; no simulation state lives in them"
+)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -107,39 +107,6 @@ fn chaos_broken_fixture_exits_nonzero() {
 }
 
 #[test]
-fn lint_sarif_writes_valid_report() {
-    let dir = std::env::temp_dir().join("tectonic-cli-smoke-sarif");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("lint.sarif");
-    let path_str = path.to_str().expect("utf-8 temp path");
-    let (stdout, stderr, ok) = run_xtask(&["lint", "--sarif", path_str]);
-    assert!(ok, "lint --sarif failed:\n{stdout}\n{stderr}");
-    assert!(
-        stdout.contains("wrote SARIF report to"),
-        "confirmation line missing: {stdout}"
-    );
-    let text = std::fs::read_to_string(&path).expect("SARIF file written");
-    assert!(text.contains("\"version\": \"2.1.0\""));
-    assert!(text.contains("\"name\": \"lintkit\""));
-    // The rule table is always present, findings or not.
-    assert!(text.contains("\"id\": \"map-iter-order\""));
-    assert!(text.contains("\"id\": \"rng-fork-order\""));
-    assert!(text.contains("\"id\": \"shard-state-escape\""));
-    assert!(text.contains("\"id\": \"alloc-in-hot-path\""));
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn lint_sarif_unwritable_path_fails() {
-    let (stdout, stderr, ok) = run_xtask(&["lint", "--sarif", "/nonexistent-smoke-dir/lint.sarif"]);
-    assert!(!ok, "unwritable SARIF path must fail:\n{stdout}\n{stderr}");
-    assert!(
-        stderr.contains("xtask lint: writing"),
-        "write error missing: {stderr}"
-    );
-}
-
-#[test]
 fn unknown_subcommand_fails_with_usage() {
     let (_, stderr, ok) = run(&["frobnicate"]);
     assert!(!ok);

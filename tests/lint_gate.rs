@@ -2,14 +2,19 @@
 //! only runs the current package's targets) still enforces the static-analysis
 //! policy:
 //!
-//! * lintkit's pass — allow-comment hygiene and the call-graph rules, with
-//!   zero findings; the richer assertions live in
-//!   `crates/lintkit/tests/workspace_gate.rs`;
+//! * lintkit's vendor-manifest check, with zero findings;
 //! * the presence of the clippy policy in every crate root and in
 //!   `clippy.toml`. The lints themselves (no panics, no prints, no
-//!   indexing, no wall-clock reads, checked arithmetic) run under CI's
+//!   indexing, no hash-order iteration, no wall-clock reads, no shared
+//!   mutable state, checked arithmetic) run under CI's
 //!   `cargo clippy --workspace --all-targets -- -D warnings`; this gate
-//!   only proves that no crate has opted out of them.
+//!   only proves that no crate has opted out of them, and that the
+//!   sanctioned exemptions stay where they are.
+//!
+//! What clippy cannot see is checked on the real code by two tests:
+//! `engine_equivalence.rs` runs random shard-model graphs at several worker
+//! counts, and `alloc_free.rs` counts the steady-state kernels'
+//! allocations.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,11 +30,30 @@ const PANIC_LINTS: [&str; 6] = [
 ];
 
 /// The rest of the policy, library crates only: binaries own their stdout.
-const LIBRARY_LINTS: [&str; 4] = [
+const LIBRARY_LINTS: [&str; 5] = [
     "clippy::print_stdout",
     "clippy::print_stderr",
     "clippy::allow_attributes_without_reason",
     "clippy::indexing_slicing",
+    "clippy::iter_over_hash_type",
+];
+
+/// The library files allowed to name `clippy::disallowed_types`: the three
+/// leaf locks behind `&self` APIs the benchmark harness calls, and the
+/// `parking_lot` shim itself.
+const LOCK_EXEMPT_FILES: [&str; 4] = [
+    "crates/dns/src/server.rs",
+    "crates/relay/src/masque.rs",
+    "crates/simnet/src/channel.rs",
+    "vendor/parking_lot/src/lib.rs",
+];
+
+/// The files allowed to name `clippy::disallowed_methods`: reductions over a
+/// hash container whose result does not depend on the iteration order.
+const HASH_ORDER_EXEMPT_FILES: [&str; 3] = [
+    "crates/bgp/src/aspop.rs",
+    "crates/dns/src/zone.rs",
+    "vendor/serde/src/lib.rs",
 ];
 
 /// The one crate root allowed a crate-level `#![expect]` of
@@ -142,33 +166,143 @@ fn every_crate_root_carries_the_clippy_policy() {
     }
 }
 
+/// The entries of one `clippy.toml` list, from `key = [` to its closing `]`.
+fn clippy_list<'a>(text: &'a str, key: &str) -> &'a str {
+    let start = text
+        .find(&format!("{key} = ["))
+        .unwrap_or_else(|| panic!("clippy.toml has a {key} list"));
+    let list = &text[start..];
+    &list[..list.find("\n]").unwrap_or(list.len())]
+}
+
+/// The workspace-relative path of every `.rs` file under `dirs` that
+/// contains `needle`.
+fn files_naming(root: &Path, dirs: &[&str], needle: &str) -> Vec<String> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        rs_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 50, "found only {} .rs files", files.len());
+    let mut naming: Vec<String> = files
+        .into_iter()
+        .filter(|file| read(file).contains(needle))
+        .map(|file| {
+            file.strip_prefix(root)
+                .expect("under the root")
+                .to_string_lossy()
+                .replace('\\', "/")
+        })
+        .collect();
+    naming.sort();
+    naming
+}
+
 #[test]
 fn clippy_toml_bans_wall_clock_reads() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let text = read(&root.join("clippy.toml"));
-    let start = text
-        .find("disallowed-methods = [")
-        .expect("clippy.toml has a disallowed-methods list");
-    let list = &text[start..];
-    let list = &list[..list.find("\n]").unwrap_or(list.len())];
+    let list = clippy_list(&text, "disallowed-methods");
     for method in ["std::time::SystemTime::now", "std::time::Instant::now"] {
         assert!(
             list.contains(&format!("path = \"{method}\"")),
             "clippy.toml's disallowed-methods no longer lists {method}"
         );
     }
-    // Nothing opts out of the ban: no source file, binaries and vendored
-    // crates included, names the lint that enforces it.
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "examples", "vendor"] {
-        rs_files(&root.join(dir), &mut files);
-    }
-    assert!(files.len() > 100, "found only {} .rs files", files.len());
-    for file in files {
+    // Nothing opts out of the wall-clock ban. The only files, binaries and
+    // vendored crates included, that name the lint enforcing it are the
+    // hash-order reductions, and none of them names a wall-clock type.
+    let naming = files_naming(
+        &root,
+        &["crates", "src", "examples", "vendor"],
+        "clippy::disallowed_methods",
+    );
+    assert_eq!(
+        naming, HASH_ORDER_EXEMPT_FILES,
+        "only the hash-order reductions may name clippy::disallowed_methods"
+    );
+    for file in naming {
+        let text = read(&root.join(&file));
         assert!(
-            !read(&file).contains("clippy::disallowed_methods"),
-            "{} names clippy::disallowed_methods; the wall-clock ban has no exemption",
-            file.display()
+            !text.contains("SystemTime") && !text.contains("Instant"),
+            "{file} names a wall-clock type next to a disallowed_methods exemption"
         );
     }
+}
+
+#[test]
+fn clippy_toml_bans_shared_state_and_hash_iteration() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let text = read(&root.join("clippy.toml"));
+    let types = clippy_list(&text, "disallowed-types");
+    let mut banned_types = vec![
+        "std::sync::Mutex".to_string(),
+        "std::sync::RwLock".to_string(),
+        "std::sync::OnceLock".to_string(),
+        "std::sync::LazyLock".to_string(),
+        "parking_lot::Mutex".to_string(),
+    ];
+    for width in ["8", "16", "32", "64", "size"] {
+        banned_types.push(format!("std::sync::atomic::AtomicU{width}"));
+        banned_types.push(format!("std::sync::atomic::AtomicI{width}"));
+    }
+    banned_types.push("std::sync::atomic::AtomicBool".to_string());
+    banned_types.push("std::sync::atomic::AtomicPtr".to_string());
+    for path in &banned_types {
+        assert!(
+            types.contains(&format!("path = \"{path}\"")),
+            "clippy.toml's disallowed-types no longer lists {path}"
+        );
+    }
+    assert!(
+        clippy_list(&text, "disallowed-macros").contains("path = \"std::thread_local\""),
+        "clippy.toml's disallowed-macros no longer lists std::thread_local"
+    );
+    let methods = clippy_list(&text, "disallowed-methods");
+    let hash_methods = [
+        ("HashMap", "iter"),
+        ("HashMap", "iter_mut"),
+        ("HashMap", "keys"),
+        ("HashMap", "values"),
+        ("HashMap", "values_mut"),
+        ("HashMap", "into_keys"),
+        ("HashMap", "into_values"),
+        ("HashMap", "drain"),
+        ("HashSet", "iter"),
+        ("HashSet", "drain"),
+    ];
+    for (container, method) in hash_methods {
+        assert!(
+            methods.contains(&format!(
+                "path = \"std::collections::{container}::{method}\""
+            )),
+            "clippy.toml's disallowed-methods no longer lists {container}::{method}"
+        );
+    }
+}
+
+#[test]
+fn only_the_leaf_locks_name_disallowed_types() {
+    // Library code only: test targets may share per-process fixtures.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs: Vec<String> = vec!["src".to_string()];
+    for parent in ["crates", "vendor"] {
+        let entries = fs::read_dir(root.join(parent)).expect("directory lists");
+        for entry in entries {
+            let src = entry.expect("directory entry").path().join("src");
+            if src.is_dir() {
+                dirs.push(
+                    src.strip_prefix(&root)
+                        .expect("under the root")
+                        .to_string_lossy()
+                        .into_owned(),
+                );
+            }
+        }
+    }
+    let dirs: Vec<&str> = dirs.iter().map(String::as_str).collect();
+    assert_eq!(
+        files_naming(&root, &dirs, "clippy::disallowed_types"),
+        LOCK_EXEMPT_FILES,
+        "only the three leaf locks and the parking_lot shim may name clippy::disallowed_types"
+    );
 }

@@ -25,7 +25,9 @@ fn isp_sees_only_ingress_server_sees_only_egress() {
     let device = d.device_in_country(CountryCode::US, DnsMode::Open);
     for i in 0..50 {
         let now = Epoch::May2022.start() + SimDuration::from_secs(30 * i);
-        let req = device.request(RequestAgent::Curl, &auth, now).unwrap();
+        let req = device
+            .request(RequestAgent::Curl, &auth, now, i + 1)
+            .unwrap();
         assert!(d.fleets.is_ingress(req.ingress), "ISP-visible address");
         assert!(
             !d.fleets.is_ingress(req.egress.addr),
@@ -47,7 +49,7 @@ fn every_scanned_ingress_accepts_forced_connections() {
     for addr in report.discovered.iter().step_by(97) {
         let device = d.device_in_country(CountryCode::DE, DnsMode::Fixed(*addr));
         let req = device
-            .request(RequestAgent::Safari, &auth, Epoch::May2022.start())
+            .request(RequestAgent::Safari, &auth, Epoch::May2022.start(), 1)
             .unwrap_or_else(|e| panic!("forced ingress {addr} failed: {e}"));
         assert_eq!(req.ingress, IpAddr::V4(*addr));
     }
@@ -68,7 +70,7 @@ fn correlation_attack_surface_exists_in_akamai_pr() {
         vec![Asn::AKAMAI_PR],
     );
     let req = device
-        .request(RequestAgent::Curl, &auth, Epoch::May2022.start())
+        .request(RequestAgent::Curl, &auth, Epoch::May2022.start(), 1)
         .unwrap();
     assert_eq!(req.ingress_asn, Some(Asn::AKAMAI_PR));
     assert_eq!(req.egress.operator, Asn::AKAMAI_PR);
@@ -123,7 +125,9 @@ fn egress_rotation_is_confined_to_a_small_pool() {
     let mut addrs: HashSet<IpAddr> = HashSet::new();
     for i in 0..500 {
         let now = Epoch::May2022.start() + SimDuration::from_secs(30 * i);
-        let req = device.request(RequestAgent::Curl, &auth, now).unwrap();
+        let req = device
+            .request(RequestAgent::Curl, &auth, now, i + 1)
+            .unwrap();
         addrs.insert(req.egress.addr);
     }
     assert!(addrs.len() >= 3, "rotation produced {} addrs", addrs.len());
@@ -159,7 +163,9 @@ fn masque_session_enforces_visibility_separation() {
     let device = d.device_in_country(CountryCode::US, DnsMode::Open);
     for i in 0..20 {
         let now = Epoch::May2022.start() + SimDuration::from_secs(30 * i);
-        let req = device.request(RequestAgent::Curl, &auth, now).unwrap();
+        let req = device
+            .request(RequestAgent::Curl, &auth, now, i + 1)
+            .unwrap();
         let session = &req.session;
         assert_eq!(session.transport, tectonic::relay::Transport::Quic);
         assert_eq!(session.ingress_view.client_addr, IpAddr::V4(device.addr()));
@@ -188,7 +194,7 @@ fn udp_blocked_network_uses_tcp_fallback() {
     )
     .with_udp_blocked(true);
     let req = device
-        .request(RequestAgent::Safari, &auth, Epoch::May2022.start())
+        .request(RequestAgent::Safari, &auth, Epoch::May2022.start(), 1)
         .unwrap();
     assert_eq!(
         req.session.transport,
@@ -212,10 +218,12 @@ fn token_budget_limits_a_shared_account() {
     )
     .with_token_issuer(issuer);
     let now = Epoch::May2022.start();
-    for _ in 0..5 {
-        assert!(device.request(RequestAgent::Curl, &auth, now).is_ok());
+    for id in 1..=5 {
+        assert!(device.request(RequestAgent::Curl, &auth, now, id).is_ok());
     }
-    let err = device.request(RequestAgent::Curl, &auth, now).unwrap_err();
+    let err = device
+        .request(RequestAgent::Curl, &auth, now, 6)
+        .unwrap_err();
     assert!(matches!(
         err,
         tectonic::relay::client::ConnectError::Masque(_)
