@@ -51,10 +51,6 @@ impl AsPopulation {
     }
 
     /// Total users across the whole dataset.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "an integer sum is a commutative reduction: its result does not depend on the order"
-    )]
     pub fn total(&self) -> u64 {
         self.users.values().sum()
     }

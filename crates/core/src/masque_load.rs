@@ -824,54 +824,4 @@ mod tests {
             cfg.clients * 2
         );
     }
-
-    #[test]
-    fn lossy_channel_accounting_reconciles() {
-        /// Drops about one datagram in three and corrupts about one in seven
-        /// of the rest, keyed on the sender, the send time and the bytes:
-        /// both drivers send the same datagrams, so both see the same
-        /// faults, and the channel holds no state.
-        struct Lossy;
-        impl DatagramChannel for Lossy {
-            fn transfer(
-                &self,
-                _shard: usize,
-                src: IpAddr,
-                now: SimTime,
-                wire: &[u8],
-            ) -> Option<Vec<u8>> {
-                use std::hash::{DefaultHasher, Hash, Hasher};
-                let mut hasher = DefaultHasher::new();
-                (src, now, wire).hash(&mut hasher);
-                let key = hasher.finish();
-                if key.is_multiple_of(3) {
-                    return None;
-                }
-                if key.is_multiple_of(7) {
-                    let mut w = wire.to_vec();
-                    if let Some(b) = w.get_mut(1) {
-                        *b ^= 0xFF;
-                    }
-                    return Some(w);
-                }
-                Some(wire.to_vec())
-            }
-        }
-        let d = deployment();
-        let cfg = StormConfig::sized(32, 2, 11);
-        let serial = run_serial(&d, &cfg, &Lossy);
-        let engine = run_engine(&d, &cfg, &Lossy, 4);
-        assert_eq!(
-            serde_json::to_string(&serial).unwrap(),
-            serde_json::to_string(&engine).unwrap()
-        );
-        // sent = forwarded + channel drops; forwarded = delivered + drops.
-        assert!(serial.datagrams_forwarded < serial.datagrams_sent);
-        assert!(serial.session_drops > 0);
-        assert_eq!(
-            serial.datagrams_forwarded,
-            serial.datagrams_delivered + serial.session_drops
-        );
-        assert_eq!(serial.replies_received, serial.datagrams_delivered);
-    }
 }

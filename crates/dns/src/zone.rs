@@ -120,10 +120,6 @@ impl Zone {
     }
 
     /// Whether any record (of any type) exists at `name`.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "`any` over the keys is a reduction: its result does not depend on the order"
-    )]
     pub fn name_exists(&self, name: &DomainName) -> bool {
         self.records.keys().any(|(n, _)| n == name)
     }

@@ -30,15 +30,13 @@ pub enum TokenKind {
     Error,
 }
 
-/// One token with its 1-indexed source line.
+/// One lexed token.
 #[derive(Debug, Clone)]
 pub struct Token {
     /// What was lexed.
     pub kind: TokenKind,
-    /// The token text (empty for punctuation; see [`TokenKind::Punct`]).
+    /// The text of an identifier or lifetime; empty for every other kind.
     pub text: String,
-    /// 1-indexed line the token starts on.
-    pub line: u32,
 }
 
 impl Token {
@@ -58,7 +56,6 @@ pub fn lex(src: &str) -> Vec<Token> {
     Lexer {
         bytes: src.as_bytes(),
         pos: 0,
-        line: 1,
         out: Vec::new(),
     }
     .run()
@@ -67,7 +64,6 @@ pub fn lex(src: &str) -> Vec<Token> {
 struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
-    line: u32,
     out: Vec<Token>,
 }
 
@@ -76,62 +72,55 @@ impl Lexer<'_> {
         self.bytes.get(self.pos + ahead).copied()
     }
 
-    /// Advances one byte, keeping the line counter current.
+    /// Advances one byte.
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek(0)?;
         self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-        }
         Some(b)
     }
 
-    fn push(&mut self, kind: TokenKind, text: String, line: u32) {
-        self.out.push(Token { kind, text, line });
+    fn push(&mut self, kind: TokenKind, text: String) {
+        self.out.push(Token { kind, text });
     }
 
     fn run(mut self) -> Vec<Token> {
         while let Some(b) = self.peek(0) {
-            let line = self.line;
             match b {
                 b' ' | b'\t' | b'\r' | b'\n' => {
                     self.bump();
                 }
-                b'/' if self.peek(1) == Some(b'/') => self.line_comment(line),
-                b'/' if self.peek(1) == Some(b'*') => self.block_comment(line),
-                b'r' | b'b' | b'c' if self.raw_or_byte_literal(line) => {}
-                b'"' => self.string_literal(line),
-                b'\'' => self.char_or_lifetime(line),
-                b'0'..=b'9' => self.number(line),
-                b'_' | b'a'..=b'z' | b'A'..=b'Z' => self.ident(line),
+                b'/' if self.peek(1) == Some(b'/') => self.line_comment(),
+                b'/' if self.peek(1) == Some(b'*') => self.block_comment(),
+                b'r' | b'b' | b'c' if self.raw_or_byte_literal() => {}
+                b'"' => self.string_literal(),
+                b'\'' => self.char_or_lifetime(),
+                b'0'..=b'9' => self.number(),
+                b'_' | b'a'..=b'z' | b'A'..=b'Z' => self.ident(),
                 _ if b < 0x80 => {
                     self.bump();
-                    self.push(TokenKind::Punct(b), String::new(), line);
+                    self.push(TokenKind::Punct(b), String::new());
                 }
                 _ => {
                     // Non-ASCII outside literals/comments: skip the byte.
                     self.bump();
-                    self.push(TokenKind::Error, String::new(), line);
+                    self.push(TokenKind::Error, String::new());
                 }
             }
         }
         self.out
     }
 
-    fn line_comment(&mut self, line: u32) {
-        let start = self.pos;
+    fn line_comment(&mut self) {
         while let Some(b) = self.peek(0) {
             if b == b'\n' {
                 break;
             }
             self.bump();
         }
-        let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.push(TokenKind::Comment, text, line);
+        self.push(TokenKind::Comment, String::new());
     }
 
-    fn block_comment(&mut self, line: u32) {
-        let start = self.pos;
+    fn block_comment(&mut self) {
         self.bump();
         self.bump(); // consume "/*"
         let mut depth = 1u32;
@@ -153,14 +142,13 @@ impl Lexer<'_> {
                 (None, _) => break, // unterminated: tolerate
             }
         }
-        let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.push(TokenKind::Comment, text, line);
+        self.push(TokenKind::Comment, String::new());
     }
 
     /// Handles `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `c"…"`, `b'x'` and raw
     /// identifiers (`r#type`). Returns `false` when the `r`/`b`/`c` at the
     /// cursor is just the start of a plain identifier.
-    fn raw_or_byte_literal(&mut self, line: u32) -> bool {
+    fn raw_or_byte_literal(&mut self) -> bool {
         let b0 = match self.peek(0) {
             Some(b) => b,
             None => return false,
@@ -168,7 +156,7 @@ impl Lexer<'_> {
         // Byte char literal: b'x'
         if b0 == b'b' && self.peek(1) == Some(b'\'') {
             self.bump();
-            self.char_body(line);
+            self.char_body();
             return true;
         }
         // Count an optional second prefix byte (br / rb do not both exist,
@@ -188,7 +176,7 @@ impl Lexer<'_> {
             if b0 == b'r' && hashes == 1 {
                 if let Some(c) = self.peek(2) {
                     if c == b'_' || c.is_ascii_alphabetic() {
-                        self.ident_raw(line);
+                        self.ident_raw();
                         return true;
                     }
                 }
@@ -202,14 +190,14 @@ impl Lexer<'_> {
             self.bump();
         }
         if raw {
-            self.raw_string_body(line, hashes);
+            self.raw_string_body(hashes);
         } else {
-            self.string_literal(line);
+            self.string_literal();
         }
         true
     }
 
-    fn ident_raw(&mut self, line: u32) {
+    fn ident_raw(&mut self) {
         let start = self.pos;
         self.bump(); // r
         self.bump(); // #
@@ -221,10 +209,10 @@ impl Lexer<'_> {
             }
         }
         let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.push(TokenKind::Ident, text, line);
+        self.push(TokenKind::Ident, text);
     }
 
-    fn raw_string_body(&mut self, line: u32, hashes: usize) {
+    fn raw_string_body(&mut self, hashes: usize) {
         self.bump(); // opening quote
         loop {
             match self.bump() {
@@ -240,15 +228,15 @@ impl Lexer<'_> {
                 }
                 Some(_) => {}
                 None => {
-                    self.push(TokenKind::Error, String::new(), line);
+                    self.push(TokenKind::Error, String::new());
                     return;
                 }
             }
         }
-        self.push(TokenKind::Literal, String::new(), line);
+        self.push(TokenKind::Literal, String::new());
     }
 
-    fn string_literal(&mut self, line: u32) {
+    fn string_literal(&mut self) {
         self.bump(); // opening quote
         loop {
             match self.bump() {
@@ -258,18 +246,18 @@ impl Lexer<'_> {
                 }
                 Some(_) => {}
                 None => {
-                    self.push(TokenKind::Error, String::new(), line);
+                    self.push(TokenKind::Error, String::new());
                     return;
                 }
             }
         }
-        self.push(TokenKind::Literal, String::new(), line);
+        self.push(TokenKind::Literal, String::new());
     }
 
     /// After a `'`: lifetime (`'a`), loop label (`'outer:`) or char literal
     /// (`'x'`, `'\n'`). A lifetime is an identifier not followed by a
     /// closing quote.
-    fn char_or_lifetime(&mut self, line: u32) {
+    fn char_or_lifetime(&mut self) {
         let next = self.peek(1);
         let is_ident_start = matches!(next, Some(b) if b == b'_' || b.is_ascii_alphabetic());
         if is_ident_start && self.peek(2) != Some(b'\'') {
@@ -283,13 +271,13 @@ impl Lexer<'_> {
                 }
             }
             let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-            self.push(TokenKind::Lifetime, text, line);
+            self.push(TokenKind::Lifetime, text);
         } else {
-            self.char_body(line);
+            self.char_body();
         }
     }
 
-    fn char_body(&mut self, line: u32) {
+    fn char_body(&mut self) {
         self.bump(); // opening quote
         loop {
             match self.bump() {
@@ -299,15 +287,15 @@ impl Lexer<'_> {
                 }
                 Some(_) => {}
                 None => {
-                    self.push(TokenKind::Error, String::new(), line);
+                    self.push(TokenKind::Error, String::new());
                     return;
                 }
             }
         }
-        self.push(TokenKind::Literal, String::new(), line);
+        self.push(TokenKind::Literal, String::new());
     }
 
-    fn number(&mut self, line: u32) {
+    fn number(&mut self) {
         // Digits, underscores, type suffixes and hex letters. `.` is left
         // to punctuation so `0..n` and `x.1` lex predictably; `1.5` becomes
         // three tokens, which is fine for every rule here.
@@ -318,10 +306,10 @@ impl Lexer<'_> {
                 break;
             }
         }
-        self.push(TokenKind::Literal, String::new(), line);
+        self.push(TokenKind::Literal, String::new());
     }
 
-    fn ident(&mut self, line: u32) {
+    fn ident(&mut self) {
         let start = self.pos;
         while let Some(b) = self.peek(0) {
             if b == b'_' || b.is_ascii_alphanumeric() {
@@ -331,7 +319,7 @@ impl Lexer<'_> {
             }
         }
         let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.push(TokenKind::Ident, text, line);
+        self.push(TokenKind::Ident, text);
     }
 }
 
@@ -388,13 +376,6 @@ mod tests {
     fn raw_identifier() {
         let toks = lex("let r#type = 1;");
         assert!(toks.iter().any(|t| t.is_ident("r#type")));
-    }
-
-    #[test]
-    fn line_numbers_advance() {
-        let toks = lex("a\nb\n\nc");
-        let lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
-        assert_eq!(lines, vec![1, 2, 4]);
     }
 
     #[test]

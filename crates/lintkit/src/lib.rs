@@ -12,9 +12,9 @@
 //! * the panic, print, index and hash-iteration lints are denied in every
 //!   library crate root, the cast and arithmetic lints in the strict
 //!   files;
-//! * `clippy.toml` bans the wall-clock reads, the hash containers'
-//!   iteration methods, and the locks, once-cells, atomics and
-//!   `thread_local!` that would let shards share mutable state;
+//! * `clippy.toml` bans the wall-clock reads, and the locks, once-cells,
+//!   atomics and `thread_local!` that would let shards share mutable
+//!   state;
 //! * `tests/engine_equivalence.rs` checks on random shard-model graphs that
 //!   the engine's output does not depend on the worker count;
 //! * `tests/alloc_free.rs` counts the heap allocations of the steady-state

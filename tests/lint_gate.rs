@@ -5,8 +5,8 @@
 //! * lintkit's vendor-manifest check, with zero findings;
 //! * the presence of the clippy policy in every crate root and in
 //!   `clippy.toml`. The lints themselves (no panics, no prints, no
-//!   indexing, no hash-order iteration, no wall-clock reads, no shared
-//!   mutable state, checked arithmetic) run under CI's
+//!   indexing, no `for` over a hash container, no wall-clock reads, no
+//!   shared mutable state, checked arithmetic) run under CI's
 //!   `cargo clippy --workspace --all-targets -- -D warnings`; this gate
 //!   only proves that no crate has opted out of them, and that the
 //!   sanctioned exemptions stay where they are.
@@ -46,14 +46,6 @@ const LOCK_EXEMPT_FILES: [&str; 4] = [
     "crates/relay/src/masque.rs",
     "crates/simnet/src/channel.rs",
     "vendor/parking_lot/src/lib.rs",
-];
-
-/// The files allowed to name `clippy::disallowed_methods`: reductions over a
-/// hash container whose result does not depend on the iteration order.
-const HASH_ORDER_EXEMPT_FILES: [&str; 3] = [
-    "crates/bgp/src/aspop.rs",
-    "crates/dns/src/zone.rs",
-    "vendor/serde/src/lib.rs",
 ];
 
 /// The one crate root allowed a crate-level `#![expect]` of
@@ -208,29 +200,21 @@ fn clippy_toml_bans_wall_clock_reads() {
             "clippy.toml's disallowed-methods no longer lists {method}"
         );
     }
-    // Nothing opts out of the wall-clock ban. The only files, binaries and
-    // vendored crates included, that name the lint enforcing it are the
-    // hash-order reductions, and none of them names a wall-clock type.
+    // Nothing opts out of the ban: no source file, binaries and vendored
+    // crates included, names the lint that enforces it.
     let naming = files_naming(
         &root,
         &["crates", "src", "examples", "vendor"],
         "clippy::disallowed_methods",
     );
-    assert_eq!(
-        naming, HASH_ORDER_EXEMPT_FILES,
-        "only the hash-order reductions may name clippy::disallowed_methods"
+    assert!(
+        naming.is_empty(),
+        "{naming:?} name clippy::disallowed_methods; the wall-clock ban has no exemption"
     );
-    for file in naming {
-        let text = read(&root.join(&file));
-        assert!(
-            !text.contains("SystemTime") && !text.contains("Instant"),
-            "{file} names a wall-clock type next to a disallowed_methods exemption"
-        );
-    }
 }
 
 #[test]
-fn clippy_toml_bans_shared_state_and_hash_iteration() {
+fn clippy_toml_bans_shared_state() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let text = read(&root.join("clippy.toml"));
     let types = clippy_list(&text, "disallowed-types");
@@ -257,27 +241,6 @@ fn clippy_toml_bans_shared_state_and_hash_iteration() {
         clippy_list(&text, "disallowed-macros").contains("path = \"std::thread_local\""),
         "clippy.toml's disallowed-macros no longer lists std::thread_local"
     );
-    let methods = clippy_list(&text, "disallowed-methods");
-    let hash_methods = [
-        ("HashMap", "iter"),
-        ("HashMap", "iter_mut"),
-        ("HashMap", "keys"),
-        ("HashMap", "values"),
-        ("HashMap", "values_mut"),
-        ("HashMap", "into_keys"),
-        ("HashMap", "into_values"),
-        ("HashMap", "drain"),
-        ("HashSet", "iter"),
-        ("HashSet", "drain"),
-    ];
-    for (container, method) in hash_methods {
-        assert!(
-            methods.contains(&format!(
-                "path = \"std::collections::{container}::{method}\""
-            )),
-            "clippy.toml's disallowed-methods no longer lists {container}::{method}"
-        );
-    }
 }
 
 #[test]

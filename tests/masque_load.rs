@@ -12,12 +12,27 @@
 //!
 //! The client device draws from the same cell pools, so the 48 h relay
 //! series reproduces findings 2 and 3 too.
+//!
+//! A lossy channel that counts its calls per shard pins the channel
+//! contract: both drivers call a `DatagramChannel` for the same shard in
+//! the same order.
 
-use tectonic::core::masque_load::{run_engine, run_serial, PerfectChannel, StormConfig};
+#![expect(
+    clippy::disallowed_types,
+    reason = "the lossy test channel counts its calls per shard behind `&self`, as a \
+              `DatagramChannel` must; the lock is the fixture, no simulation state"
+)]
+
+use std::net::IpAddr;
+use std::sync::Mutex;
+
+use tectonic::core::masque_load::{
+    run_engine, run_serial, DatagramChannel, PerfectChannel, StormConfig,
+};
 use tectonic::core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic::core::rotation::RotationReport;
 use tectonic::geo::country::CountryCode;
-use tectonic::net::{Asn, Epoch};
+use tectonic::net::{Asn, Epoch, SimTime};
 use tectonic::relay::session::CELL_POOL_SIZE;
 use tectonic::relay::{Deployment, DeploymentConfig, DnsMode};
 
@@ -54,6 +69,62 @@ fn two_thousand_concurrent_sessions_run_deterministically() {
     assert_eq!(serial.datagrams_sent, serial.datagrams_delivered);
     assert_eq!(serial.replies_received, serial.datagrams_delivered);
     assert_eq!(serial.session_drops + serial.strays, 0);
+}
+
+/// Drops every third call on a shard and corrupts every seventh of the
+/// rest, counting calls per shard: a driver that calls the channel for
+/// another shard, or in another order, changes the report.
+struct Lossy {
+    calls: Mutex<Vec<u64>>,
+}
+
+impl Lossy {
+    fn new(shards: usize) -> Lossy {
+        Lossy {
+            calls: Mutex::new(vec![0; shards]),
+        }
+    }
+}
+
+impl DatagramChannel for Lossy {
+    fn transfer(&self, shard: usize, _src: IpAddr, _now: SimTime, wire: &[u8]) -> Option<Vec<u8>> {
+        let mut calls = self.calls.lock().expect("call counts");
+        let n = calls.get_mut(shard).expect("a configured shard");
+        *n += 1;
+        if n.is_multiple_of(3) {
+            return None;
+        }
+        let mut wire = wire.to_vec();
+        if n.is_multiple_of(7) {
+            if let Some(b) = wire.get_mut(1) {
+                *b ^= 0xFF;
+            }
+        }
+        Some(wire)
+    }
+}
+
+/// Both drivers see the same channel faults, and the storm's counters
+/// reconcile: sent = forwarded + channel drops, forwarded = delivered +
+/// session drops.
+#[test]
+fn lossy_channel_accounting_reconciles() {
+    let d = deployment(21);
+    let cfg = StormConfig::sized(32, 2, 11);
+    let serial = run_serial(&d, &cfg, &Lossy::new(cfg.shards));
+    let engine = run_engine(&d, &cfg, &Lossy::new(cfg.shards), 4);
+    assert_eq!(
+        serde_json::to_string(&serial).expect("serialise serial report"),
+        serde_json::to_string(&engine).expect("serialise engine report"),
+        "the engine called the lossy channel in another shard order"
+    );
+    assert!(serial.datagrams_forwarded < serial.datagrams_sent);
+    assert!(serial.session_drops > 0);
+    assert_eq!(
+        serial.datagrams_forwarded,
+        serial.datagrams_delivered + serial.session_drops
+    );
+    assert_eq!(serial.replies_received, serial.datagrams_delivered);
 }
 
 /// The three §4 findings, pinned across three independent seeds.

@@ -1,13 +1,15 @@
 //! Insertion-order invariance of the golden pipeline.
 //!
 //! `std::collections::HashMap` iterates in a per-instance random order, so
-//! the `map-iter-order` lint insists every artifact-facing path passes a
-//! sorting boundary. These property tests prove the complement dynamically:
-//! reloading the deployment's load-bearing tables — the RIB, the egress
-//! list, and static DNS zones — from a *shuffled* input order leaves every
-//! rendered golden artifact (Tables 1–4, the §6 correlation audit, zone
-//! answers) byte-identical. Shuffles are driven by `SimRng` from a
-//! proptest-chosen seed, so failures minimise and replay deterministically.
+//! no output may depend on it. Statically, every library crate root denies
+//! `clippy::iter_over_hash_type` (a `for` over a hash container); these
+//! property tests check the same property dynamically, through paths that
+//! lint cannot see too (`.keys()`, `.values()`): reloading the
+//! deployment's load-bearing tables — the RIB, the egress list, and static
+//! DNS zones — from a *shuffled* input order leaves every rendered golden
+//! artifact (Tables 1–4, the §6 correlation audit, zone answers)
+//! byte-identical. Shuffles are driven by `SimRng` from a proptest-chosen
+//! seed, so failures minimise and replay deterministically.
 
 use std::net::{IpAddr, Ipv4Addr};
 
