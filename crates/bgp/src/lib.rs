@@ -43,5 +43,5 @@ pub mod topology;
 
 pub use aspop::AsPopulation;
 pub use history::{Month, VisibilityHistory};
-pub use rib::{Rib, RouteEntry};
+pub use rib::{NetBatchScratch, Rib, RouteEntry};
 pub use topology::AsTopology;

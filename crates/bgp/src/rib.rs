@@ -6,6 +6,15 @@ use std::net::IpAddr;
 use serde::{Deserialize, Serialize};
 use tectonic_net::{Asn, BatchScratch, FrozenLpm, IpNet, PrefixTable};
 
+/// Reusable buffers for [`Rib::lookup_net_batch_in`]: the batch walk's
+/// scratch and the nets' network addresses. A caller that keeps one across
+/// calls pays no allocation once both have grown to the burst size.
+#[derive(Debug, Default)]
+pub struct NetBatchScratch {
+    walk: BatchScratch,
+    addrs: Vec<IpAddr>,
+}
+
 /// One announced route.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct RouteEntry {
@@ -165,6 +174,33 @@ impl Rib {
         self.routes
             .lookup_net(net)
             .map(|(covering, entry)| (covering, entry.origin))
+    }
+
+    /// [`lookup_net`](Rib::lookup_net) for a burst of nets; `out` is
+    /// cleared and receives exactly `nets.iter().map(|n| lookup_net(n))`.
+    ///
+    /// One [`lookup_batch_in`](Rib::lookup_batch_in) walk resolves the
+    /// nets' network addresses. A match no longer than its net contains
+    /// the net's first address, so it covers the whole net, and no
+    /// covering prefix can be more specific: it is the answer. Only a
+    /// match longer than its net (a more specific route inside it) falls
+    /// back to `lookup_net`. Allocation-free once `scratch` and `out` have
+    /// grown to the burst size.
+    pub fn lookup_net_batch_in(
+        &self,
+        scratch: &mut NetBatchScratch,
+        nets: &[IpNet],
+        out: &mut Vec<Option<(IpNet, Asn)>>,
+    ) {
+        let NetBatchScratch { walk, addrs } = scratch;
+        addrs.clear();
+        addrs.extend(nets.iter().map(IpNet::network));
+        self.lookup_batch_in(walk, addrs, out);
+        for (slot, net) in out.iter_mut().zip(nets) {
+            if matches!(slot, Some((m, _)) if m.len() > net.len()) {
+                *slot = self.lookup_net(net);
+            }
+        }
     }
 
     /// Whether `addr` falls in any announced prefix — the scanner's

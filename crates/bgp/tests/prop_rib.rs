@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
-use tectonic_bgp::Rib;
+use tectonic_bgp::{NetBatchScratch, Rib};
 use tectonic_net::{Asn, BatchScratch, IpNet, Ipv4Net, Ipv6Net};
 
 fn arb_route() -> impl Strategy<Value = (IpNet, Asn)> {
@@ -192,11 +192,16 @@ fn check_reads(
         prop_assert_eq!(rib.lookup(*addr), want);
         prop_assert_eq!(*batched, want);
     }
-    for net in pool {
-        prop_assert_eq!(
-            rib.lookup_net(net),
-            linear_match(oracle, |n| n.contains_net(net))
-        );
+    // The batched covering-prefix lookup keeps a walk match no longer than
+    // its net and falls back to `lookup_net` on a longer one; the nested
+    // pool reaches both branches.
+    let mut covering = Vec::new();
+    rib.lookup_net_batch_in(&mut NetBatchScratch::default(), pool, &mut covering);
+    prop_assert_eq!(covering.len(), pool.len());
+    for (net, batched) in pool.iter().zip(&covering) {
+        let want = linear_match(oracle, |n| n.contains_net(net));
+        prop_assert_eq!(rib.lookup_net(net), want);
+        prop_assert_eq!(*batched, want);
         prop_assert_eq!(rib.origin_of(net), oracle.get(net).copied());
     }
     Ok(())

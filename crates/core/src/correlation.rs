@@ -20,6 +20,8 @@ use tectonic_bgp::Month;
 use tectonic_net::{Asn, Epoch, IpNet};
 use tectonic_relay::{Deployment, Domain};
 
+use crate::egress_analysis::EgressAnalysis;
+
 /// The §6 audit result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CorrelationReport {
@@ -72,28 +74,23 @@ impl CorrelationReport {
                     .map(|a| IpAddr::V6(*a)),
             );
         }
-        let mut with_ingress: BTreeSet<String> = BTreeSet::new();
+        let mut with_ingress: BTreeSet<IpNet> = BTreeSet::new();
         for addr in &ingress_addrs {
             if let Some((prefix, asn)) = deployment.rib.lookup(*addr) {
                 if asn == Asn::AKAMAI_PR {
-                    with_ingress.insert(prefix.to_string());
+                    with_ingress.insert(prefix);
                 }
             }
         }
 
         // Egress prefixes of Akamai PR: the subnets' covering
-        // announcements.
-        let mut with_egress: BTreeSet<String> = BTreeSet::new();
-        for entry in deployment.egress_list.entries() {
-            if let Some((prefix, asn)) = deployment.rib.lookup_net(&entry.subnet) {
-                if asn == Asn::AKAMAI_PR {
-                    with_egress.insert(prefix.to_string());
-                }
-            }
-        }
+        // announcements, from the attribution behind Table 3.
+        let egress = EgressAnalysis::new(&deployment.egress_list, &deployment.rib);
+        let with_egress: BTreeSet<IpNet> =
+            egress.covering_prefixes(Asn::AKAMAI_PR).copied().collect();
 
-        let used: BTreeSet<&String> = with_ingress.union(&with_egress).collect();
-        let used_share = used.len() as f64 / announced.len().max(1) as f64;
+        let used = with_ingress.union(&with_egress).count();
+        let used_share = used as f64 / announced.len().max(1) as f64;
         let ingress_egress_share_prefix = with_ingress.intersection(&with_egress).next().is_some();
 
         // Last-hop sharing: sample ingress × egress v4 pairs.
@@ -102,18 +99,9 @@ impl CorrelationReport {
             .filter(|a| a.is_ipv4())
             .copied()
             .collect();
-        let egress_v4: Vec<IpAddr> = deployment
-            .egress_list
-            .entries()
-            .iter()
+        let egress_v4: Vec<IpAddr> = egress
+            .entries_of(Asn::AKAMAI_PR)
             .filter(|e| e.subnet.is_v4())
-            .filter(|e| {
-                deployment
-                    .rib
-                    .lookup_net(&e.subnet)
-                    .map(|(_, asn)| asn == Asn::AKAMAI_PR)
-                    .unwrap_or(false)
-            })
             .map(|e| e.subnet.network())
             .collect();
         let mut pairs = 0usize;

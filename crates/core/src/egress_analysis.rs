@@ -3,12 +3,12 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
-use tectonic_bgp::Rib;
+use tectonic_bgp::{NetBatchScratch, Rib};
 use tectonic_net::{Asn, IpNet};
 
 use tectonic_geo::city::CityUniverse;
 use tectonic_geo::country::CountryCode;
-use tectonic_geo::egress::EgressList;
+use tectonic_geo::egress::{EgressEntry, EgressList};
 use tectonic_geo::mmdb::GeoDb;
 
 /// One Table 3 row (per egress operator).
@@ -80,32 +80,116 @@ pub struct CdfSeries {
     pub cumulative: Vec<f64>,
 }
 
+/// The four egress operators in the paper's row order; an operator's index
+/// here picks its tallies.
+const OPERATORS: [Asn; 4] = Asn::EGRESS_OPERATORS;
+
+/// Subnets attributed per batched RIB walk: enough to amortise the walk,
+/// few enough that its lanes stay in cache.
+const BURST: usize = 4096;
+
+/// A set of two-letter country codes, one bit per code (26 × 26).
+#[derive(Debug, Default)]
+struct CountrySet([u64; 11]);
+
+impl CountrySet {
+    fn insert(&mut self, cc: CountryCode) {
+        let [a, b] = cc.as_str().as_bytes() else {
+            return;
+        };
+        let bit = usize::from(a.saturating_sub(b'A')) * 26 + usize::from(b.saturating_sub(b'A'));
+        if let Some(word) = self.0.get_mut(bit / 64) {
+            *word |= 1 << (bit % 64);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// One operator's Table 3 tallies.
+#[derive(Debug, Default)]
+struct Tally {
+    v4_subnets: usize,
+    v4_addresses: u64,
+    v6_subnets: usize,
+    /// Distinct covering BGP prefixes of the operator's subnets, IPv4
+    /// before IPv6 (`IpNet`'s order).
+    prefixes: BTreeSet<IpNet>,
+    countries: CountrySet,
+}
+
 /// The combined egress analysis over one list snapshot.
 #[derive(Debug)]
 pub struct EgressAnalysis<'a> {
     list: &'a EgressList,
-    /// Subnet → (covering BGP prefix, operator) attribution via the RIB.
-    /// Computed once up front so no analysis method has to re-query the
-    /// routing table — `table3` in particular reuses the stored prefix.
+    /// Subnet → (covering BGP prefix, operator) attribution via the RIB,
+    /// computed once up front so no analysis method re-queries the table.
     attribution: Vec<Option<(IpNet, Asn)>>,
+    /// Per operator, in [`OPERATORS`] order: Table 3's counts and the
+    /// covering prefixes the §6 census reads.
+    tallies: [Tally; 4],
 }
 
 impl<'a> EgressAnalysis<'a> {
-    /// Prepares the analysis (attributes every subnet once).
+    /// Prepares the analysis: attributes every subnet through batched RIB
+    /// walks, then tallies Table 3 in one pass over the attribution.
     pub fn new(list: &'a EgressList, rib: &Rib) -> EgressAnalysis<'a> {
-        let attribution = list
+        let mut attribution = Vec::with_capacity(list.len());
+        let mut scratch = NetBatchScratch::default();
+        let (mut nets, mut burst) = (Vec::new(), Vec::new());
+        for rows in list.entries().chunks(BURST) {
+            nets.clear();
+            nets.extend(rows.iter().map(|e| e.subnet));
+            rib.lookup_net_batch_in(&mut scratch, &nets, &mut burst);
+            attribution.extend_from_slice(&burst);
+        }
+        let mut analysis = EgressAnalysis {
+            list,
+            attribution,
+            tallies: Default::default(),
+        };
+        analysis.tallies = analysis.tally();
+        analysis
+    }
+
+    /// Table 3's per-operator tallies, in one pass over the attribution.
+    fn tally(&self) -> [Tally; 4] {
+        let mut tallies: [Tally; 4] = Default::default();
+        for (e, prefix, op) in self.by_operator() {
+            let Some(t) = tallies.get_mut(op) else {
+                continue;
+            };
+            t.countries.insert(e.cc);
+            match &e.subnet {
+                IpNet::V4(n) => {
+                    t.v4_subnets += 1;
+                    t.v4_addresses += n.addr_count();
+                }
+                IpNet::V6(_) => t.v6_subnets += 1,
+            }
+            t.prefixes.insert(prefix);
+        }
+        tallies
+    }
+
+    /// The rows attributed to one of the four operators, each with its
+    /// covering prefix and the operator's index in [`OPERATORS`].
+    fn by_operator(&self) -> impl Iterator<Item = (&'a EgressEntry, IpNet, usize)> + '_ {
+        self.list
             .entries()
             .iter()
-            .map(|e| rib.lookup_net(&e.subnet))
-            .collect();
-        EgressAnalysis { list, attribution }
+            .zip(&self.attribution)
+            .filter_map(|(e, attr)| {
+                let (prefix, asn) = (*attr)?;
+                let op = OPERATORS.iter().position(|o| *o == asn)?;
+                Some((e, prefix, op))
+            })
     }
 
-    fn operators(&self) -> [Asn; 4] {
-        [Asn::AKAMAI_PR, Asn::AKAMAI_EG, Asn::CLOUDFLARE, Asn::FASTLY]
-    }
-
-    fn entries_of(&self, asn: Asn) -> impl Iterator<Item = &tectonic_geo::egress::EgressEntry> {
+    /// The rows attributed to `asn`, in list order.
+    pub fn entries_of(&self, asn: Asn) -> impl Iterator<Item = &'a EgressEntry> + '_ {
         self.list
             .entries()
             .iter()
@@ -114,77 +198,61 @@ impl<'a> EgressAnalysis<'a> {
             .map(|(e, _)| e)
     }
 
-    /// Builds Table 3.
-    pub fn table3(&self) -> Table3 {
-        let rows = self
-            .operators()
+    /// The distinct BGP prefixes covering `asn`'s subnets: IPv4 first, each
+    /// family ascending. Empty unless `asn` is one of the four egress
+    /// operators. Table 3's prefix columns count these; the §6 census reads
+    /// AkamaiPR's.
+    pub fn covering_prefixes(&self, asn: Asn) -> impl Iterator<Item = &IpNet> {
+        OPERATORS
             .iter()
-            .map(|asn| {
-                let mut v4_subnets = 0usize;
-                let mut v4_addresses = 0u64;
-                let mut v6_subnets = 0usize;
-                let mut v4_prefixes: BTreeSet<String> = BTreeSet::new();
-                let mut v6_prefixes: BTreeSet<String> = BTreeSet::new();
-                let mut countries: BTreeSet<CountryCode> = BTreeSet::new();
-                for (e, attr) in self.list.entries().iter().zip(&self.attribution) {
-                    let Some((prefix, origin)) = attr else {
-                        continue;
-                    };
-                    if origin != asn {
-                        continue;
-                    }
-                    countries.insert(e.cc);
-                    match &e.subnet {
-                        IpNet::V4(n) => {
-                            v4_subnets += 1;
-                            v4_addresses += n.addr_count();
-                            v4_prefixes.insert(prefix.to_string());
-                        }
-                        IpNet::V6(_) => {
-                            v6_subnets += 1;
-                            v6_prefixes.insert(prefix.to_string());
-                        }
-                    }
-                }
+            .position(|o| *o == asn)
+            .and_then(|op| self.tallies.get(op))
+            .into_iter()
+            .flat_map(|t| &t.prefixes)
+    }
+
+    /// Builds Table 3 from the tallies taken by [`new`](Self::new).
+    pub fn table3(&self) -> Table3 {
+        let rows = OPERATORS
+            .iter()
+            .zip(&self.tallies)
+            .map(|(asn, t)| {
+                let v4_bgp_prefixes = t.prefixes.iter().filter(|p| p.is_v4()).count();
                 Table3Row {
                     asn: *asn,
-                    v4_subnets,
-                    v4_bgp_prefixes: v4_prefixes.len(),
-                    v4_addresses,
-                    v6_subnets,
-                    v6_bgp_prefixes: v6_prefixes.len(),
-                    countries: countries.len(),
+                    v4_subnets: t.v4_subnets,
+                    v4_bgp_prefixes,
+                    v4_addresses: t.v4_addresses,
+                    v6_subnets: t.v6_subnets,
+                    v6_bgp_prefixes: t.prefixes.len() - v4_bgp_prefixes,
+                    countries: t.countries.len(),
                 }
             })
             .collect();
         Table3 { rows }
     }
 
-    /// Builds Table 4.
+    /// Builds Table 4 in one pass over the attributed rows.
     pub fn table4(&self) -> Table4 {
-        let rows = self
-            .operators()
+        let mut cities: [[BTreeSet<&str>; 2]; 4] = Default::default();
+        for (e, _, op) in self.by_operator() {
+            let (Some(city), Some([v4, v6])) = (e.city.as_deref(), cities.get_mut(op)) else {
+                continue;
+            };
+            if e.subnet.is_v4() {
+                v4.insert(city);
+            } else {
+                v6.insert(city);
+            }
+        }
+        let rows = OPERATORS
             .iter()
-            .map(|asn| {
-                let mut all: BTreeSet<&str> = BTreeSet::new();
-                let mut v4: BTreeSet<&str> = BTreeSet::new();
-                let mut v6: BTreeSet<&str> = BTreeSet::new();
-                for e in self.entries_of(*asn) {
-                    if let Some(city) = e.city.as_deref() {
-                        all.insert(city);
-                        if e.subnet.is_v4() {
-                            v4.insert(city);
-                        } else {
-                            v6.insert(city);
-                        }
-                    }
-                }
-                Table4Row {
-                    asn: *asn,
-                    cities: all.len(),
-                    cities_v4: v4.len(),
-                    cities_v6: v6.len(),
-                }
+            .zip(&cities)
+            .map(|(asn, [v4, v6])| Table4Row {
+                asn: *asn,
+                cities: v4.union(v6).count(),
+                cities_v4: v4.len(),
+                cities_v6: v6.len(),
             })
             .collect();
         Table4 { rows }
@@ -271,21 +339,27 @@ impl<'a> EgressAnalysis<'a> {
     /// Figure 4 CDFs: cumulative subnet share over entities (cities or
     /// countries) sorted by descending subnet count, per operator.
     pub fn cdf(&self, by_city: bool, v4: bool) -> Vec<CdfSeries> {
-        self.operators()
-            .iter()
-            .map(|asn| {
-                let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-                for e in self.entries_of(*asn).filter(|e| e.subnet.is_v4() == v4) {
-                    let key = if by_city {
-                        match e.city.as_deref() {
-                            Some(c) => c.to_string(),
-                            None => continue,
-                        }
-                    } else {
-                        e.cc.to_string()
-                    };
-                    *counts.entry(key).or_insert(0) += 1;
+        let mut counts: [BTreeMap<&str, usize>; 4] = Default::default();
+        for (e, _, op) in self.by_operator() {
+            if e.subnet.is_v4() != v4 {
+                continue;
+            }
+            let key = if by_city {
+                match e.city.as_deref() {
+                    Some(c) => c,
+                    None => continue,
                 }
+            } else {
+                e.cc.as_str()
+            };
+            if let Some(counts) = counts.get_mut(op) {
+                *counts.entry(key).or_insert(0) += 1;
+            }
+        }
+        OPERATORS
+            .iter()
+            .zip(counts)
+            .map(|(asn, counts)| {
                 let mut sorted: Vec<usize> = counts.into_values().collect();
                 sorted.sort_unstable_by(|a, b| b.cmp(a));
                 let total: usize = sorted.iter().sum();
@@ -343,6 +417,137 @@ mod tests {
 
     fn deployment() -> Deployment {
         Deployment::build(55, DeploymentConfig::scaled(16))
+    }
+
+    /// Table 3 as computed before the one-pass tally: a `lookup_net` per
+    /// row, then one scan of the list per operator into `String`-keyed
+    /// prefix sets. The oracle for [`EgressAnalysis::table3`].
+    fn oracle_table3(list: &EgressList, rib: &Rib) -> Table3 {
+        let attribution: Vec<_> = list
+            .entries()
+            .iter()
+            .map(|e| rib.lookup_net(&e.subnet))
+            .collect();
+        let rows = OPERATORS
+            .iter()
+            .map(|asn| {
+                let mut v4_subnets = 0usize;
+                let mut v4_addresses = 0u64;
+                let mut v6_subnets = 0usize;
+                let mut v4_prefixes: BTreeSet<String> = BTreeSet::new();
+                let mut v6_prefixes: BTreeSet<String> = BTreeSet::new();
+                let mut countries: BTreeSet<CountryCode> = BTreeSet::new();
+                for (e, attr) in list.entries().iter().zip(&attribution) {
+                    let Some((prefix, origin)) = attr else {
+                        continue;
+                    };
+                    if origin != asn {
+                        continue;
+                    }
+                    countries.insert(e.cc);
+                    match &e.subnet {
+                        IpNet::V4(n) => {
+                            v4_subnets += 1;
+                            v4_addresses += n.addr_count();
+                            v4_prefixes.insert(prefix.to_string());
+                        }
+                        IpNet::V6(_) => {
+                            v6_subnets += 1;
+                            v6_prefixes.insert(prefix.to_string());
+                        }
+                    }
+                }
+                Table3Row {
+                    asn: *asn,
+                    v4_subnets,
+                    v4_bgp_prefixes: v4_prefixes.len(),
+                    v4_addresses,
+                    v6_subnets,
+                    v6_bgp_prefixes: v6_prefixes.len(),
+                    countries: countries.len(),
+                }
+            })
+            .collect();
+        Table3 { rows }
+    }
+
+    /// Table 4 as computed before the one-pass walk: a `lookup_net` per
+    /// row, then one scan of the list per operator. The oracle for
+    /// [`EgressAnalysis::table4`].
+    fn oracle_table4(list: &EgressList, rib: &Rib) -> Table4 {
+        let rows = OPERATORS
+            .iter()
+            .map(|asn| {
+                let mut all: BTreeSet<&str> = BTreeSet::new();
+                let mut v4: BTreeSet<&str> = BTreeSet::new();
+                let mut v6: BTreeSet<&str> = BTreeSet::new();
+                let attributed = list
+                    .entries()
+                    .iter()
+                    .filter(|e| matches!(rib.lookup_net(&e.subnet), Some((_, o)) if o == *asn));
+                for e in attributed {
+                    if let Some(city) = e.city.as_deref() {
+                        all.insert(city);
+                        if e.subnet.is_v4() {
+                            v4.insert(city);
+                        } else {
+                            v6.insert(city);
+                        }
+                    }
+                }
+                Table4Row {
+                    asn: *asn,
+                    cities: all.len(),
+                    cities_v4: v4.len(),
+                    cities_v6: v6.len(),
+                }
+            })
+            .collect();
+        Table4 { rows }
+    }
+
+    #[test]
+    fn one_pass_tables_match_the_per_operator_oracle() {
+        // The paper-scale egress list and RIB; the client world, which
+        // neither table reads, scaled down.
+        let mut config = DeploymentConfig::paper();
+        config.client_world = config.client_world.scaled_down(128);
+        let mut d = Deployment::build(55, config);
+        assert_eq!(d.egress_list.len(), 240_079, "the full paper-scale list");
+        assert!(d.rib.is_frozen());
+        let check = |d: &Deployment, state: &str| {
+            let analysis = EgressAnalysis::new(&d.egress_list, &d.rib);
+            let t3 = analysis.table3();
+            assert_eq!(
+                t3,
+                oracle_table3(&d.egress_list, &d.rib),
+                "Table 3, {state}"
+            );
+            assert_eq!(
+                analysis.table4(),
+                oracle_table4(&d.egress_list, &d.rib),
+                "Table 4, {state}"
+            );
+            t3
+        };
+        let frozen = check(&d, "frozen");
+        // Mid-flap: withdrawing every 2nd egress-origin prefix from the
+        // frozen table leaves tombstones pending in the overlay.
+        let flap: Vec<(IpNet, Asn)> = d
+            .rib
+            .iter()
+            .filter(|(_, origin)| OPERATORS.contains(origin))
+            .step_by(2)
+            .collect();
+        for (net, _) in &flap {
+            d.rib.withdraw(net);
+        }
+        assert!(d.rib.pending_patches() > 0, "the flap must leave patches");
+        assert_ne!(check(&d, "mid-flap"), frozen);
+        for (net, origin) in &flap {
+            d.rib.announce(*net, *origin);
+        }
+        assert_eq!(check(&d, "restored"), frozen);
     }
 
     #[test]

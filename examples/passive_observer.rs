@@ -75,7 +75,9 @@ fn main() {
         );
     }
 
-    // Step 3: the destination server's IDS view of the same user.
+    // Step 3: the destination server's IDS view of the same user. It passes
+    // step 2's start, interval, agent and connection ids 1–200: the same
+    // 200 requests with the same egress draws, seen server-side.
     let ids = ids_fragmentation(
         &device,
         &auth,

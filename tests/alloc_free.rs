@@ -10,7 +10,8 @@
 //! * the scan's query template patch;
 //! * the scan's reply path: `ReplyView::parse`, `answers_v4` and the
 //!   batched RIB attribution;
-//! * the prefix table's reads on a frozen table under overlay patches;
+//! * the prefix table's reads on a frozen table under overlay patches, and
+//!   the RIB's batched covering-prefix lookup on one;
 //! * the wire encoder, reused;
 //! * the engine's window drain.
 //!
@@ -29,6 +30,7 @@ use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr};
 
 use bytes::BytesMut;
+use tectonic::bgp::{NetBatchScratch, Rib};
 use tectonic::core::ecs_scan::EcsScanner;
 use tectonic::dns::name::mask_domain;
 use tectonic::dns::wire::MessageEncoder;
@@ -37,7 +39,7 @@ use tectonic::dns::{
 };
 use tectonic::engine::{Engine, EngineConfig, ShardCtx, ShardModel};
 use tectonic::net::{
-    BatchScratch, IpNet, Ipv4Net, PrefixTable, SimClock, SimDuration, SimRng, SimTime,
+    Asn, BatchScratch, IpNet, Ipv4Net, PrefixTable, SimClock, SimDuration, SimRng, SimTime,
 };
 use tectonic::relay::{Deployment, DeploymentConfig};
 
@@ -207,6 +209,41 @@ fn prefix_table_reads_are_allocation_free() {
     let (allocs, ()) = allocations(read_all);
     assert!(hits > 0);
     assert_eq!(allocs, 0, "{} lookups of each kind", addrs.len());
+}
+
+#[test]
+fn rib_covering_prefix_batch_is_allocation_free() {
+    let mut rng = SimRng::new(62);
+    let mut random_net = |lens: std::ops::Range<u64>| {
+        let len = (lens.start + rng.below(lens.end - lens.start)) as u8;
+        let addr = Ipv4Addr::from(rng.next_u64_raw() as u32);
+        IpNet::from(Ipv4Net::new(addr, len).expect("length at most 32"))
+    };
+    let mut rib = Rib::new();
+    while rib.len() < 60_000 {
+        rib.announce(random_net(8..25), Asn(64_512));
+    }
+    rib.freeze();
+    for _ in 0..3_499 {
+        rib.announce(random_net(8..25), Asn(64_513));
+    }
+    assert!(rib.pending_patches() > 0, "reads must cross the overlay");
+    // /8–/32 nets: the shorter ones often contain a more specific route,
+    // so the batch takes both its walk branch and its `lookup_net` one.
+    let nets: Vec<IpNet> = (0..4_096).map(|_| random_net(8..33)).collect();
+    let mut scratch = NetBatchScratch::default();
+    let mut out = Vec::new();
+    let mut hits = 0usize;
+    let mut read_all = || {
+        for burst in nets.chunks(512) {
+            rib.lookup_net_batch_in(&mut scratch, burst, &mut out);
+            hits += out.iter().flatten().count();
+        }
+    };
+    read_all();
+    let (allocs, ()) = allocations(read_all);
+    assert!(hits > 0);
+    assert_eq!(allocs, 0, "{} nets", nets.len());
 }
 
 #[test]
