@@ -175,30 +175,24 @@ mod tests {
     use std::sync::Arc;
     use tectonic_dns::resolver::ResolverPolicy;
     use tectonic_dns::server::AuthoritativeServer;
-    use tectonic_dns::zone::{EcsAnswer, EcsAnswerer, QueryInfo};
-    use tectonic_dns::{Question, RData, Zone};
+    use tectonic_dns::zone::{AnswerSink, EcsAnswerer, QueryInfo};
+    use tectonic_dns::{QuestionRef, RData, Zone};
 
     struct FixedAddr;
 
     impl EcsAnswerer for FixedAddr {
         fn answer(
             &self,
-            question: &Question,
+            question: &QuestionRef<'_>,
             _ecs: Option<&tectonic_dns::EcsOption>,
             _info: &QueryInfo,
-        ) -> Option<EcsAnswer> {
+            answers: &mut dyn AnswerSink,
+        ) -> Option<u8> {
             if question.qtype == QType::A {
-                Some(EcsAnswer {
-                    rdatas: vec![RData::A(Ipv4Addr::new(17, 9, 9, 9))],
-                    ttl: 60,
-                    scope_len: 24,
-                })
+                answers.push(60, &RData::A(Ipv4Addr::new(17, 9, 9, 9)));
+                Some(24)
             } else {
-                Some(EcsAnswer {
-                    rdatas: vec![],
-                    ttl: 60,
-                    scope_len: 0,
-                })
+                Some(0)
             }
         }
     }

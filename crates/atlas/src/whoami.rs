@@ -11,14 +11,14 @@ use std::sync::Arc;
 
 use tectonic_dns::name::whoami_domain;
 use tectonic_dns::server::AuthoritativeServer;
-use tectonic_dns::zone::{EcsAnswer, EcsAnswerer, QueryInfo};
-use tectonic_dns::{DomainName, QType, Question, RData, Zone};
+use tectonic_dns::zone::{AnswerSink, EcsAnswerer, QueryInfo};
+use tectonic_dns::{DomainName, QType, QuestionRef, RData, Zone};
 
 /// The dynamic answerer echoing the query source.
 #[derive(Debug)]
 pub struct WhoamiZone {
-    /// The name answered, built once: [`DomainName`] equality is
-    /// ASCII-case-insensitive, so queries compare without lower-casing.
+    /// The name answered, built once: a query's name compares with it
+    /// ASCII-case-insensitively, without lower-casing.
     name: DomainName,
 }
 
@@ -33,24 +33,22 @@ impl Default for WhoamiZone {
 impl EcsAnswerer for WhoamiZone {
     fn answer(
         &self,
-        question: &Question,
+        question: &QuestionRef<'_>,
         _ecs: Option<&tectonic_dns::EcsOption>,
         info: &QueryInfo,
-    ) -> Option<EcsAnswer> {
+        answers: &mut dyn AnswerSink,
+    ) -> Option<u8> {
         if question.name != self.name {
             return None;
         }
-        let rdatas = match (question.qtype, info.src) {
-            (QType::A, IpAddr::V4(a)) => vec![RData::A(a)],
-            (QType::AAAA, IpAddr::V6(a)) => vec![RData::Aaaa(a)],
-            (QType::TXT, src) => vec![RData::Txt(format!("resolver={src}"))],
-            _ => vec![],
-        };
-        Some(EcsAnswer {
-            rdatas,
-            ttl: 0, // identity answers must not be cached
-            scope_len: 0,
-        })
+        // Identity answers must not be cached: TTL 0.
+        match (question.qtype, info.src) {
+            (QType::A, IpAddr::V4(a)) => answers.push(0, &RData::A(a)),
+            (QType::AAAA, IpAddr::V6(a)) => answers.push(0, &RData::Aaaa(a)),
+            (QType::TXT, src) => answers.push(0, &RData::Txt(format!("resolver={src}"))),
+            _ => {}
+        }
+        Some(0)
     }
 }
 

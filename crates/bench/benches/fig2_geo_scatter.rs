@@ -2,7 +2,7 @@
 //! rendered as per-operator point clouds (lat/lon series), split by IP
 //! version for Figure 5.
 
-use tectonic_bench::{banner, paper_deployment};
+use tectonic_bench::{paper_banner, paper_deployment};
 use tectonic_core::egress_analysis::EgressAnalysis;
 use tectonic_net::Asn;
 
@@ -10,7 +10,7 @@ fn main() {
     let d = &paper_deployment();
     let analysis = EgressAnalysis::new(&d.egress_list, &d.rib);
     let points = analysis.geo_points(&d.universe);
-    banner("Figures 2/5: egress subnet geolocation per operator");
+    paper_banner("Figures 2/5: egress subnet geolocation per operator");
     for asn in [Asn::AKAMAI_PR, Asn::AKAMAI_EG, Asn::CLOUDFLARE, Asn::FASTLY] {
         for v4 in [true, false] {
             let subset: Vec<_> = points

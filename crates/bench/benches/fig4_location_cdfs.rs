@@ -1,14 +1,14 @@
 //! Figure 4 — CDFs of subnets per city (a, b) and per country (c, d), for
 //! IPv4 and IPv6, per egress operator AS.
 
-use tectonic_bench::{banner, paper_deployment};
+use tectonic_bench::{paper_banner, paper_deployment};
 use tectonic_core::egress_analysis::EgressAnalysis;
 use tectonic_core::report::render_fig4;
 
 fn main() {
     let d = &paper_deployment();
     let analysis = EgressAnalysis::new(&d.egress_list, &d.rib);
-    banner("Figure 4: subnet-location CDFs per operator");
+    paper_banner("Figure 4: subnet-location CDFs per operator");
     print!(
         "{}",
         render_fig4(&analysis.cdf(true, true), "a: IPv4 cities")

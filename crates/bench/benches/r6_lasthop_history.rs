@@ -5,13 +5,13 @@
 //! router, and by scanning monthly BGP snapshots back to 2016 to show the
 //! AS first appeared in June 2021.
 
-use tectonic_bench::{banner, paper_deployment};
+use tectonic_bench::{paper_banner, paper_deployment};
 use tectonic_net::{Asn, Epoch};
 use tectonic_relay::Domain;
 
 fn main() {
     let d = &paper_deployment();
-    banner("R6: last-hop sharing + BGP visibility history");
+    paper_banner("R6: last-hop sharing + BGP visibility history");
 
     // Pick one ingress and search egress subnets sharing its last hop.
     let client_asn = d.world.ases()[0].asn;

@@ -31,6 +31,10 @@ use tectonic_relay::{Deployment, DeploymentConfig};
 /// stay at paper scale (they are small).
 pub const BENCH_SCALE: u64 = 16;
 
+/// The client world of [`paper_deployment`] is 1/`PAPER_WORLD_SCALE` of
+/// paper scale.
+const PAPER_WORLD_SCALE: u64 = 128;
+
 /// The deterministic seed every bench uses.
 pub const BENCH_SEED: u64 = 2022;
 
@@ -44,16 +48,33 @@ pub fn bench_deployment() -> Deployment {
 /// don't touch it, so the memory cost would be wasted).
 pub fn paper_deployment() -> Deployment {
     let mut config = DeploymentConfig::paper();
-    config.client_world = config.client_world.scaled_down(128);
+    config.client_world = config.client_world.scaled_down(PAPER_WORLD_SCALE);
     Deployment::build(BENCH_SEED, config)
 }
 
-/// Prints the banner that opens an artefact's output.
+/// Prints the banner that opens the output of an artefact built on
+/// [`bench_deployment`].
+pub fn banner(title: &str) {
+    print_banner(title, &format!("scale 1/{BENCH_SCALE}"));
+}
+
+/// Prints the banner that opens the output of an artefact built on
+/// [`paper_deployment`].
+pub fn paper_banner(title: &str) {
+    print_banner(
+        title,
+        &format!("paper scale, client world 1/{PAPER_WORLD_SCALE}"),
+    );
+}
+
+/// The banner: a title and the deployment it was measured on.
 #[expect(
     clippy::print_stdout,
     reason = "bench harness banner; stdout IS the reproduction record here"
 )]
-pub fn banner(title: &str) {
+fn print_banner(title: &str, deployment: &str) {
     let rule = "================================================================";
-    println!("\n{rule}\n== {title}\n== (simulated deployment, scale 1/{BENCH_SCALE}, seed {BENCH_SEED})\n{rule}");
+    println!(
+        "\n{rule}\n== {title}\n== (simulated deployment, {deployment}, seed {BENCH_SEED})\n{rule}"
+    );
 }

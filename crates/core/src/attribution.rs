@@ -4,9 +4,8 @@
 //! serves them (Akamai-only / Apple-only / both), then joins each group
 //! with the per-AS user populations — the paper's answer to "who actually
 //! serves the users?". The scan report's per-address operator attribution
-//! comes out of the RIB's compiled-LPM batch path (one
-//! [`Rib::lookup_batch_in`](tectonic_bgp::Rib::lookup_batch_in) per reply
-//! burst), which is result-identical to per-address longest-prefix matches.
+//! is one [`Rib::lookup`](tectonic_bgp::Rib::lookup) per distinct answered
+//! address, taken by each scan shard the first time it sees the address.
 
 use std::collections::BTreeMap;
 

@@ -13,6 +13,13 @@
 //! Rate limiting by the server appears as dropped queries; the scanner
 //! backs off and retries, which is what stretches the full scan to tens of
 //! simulated hours (the paper reports ~40 h).
+//!
+//! Per query the scanner patches a pre-encoded template, reads the reply
+//! through the borrowed [`ReplyView`], and credits each A answer to its
+//! shard's ingress table: one ordered-map probe, plus one [`Rib::lookup`]
+//! the first time the shard sees an address. Answers repeat heavily (an
+//! April scan's ~375 k A answers land on 1 586 addresses), so the report's
+//! address sets are derived from the table once, when the shard finishes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{IpAddr, Ipv4Addr};
@@ -26,7 +33,7 @@ use tectonic_dns::{
     QType, QueryTemplate, Rcode, ReplyView,
 };
 use tectonic_engine::{Engine, EngineConfig, ShardCtx, ShardModel};
-use tectonic_net::{Asn, BatchScratch, IpNet, Ipv4Net, SimClock, SimDuration, SimRng, SimTime};
+use tectonic_net::{Asn, IpNet, Ipv4Net, SimClock, SimDuration, SimRng, SimTime};
 
 /// Scanner configuration.
 #[derive(Debug, Clone)]
@@ -227,13 +234,15 @@ pub struct EcsScanner {
     config: EcsScanConfig,
 }
 
-/// Per-scan (or per-shard) reusable buffers.
+/// Per-scan (or per-shard) reusable buffers and the shard's ingress table.
 ///
 /// Holding these across the whole subnet loop is what makes the hot path
-/// allocation-free: each query is patched in place in a pre-encoded
-/// template, the reply lands in a reused buffer and is read through a
-/// borrowed [`ReplyView`], its A answers are copied into a reused batch,
-/// and the batch is attributed with one RIB lookup.
+/// allocation-free once the table has met the fleet: each query is patched
+/// in place in a pre-encoded template, the reply lands in a reused buffer
+/// and is read through a borrowed [`ReplyView`], and its A answers are
+/// copied into a reused batch. Each answer then costs one probe of the
+/// ingress table, which attributes an address with one [`Rib::lookup`] the
+/// first time the shard sees it.
 struct ScanScratch {
     /// The next query's ID (wraps; seeded to match the historical scanner).
     query_id: u16,
@@ -246,17 +255,21 @@ struct ScanScratch {
     query_buf: BytesMut,
     /// Reply buffer the server encodes into.
     reply: BytesMut,
-    /// The last reply's A answers, attributed with a single
-    /// [`Rib::lookup_batch_in`] call per burst.
-    addr_batch: Vec<IpAddr>,
-    /// Attribution results for `addr_batch` (reused across replies).
-    batch_out: Vec<Option<(IpNet, Asn)>>,
-    /// Walk state for the RIB's batch lookup, reused so the frozen-path
-    /// attribution never allocates per burst.
-    lpm_scratch: BatchScratch,
-    /// The routed prefixes attributed answers fell in. Rendered into
-    /// [`EcsScanReport::ingress_prefixes`] once, when the scan ends.
-    ingress_prefixes: BTreeSet<IpNet>,
+    /// The last reply's A answers.
+    addr_batch: Vec<Ipv4Addr>,
+    /// Every address the shard's replies answered with.
+    ingress: BTreeMap<Ipv4Addr, Ingress>,
+}
+
+/// One answered address in a shard's [`ScanScratch::ingress`] table.
+#[derive(Debug, Clone, Copy)]
+struct Ingress {
+    /// Client /24s credited to it (scope-credited, summed over replies).
+    served: u64,
+    /// Its routed prefix and origin AS, looked up when first answered.
+    /// The RIB is borrowed for the whole scan, so the lookup cannot go
+    /// stale.
+    route: Option<(IpNet, Asn)>,
 }
 
 /// The parts of a decodable reply the scan reads besides its A answers,
@@ -289,17 +302,26 @@ impl ScanScratch {
             query_buf: BytesMut::new(),
             reply: BytesMut::new(),
             addr_batch: Vec::new(),
-            batch_out: Vec::new(),
-            lpm_scratch: BatchScratch::new(),
-            ingress_prefixes: BTreeSet::new(),
+            ingress: BTreeMap::new(),
         }
     }
 
-    /// Renders the collected ingress prefixes into `report`.
-    fn render_prefixes(&self, report: &mut EcsScanReport) {
+    /// Fills `report`'s address fields from the ingress table:
+    /// `discovered`, `subnets_served`, `by_ingress_as` and
+    /// `ingress_prefixes`.
+    fn render(&self, report: &mut EcsScanReport) {
+        let mut prefixes = BTreeSet::new();
+        for (&addr, ingress) in &self.ingress {
+            report.discovered.insert(addr);
+            report.subnets_served.insert(addr, ingress.served);
+            if let Some((prefix, asn)) = ingress.route {
+                report.by_ingress_as.entry(asn).or_default().insert(addr);
+                prefixes.insert(prefix);
+            }
+        }
         report
             .ingress_prefixes
-            .extend(self.ingress_prefixes.iter().map(IpNet::to_string));
+            .extend(prefixes.iter().map(IpNet::to_string));
     }
 }
 
@@ -436,9 +458,7 @@ impl EcsScanner {
             ReplyOutcome::Written => match ReplyView::parse(&scratch.reply) {
                 Ok(view) => {
                     scratch.addr_batch.clear();
-                    for addr in view.answers_v4() {
-                        scratch.addr_batch.push(IpAddr::V4(addr));
-                    }
+                    scratch.addr_batch.extend(view.answers_v4());
                     AttemptOutcome::Answered(ReplyHead {
                         rcode: view.rcode(),
                         ecs_scope: view.ecs_scope(),
@@ -450,8 +470,8 @@ impl EcsScanner {
         }
     }
 
-    /// Records one successful response into the report: scope bookkeeping,
-    /// ingress attribution of the A answers in `scratch.addr_batch`, and
+    /// Records one successful response: scope bookkeeping, one ingress
+    /// table probe per A answer in `scratch.addr_batch`, and
     /// per-client-AS serving credit.
     ///
     /// Returns the scope net offered to `known_scopes`, if any — the
@@ -485,23 +505,18 @@ impl EcsScanner {
                 1
             }
         };
-        rib.lookup_batch_in(
-            &mut scratch.lpm_scratch,
-            &scratch.addr_batch,
-            &mut scratch.batch_out,
-        );
         // Which operators answered; the credit below is additive, so the
         // order they answered in does not matter.
         let (mut apple, mut akamai) = (false, false);
-        for (addr, hit) in scratch.addr_batch.iter().zip(&scratch.batch_out) {
-            let IpAddr::V4(addr) = *addr else { continue };
-            report.discovered.insert(addr);
-            *report.subnets_served.entry(addr).or_insert(0) += scope_credit;
-            if let Some((prefix, asn)) = hit {
-                report.by_ingress_as.entry(*asn).or_default().insert(addr);
-                scratch.ingress_prefixes.insert(*prefix);
-                apple |= *asn == Asn::APPLE;
-                akamai |= *asn == Asn::AKAMAI_PR;
+        for &addr in &scratch.addr_batch {
+            let ingress = scratch.ingress.entry(addr).or_insert_with(|| Ingress {
+                served: 0,
+                route: rib.lookup(IpAddr::V4(addr)),
+            });
+            ingress.served += scope_credit;
+            if let Some((_, asn)) = ingress.route {
+                apple |= asn == Asn::APPLE;
+                akamai |= asn == Asn::AKAMAI_PR;
             }
         }
         if let Some((_, client_asn)) = rib.lookup(IpAddr::V4(subnet.network())) {
@@ -949,7 +964,7 @@ impl ShardModel for ScanShard<'_> {
     }
 
     fn finish(mut self) -> EcsScanReport {
-        self.scratch.render_prefixes(&mut self.report);
+        self.scratch.render(&mut self.report);
         self.report
     }
 }
@@ -1112,20 +1127,113 @@ mod tests {
         }
     }
 
-    /// Field-by-field equality modulo `duration` (merged reports keep the
-    /// slowest shard's duration; everything else must match exactly).
-    fn assert_eq_modulo_duration(a: &EcsScanReport, b: &EcsScanReport) {
-        let mut a = a.clone();
-        let mut b = b.clone();
-        a.duration = SimDuration::ZERO;
-        b.duration = SimDuration::ZERO;
-        assert_eq!(a, b);
+    /// Field-by-field equality of everything a scan derives from its
+    /// replies: the address fields, the per-client-AS credit and the
+    /// counters. `duration` is left out (merged reports keep the slowest
+    /// shard's).
+    fn assert_same_findings(a: &EcsScanReport, b: &EcsScanReport, what: &str) {
+        assert_eq!(a.domain, b.domain, "{what}: domain");
+        assert_eq!(a.discovered, b.discovered, "{what}: discovered");
+        assert_eq!(a.by_ingress_as, b.by_ingress_as, "{what}: by_ingress_as");
+        assert_eq!(a.per_client_as, b.per_client_as, "{what}: per_client_as");
+        assert_eq!(
+            a.ingress_prefixes, b.ingress_prefixes,
+            "{what}: ingress_prefixes"
+        );
+        assert_eq!(a.subnets_served, b.subnets_served, "{what}: subnets_served");
+        assert_same_counters(a, b, what);
+    }
+
+    fn assert_same_counters(a: &EcsScanReport, b: &EcsScanReport, what: &str) {
+        let counters = |r: &EcsScanReport| {
+            [
+                r.queries_sent,
+                r.skipped_by_scope,
+                r.skipped_unrouted,
+                r.rate_limited,
+                r.retries,
+                r.exhausted,
+                r.decode_errors,
+            ]
+        };
+        assert_eq!(counters(a), counters(b), "{what}: counters");
+    }
+
+    /// The per-answer attribution the ingress table replaced, kept as its
+    /// oracle: each reply's A answers are attributed with one batched
+    /// [`Rib::lookup_batch_in`] and folded into the report with four
+    /// ordered inserts each.
+    #[derive(Default)]
+    struct PerAnswerAttribution {
+        addrs: Vec<IpAddr>,
+        routes: Vec<Option<(IpNet, Asn)>>,
+        lpm_scratch: tectonic_net::BatchScratch,
+        prefixes: BTreeSet<IpNet>,
+    }
+
+    impl PerAnswerAttribution {
+        /// [`EcsScanner::process_response`] before the ingress table.
+        #[expect(clippy::too_many_arguments, reason = "the kernel's inputs")]
+        fn process_response(
+            &mut self,
+            scanner: &EcsScanner,
+            subnet: Ipv4Net,
+            reply: ReplyHead,
+            answers: &[Ipv4Addr],
+            rib: &Rib,
+            known_scopes: &mut ScopeSet,
+            report: &mut EcsScanReport,
+        ) {
+            if reply.rcode != Rcode::NoError {
+                return;
+            }
+            let respect = scanner.config.respect_scopes;
+            if let Some(scope) = reply.ecs_scope {
+                if respect && scope < 24 {
+                    if let Ok(scope_net) = Ipv4Net::new(subnet.network(), scope) {
+                        known_scopes.insert(scope_net);
+                    }
+                }
+            }
+            let scope_credit = match reply.ecs_scope.unwrap_or(24) {
+                scope if respect && scope < 24 => 1u64 << (24 - scope),
+                _ => 1,
+            };
+            self.addrs.clear();
+            self.addrs.extend(answers.iter().copied().map(IpAddr::V4));
+            rib.lookup_batch_in(&mut self.lpm_scratch, &self.addrs, &mut self.routes);
+            let (mut apple, mut akamai) = (false, false);
+            for (addr, hit) in answers.iter().zip(&self.routes) {
+                report.discovered.insert(*addr);
+                *report.subnets_served.entry(*addr).or_insert(0) += scope_credit;
+                if let Some((prefix, asn)) = hit {
+                    report.by_ingress_as.entry(*asn).or_default().insert(*addr);
+                    self.prefixes.insert(*prefix);
+                    apple |= *asn == Asn::APPLE;
+                    akamai |= *asn == Asn::AKAMAI_PR;
+                }
+            }
+            if let Some((_, client_asn)) = rib.lookup(IpAddr::V4(subnet.network())) {
+                if !Asn::INGRESS_OPERATORS.contains(&client_asn)
+                    && !Asn::EGRESS_OPERATORS.contains(&client_asn)
+                {
+                    let entry = report.per_client_as.entry(client_asn).or_default();
+                    if apple {
+                        entry.apple_subnets += scope_credit;
+                    }
+                    if akamai {
+                        entry.akamai_subnets += scope_credit;
+                    }
+                }
+            }
+        }
     }
 
     /// The serial scan, the oracle the engine is checked against: one
     /// subnet at a time in list order, each query paced on `clock`, drops
-    /// retried after the back-off until the budget runs out. It shares only
-    /// the single-attempt and response kernels with the engine shards.
+    /// retried after the back-off until the budget runs out, and every
+    /// reply attributed answer by answer ([`PerAnswerAttribution`]). It
+    /// shares only the single-attempt kernel with the engine shards.
     fn serial_scan(
         scanner: &EcsScanner,
         domain: DomainName,
@@ -1139,6 +1247,7 @@ mod tests {
         let mut report = EcsScanReport::empty(domain.clone());
         let mut known_scopes = ScopeSet::default();
         let mut scratch = ScanScratch::new(&domain);
+        let mut attribution = PerAnswerAttribution::default();
         'subnets: for subnet in subnets {
             if config.respect_scopes && known_scopes.covers(subnet.network()) {
                 report.skipped_by_scope += 1;
@@ -1167,16 +1276,19 @@ mod tests {
                     }
                 }
             };
-            scanner.process_response(
+            attribution.process_response(
+                scanner,
                 *subnet,
                 reply,
+                &scratch.addr_batch,
                 rib,
-                &mut scratch,
                 &mut known_scopes,
                 &mut report,
             );
         }
-        scratch.render_prefixes(&mut report);
+        report
+            .ingress_prefixes
+            .extend(attribution.prefixes.iter().map(IpNet::to_string));
         report.duration = clock.now() - start;
         report
     }
@@ -1209,10 +1321,15 @@ mod tests {
             );
             assert!(oracle.total() > 0 && oracle.skipped_by_scope > 0);
             assert_eq!(oracle.rate_limited > 0, limited);
+            assert_eq!(oracle.exhausted, 0);
+            // Addresses repeat across replies: the table saves work.
+            let answers: u64 = oracle.subnets_served.values().sum();
+            assert!(answers > 4 * oracle.total() as u64, "{answers} answers");
             // One shard, through both serial entry points: byte-identical,
             // duration included, and the clock ends where the loop's did.
             let mut clock = SimClock::new(start);
             let scanned = scanner.scan(domain.clone(), &server(&d), &d.rib, &mut clock);
+            assert_same_findings(&scanned, &oracle, &format!("scan, limited={limited}"));
             assert_eq!(scanned, oracle, "scan, limited={limited}");
             assert_eq!(clock.now(), oracle_clock.now());
             let mut clock = SimClock::new(start);
@@ -1220,14 +1337,13 @@ mod tests {
                 scanner.scan_subnets(domain.clone(), &subnets, &server(&d), &d.rib, &mut clock);
             assert_eq!(listed, oracle, "scan_subnets, limited={limited}");
             assert_eq!(clock.now(), oracle_clock.now());
-            if limited {
-                // Shard sources have their own rate-limit buckets.
-                continue;
-            }
             // Many shards: identical modulo duration (announcement-aligned
             // shards reproduce the serial skip decisions), for any workers.
-            let auth = server(&d);
+            // Shard sources have their own rate-limit buckets, so a
+            // rate-limited sharded scan is dropped less often: everything
+            // but its drop ledger matches.
             for workers in [1, 4, 8] {
+                let auth = server(&d);
                 let sharded = scanner.scan_engine_sharded(
                     domain.clone(),
                     &[&auth],
@@ -1235,9 +1351,22 @@ mod tests {
                     start,
                     &EngineConfig::new(8, workers),
                 );
-                assert_eq_modulo_duration(&oracle, &sharded);
+                let what = format!("8 shards on {workers} workers, limited={limited}");
+                assert_same_findings(&without_drops(&sharded), &without_drops(&oracle), &what);
             }
         }
+    }
+
+    /// `r` with its drops taken out of the query ledger: what the scan
+    /// would have counted had nothing been dropped. Drops only delay a
+    /// subnet while its retry budget lasts.
+    fn without_drops(r: &EcsScanReport) -> EcsScanReport {
+        assert_eq!(r.exhausted, 0, "a subnet was abandoned");
+        let mut r = r.clone();
+        r.queries_sent -= r.rate_limited;
+        r.rate_limited = 0;
+        r.retries = 0;
+        r
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`name`] — domain names with RFC 1035 label rules,
 //! * [`message`] — messages, questions, resource records and rdata,
 //! * [`wire`] — binary encoding/decoding with name compression, the
-//!   server's reply writer, and the scanner's borrowed reply view
-//!   ([`wire::ReplyView`]),
+//!   server's streaming reply writer, and the borrowed message view
+//!   ([`wire::ReplyView`]) through which the scanner reads replies and the
+//!   server reads queries,
 //! * [`edns`] — EDNS0 OPT pseudo-records and the RFC 7871 Client Subnet
 //!   option, including the address-truncation rules the scanner relies on,
 //! * [`zone`] — static zone data plus a hook ([`zone::EcsAnswerer`]) for
@@ -61,6 +62,7 @@ pub use resolver::{ResolutionOutcome, Resolver, ResolverKind, ResolverPolicy};
 pub use server::{AuthoritativeServer, NameServer, QueryContext, ReplyOutcome, ServerReply};
 pub use template::{PatchedQuery, QueryTemplate};
 pub use wire::{
-    decode_message, encode_message, encode_message_into, DnsWireError, MessageEncoder, ReplyView,
+    decode_message, encode_message, encode_message_into, DnsWireError, MessageEncoder, NameRef,
+    QuestionRef, ReplyView,
 };
-pub use zone::{EcsAnswer, EcsAnswerer, Zone};
+pub use zone::{AnswerSink, EcsAnswerer, Zone};

@@ -5,7 +5,9 @@
 //! simulated server reproduces that with a per-client token bucket: queries
 //! beyond the budget are silently dropped, which a scanner observes as a
 //! timeout and must back off from. Everything crosses the wire codec, so
-//! both the scanner and the server handle real message bytes.
+//! both the scanner and the server handle real message bytes: the server
+//! reads each query through the borrowed [`ReplyView`] and streams its
+//! reply into the caller's buffer.
 
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -14,8 +16,8 @@ use bytes::BytesMut;
 use tectonic_net::SimTime;
 
 use crate::edns::EcsOption;
-use crate::message::{Flags, Message, QClass, Rcode};
-use crate::wire::{decode_message, MessageEncoder, Reply, ReplyAnswers};
+use crate::message::{QClass, Rcode};
+use crate::wire::{MessageEncoder, NameRef, ReplyView, ReplyWriter};
 use crate::zone::{QueryInfo, Zone, ZoneAnswer};
 
 /// Per-query context a server sees.
@@ -186,72 +188,50 @@ impl AuthoritativeServer {
     }
 
     /// The most specific zone containing `name`.
-    fn zone_for(&self, name: &crate::name::DomainName) -> Option<&Zone> {
+    fn zone_for(&self, name: &NameRef<'_>) -> Option<&Zone> {
         self.zones
             .iter()
             .filter(|z| z.contains_name(name))
             .max_by_key(|z| z.apex().label_count())
     }
 
-    /// Writes the reply to the decoded `query` into `out`: the one reply
-    /// writer for every outcome, from borrowed parts of the query and the
-    /// zone answer.
-    fn write_reply(&self, query: &Message, ctx: &QueryContext, out: &mut BytesMut) {
-        let mut reply = Reply {
-            id: query.id,
-            flags: Flags {
-                qr: true,
-                aa: false,
-                tc: false,
-                rd: query.flags.rd,
-                ra: false,
-            },
-            rcode: Rcode::NoError,
-            questions: &query.questions,
-            answers: ReplyAnswers::Empty,
-            edns: query.edns.is_some(),
-            ecs: None,
-        };
+    /// Writes the reply to `query` into `out`: the one reply writer for
+    /// every outcome, streamed from the borrowed query and the zone's
+    /// answer.
+    fn write_reply(&self, query: &ReplyView<'_>, ctx: &QueryContext, out: &mut BytesMut) {
         let mut encoder = MessageEncoder::new();
+        let mut reply = ReplyWriter::start(&mut encoder, out, Some(query));
         let Some(question) = query.question() else {
-            reply.rcode = Rcode::FormErr;
-            return encoder.encode_reply_into(&reply, out);
+            return reply.finish(Rcode::FormErr, false, None);
         };
         if question.qclass != QClass::IN {
-            reply.rcode = Rcode::NotImp;
-            return encoder.encode_reply_into(&reply, out);
+            return reply.finish(Rcode::NotImp, false, None);
         }
         let Some(zone) = self.zone_for(&question.name) else {
-            reply.rcode = Rcode::Refused;
-            return encoder.encode_reply_into(&reply, out);
+            return reply.finish(Rcode::Refused, false, None);
         };
-        let ecs = query.edns.as_ref().and_then(|o| o.ecs());
+        let ecs = query.ecs();
         let info = QueryInfo {
             src: ctx.src,
             now: ctx.now,
         };
-        reply.flags.aa = true;
-        let answer = zone.resolve(question, ecs, &info);
-        match &answer {
-            ZoneAnswer::Dynamic(ans) => {
-                reply.answers = ReplyAnswers::Rdatas {
-                    owner: &question.name,
-                    ttl: ans.ttl,
-                    rdatas: &ans.rdatas,
-                };
-                reply.ecs = ecs.map(|e| EcsOption {
-                    scope_len: ans.scope_len,
+        match zone.resolve(&question, ecs, &info, &mut reply) {
+            ZoneAnswer::Dynamic { scope_len } => {
+                let echo = ecs.map(|e| EcsOption {
+                    scope_len,
                     ..e.clone()
                 });
+                reply.finish(Rcode::NoError, true, echo.as_ref());
             }
             ZoneAnswer::Answer(records) => {
-                reply.answers = ReplyAnswers::Records(records);
-                reply.ecs = ecs.cloned();
+                for r in &records {
+                    reply.push_record(r);
+                }
+                reply.finish(Rcode::NoError, true, ecs);
             }
-            ZoneAnswer::NoData => {}
-            ZoneAnswer::NxDomain => reply.rcode = Rcode::NxDomain,
+            ZoneAnswer::NoData => reply.finish(Rcode::NoError, true, None),
+            ZoneAnswer::NxDomain => reply.finish(Rcode::NxDomain, true, None),
         }
-        encoder.encode_reply_into(&reply, out);
     }
 }
 
@@ -273,40 +253,26 @@ impl NameServer for AuthoritativeServer {
                 return ReplyOutcome::Dropped;
             }
         }
-        match decode_message(wire) {
+        match ReplyView::parse(wire) {
             Ok(query) => self.write_reply(&query, ctx, out),
             // Cannot mirror an ID we failed to parse; best effort.
-            Err(_) => MessageEncoder::new().encode_reply_into(&UNPARSED_FORMERR, out),
+            Err(_) => ReplyWriter::start(&mut MessageEncoder::new(), out, None).finish(
+                Rcode::FormErr,
+                false,
+                None,
+            ),
         }
         ReplyOutcome::Written
     }
 }
 
-/// The FORMERR reply to bytes that do not decode: ID 0, RD set, no
-/// question, a default OPT record.
-const UNPARSED_FORMERR: Reply<'static> = Reply {
-    id: 0,
-    flags: Flags {
-        qr: true,
-        aa: false,
-        tc: false,
-        rd: true,
-        ra: false,
-    },
-    rcode: Rcode::FormErr,
-    questions: &[],
-    answers: ReplyAnswers::Empty,
-    edns: true,
-    ecs: None,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{QType, RData, Record};
+    use crate::message::{Message, QType, RData, Record};
     use crate::name::{mask_domain, DomainName};
-    use crate::wire::encode_message;
-    use crate::zone::{EcsAnswer, EcsAnswerer, Zone};
+    use crate::wire::{decode_message, encode_message, QuestionRef};
+    use crate::zone::{AnswerSink, EcsAnswerer, Zone};
     use crate::Question;
     use std::net::{Ipv4Addr, Ipv6Addr};
     use std::sync::Arc;
@@ -325,7 +291,7 @@ mod tests {
         if question.qclass != QClass::IN {
             return query.response_to(Rcode::NotImp);
         }
-        let Some(zone) = server.zone_for(&question.name) else {
+        let Some(zone) = server.zone_for(&(&question.name).into()) else {
             return query.response_to(Rcode::Refused);
         };
         let ecs = query.edns.as_ref().and_then(|o| o.ecs());
@@ -335,14 +301,14 @@ mod tests {
         };
         let mut response = query.response_to(Rcode::NoError);
         response.flags.aa = true;
-        let (records, scope_len) = match zone.resolve(question, ecs, &info) {
-            ZoneAnswer::Dynamic(ans) => {
-                let records = ans
-                    .rdatas
+        let mut pushed: Vec<(u32, RData)> = Vec::new();
+        let (records, scope_len) = match zone.resolve(&question.into(), ecs, &info, &mut pushed) {
+            ZoneAnswer::Dynamic { scope_len } => {
+                let records = pushed
                     .into_iter()
-                    .map(|rd| Record::new(question.name.clone(), ans.ttl, rd))
+                    .map(|(ttl, rd)| Record::new(question.name.clone(), ttl, rd))
                     .collect();
-                (records, Some(ans.scope_len))
+                (records, Some(scope_len))
             }
             ZoneAnswer::Answer(records) => (records, None),
             ZoneAnswer::NoData => return response,
@@ -555,10 +521,11 @@ mod tests {
     impl EcsAnswerer for ShapedAnswerer {
         fn answer(
             &self,
-            question: &Question,
+            question: &QuestionRef<'_>,
             ecs: Option<&EcsOption>,
             info: &QueryInfo,
-        ) -> Option<EcsAnswer> {
+            answers: &mut dyn AnswerSink,
+        ) -> Option<u8> {
             if question.name != mask_domain() {
                 return None;
             }
@@ -567,27 +534,23 @@ mod tests {
                 IpAddr::V6(a) => (u128::from(a) >> 64) as u64,
             };
             let h = SimRng::new(key).next_u64_raw();
-            let (rdatas, scope_len) = match question.qtype {
+            let ttl = (h >> 32) as u32 % 3600;
+            match question.qtype {
                 QType::A => {
-                    let count = (h % 9) as u8;
-                    let rdatas = (0..count)
-                        .map(|i| RData::A(Ipv4Addr::new(17, (h >> 8) as u8, i, 1)))
-                        .collect();
-                    (rdatas, ((h >> 16) % 25) as u8)
+                    for i in 0..(h % 9) as u8 {
+                        answers.push(ttl, &RData::A(Ipv4Addr::new(17, (h >> 8) as u8, i, 1)));
+                    }
+                    Some(((h >> 16) % 25) as u8)
                 }
                 QType::AAAA => {
-                    let rdatas = (0..(h % 3) as u16)
-                        .map(|i| RData::Aaaa(Ipv6Addr::new(0x2620, 0x149, i, 0, 0, 0, 0, 1)))
-                        .collect();
-                    (rdatas, 0)
+                    for i in 0..(h % 3) as u16 {
+                        let a = Ipv6Addr::new(0x2620, 0x149, i, 0, 0, 0, 0, 1);
+                        answers.push(ttl, &RData::Aaaa(a));
+                    }
+                    Some(0)
                 }
-                _ => (Vec::new(), 0),
-            };
-            Some(EcsAnswer {
-                rdatas,
-                ttl: (h >> 32) as u32 % 3600,
-                scope_len,
-            })
+                _ => Some(0),
+            }
         }
     }
 

@@ -4,6 +4,14 @@
 //! the scanner exercises real message bytes — including the EDNS0 OPT record
 //! in the additional section and compression pointers in responses with many
 //! answer records (the April scans saw up to eight A records per response).
+//!
+//! The ECS scan's exchange builds no [`Message`] on either side. The
+//! server reads each query through [`ReplyView`], a borrowed view that
+//! validates exactly as [`decode_message`] does, hands the zone a
+//! [`QuestionRef`] whose name is walked from the wire, and streams its
+//! reply into the caller's buffer through a writer built from the
+//! encoder's pieces, with the zone's answer records pushed straight in.
+//! The scanner reads the reply through the same view.
 
 #![cfg_attr(
     not(test),
@@ -23,6 +31,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use crate::edns::{EcsOption, EdnsOption, OptRecord};
 use crate::message::{Flags, Message, QClass, QType, Question, RData, Rcode, Record};
 use crate::name::DomainName;
+use crate::zone::AnswerSink;
 
 /// Errors from the wire codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,40 +71,74 @@ impl std::error::Error for DnsWireError {}
 ///
 /// Compression state is a list of label start offsets into the output
 /// buffer; candidate suffixes are matched by walking the already-written
-/// bytes (following pointers), so no per-label strings are allocated.
-/// Reusing one `MessageEncoder` across many [`encode_into`] calls also
-/// reuses the offset list's capacity, making steady-state encoding
-/// allocation-free when the caller reuses its output buffer too.
+/// bytes (following pointers), so no per-label strings are allocated. The
+/// first 32 offsets live inside the encoder, so creating one allocates
+/// nothing, and neither does encoding a message that records no more
+/// offsets than that. Reusing one `MessageEncoder` across many
+/// [`encode_into`] calls also reuses any spilled offsets' capacity, making
+/// steady-state encoding allocation-free when the caller reuses its output
+/// buffer too.
 ///
 /// [`encode_into`]: MessageEncoder::encode_into
 #[derive(Debug, Default)]
 pub struct MessageEncoder {
     /// Buffer offsets where a label sequence was written literally —
     /// the candidate targets for compression pointers.
-    label_offsets: Vec<u16>,
+    label_offsets: LabelOffsets,
+}
+
+/// How many label offsets a [`MessageEncoder`] keeps inline. A scan reply
+/// records three (its question name; every answer owner compresses to a
+/// pointer).
+const INLINE_OFFSETS: usize = 32;
+
+/// The label offsets of the message being encoded, in insertion order:
+/// the first [`INLINE_OFFSETS`] in place, the rest in `spill`.
+#[derive(Debug, Default)]
+struct LabelOffsets {
+    inline: [u16; INLINE_OFFSETS],
+    inline_len: usize,
+    spill: Vec<u16>,
+}
+
+impl LabelOffsets {
+    fn clear(&mut self) {
+        self.inline_len = 0;
+        self.spill.clear();
+    }
+
+    fn push(&mut self, off: u16) {
+        match self.inline.get_mut(self.inline_len) {
+            Some(slot) => {
+                *slot = off;
+                self.inline_len = self.inline_len.saturating_add(1);
+            }
+            None => self.spill.push(off),
+        }
+    }
+
+    /// The first offset, in insertion order, that `matches`.
+    fn find(&self, mut matches: impl FnMut(u16) -> bool) -> Option<u16> {
+        let mut hit = |off: &&u16| matches(**off);
+        let inline = self.inline.get(..self.inline_len).unwrap_or_default();
+        inline
+            .iter()
+            .find(&mut hit)
+            .or_else(|| self.spill.iter().find(&mut hit))
+            .copied()
+    }
 }
 
 impl MessageEncoder {
     /// A fresh encoder.
     pub fn new() -> Self {
-        MessageEncoder {
-            label_offsets: Vec::new(),
-        }
+        MessageEncoder::default()
     }
 
     /// Encodes `m` into `out`, clearing it first. Output is byte-identical
     /// to [`encode_message`].
     pub fn encode_into(&mut self, m: &Message, out: &mut BytesMut) {
         self.sink(out).put_message(m);
-    }
-
-    /// Encodes a server reply given as borrowed parts into `out`, clearing
-    /// it first: byte for byte what [`encode_into`](Self::encode_into)
-    /// makes of the equivalent [`Message`], written by the same header,
-    /// question, record and OPT pieces, so name compression stays one
-    /// implementation.
-    pub(crate) fn encode_reply_into(&mut self, reply: &Reply<'_>, out: &mut BytesMut) {
-        self.sink(out).put_reply(reply);
     }
 
     /// A sink over the cleared `out`, with the compression state reset.
@@ -109,61 +152,113 @@ impl MessageEncoder {
     }
 }
 
-/// The answer section of a [`Reply`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ReplyAnswers<'a> {
-    /// No answer records.
-    Empty,
-    /// Whole records: static answers and the CNAME chase.
-    Records(&'a [Record]),
-    /// One class-IN record per rdata, all owned by `owner` with `ttl`: a
-    /// dynamic answer, written without building a [`Record`] per address.
-    Rdatas {
-        /// The owner of every record (the question name).
-        owner: &'a DomainName,
-        /// The TTL of every record.
-        ttl: u32,
-        /// The records' data, in answer order.
-        rdatas: &'a [RData],
-    },
+/// A server reply streamed into the caller's buffer: byte for byte what
+/// [`MessageEncoder::encode_into`] makes of the reply [`Message`] a typed
+/// handler would build, written by the same header, question, record and
+/// OPT pieces, so name compression stays one implementation.
+///
+/// [`start`](Self::start) writes the header and echoes the query's
+/// questions. Answer records follow as the zone produces them: a dynamic
+/// answerer pushes them through [`AnswerSink`], static ones come as whole
+/// [`Record`]s. [`finish`](Self::finish) back-patches the header's flags,
+/// rcode and answer count, the way a record's rdlength is back-patched,
+/// and appends the OPT record when the query carried one. The reply has
+/// no authority or additional records besides that OPT record.
+pub(crate) struct ReplyWriter<'a, 'q> {
+    sink: Sink<'a>,
+    /// The question name: the owner of every pushed answer record.
+    owner: Option<NameRef<'q>>,
+    /// The query's RD bit, echoed.
+    rd: bool,
+    /// Whether the query carried an OPT record.
+    edns: bool,
+    answers: u16,
 }
 
-impl ReplyAnswers<'_> {
-    fn len(&self) -> usize {
-        match self {
-            ReplyAnswers::Empty => 0,
-            ReplyAnswers::Records(records) => records.len(),
-            ReplyAnswers::Rdatas { rdatas, .. } => rdatas.len(),
+/// Offset of the flag bytes in a message header.
+const FLAGS_AT: usize = 2;
+/// Offset of the answer count in a message header.
+const ANCOUNT_AT: usize = 6;
+
+impl<'a, 'q> ReplyWriter<'a, 'q> {
+    /// Starts the reply to `query` in `out`, clearing it first. For
+    /// `None` (bytes that do not parse) it is the reply a server can still
+    /// give: ID 0, RD set, no question and a default OPT record.
+    pub(crate) fn start(
+        encoder: &'a mut MessageEncoder,
+        out: &'a mut BytesMut,
+        query: Option<&ReplyView<'q>>,
+    ) -> Self {
+        let mut sink = encoder.sink(out);
+        let (id, rd, qdcount, edns) = match query {
+            Some(q) => (q.id, q.flags.rd, q.qdcount, q.edns),
+            None => (0, true, 0, true),
+        };
+        let flags = Flags {
+            qr: true,
+            rd,
+            ..Flags::default()
+        };
+        sink.put_header(id, flags, Rcode::NoError, [qdcount, 0, 0, u16::from(edns)]);
+        for question in query.into_iter().flat_map(ReplyView::questions) {
+            sink.put_question(question);
+        }
+        ReplyWriter {
+            sink,
+            owner: query.and_then(|q| q.question).map(|q| q.name),
+            rd,
+            edns,
+            answers: 0,
+        }
+    }
+
+    /// Appends one whole answer record: a static answer or the CNAME chase.
+    pub(crate) fn push_record(&mut self, r: &Record) {
+        self.sink.put_record(r);
+        self.answers = self.answers.saturating_add(1);
+    }
+
+    /// Completes the reply: the header gets `rcode`, the AA bit `aa` and
+    /// the answer count, and the OPT record, if any, carries `ecs`.
+    pub(crate) fn finish(mut self, rcode: Rcode, aa: bool, ecs: Option<&EcsOption>) {
+        let flags = Flags {
+            qr: true,
+            aa,
+            rd: self.rd,
+            ..Flags::default()
+        };
+        self.sink
+            .patch_u16(FLAGS_AT, u16::from_be_bytes(flag_bytes(flags, rcode)));
+        self.sink.patch_u16(ANCOUNT_AT, self.answers);
+        if self.edns {
+            let (len_pos, start) = self.sink.put_opt_head(&OptRecord::default(), rcode);
+            if let Some(e) = ecs {
+                self.sink.put_ecs(e);
+            }
+            self.sink.patch_rdlen(len_pos, start);
         }
     }
 }
 
-/// A server reply as parts borrowed from the query and the zone answer:
-/// the [`Message`] a typed handler would build, minus the building. It has
-/// no authority or additional records besides the OPT record.
-#[derive(Debug, Clone)]
-pub(crate) struct Reply<'a> {
-    /// Transaction ID.
-    pub id: u16,
-    /// Header flags.
-    pub flags: Flags,
-    /// Response code.
-    pub rcode: Rcode,
-    /// Question section.
-    pub questions: &'a [Question],
-    /// Answer section.
-    pub answers: ReplyAnswers<'a>,
-    /// Whether the reply carries a default [`OptRecord`] (it does when the
-    /// query did).
-    pub edns: bool,
-    /// The ECS option that OPT record carries, if any.
-    pub ecs: Option<EcsOption>,
+impl AnswerSink for ReplyWriter<'_, '_> {
+    fn push(&mut self, ttl: u32, rdata: &RData) {
+        // A query without a question is answered FORMERR before any zone
+        // is asked, so there is always an owner here.
+        if let Some(owner) = self.owner {
+            self.sink.put_record_parts(owner, QClass::IN, ttl, rdata);
+            self.answers = self.answers.saturating_add(1);
+        }
+    }
 }
 
-/// Compares the name suffix `labels` against the (possibly compressed) name
-/// encoded in `buf` at `off`, case-insensitively.
-fn suffix_matches_at(buf: &[u8], mut off: usize, labels: &[String]) -> bool {
-    let mut idx = 0;
+/// Compares the name suffix `labels` (raw labels, compared as their lossy
+/// UTF-8 renderings) against the (possibly compressed) name encoded in
+/// `buf` at `off`, case-insensitively.
+fn suffix_matches_at<'l>(
+    buf: &[u8],
+    mut off: usize,
+    mut labels: impl Iterator<Item = &'l [u8]>,
+) -> bool {
     let mut jumps = 0u32;
     loop {
         // Offsets recorded for the name currently being written can run past
@@ -186,25 +281,61 @@ fn suffix_matches_at(buf: &[u8], mut off: usize, labels: &[String]) -> bool {
             continue;
         }
         if len == 0 {
-            return idx == labels.len();
+            return labels.next().is_none();
         }
-        let Some(label) = labels.get(idx) else {
+        let Some(label) = labels.next() else {
             return false;
         };
-        let label = label.as_bytes();
         let start = off.saturating_add(1);
         let end = start.saturating_add(len);
-        if label.len() != len
-            || !buf
-                .get(start..end)
-                .is_some_and(|wire| wire.eq_ignore_ascii_case(label))
+        if !buf
+            .get(start..end)
+            .is_some_and(|wire| rendered_eq(label, wire))
         {
             return false;
         }
-        idx = idx.saturating_add(1);
         off = end;
     }
 }
+
+/// Whether the lossy UTF-8 rendering of the raw label `raw` equals the
+/// rendered label `rendered`, ASCII case aside: what comparing the label
+/// the decoder builds with `rendered` gives, without building it.
+///
+/// `rendered` is valid UTF-8 (a `DomainName` label, or a label this
+/// encoder wrote). So when `raw` matches it byte for byte, ASCII case
+/// aside, `raw` is valid UTF-8 too and renders as itself; only a label
+/// that is not ASCII needs the rendering compared.
+fn rendered_eq(raw: &[u8], rendered: &[u8]) -> bool {
+    if raw.eq_ignore_ascii_case(rendered) {
+        return true;
+    }
+    if raw.is_ascii() {
+        return false;
+    }
+    let mut rest = rendered;
+    for chunk in raw.utf8_chunks() {
+        let valid = chunk.valid().as_bytes();
+        let Some((head, tail)) = rest.split_at_checked(valid.len()) else {
+            return false;
+        };
+        if !head.eq_ignore_ascii_case(valid) {
+            return false;
+        }
+        rest = tail;
+        if !chunk.invalid().is_empty() {
+            let Some(tail) = rest.strip_prefix(REPLACEMENT.as_bytes()) else {
+                return false;
+            };
+            rest = tail;
+        }
+    }
+    rest.is_empty()
+}
+
+/// What `String::from_utf8_lossy` puts in place of each maximal invalid
+/// sequence.
+const REPLACEMENT: &str = "\u{FFFD}";
 
 /// Section/length count clamped to a 16-bit wire field. Messages this
 /// encoder builds stay far below 65 535 entries, so the clamp is a
@@ -215,7 +346,7 @@ fn count16(n: usize) -> u16 {
 
 struct Sink<'a> {
     buf: &'a mut BytesMut,
-    label_offsets: &'a mut Vec<u16>,
+    label_offsets: &'a mut LabelOffsets,
 }
 
 impl Sink<'_> {
@@ -236,17 +367,30 @@ impl Sink<'_> {
     /// occurrences compress to pointers), so "first match in insertion
     /// order" reproduces the first-occurrence offsets the old string-keyed
     /// map produced — output stays byte-identical.
-    fn find_suffix(&self, labels: &[String]) -> Option<u16> {
+    fn find_suffix<'l>(&self, labels: &(impl Iterator<Item = &'l [u8]> + Clone)) -> Option<u16> {
         self.label_offsets
-            .iter()
-            .copied()
-            .find(|&off| suffix_matches_at(self.buf, off as usize, labels))
+            .find(|off| suffix_matches_at(self.buf, usize::from(off), labels.clone()))
     }
 
-    fn put_name(&mut self, name: &DomainName) {
-        let labels = name.labels();
-        for (i, label) in labels.iter().enumerate() {
-            if let Some(off) = labels.get(i..).and_then(|rest| self.find_suffix(rest)) {
+    /// Writes `name`, each label as its lossy UTF-8 rendering (the label
+    /// the decoder would build), compressing its longest suffix already
+    /// written. The walk is compiled once per label source, so a typed
+    /// name's labels are read straight from its `String`s.
+    fn put_name(&mut self, name: NameRef<'_>) {
+        match name.0 {
+            NameSource::Wire { .. } => self.put_labels(name.labels()),
+            NameSource::Name(name) => self.put_labels(name.labels().iter().map(String::as_bytes)),
+        }
+    }
+
+    fn put_labels<'l>(&mut self, labels: impl Iterator<Item = &'l [u8]> + Clone) {
+        let mut rest = labels;
+        loop {
+            let mut after = rest.clone();
+            let Some(label) = after.next() else {
+                break;
+            };
+            if let Some(off) = self.find_suffix(&rest) {
                 self.buf.put_u16(0xC000 | off);
                 return;
             }
@@ -257,28 +401,39 @@ impl Sink<'_> {
                     self.label_offsets.push(off);
                 }
             }
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "DomainName labels are ≤ 63 bytes by construction"
-            )]
-            self.buf.put_u8(label.len() as u8);
-            self.buf.put_slice(label.as_bytes());
+            // Rendered labels are at most 63 bytes: `DomainName` enforces
+            // it, and `ReplyView::parse` checks it on the wire.
+            if label.is_ascii() {
+                self.buf
+                    .put_u8(u8::try_from(label.len()).unwrap_or(u8::MAX));
+                self.buf.put_slice(label);
+            } else {
+                self.buf
+                    .put_u8(u8::try_from(lossy_len(label)).unwrap_or(u8::MAX));
+                for chunk in label.utf8_chunks() {
+                    self.buf.put_slice(chunk.valid().as_bytes());
+                    if !chunk.invalid().is_empty() {
+                        self.buf.put_slice(REPLACEMENT.as_bytes());
+                    }
+                }
+            }
+            rest = after;
         }
         self.buf.put_u8(0);
     }
 
-    fn put_question(&mut self, q: &Question) {
-        self.put_name(&q.name);
+    fn put_question(&mut self, q: QuestionRef<'_>) {
+        self.put_name(q.name);
         self.buf.put_u16(q.qtype.number());
         self.buf.put_u16(q.qclass.number());
     }
 
     fn put_record(&mut self, r: &Record) {
-        self.put_record_parts(&r.name, r.class, r.ttl, &r.rdata);
+        self.put_record_parts((&r.name).into(), r.class, r.ttl, &r.rdata);
     }
 
     /// Writes one record from its parts: owner, class, TTL and data.
-    fn put_record_parts(&mut self, owner: &DomainName, class: QClass, ttl: u32, rdata: &RData) {
+    fn put_record_parts(&mut self, owner: NameRef<'_>, class: QClass, ttl: u32, rdata: &RData) {
         self.put_name(owner);
         self.buf.put_u16(rdata.rtype().number());
         self.buf.put_u16(class.number());
@@ -290,14 +445,14 @@ impl Sink<'_> {
         match rdata {
             RData::A(a) => self.buf.put_slice(&a.octets()),
             RData::Aaaa(a) => self.buf.put_slice(&a.octets()),
-            RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => self.put_name(n),
+            RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => self.put_name(n.into()),
             RData::Soa {
                 mname,
                 rname,
                 serial,
             } => {
-                self.put_name(mname);
-                self.put_name(rname);
+                self.put_name(mname.into());
+                self.put_name(rname.into());
                 self.buf.put_u32(*serial);
                 // refresh/retry/expire/minimum — fixed plausible values.
                 self.buf.put_u32(7200);
@@ -373,25 +528,7 @@ impl Sink<'_> {
 
     fn put_header(&mut self, id: u16, flags: Flags, rcode: Rcode, counts: [u16; 4]) {
         self.buf.put_u16(id);
-        let mut b1: u8 = 0;
-        if flags.qr {
-            b1 |= 0x80;
-        }
-        if flags.aa {
-            b1 |= 0x04;
-        }
-        if flags.tc {
-            b1 |= 0x02;
-        }
-        if flags.rd {
-            b1 |= 0x01;
-        }
-        let mut b2: u8 = rcode.number() & 0x0F;
-        if flags.ra {
-            b2 |= 0x80;
-        }
-        self.buf.put_u8(b1);
-        self.buf.put_u8(b2);
+        self.buf.put_slice(&flag_bytes(flags, rcode));
         for count in counts {
             self.buf.put_u16(count);
         }
@@ -411,7 +548,7 @@ impl Sink<'_> {
             ],
         );
         for q in &m.questions {
-            self.put_question(q);
+            self.put_question(q.into());
         }
         for r in &m.answers {
             self.put_record(r);
@@ -426,43 +563,29 @@ impl Sink<'_> {
             self.put_opt(opt, m.rcode);
         }
     }
+}
 
-    fn put_reply(&mut self, reply: &Reply<'_>) {
-        self.put_header(
-            reply.id,
-            reply.flags,
-            reply.rcode,
-            [
-                count16(reply.questions.len()),
-                count16(reply.answers.len()),
-                0,
-                u16::from(reply.edns),
-            ],
-        );
-        for q in reply.questions {
-            self.put_question(q);
-        }
-        match reply.answers {
-            ReplyAnswers::Empty => {}
-            ReplyAnswers::Records(records) => {
-                for r in records {
-                    self.put_record(r);
-                }
-            }
-            ReplyAnswers::Rdatas { owner, ttl, rdatas } => {
-                for rdata in rdatas {
-                    self.put_record_parts(owner, QClass::IN, ttl, rdata);
-                }
-            }
-        }
-        if reply.edns {
-            let (len_pos, start) = self.put_opt_head(&OptRecord::default(), reply.rcode);
-            if let Some(e) = &reply.ecs {
-                self.put_ecs(e);
-            }
-            self.patch_rdlen(len_pos, start);
-        }
+/// The header's two flag bytes: QR, AA, TC and RD, then RA and the 4-bit
+/// rcode.
+fn flag_bytes(flags: Flags, rcode: Rcode) -> [u8; 2] {
+    let mut b1: u8 = 0;
+    if flags.qr {
+        b1 |= 0x80;
     }
+    if flags.aa {
+        b1 |= 0x04;
+    }
+    if flags.tc {
+        b1 |= 0x02;
+    }
+    if flags.rd {
+        b1 |= 0x01;
+    }
+    let mut b2: u8 = rcode.number() & 0x0F;
+    if flags.ra {
+        b2 |= 0x80;
+    }
+    [b1, b2]
 }
 
 /// Encodes a message to wire bytes.
@@ -474,8 +597,9 @@ pub fn encode_message(m: &Message) -> Vec<u8> {
 
 /// Encodes a message into a caller-provided buffer (cleared first).
 ///
-/// With a warm buffer this performs no allocation besides the encoder's
-/// small offset list; use [`MessageEncoder`] directly to reuse that too.
+/// With a warm buffer this allocates nothing unless the message records
+/// more label offsets than a fresh encoder keeps inline (see
+/// [`MessageEncoder`]); reuse one `MessageEncoder` to reuse that spill too.
 pub fn encode_message_into(m: &Message, out: &mut BytesMut) {
     MessageEncoder::new().encode_into(m, out);
 }
@@ -519,57 +643,15 @@ impl<'a> Decoder<'a> {
 
     /// Walks a possibly-compressed name starting at the cursor, handing
     /// each label's raw bytes to `on_label` in order, and leaves the cursor
-    /// after the name. Errs on the structural faults only: running out of
-    /// bytes, a pointer that does not go strictly backwards or a chain of
-    /// more than 16, and the reserved label types.
+    /// after the name. Errs on the structural faults only (see
+    /// [`NameWalk`]).
     fn walk_name(&mut self, mut on_label: impl FnMut(&'a [u8])) -> Result<(), DnsWireError> {
-        let mut pos = self.pos;
-        let mut jumped = false;
-        let mut jumps = 0u32;
-        loop {
-            let Some(&len) = self.data.get(pos) else {
-                return Err(DnsWireError::Truncated);
-            };
-            match len {
-                0 => {
-                    pos = pos.saturating_add(1);
-                    if !jumped {
-                        self.pos = pos;
-                    }
-                    return Ok(());
-                }
-                l if l & 0xC0 == 0xC0 => {
-                    let Some(&lo) = pos.checked_add(1).and_then(|i| self.data.get(i)) else {
-                        return Err(DnsWireError::Truncated);
-                    };
-                    // The 14-bit pointer target, assembled without a shift.
-                    let target = usize::from(u16::from_be_bytes([l & 0x3F, lo]));
-                    if !jumped {
-                        self.pos = pos.saturating_add(2);
-                    }
-                    // Pointers must go strictly backwards; cap chain depth.
-                    if target >= pos {
-                        return Err(DnsWireError::BadPointer);
-                    }
-                    jumps = jumps.saturating_add(1);
-                    if jumps > 16 {
-                        return Err(DnsWireError::BadPointer);
-                    }
-                    pos = target;
-                    jumped = true;
-                }
-                l if l & 0xC0 != 0 => return Err(DnsWireError::BadName),
-                l => {
-                    let start = pos.saturating_add(1);
-                    let end = start.saturating_add(usize::from(l));
-                    let Some(bytes) = self.data.get(start..end) else {
-                        return Err(DnsWireError::Truncated);
-                    };
-                    on_label(bytes);
-                    pos = end;
-                }
-            }
+        let mut walk = NameWalk::new(self.data, self.pos);
+        for label in walk.by_ref() {
+            on_label(label?);
         }
+        self.pos = walk.end.unwrap_or(self.pos);
+        Ok(())
     }
 
     /// Reads a possibly-compressed name starting at the cursor.
@@ -720,6 +802,89 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// The labels of a possibly-compressed name, walked from the wire: each
+/// label's raw bytes in order. The walk errs on the structural faults only
+/// — running out of bytes, a pointer that does not go strictly backwards
+/// or a chain of more than 16, and the reserved label types — and ends
+/// after its first error.
+#[derive(Debug, Clone)]
+struct NameWalk<'a> {
+    data: &'a [u8],
+    /// Where the next length byte is read.
+    pos: usize,
+    /// Where the name ends in the message, once known: after its first
+    /// pointer, or after its root byte.
+    end: Option<usize>,
+    jumps: u32,
+    done: bool,
+}
+
+impl<'a> NameWalk<'a> {
+    fn new(data: &'a [u8], pos: usize) -> Self {
+        NameWalk {
+            data,
+            pos,
+            end: None,
+            jumps: 0,
+            done: false,
+        }
+    }
+
+    fn fail(&mut self, e: DnsWireError) -> Option<Result<&'a [u8], DnsWireError>> {
+        self.done = true;
+        Some(Err(e))
+    }
+}
+
+impl<'a> Iterator for NameWalk<'a> {
+    type Item = Result<&'a [u8], DnsWireError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        loop {
+            let Some(&len) = self.data.get(self.pos) else {
+                return self.fail(DnsWireError::Truncated);
+            };
+            match len {
+                0 => {
+                    self.end.get_or_insert(self.pos.saturating_add(1));
+                    self.done = true;
+                    return None;
+                }
+                l if l & 0xC0 == 0xC0 => {
+                    let Some(&lo) = self.pos.checked_add(1).and_then(|i| self.data.get(i)) else {
+                        return self.fail(DnsWireError::Truncated);
+                    };
+                    // The 14-bit pointer target, assembled without a shift.
+                    let target = usize::from(u16::from_be_bytes([l & 0x3F, lo]));
+                    self.end.get_or_insert(self.pos.saturating_add(2));
+                    // Pointers must go strictly backwards; cap chain depth.
+                    if target >= self.pos {
+                        return self.fail(DnsWireError::BadPointer);
+                    }
+                    self.jumps = self.jumps.saturating_add(1);
+                    if self.jumps > 16 {
+                        return self.fail(DnsWireError::BadPointer);
+                    }
+                    self.pos = target;
+                }
+                l if l & 0xC0 != 0 => return self.fail(DnsWireError::BadName),
+                l => {
+                    let start = self.pos.saturating_add(1);
+                    let end = start.saturating_add(usize::from(l));
+                    let Some(bytes) = self.data.get(start..end) else {
+                        return self.fail(DnsWireError::Truncated);
+                    };
+                    self.pos = end;
+                    return Some(Ok(bytes));
+                }
+            }
+        }
+    }
+}
+
 enum DecodedRecord {
     Plain(Record),
     Opt(OptRecord),
@@ -794,13 +959,17 @@ pub fn decode_message(data: &[u8]) -> Result<Message, DnsWireError> {
 // ---------------------------------------------------------------- reply view
 
 /// Length of `String::from_utf8_lossy(bytes)`, computed without building
-/// it: each maximal invalid sequence becomes one 3-byte U+FFFD.
+/// it: an ASCII label renders as itself, and otherwise each maximal
+/// invalid sequence becomes one 3-byte U+FFFD.
 fn lossy_len(bytes: &[u8]) -> usize {
+    if bytes.is_ascii() {
+        return bytes.len();
+    }
     let mut len = 0usize;
     for chunk in bytes.utf8_chunks() {
         len = len.saturating_add(chunk.valid().len());
         if !chunk.invalid().is_empty() {
-            len = len.saturating_add(char::REPLACEMENT_CHARACTER.len_utf8());
+            len = len.saturating_add(REPLACEMENT.len());
         }
     }
     len
@@ -810,11 +979,29 @@ fn lossy_len(bytes: &[u8]) -> usize {
 enum CheckedRecord {
     /// An ordinary record.
     Plain,
-    /// An OPT record, with the scope of its first decodable ECS option.
-    Opt { ecs_scope: Option<u8> },
+    /// An OPT record, with its first decodable ECS option.
+    Opt { ecs: Option<EcsOption> },
 }
 
-impl Decoder<'_> {
+impl<'a> Decoder<'a> {
+    /// Reads past one question, applying every check
+    /// [`take_question`](Self::take_question) applies, and returns it
+    /// borrowed.
+    fn check_question(&mut self) -> Result<QuestionRef<'a>, DnsWireError> {
+        let pos = self.pos;
+        self.check_name()?;
+        let qtype = QType::from_number(self.take_u16()?);
+        let qclass = QClass::from_number(self.take_u16()?);
+        Ok(QuestionRef {
+            name: NameRef(NameSource::Wire {
+                data: self.data,
+                pos,
+            }),
+            qtype,
+            qclass,
+        })
+    }
+
     /// Reads past one record, applying every check
     /// [`take_record`](Self::take_record) applies, in the same order.
     fn check_record(&mut self) -> Result<CheckedRecord, DnsWireError> {
@@ -834,19 +1021,19 @@ impl Decoder<'_> {
                 data: rdata,
                 pos: 0,
             };
-            let mut ecs_scope = None;
+            let mut ecs = None;
             while od.remaining() >= 4 {
                 let code = od.take_u16()?;
                 let len = usize::from(od.take_u16()?);
                 let payload = od.take_slice(len)?;
-                if code == EcsOption::CODE && ecs_scope.is_none() {
-                    ecs_scope = EcsOption::decode(payload).map(|e| e.scope_len);
+                if code == EcsOption::CODE && ecs.is_none() {
+                    ecs = EcsOption::decode(payload);
                 }
             }
             if od.remaining() != 0 {
                 return Err(DnsWireError::BadOpt);
             }
-            return Ok(CheckedRecord::Opt { ecs_scope });
+            return Ok(CheckedRecord::Opt { ecs });
         }
         match rtype {
             QType::A if rdlen != 4 => return Err(DnsWireError::BadRdata(rtype)),
@@ -880,40 +1067,52 @@ impl Decoder<'_> {
     }
 }
 
-/// A borrowed, validating view of a DNS reply: what the ECS scan reads
-/// from each reply, taken from the wire bytes without building a
-/// [`Message`].
+/// A borrowed, validating view of a DNS message: what the ECS scan reads
+/// from each reply and what the authoritative server reads from each
+/// query, taken from the wire bytes without building a [`Message`].
 ///
-/// [`ReplyView::parse`] walks the reply once and applies every check
+/// [`ReplyView::parse`] walks the message once and applies every check
 /// [`decode_message`] applies, so it errs exactly when the decoder errs,
 /// with the same [`DnsWireError`]. It allocates nothing. `decode_message`
 /// is its oracle: `tests/prop_wire.rs` compares the two on real replies
-/// and their mutations.
-#[derive(Debug, Clone, Copy)]
+/// and queries and their mutations.
+#[derive(Debug, Clone)]
 pub struct ReplyView<'a> {
     data: &'a [u8],
+    id: u16,
+    flags: Flags,
     rcode: Rcode,
-    ecs_scope: Option<u8>,
+    /// The first question, if any.
+    question: Option<QuestionRef<'a>>,
+    qdcount: u16,
+    /// Whether the message carries an OPT record.
+    edns: bool,
+    /// The OPT record's first decodable ECS option.
+    ecs: Option<EcsOption>,
     /// Offset of the answer section.
     answers_start: usize,
     ancount: u16,
 }
 
+/// Length of the fixed message header: where the question section starts.
+const HEADER_LEN: usize = 12;
+
 impl<'a> ReplyView<'a> {
-    /// Validates `data` as one DNS message and keeps what the scan reads.
+    /// Validates `data` as one DNS message and keeps what the scan and the
+    /// server read.
     pub fn parse(data: &'a [u8]) -> Result<ReplyView<'a>, DnsWireError> {
         let mut d = Decoder { data, pos: 0 };
-        let _id = d.take_u16()?;
-        let _b1 = d.take_u8()?;
+        let id = d.take_u16()?;
+        let b1 = d.take_u8()?;
         let b2 = d.take_u8()?;
         let qdcount = d.take_u16()?;
         let ancount = d.take_u16()?;
         let nscount = d.take_u16()?;
         let arcount = d.take_u16()?;
+        let mut question = None;
         for _ in 0..qdcount {
-            d.check_name()?;
-            d.take_u16()?;
-            d.take_u16()?;
+            let q = d.check_question()?;
+            question.get_or_insert(q);
         }
         let answers_start = d.pos;
         // OPT belongs in the additional section only.
@@ -927,15 +1126,15 @@ impl<'a> ReplyView<'a> {
                 return Err(DnsWireError::BadOpt);
             }
         }
-        let mut opt_seen = false;
-        let mut ecs_scope = None;
+        let mut edns = false;
+        let mut ecs = None;
         for _ in 0..arcount {
-            if let CheckedRecord::Opt { ecs_scope: scope } = d.check_record()? {
-                if opt_seen {
+            if let CheckedRecord::Opt { ecs: option } = d.check_record()? {
+                if edns {
                     return Err(DnsWireError::BadOpt);
                 }
-                opt_seen = true;
-                ecs_scope = scope;
+                edns = true;
+                ecs = option;
             }
         }
         if d.remaining() != 0 {
@@ -943,11 +1142,32 @@ impl<'a> ReplyView<'a> {
         }
         Ok(ReplyView {
             data,
+            id,
+            flags: Flags {
+                qr: b1 & 0x80 != 0,
+                aa: b1 & 0x04 != 0,
+                tc: b1 & 0x02 != 0,
+                rd: b1 & 0x01 != 0,
+                ra: b2 & 0x80 != 0,
+            },
             rcode: Rcode::from_number(b2 & 0x0F),
-            ecs_scope,
+            question,
+            qdcount,
+            edns,
+            ecs,
             answers_start,
             ancount,
         })
+    }
+
+    /// The transaction ID.
+    pub fn id(&self) -> u16 {
+        self.id
+    }
+
+    /// The header flags, as [`Message::flags`].
+    pub fn flags(&self) -> Flags {
+        self.flags
     }
 
     /// The response code (the header's 4 bits, as [`Message::rcode`]).
@@ -955,10 +1175,37 @@ impl<'a> ReplyView<'a> {
         self.rcode
     }
 
-    /// The scope of the OPT record's first decodable ECS option — the one
+    /// The first question, as [`Message::question`] returns it.
+    pub fn question(&self) -> Option<QuestionRef<'a>> {
+        self.question
+    }
+
+    /// The question section in order, as [`Message::questions`] lists it.
+    pub fn questions(&self) -> Questions<'a> {
+        Questions {
+            d: Decoder {
+                data: self.data,
+                pos: HEADER_LEN,
+            },
+            left: self.qdcount,
+        }
+    }
+
+    /// Whether the message carries an OPT record ([`Message::edns`] is
+    /// `Some`).
+    pub fn has_edns(&self) -> bool {
+        self.edns
+    }
+
+    /// The OPT record's first decodable ECS option — the one
     /// [`OptRecord::ecs`] returns.
+    pub fn ecs(&self) -> Option<&EcsOption> {
+        self.ecs.as_ref()
+    }
+
+    /// The scope of [`ecs`](Self::ecs).
     pub fn ecs_scope(&self) -> Option<u8> {
-        self.ecs_scope
+        self.ecs.as_ref().map(|e| e.scope_len)
     }
 
     /// The answer section's A records in order, as
@@ -971,6 +1218,131 @@ impl<'a> ReplyView<'a> {
                 pos: self.answers_start,
             },
             left: self.ancount,
+        }
+    }
+}
+
+/// Iterator over a [`ReplyView`]'s questions.
+#[derive(Debug, Clone)]
+pub struct Questions<'a> {
+    d: Decoder<'a>,
+    left: u16,
+}
+
+impl<'a> Iterator for Questions<'a> {
+    type Item = QuestionRef<'a>;
+
+    fn next(&mut self) -> Option<QuestionRef<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        // `ReplyView::parse` validated every question, so none of these
+        // reads fails; a failure would end the iteration.
+        self.d.check_question().ok()
+    }
+}
+
+/// A borrowed question: a [`Question`] whose name is a [`NameRef`].
+#[derive(Debug, Clone, Copy)]
+pub struct QuestionRef<'a> {
+    /// The queried name.
+    pub name: NameRef<'a>,
+    /// The queried type.
+    pub qtype: QType,
+    /// The queried class.
+    pub qclass: QClass,
+}
+
+impl<'a> From<&'a Question> for QuestionRef<'a> {
+    fn from(q: &'a Question) -> Self {
+        QuestionRef {
+            name: (&q.name).into(),
+            qtype: q.qtype,
+            qclass: q.qclass,
+        }
+    }
+}
+
+/// A borrowed domain name: a name in a message [`ReplyView::parse`]
+/// validated, walked from the wire, or a [`DomainName`].
+///
+/// It compares with a `DomainName` as the name [`decode_message`] builds
+/// would: ASCII-case-insensitively, label by label, a label that is not
+/// UTF-8 as its lossy UTF-8 rendering.
+#[derive(Debug, Clone, Copy)]
+pub struct NameRef<'a>(NameSource<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum NameSource<'a> {
+    /// The name at `pos` in the validated message `data`.
+    Wire {
+        data: &'a [u8],
+        pos: usize,
+    },
+    Name(&'a DomainName),
+}
+
+impl<'a> From<&'a DomainName> for NameRef<'a> {
+    fn from(name: &'a DomainName) -> Self {
+        NameRef(NameSource::Name(name))
+    }
+}
+
+impl<'a> NameRef<'a> {
+    /// The raw labels, leftmost first.
+    fn labels(&self) -> Labels<'a> {
+        match self.0 {
+            NameSource::Wire { data, pos } => Labels::Wire(NameWalk::new(data, pos)),
+            NameSource::Name(name) => Labels::Name(name.labels().iter()),
+        }
+    }
+
+    /// Whether the name equals `zone` or lies underneath it, as
+    /// [`DomainName::is_within`].
+    pub fn is_within(&self, zone: &DomainName) -> bool {
+        let Some(skip) = self.labels().count().checked_sub(zone.label_count()) else {
+            return false;
+        };
+        self.labels()
+            .skip(skip)
+            .zip(zone.labels())
+            .all(|(raw, label)| rendered_eq(raw, label.as_bytes()))
+    }
+
+    /// The name as an owned [`DomainName`]: the one [`decode_message`]
+    /// builds.
+    pub fn to_name(&self) -> Option<DomainName> {
+        let labels = self
+            .labels()
+            .map(|raw| String::from_utf8_lossy(raw).into_owned());
+        DomainName::from_labels(labels).ok()
+    }
+}
+
+impl PartialEq<DomainName> for NameRef<'_> {
+    fn eq(&self, other: &DomainName) -> bool {
+        let mut labels = self.labels();
+        other.labels().iter().all(|label| {
+            labels
+                .next()
+                .is_some_and(|raw| rendered_eq(raw, label.as_bytes()))
+        }) && labels.next().is_none()
+    }
+}
+
+/// The raw labels of a [`NameRef`].
+#[derive(Debug, Clone)]
+enum Labels<'a> {
+    Wire(NameWalk<'a>),
+    Name(std::slice::Iter<'a, String>),
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        match self {
+            // The view validated the name; a fault would end the walk.
+            Labels::Wire(walk) => walk.next()?.ok(),
+            Labels::Name(labels) => labels.next().map(String::as_bytes),
         }
     }
 }

@@ -4,7 +4,9 @@
 //! [`EcsAnswerer`] — the hook through which `tectonic-relay` plugs the
 //! simulated Route 53 behaviour for `mask.icloud.com`: answers that depend
 //! on the client subnet carried in the ECS option (or, absent ECS, on the
-//! resolver's source address).
+//! resolver's source address). Both read the question borrowed from the
+//! query's wire bytes, and a hook pushes its records straight into the
+//! reply being written.
 
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -13,8 +15,9 @@ use std::sync::Arc;
 use tectonic_net::SimTime;
 
 use crate::edns::EcsOption;
-use crate::message::{QType, Question, RData, Record};
+use crate::message::{QType, RData, Record};
 use crate::name::DomainName;
+use crate::wire::{NameRef, QuestionRef};
 
 /// Context available to answer logic: who asked, and when.
 #[derive(Clone, Copy, Debug)]
@@ -26,33 +29,41 @@ pub struct QueryInfo {
     pub now: SimTime,
 }
 
-/// A dynamic answer produced by an [`EcsAnswerer`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EcsAnswer {
-    /// Record data for the answer section (all for the queried name).
-    pub rdatas: Vec<RData>,
-    /// TTL for the answer records.
-    pub ttl: u32,
-    /// ECS scope to return. For IPv4 the simulated service answers with the
-    /// query's source length (/24); for IPv6 it answers scope 0 — the exact
-    /// behaviour that blocks ECS enumeration over IPv6 in the paper.
-    pub scope_len: u8,
+/// Where a dynamic answer's records go: the reply being written, or
+/// whatever a test collects them in.
+pub trait AnswerSink {
+    /// Appends one class-IN answer record owned by the question name.
+    fn push(&mut self, ttl: u32, rdata: &RData);
+}
+
+/// A `Vec` collects the records with their TTLs: how typed callers and
+/// tests read a dynamic answer.
+impl AnswerSink for Vec<(u32, RData)> {
+    fn push(&mut self, ttl: u32, rdata: &RData) {
+        Vec::push(self, (ttl, rdata.clone()));
+    }
 }
 
 /// Dynamic answer logic attached to a zone.
-///
-/// Returning `None` falls through to the zone's static records; returning
-/// an empty `rdatas` produces a NOERROR/no-data response (which still
-/// echoes the ECS option with the answer's scope).
 pub trait EcsAnswerer: Send + Sync {
     /// Answers `question`, optionally considering the ECS option and the
-    /// query context.
+    /// query context, by pushing its records into `answers` and returning
+    /// the ECS scope to report. For IPv4 the simulated service answers
+    /// with the query's source length (/24); for IPv6 it answers scope 0 —
+    /// the exact behaviour that blocks ECS enumeration over IPv6 in the
+    /// paper.
+    ///
+    /// Returning `None` falls through to the zone's static records; an
+    /// answerer that does so pushes nothing. Pushing nothing and returning
+    /// a scope produces a NOERROR/no-data response (which still echoes the
+    /// ECS option with that scope).
     fn answer(
         &self,
-        question: &Question,
+        question: &QuestionRef<'_>,
         ecs: Option<&EcsOption>,
         info: &QueryInfo,
-    ) -> Option<EcsAnswer>;
+        answers: &mut dyn AnswerSink,
+    ) -> Option<u8>;
 }
 
 /// A DNS zone: an apex name, static records, and an optional dynamic hook.
@@ -115,7 +126,7 @@ impl Zone {
     }
 
     /// Whether `name` falls inside this zone.
-    pub fn contains_name(&self, name: &DomainName) -> bool {
+    pub fn contains_name(&self, name: &NameRef<'_>) -> bool {
         name.is_within(&self.apex)
     }
 
@@ -134,25 +145,31 @@ impl Zone {
 
     /// Resolves a question inside this zone.
     ///
-    /// Order: dynamic hook first (if installed), then static records with a
-    /// one-step CNAME chase, then the NXDOMAIN / no-data distinction.
+    /// Order: dynamic hook first (if installed), whose records go to
+    /// `answers`; then static records with a one-step CNAME chase; then
+    /// the NXDOMAIN / no-data distinction. Only the static path builds an
+    /// owned name.
     pub fn resolve(
         &self,
-        question: &Question,
+        question: &QuestionRef<'_>,
         ecs: Option<&EcsOption>,
         info: &QueryInfo,
+        answers: &mut dyn AnswerSink,
     ) -> ZoneAnswer {
         if let Some(dynamic) = &self.dynamic {
-            if let Some(ans) = dynamic.answer(question, ecs, info) {
-                return ZoneAnswer::Dynamic(ans);
+            if let Some(scope_len) = dynamic.answer(question, ecs, info, answers) {
+                return ZoneAnswer::Dynamic { scope_len };
             }
         }
-        let direct = self.lookup_static(&question.name, question.qtype);
+        let Some(name) = question.name.to_name() else {
+            return ZoneAnswer::NxDomain;
+        };
+        let direct = self.lookup_static(&name, question.qtype);
         if !direct.is_empty() {
             return ZoneAnswer::Answer(direct);
         }
         // CNAME chase (single step is enough for the simulated zones).
-        let cnames = self.lookup_static(&question.name, QType::CNAME);
+        let cnames = self.lookup_static(&name, QType::CNAME);
         if let Some(cname_rec) = cnames.first() {
             if let RData::Cname(target) = &cname_rec.rdata {
                 let mut records = vec![cname_rec.clone()];
@@ -160,7 +177,7 @@ impl Zone {
                 return ZoneAnswer::Answer(records);
             }
         }
-        if self.name_exists(&question.name) {
+        if self.name_exists(&name) {
             ZoneAnswer::NoData
         } else {
             ZoneAnswer::NxDomain
@@ -171,9 +188,11 @@ impl Zone {
 /// Result of resolving a question inside a zone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ZoneAnswer {
-    /// The dynamic hook's answer: one record per rdata, each owned by the
-    /// question name, and the ECS scope to report.
-    Dynamic(EcsAnswer),
+    /// The dynamic hook answered: its records went to the sink.
+    Dynamic {
+        /// The ECS scope to report.
+        scope_len: u8,
+    },
     /// Static answer-section records (possibly via CNAME).
     Answer(Vec<Record>),
     /// Name exists but has no records of the queried type.
@@ -185,7 +204,7 @@ pub enum ZoneAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::QClass;
+    use crate::message::{QClass, Question};
     use std::net::Ipv4Addr;
 
     fn info() -> QueryInfo {
@@ -195,12 +214,21 @@ mod tests {
         }
     }
 
-    fn q(name: &str, qtype: QType) -> Question {
-        Question {
+    /// `z`'s answer to `name`/`qtype`, and the records its hook pushed.
+    fn resolve(
+        z: &Zone,
+        name: &str,
+        qtype: QType,
+        ecs: Option<&EcsOption>,
+    ) -> (ZoneAnswer, Vec<(u32, RData)>) {
+        let question = Question {
             name: name.parse().unwrap(),
             qtype,
             qclass: QClass::IN,
-        }
+        };
+        let mut pushed = Vec::new();
+        let answer = z.resolve(&(&question).into(), ecs, &info(), &mut pushed);
+        (answer, pushed)
     }
 
     fn test_zone() -> Zone {
@@ -226,7 +254,7 @@ mod tests {
     #[test]
     fn static_lookup_by_type() {
         let z = test_zone();
-        match z.resolve(&q("www.icloud.com", QType::A), None, &info()) {
+        match resolve(&z, "www.icloud.com", QType::A, None).0 {
             ZoneAnswer::Answer(records) => {
                 assert_eq!(records.len(), 1);
                 assert_eq!(records[0].rdata.as_a(), Some(Ipv4Addr::new(17, 253, 1, 1)));
@@ -239,11 +267,11 @@ mod tests {
     fn nxdomain_vs_nodata() {
         let z = test_zone();
         assert_eq!(
-            z.resolve(&q("missing.icloud.com", QType::A), None, &info()),
+            resolve(&z, "missing.icloud.com", QType::A, None).0,
             ZoneAnswer::NxDomain
         );
         assert_eq!(
-            z.resolve(&q("www.icloud.com", QType::TXT), None, &info()),
+            resolve(&z, "www.icloud.com", QType::TXT, None).0,
             ZoneAnswer::NoData
         );
     }
@@ -251,7 +279,7 @@ mod tests {
     #[test]
     fn cname_chase_includes_target_records() {
         let z = test_zone();
-        match z.resolve(&q("alias.icloud.com", QType::A), None, &info()) {
+        match resolve(&z, "alias.icloud.com", QType::A, None).0 {
             ZoneAnswer::Answer(records) => {
                 assert_eq!(records.len(), 2);
                 assert!(matches!(records[0].rdata, RData::Cname(_)));
@@ -266,19 +294,16 @@ mod tests {
     impl EcsAnswerer for FixedAnswerer {
         fn answer(
             &self,
-            question: &Question,
+            question: &QuestionRef<'_>,
             ecs: Option<&EcsOption>,
             _info: &QueryInfo,
-        ) -> Option<EcsAnswer> {
-            if question.name.to_string() != "mask.icloud.com" {
+            answers: &mut dyn AnswerSink,
+        ) -> Option<u8> {
+            if question.name != DomainName::literal("mask.icloud.com") {
                 return None;
             }
-            let scope = ecs.map(|e| e.source_len).unwrap_or(0);
-            Some(EcsAnswer {
-                rdatas: vec![RData::A(Ipv4Addr::new(17, 0, 0, 1))],
-                ttl: 60,
-                scope_len: scope,
-            })
+            answers.push(60, &RData::A(Ipv4Addr::new(17, 0, 0, 1)));
+            Some(ecs.map(|e| e.source_len).unwrap_or(0))
         }
     }
 
@@ -292,24 +317,22 @@ mod tests {
         );
         let z = z.with_dynamic(Arc::new(FixedAnswerer));
         let ecs = EcsOption::for_v4_net("100.64.3.0/24".parse().unwrap());
-        match z.resolve(&q("mask.icloud.com", QType::A), Some(&ecs), &info()) {
-            ZoneAnswer::Dynamic(ans) => {
-                assert_eq!(ans.rdatas, [RData::A(Ipv4Addr::new(17, 0, 0, 1))]);
-                assert_eq!(ans.scope_len, 24);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let (answer, pushed) = resolve(&z, "MASK.icloud.com", QType::A, Some(&ecs));
+        assert_eq!(answer, ZoneAnswer::Dynamic { scope_len: 24 });
+        assert_eq!(pushed, [(60, RData::A(Ipv4Addr::new(17, 0, 0, 1)))]);
         // Non-matching name falls through to static data.
-        match z.resolve(&q("www.icloud.com", QType::A), Some(&ecs), &info()) {
-            ZoneAnswer::NxDomain => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        let (answer, pushed) = resolve(&z, "www.icloud.com", QType::A, Some(&ecs));
+        assert_eq!(answer, ZoneAnswer::NxDomain);
+        assert!(pushed.is_empty());
     }
 
     #[test]
     fn contains_name_respects_zone_cut() {
         let z = test_zone();
-        assert!(z.contains_name(&"deep.sub.icloud.com".parse().unwrap()));
-        assert!(!z.contains_name(&"apple.com".parse().unwrap()));
+        let within = |name: &str| z.contains_name(&(&name.parse::<DomainName>().unwrap()).into());
+        assert!(within("deep.sub.icloud.com"));
+        assert!(within("ICLOUD.com"));
+        assert!(!within("apple.com"));
+        assert!(!within("com"));
     }
 }

@@ -2,16 +2,19 @@
 //!
 //! Round-trips arbitrary messages (names, record mixes, ECS options) through
 //! encode/decode, checks the decoder never panics on mutated bytes, and
-//! checks the scan's borrowed [`ReplyView`] against `decode_message` on real
-//! replies and their mutations.
+//! checks the borrowed [`ReplyView`] — the scanner's view of replies and
+//! the server's view of queries — against `decode_message` on real replies
+//! and queries and their mutations.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use bytes::BytesMut;
 use proptest::prelude::*;
+use tectonic_dns::message::Flags;
+use tectonic_dns::name::mask_domain;
 use tectonic_dns::{
     decode_message, encode_message, DnsWireError, DomainName, EcsOption, Message, MessageEncoder,
-    QType, QueryTemplate, RData, Rcode, Record, ReplyView,
+    QClass, QType, QueryTemplate, Question, RData, Rcode, Record, ReplyView,
 };
 
 /// Labels drawn from a DNS-plausible alphabet (the codec is 8-bit safe, but
@@ -191,22 +194,112 @@ proptest! {
     }
 }
 
-// ------------------------------------------------- the reply view's oracle
+// ------------------------------------------------- the message view's oracle
 
 /// What the scan reads from a reply: rcode, ECS scope, A answers.
 type ScanFields = (Rcode, Option<u8>, Vec<Ipv4Addr>);
 
+/// Everything the view reads, from either side: the header, the questions
+/// (names as spelled), the OPT record's presence and ECS option, and the A
+/// answers.
+#[derive(Debug, PartialEq)]
+struct Reading {
+    id: u16,
+    flags: Flags,
+    rcode: Rcode,
+    questions: Vec<(Option<String>, QType, QClass)>,
+    edns: bool,
+    ecs: Option<EcsOption>,
+    answers: Vec<Ipv4Addr>,
+}
+
+fn decoded(m: &Message) -> Reading {
+    Reading {
+        id: m.id,
+        flags: m.flags,
+        rcode: m.rcode,
+        questions: m
+            .questions
+            .iter()
+            .map(|q| (Some(q.name.to_string()), q.qtype, q.qclass))
+            .collect(),
+        edns: m.edns.is_some(),
+        ecs: m.edns.as_ref().and_then(|o| o.ecs()).cloned(),
+        answers: m.a_answers(),
+    }
+}
+
+fn viewed(v: &ReplyView<'_>) -> Reading {
+    Reading {
+        id: v.id(),
+        flags: v.flags(),
+        rcode: v.rcode(),
+        questions: v
+            .questions()
+            .map(|q| (q.name.to_name().map(|n| n.to_string()), q.qtype, q.qclass))
+            .collect(),
+        edns: v.has_edns(),
+        ecs: v.ecs().cloned(),
+        answers: v.answers_v4().collect(),
+    }
+}
+
 /// The decoder's and the view's reading of `bytes`, which must agree: the
-/// same error, or the same fields.
+/// same error, or the same fields. A borrowed question name must also
+/// compare with names, and lie within zones, exactly as the decoded one
+/// does.
 fn agreed(bytes: &[u8]) -> Result<Result<ScanFields, DnsWireError>, TestCaseError> {
-    let decoded = decode_message(bytes).map(|m| {
+    let message = decode_message(bytes);
+    let view = ReplyView::parse(bytes);
+    prop_assert_eq!(
+        view.as_ref().map(viewed),
+        message.as_ref().map(decoded),
+        "bytes {:02x?}",
+        bytes
+    );
+    if let (Ok(view), Ok(m)) = (&view, &message) {
+        prop_assert_eq!(view.ecs_scope(), view.ecs().map(|e| e.scope_len));
+        prop_assert_eq!(
+            view.question()
+                .and_then(|q| q.name.to_name())
+                .map(|n| n.to_string()),
+            m.question().map(|q| q.name.to_string())
+        );
+        for (borrowed, owned) in view.questions().zip(&m.questions) {
+            let name = &owned.name;
+            let shouted =
+                DomainName::from_labels(name.labels().iter().map(|l| l.to_ascii_uppercase()))
+                    .unwrap();
+            let others = [
+                Some(name.clone()),
+                Some(shouted),
+                name.parent(),
+                name.parent().and_then(|p| p.prepend("x").ok()),
+                Some(mask_domain()),
+                Some(DomainName::root()),
+            ];
+            for other in others.iter().flatten() {
+                prop_assert_eq!(
+                    borrowed.name == *other,
+                    name == other,
+                    "{} = {}",
+                    name,
+                    other
+                );
+                prop_assert_eq!(
+                    borrowed.name.is_within(other),
+                    name.is_within(other),
+                    "{} within {}",
+                    name,
+                    other
+                );
+            }
+        }
+    }
+    Ok(message.map(|m| {
         let scope = m.edns.as_ref().and_then(|o| o.ecs()).map(|e| e.scope_len);
         (m.rcode, scope, m.a_answers())
-    });
-    let viewed =
-        ReplyView::parse(bytes).map(|v| (v.rcode(), v.ecs_scope(), v.answers_v4().collect()));
-    prop_assert_eq!(&viewed, &decoded, "bytes {:02x?}", bytes);
-    Ok(decoded)
+    }))
 }
 
 /// [`agreed`] outside a property: panics on disagreement.
@@ -294,6 +387,41 @@ fn arb_reply() -> impl Strategy<Value = Vec<u8>> {
                 encode_message(&r)
             },
         )
+}
+
+/// A real encoded query in every shape the server tells apart: mixed-case
+/// names, RD set or not, no EDNS, EDNS without ECS, v4 and v6 ECS options
+/// of any source length, and one question, none, two, or one of a
+/// non-IN class.
+fn arb_query() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (any::<u16>(), arb_mixed_name(), arb_qtype(), any::<bool>()),
+        (0u8..4, any::<u128>(), 0u8..=128),
+        0u8..4,
+    )
+        .prop_map(|((id, name, qtype, rd), (edns, bits, len), shape)| {
+            let mut q = Message::query(id, name, qtype);
+            q.flags.rd = rd;
+            match edns {
+                0 => q.edns = None,
+                1 => {}
+                2 => {
+                    let net = tectonic_net::Ipv4Net::clamped(Ipv4Addr::from(bits as u32), len % 33);
+                    q.ensure_edns().set_ecs(EcsOption::for_v4_net(net));
+                }
+                _ => {
+                    let net = tectonic_net::Ipv6Net::clamped(Ipv6Addr::from(bits), len);
+                    q.ensure_edns().set_ecs(EcsOption::for_v6_net(net));
+                }
+            }
+            match shape {
+                0 => {}
+                1 => q.questions.clear(),
+                2 => q.questions.push(Question::new(mask_domain(), QType::AAAA)),
+                _ => q.questions[0].qclass = QClass::Other(3),
+            }
+            encode_message(&q)
+        })
 }
 
 /// A byte-level mutation of a reply: the fault kinds of the chaos
@@ -419,13 +547,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// The view errs exactly when the decoder errs, with the same error,
-    /// and otherwise reads the same rcode, ECS scope and A answers.
+    /// and otherwise reads the same ID, flags, rcode, questions, OPT
+    /// record, ECS option and A answers — on replies and on queries.
     #[test]
     fn reply_view_matches_decoder(
-        reply in arb_reply(),
+        message in prop_oneof![arb_reply(), arb_query()],
         mutations in prop::collection::vec(arb_mutation(), 0..4),
     ) {
-        let mut bytes = reply;
+        let mut bytes = message;
         let intact = mutations.is_empty();
         for m in &mutations {
             mutate(&mut bytes, m);

@@ -8,7 +8,6 @@
 //! ECS scan see the whole world while RIPE Atlas (probes in only 168
 //! countries) sees a strict subset (§4.1).
 
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use tectonic_net::{Asn, Epoch, FrozenLpm, IpNet, Ipv4Net, Ipv6Net};
@@ -16,7 +15,7 @@ use tectonic_net::{Asn, Epoch, FrozenLpm, IpNet, Ipv4Net, Ipv6Net};
 use tectonic_geo::country::{all_countries, CountryCode};
 use tectonic_quic::IngressQuicBehavior;
 
-use crate::config::{DeploymentConfig, Domain};
+use crate::config::{DeploymentConfig, Domain, IngressFleetPlan};
 
 /// The address pool of one `(domain, operator)` fleet.
 #[derive(Debug, Clone)]
@@ -31,82 +30,122 @@ pub struct FleetPool {
     pub v6_prefixes: Vec<Ipv6Net>,
 }
 
+/// One `(domain, operator)` fleet: its pool and its configured window
+/// sizes, by family row (0 = v4, 1 = v6) and epoch.
+#[derive(Debug)]
+struct Fleet {
+    pool: FleetPool,
+    sizes: [[usize; 4]; 2],
+}
+
 /// All ingress fleets plus reverse lookup and QUIC behaviour.
 #[derive(Debug)]
 pub struct IngressFleets {
-    pools: HashMap<(Domain, Asn), FleetPool>,
+    /// The fleets by [`Domain::ALL`] index, then [`Asn::INGRESS_OPERATORS`]
+    /// index; a plan for any other operator has no fleet.
+    fleets: [[Option<Fleet>; 2]; 2],
     /// Maps relay prefixes back to their operator. Fleets never change
     /// after `build`, so only the compiled form is kept.
     reverse: FrozenLpm<Asn>,
-    /// Per-epoch fleet sizes come from the config.
-    config_sizes: HashMap<(Domain, Asn), [[usize; 4]; 2]>,
     quic: IngressQuicBehavior,
-    /// Country cluster boundaries are derived from these cumulative weights.
-    cc_cumweights: Vec<(CountryCode, f64)>,
+    /// Each country's cluster bounds as cumulative weight shares (the
+    /// previous country's and its own), by [`cc_slot`]; `None` for a code
+    /// outside the country table.
+    cc_bounds: Vec<Option<(f64, f64)>>,
+}
+
+/// A country code's slot in a 26 × 26 table.
+fn cc_slot(cc: CountryCode) -> usize {
+    match cc.as_str().as_bytes() {
+        [a, b] => usize::from(a.saturating_sub(b'A')) * 26 + usize::from(b.saturating_sub(b'A')),
+        _ => usize::MAX,
+    }
+}
+
+impl FleetPool {
+    /// Allocates the pool of `plan`: its /24 and /48 prefixes, and its
+    /// largest fleet's addresses spread round-robin over them.
+    fn allocate(plan: &IngressFleetPlan) -> FleetPool {
+        let v4_prefixes: Vec<Ipv4Net> = plan
+            .v4_pool
+            .subnets(24)
+            .into_iter()
+            .flatten()
+            .take(plan.v4_prefixes)
+            .collect();
+        assert_eq!(v4_prefixes.len(), plan.v4_prefixes, "v4 pool too small");
+        let v6_prefixes: Vec<Ipv6Net> = (0..plan.v6_prefixes)
+            .filter_map(|i| plan.v6_pool.nth_subnet(48, i as u128).ok())
+            .collect();
+        assert_eq!(v6_prefixes.len(), plan.v6_prefixes, "v6 pool too small");
+        let max4 = plan.max_size(false);
+        let v4: Vec<Ipv4Addr> = (0..max4)
+            .zip(v4_prefixes.iter().cycle())
+            .map(|(i, p)| p.nth_addr(1 + (i / v4_prefixes.len().max(1)) as u64))
+            .collect();
+        let max6 = plan.max_size(true);
+        let v6: Vec<Ipv6Addr> = (0..max6)
+            .zip(v6_prefixes.iter().cycle())
+            .map(|(i, p)| p.nth_addr(1 + (i / v6_prefixes.len().max(1)) as u128))
+            .collect();
+        FleetPool {
+            v4,
+            v6,
+            v4_prefixes,
+            v6_prefixes,
+        }
+    }
 }
 
 impl IngressFleets {
     /// Allocates every fleet from the configuration.
     pub fn build(config: &DeploymentConfig) -> IngressFleets {
-        let mut pools = HashMap::new();
+        let mut fleets: [[Option<Fleet>; 2]; 2] = Default::default();
         let mut reverse = Vec::new();
-        let mut config_sizes = HashMap::new();
         for plan in &config.ingress_plans {
-            let v4_prefixes: Vec<Ipv4Net> = plan
-                .v4_pool
-                .subnets(24)
-                .into_iter()
-                .flatten()
-                .take(plan.v4_prefixes)
-                .collect();
-            assert_eq!(v4_prefixes.len(), plan.v4_prefixes, "v4 pool too small");
-            let v6_prefixes: Vec<Ipv6Net> = (0..plan.v6_prefixes)
-                .filter_map(|i| plan.v6_pool.nth_subnet(48, i as u128).ok())
-                .collect();
-            assert_eq!(v6_prefixes.len(), plan.v6_prefixes, "v6 pool too small");
-            let max4 = plan.max_size(false);
-            let v4: Vec<Ipv4Addr> = (0..max4)
-                .zip(v4_prefixes.iter().cycle())
-                .map(|(i, p)| p.nth_addr(1 + (i / v4_prefixes.len().max(1)) as u64))
-                .collect();
-            let max6 = plan.max_size(true);
-            let v6: Vec<Ipv6Addr> = (0..max6)
-                .zip(v6_prefixes.iter().cycle())
-                .map(|(i, p)| p.nth_addr(1 + (i / v6_prefixes.len().max(1)) as u128))
-                .collect();
-            reverse.extend(v4_prefixes.iter().map(|p| (IpNet::V4(*p), plan.asn)));
-            reverse.extend(v6_prefixes.iter().map(|p| (IpNet::V6(*p), plan.asn)));
-            config_sizes.insert(
-                (plan.domain, plan.asn),
-                [plan.v4_by_epoch, plan.v6_by_epoch],
-            );
-            pools.insert(
-                (plan.domain, plan.asn),
-                FleetPool {
-                    v4,
-                    v6,
-                    v4_prefixes,
-                    v6_prefixes,
-                },
-            );
+            let pool = FleetPool::allocate(plan);
+            reverse.extend(pool.v4_prefixes.iter().map(|p| (IpNet::V4(*p), plan.asn)));
+            reverse.extend(pool.v6_prefixes.iter().map(|p| (IpNet::V6(*p), plan.asn)));
+            if let Some(slot) = Self::slot(plan.domain, plan.asn)
+                .and_then(|(d, o)| fleets.get_mut(d).and_then(|row| row.get_mut(o)))
+            {
+                *slot = Some(Fleet {
+                    pool,
+                    sizes: [plan.v4_by_epoch, plan.v6_by_epoch],
+                });
+            }
         }
         let countries = all_countries();
         let total: f64 = countries.iter().map(|c| c.weight).sum();
-        let mut acc = 0.0;
-        let cc_cumweights = countries
-            .iter()
-            .map(|c| {
-                acc += c.weight / total;
-                (c.code, acc)
-            })
-            .collect();
-        IngressFleets {
-            pools,
-            reverse: FrozenLpm::from_pairs(reverse),
-            config_sizes,
-            quic: IngressQuicBehavior::default(),
-            cc_cumweights,
+        let mut cc_bounds = vec![None; 26 * 26];
+        let mut prev = 0.0;
+        for c in &countries {
+            let cum = prev + c.weight / total;
+            // The first entry of a code wins, as the linear scan's did.
+            if let Some(slot @ None) = cc_bounds.get_mut(cc_slot(c.code)) {
+                *slot = Some((prev, cum));
+            }
+            prev = cum;
         }
+        IngressFleets {
+            fleets,
+            reverse: FrozenLpm::from_pairs(reverse),
+            quic: IngressQuicBehavior::default(),
+            cc_bounds,
+        }
+    }
+
+    /// The `(domain, operator)` indices of a fleet, if the operator runs
+    /// ingress fleets.
+    fn slot(domain: Domain, asn: Asn) -> Option<(usize, usize)> {
+        let d = Domain::ALL.iter().position(|x| *x == domain)?;
+        let o = Asn::INGRESS_OPERATORS.iter().position(|x| *x == asn)?;
+        Some((d, o))
+    }
+
+    fn fleet(&self, domain: Domain, asn: Asn) -> Option<&Fleet> {
+        let (d, o) = Self::slot(domain, asn)?;
+        self.fleets.get(d)?.get(o)?.as_ref()
     }
 
     fn epoch_index(epoch: Epoch) -> usize {
@@ -120,36 +159,35 @@ impl IngressFleets {
 
     /// The fleet pool for a `(domain, operator)` pair.
     pub fn pool(&self, domain: Domain, asn: Asn) -> Option<&FleetPool> {
-        self.pools.get(&(domain, asn))
+        self.fleet(domain, asn).map(|f| &f.pool)
     }
 
-    /// Configured window size for one `(domain, operator)` pair, family row
-    /// (0 = v4, 1 = v6) and epoch; zero if the pair is unknown.
-    fn config_size(&self, domain: Domain, asn: Asn, family: usize, epoch: Epoch) -> usize {
-        self.config_sizes
-            .get(&(domain, asn))
-            .and_then(|rows| rows.get(family))
+    /// The active window of `pool` at `epoch`: as many addresses as
+    /// `fleet`'s size for that epoch in family row `family` (0 = v4, 1 = v6).
+    fn window<'a, T>(fleet: &Fleet, pool: &'a [T], family: usize, epoch: Epoch) -> &'a [T] {
+        let size = fleet
+            .sizes
+            .get(family)
             .and_then(|row| row.get(Self::epoch_index(epoch)))
             .copied()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        pool.get(..size).unwrap_or(pool)
     }
 
     /// The active IPv4 fleet window at `epoch`.
     pub fn fleet_v4(&self, epoch: Epoch, domain: Domain, asn: Asn) -> &[Ipv4Addr] {
-        let Some(pool) = self.pools.get(&(domain, asn)) else {
+        let Some(fleet) = self.fleet(domain, asn) else {
             return &[];
         };
-        let size = self.config_size(domain, asn, 0, epoch);
-        pool.v4.get(..size).unwrap_or(&pool.v4)
+        Self::window(fleet, &fleet.pool.v4, 0, epoch)
     }
 
     /// The active IPv6 fleet window at `epoch`.
     pub fn fleet_v6(&self, epoch: Epoch, domain: Domain, asn: Asn) -> &[Ipv6Addr] {
-        let Some(pool) = self.pools.get(&(domain, asn)) else {
+        let Some(fleet) = self.fleet(domain, asn) else {
             return &[];
         };
-        let size = self.config_size(domain, asn, 1, epoch);
-        pool.v6.get(..size).unwrap_or(&pool.v6)
+        Self::window(fleet, &fleet.pool.v6, 1, epoch)
     }
 
     /// Every active IPv4 ingress address at `epoch`, across domains and
@@ -185,26 +223,22 @@ impl IngressFleets {
         if fleet.is_empty() {
             return fleet;
         }
-        let mut prev = 0.0;
-        for (code, cum) in &self.cc_cumweights {
-            if *code == cc {
-                let start = (prev * fleet.len() as f64) as usize;
-                let end = ((*cum * fleet.len() as f64) as usize).max(start + 1);
-                let start = start.min(fleet.len() - 1);
-                let end = end.min(fleet.len()).max(start + 1);
-                return fleet.get(start..end).unwrap_or(fleet);
-            }
-            prev = *cum;
-        }
-        // Unknown country: the first cluster.
-        fleet.get(..1).unwrap_or(fleet)
+        let Some((prev, cum)) = self.cc_bounds.get(cc_slot(cc)).copied().flatten() else {
+            // Unknown country: the first cluster.
+            return fleet.get(..1).unwrap_or(fleet);
+        };
+        let start = (prev * fleet.len() as f64) as usize;
+        let end = ((cum * fleet.len() as f64) as usize).max(start + 1);
+        let start = start.min(fleet.len() - 1);
+        let end = end.min(fleet.len()).max(start + 1);
+        fleet.get(start..end).unwrap_or(fleet)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     fn fleets() -> IngressFleets {
         IngressFleets::build(&DeploymentConfig::paper())
@@ -326,6 +360,133 @@ mod tests {
             vn_outcome,
             tectonic_quic::ProbeOutcome::VersionNegotiation(_)
         ));
+    }
+
+    /// The lookups `IngressFleets` made before its arrays: pools and
+    /// window sizes in hash maps keyed by `(domain, operator)`, and a
+    /// linear scan of the cumulative country weights.
+    struct HashedLookups {
+        pools: HashMap<(Domain, Asn), FleetPool>,
+        sizes: HashMap<(Domain, Asn), [[usize; 4]; 2]>,
+        cc_cumweights: Vec<(CountryCode, f64)>,
+    }
+
+    impl HashedLookups {
+        fn new(config: &DeploymentConfig) -> HashedLookups {
+            let mut pools = HashMap::new();
+            let mut sizes = HashMap::new();
+            for plan in &config.ingress_plans {
+                sizes.insert(
+                    (plan.domain, plan.asn),
+                    [plan.v4_by_epoch, plan.v6_by_epoch],
+                );
+                pools.insert((plan.domain, plan.asn), FleetPool::allocate(plan));
+            }
+            let countries = all_countries();
+            let total: f64 = countries.iter().map(|c| c.weight).sum();
+            let mut acc = 0.0;
+            let cc_cumweights = countries
+                .iter()
+                .map(|c| {
+                    acc += c.weight / total;
+                    (c.code, acc)
+                })
+                .collect();
+            HashedLookups {
+                pools,
+                sizes,
+                cc_cumweights,
+            }
+        }
+
+        fn size(&self, domain: Domain, asn: Asn, family: usize, epoch: Epoch) -> usize {
+            self.sizes
+                .get(&(domain, asn))
+                .and_then(|rows| rows.get(family))
+                .and_then(|row| row.get(IngressFleets::epoch_index(epoch)))
+                .copied()
+                .unwrap_or(0)
+        }
+
+        fn fleet_v4(&self, epoch: Epoch, domain: Domain, asn: Asn) -> &[Ipv4Addr] {
+            let Some(pool) = self.pools.get(&(domain, asn)) else {
+                return &[];
+            };
+            let size = self.size(domain, asn, 0, epoch);
+            pool.v4.get(..size).unwrap_or(&pool.v4)
+        }
+
+        fn fleet_v6(&self, epoch: Epoch, domain: Domain, asn: Asn) -> &[Ipv6Addr] {
+            let Some(pool) = self.pools.get(&(domain, asn)) else {
+                return &[];
+            };
+            let size = self.size(domain, asn, 1, epoch);
+            pool.v6.get(..size).unwrap_or(&pool.v6)
+        }
+
+        fn cc_cluster<'a, T>(&self, fleet: &'a [T], cc: CountryCode) -> &'a [T] {
+            if fleet.is_empty() {
+                return fleet;
+            }
+            let mut prev = 0.0;
+            for (code, cum) in &self.cc_cumweights {
+                if *code == cc {
+                    let start = (prev * fleet.len() as f64) as usize;
+                    let end = ((*cum * fleet.len() as f64) as usize).max(start + 1);
+                    let start = start.min(fleet.len() - 1);
+                    let end = end.min(fleet.len()).max(start + 1);
+                    return fleet.get(start..end).unwrap_or(fleet);
+                }
+                prev = *cum;
+            }
+            fleet.get(..1).unwrap_or(fleet)
+        }
+    }
+
+    #[test]
+    fn direct_lookups_match_the_hashed_and_linear_ones() {
+        for config in [DeploymentConfig::paper(), DeploymentConfig::scaled(64)] {
+            let f = IngressFleets::build(&config);
+            let hashed = HashedLookups::new(&config);
+            for epoch in Epoch::ALL {
+                for domain in Domain::ALL {
+                    for asn in [Asn::APPLE, Asn::AKAMAI_PR, Asn::CLOUDFLARE] {
+                        let at = format!("{epoch:?} {domain:?} {asn}");
+                        assert_eq!(
+                            f.fleet_v4(epoch, domain, asn),
+                            hashed.fleet_v4(epoch, domain, asn),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            f.fleet_v6(epoch, domain, asn),
+                            hashed.fleet_v6(epoch, domain, asn),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+        let f = fleets();
+        let hashed = HashedLookups::new(&DeploymentConfig::paper());
+        let akamai = f.fleet_v4(Epoch::Apr2022, Domain::MaskQuic, Asn::AKAMAI_PR);
+        assert_eq!(akamai.len(), 1237);
+        let unknown = CountryCode::new("QQ").unwrap();
+        assert!(all_countries().iter().all(|c| c.code != unknown));
+        let codes: Vec<CountryCode> = all_countries()
+            .iter()
+            .map(|c| c.code)
+            .chain([unknown])
+            .collect();
+        for n in [1, 2, 7, 1237] {
+            let fleet = &akamai[..n];
+            for &cc in &codes {
+                assert_eq!(
+                    f.cc_cluster(fleet, cc),
+                    hashed.cc_cluster(fleet, cc),
+                    "{cc} on {n} addresses"
+                );
+            }
+        }
     }
 
     #[test]

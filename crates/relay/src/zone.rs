@@ -17,8 +17,8 @@
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use tectonic_dns::zone::{EcsAnswer, EcsAnswerer, QueryInfo};
-use tectonic_dns::{DomainName, EcsOption, QType, Question, RData};
+use tectonic_dns::zone::{AnswerSink, EcsAnswerer, QueryInfo};
+use tectonic_dns::{DomainName, EcsOption, NameRef, QType, QuestionRef, RData};
 use tectonic_net::{Asn, Epoch, IpNet, Ipv4Net, PrefixTable, SimTime};
 
 use tectonic_geo::country::CountryCode;
@@ -54,8 +54,9 @@ pub struct MaskZone {
     /// (public-resolver anycast sites), compiled by [`seal`](MaskZone::seal)
     /// for the per-query lookups.
     extra_cc: PrefixTable<CountryCode>,
-    /// The names answered, built once: [`DomainName`] equality is
-    /// ASCII-case-insensitive, so queries compare without lower-casing.
+    /// The names answered, built once: a query's name, walked from the
+    /// wire, compares with them ASCII-case-insensitively, without
+    /// lower-casing.
     names: [(DomainName, Domain); 2],
     max_records: usize,
     seed: u64,
@@ -98,10 +99,10 @@ impl MaskZone {
         self.extra_cc.freeze();
     }
 
-    fn domain_of(&self, name: &DomainName) -> Option<Domain> {
+    fn domain_of(&self, name: &NameRef<'_>) -> Option<Domain> {
         self.names
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| name == n)
             .map(|(_, domain)| *domain)
     }
 
@@ -153,18 +154,15 @@ impl MaskZone {
 impl EcsAnswerer for MaskZone {
     fn answer(
         &self,
-        question: &Question,
+        question: &QuestionRef<'_>,
         ecs: Option<&EcsOption>,
         info: &QueryInfo,
-    ) -> Option<EcsAnswer> {
+        answers: &mut dyn AnswerSink,
+    ) -> Option<u8> {
         let domain = self.domain_of(&question.name)?;
         if question.qtype != QType::A && question.qtype != QType::AAAA {
             // The names exist; non-address queries get NOERROR/no-data.
-            return Some(EcsAnswer {
-                rdatas: Vec::new(),
-                ttl: 60,
-                scope_len: 0,
-            });
+            return Some(0);
         }
         let epoch = epoch_of(info.now);
         let subnet = self.client_subnet(ecs, info.src);
@@ -185,53 +183,38 @@ impl EcsAnswerer for MaskZone {
         };
         let h = mix(self.seed, subnet_key ^ (domain_key << 56));
         let count = 1 + (h >> 17) as usize % self.max_records;
-        let rdatas: Vec<RData> = if question.qtype == QType::A {
-            let fleet = self.fleets.fleet_v4(epoch, domain, operator);
-            if fleet.is_empty() {
-                // The fallback fleet of an operator may not exist yet; the
-                // live service answers from the other operator instead.
-                let other = if operator == Asn::APPLE {
-                    Asn::AKAMAI_PR
-                } else {
-                    Asn::APPLE
-                };
-                let fleet = self.fleets.fleet_v4(epoch, domain, other);
-                window(fleet, cc, &self.fleets, h, count)
-                    .map(|a| RData::A(*a))
-                    .collect()
-            } else {
-                window(fleet, cc, &self.fleets, h, count)
-                    .map(|a| RData::A(*a))
-                    .collect()
-            }
+        // The fallback fleet of an operator may not exist yet; the live
+        // service answers from the other operator instead.
+        let other = if operator == Asn::APPLE {
+            Asn::AKAMAI_PR
         } else {
-            let fleet = self.fleets.fleet_v6(epoch, domain, operator);
-            let fleet = if fleet.is_empty() {
-                let other = if operator == Asn::APPLE {
-                    Asn::AKAMAI_PR
-                } else {
-                    Asn::APPLE
-                };
-                self.fleets.fleet_v6(epoch, domain, other)
-            } else {
-                fleet
+            Asn::APPLE
+        };
+        if question.qtype == QType::A {
+            let fleet = match self.fleets.fleet_v4(epoch, domain, operator) {
+                [] => self.fleets.fleet_v4(epoch, domain, other),
+                fleet => fleet,
             };
-            window(fleet, cc, &self.fleets, h, count)
-                .map(|a| RData::Aaaa(*a))
-                .collect()
-        };
-        let scope_len = match question.qtype {
-            QType::A => self.scope_for(client),
+            for a in window(fleet, cc, &self.fleets, h, count) {
+                answers.push(TTL, &RData::A(*a));
+            }
+            Some(self.scope_for(client))
+        } else {
+            let fleet = match self.fleets.fleet_v6(epoch, domain, operator) {
+                [] => self.fleets.fleet_v6(epoch, domain, other),
+                fleet => fleet,
+            };
+            for a in window(fleet, cc, &self.fleets, h, count) {
+                answers.push(TTL, &RData::Aaaa(*a));
+            }
             // AAAA: scope 0 — the whole IPv6 space (§3).
-            _ => 0,
-        };
-        Some(EcsAnswer {
-            rdatas,
-            ttl: 60,
-            scope_len,
-        })
+            Some(0)
+        }
     }
 }
+
+/// The TTL of every answer record.
+const TTL: u32 = 60;
 
 /// A consecutive window of `count` addresses inside the country cluster of
 /// `fleet`, starting at a hash-chosen offset (wrapping within the cluster).
@@ -256,7 +239,7 @@ mod tests {
     use super::*;
     use crate::config::DeploymentConfig;
     use std::collections::HashSet;
-    use tectonic_dns::QClass;
+    use tectonic_dns::{QClass, Question};
     use tectonic_net::SimRng;
 
     fn setup() -> (Arc<IngressFleets>, Arc<ClientWorld>, MaskZone) {
@@ -267,12 +250,33 @@ mod tests {
         (fleets, world, zone)
     }
 
-    fn q(name: &str, qtype: QType) -> Question {
-        Question {
+    /// The records and ECS scope of one answer.
+    #[derive(Debug, PartialEq)]
+    struct Answer {
+        rdatas: Vec<RData>,
+        scope_len: u8,
+    }
+
+    /// `zone`'s answer to `name`/`qtype`, its records collected.
+    fn answer(
+        zone: &MaskZone,
+        name: &str,
+        qtype: QType,
+        ecs: Option<&EcsOption>,
+        info: &QueryInfo,
+    ) -> Option<Answer> {
+        let question = Question {
             name: name.parse().unwrap(),
             qtype,
             qclass: QClass::IN,
-        }
+        };
+        let mut pushed: Vec<(u32, RData)> = Vec::new();
+        let scope_len = zone.answer(&(&question).into(), ecs, info, &mut pushed)?;
+        assert!(pushed.iter().all(|(ttl, _)| *ttl == TTL));
+        Some(Answer {
+            rdatas: pushed.into_iter().map(|(_, rd)| rd).collect(),
+            scope_len,
+        })
     }
 
     fn info_at(epoch: Epoch) -> QueryInfo {
@@ -295,13 +299,14 @@ mod tests {
         let (fleets, world, zone) = setup();
         let client = world.ases()[0].host_addr(0);
         let ecs = EcsOption::for_v4_net(Ipv4Net::slash24_of(client));
-        let ans = zone
-            .answer(
-                &q("mask.icloud.com", QType::A),
-                Some(&ecs),
-                &info_at(Epoch::Apr2022),
-            )
-            .unwrap();
+        let ans = answer(
+            &zone,
+            "mask.icloud.com",
+            QType::A,
+            Some(&ecs),
+            &info_at(Epoch::Apr2022),
+        )
+        .unwrap();
         assert!(!ans.rdatas.is_empty());
         assert!(ans.rdatas.len() <= 8);
         for rd in &ans.rdatas {
@@ -316,13 +321,14 @@ mod tests {
         for client_as in world.ases().iter().step_by(13) {
             let subnet = client_as.slash24s().next().unwrap();
             let ecs = EcsOption::for_v4_net(subnet);
-            let ans = zone
-                .answer(
-                    &q("mask.icloud.com", QType::A),
-                    Some(&ecs),
-                    &info_at(Epoch::Apr2022),
-                )
-                .unwrap();
+            let ans = answer(
+                &zone,
+                "mask.icloud.com",
+                QType::A,
+                Some(&ecs),
+                &info_at(Epoch::Apr2022),
+            )
+            .unwrap();
             let asns: HashSet<_> = ans
                 .rdatas
                 .iter()
@@ -339,13 +345,14 @@ mod tests {
             let subnet = client_as.slash24s().next().unwrap();
             let want = world.serving_operator(subnet).unwrap();
             let ecs = EcsOption::for_v4_net(subnet);
-            let ans = zone
-                .answer(
-                    &q("mask.icloud.com", QType::A),
-                    Some(&ecs),
-                    &info_at(Epoch::Apr2022),
-                )
-                .unwrap();
+            let ans = answer(
+                &zone,
+                "mask.icloud.com",
+                QType::A,
+                Some(&ecs),
+                &info_at(Epoch::Apr2022),
+            )
+            .unwrap();
             let got = fleets
                 .asn_of(IpAddr::V4(ans.rdatas[0].as_a().unwrap()))
                 .unwrap();
@@ -362,13 +369,14 @@ mod tests {
             .find(|a| a.category == ServiceSplit::Both)
             .unwrap();
         let ecs = EcsOption::for_v4_net(both.slash24s().next().unwrap());
-        let ans = zone
-            .answer(
-                &q("mask.icloud.com", QType::A),
-                Some(&ecs),
-                &info_at(Epoch::Apr2022),
-            )
-            .unwrap();
+        let ans = answer(
+            &zone,
+            "mask.icloud.com",
+            QType::A,
+            Some(&ecs),
+            &info_at(Epoch::Apr2022),
+        )
+        .unwrap();
         assert_eq!(ans.scope_len, 24);
         // A single-operator AS with a prefix wider than /24 gets that scope.
         let single = world
@@ -377,13 +385,14 @@ mod tests {
             .find(|a| a.category == ServiceSplit::AkamaiOnly && a.prefixes[0].len() < 24)
             .expect("some AS has a wide prefix");
         let ecs = EcsOption::for_v4_net(single.slash24s().next().unwrap());
-        let ans = zone
-            .answer(
-                &q("mask.icloud.com", QType::A),
-                Some(&ecs),
-                &info_at(Epoch::Apr2022),
-            )
-            .unwrap();
+        let ans = answer(
+            &zone,
+            "mask.icloud.com",
+            QType::A,
+            Some(&ecs),
+            &info_at(Epoch::Apr2022),
+        )
+        .unwrap();
         assert_eq!(ans.scope_len, single.prefixes[0].len());
     }
 
@@ -392,13 +401,14 @@ mod tests {
         let (_, world, zone) = setup();
         let client = world.ases()[0].host_addr(0);
         let ecs = EcsOption::for_v4_net(Ipv4Net::slash24_of(client));
-        let ans = zone
-            .answer(
-                &q("mask.icloud.com", QType::AAAA),
-                Some(&ecs),
-                &info_at(Epoch::Apr2022),
-            )
-            .unwrap();
+        let ans = answer(
+            &zone,
+            "mask.icloud.com",
+            QType::AAAA,
+            Some(&ecs),
+            &info_at(Epoch::Apr2022),
+        )
+        .unwrap();
         assert_eq!(ans.scope_len, 0);
         assert!(ans.rdatas.iter().all(|r| r.as_aaaa().is_some()));
     }
@@ -414,13 +424,14 @@ mod tests {
             .find(|a| a.category == ServiceSplit::AkamaiOnly)
             .unwrap();
         let ecs = EcsOption::for_v4_net(akamai_client.slash24s().next().unwrap());
-        let ans = zone
-            .answer(
-                &q("mask-h2.icloud.com", QType::A),
-                Some(&ecs),
-                &info_at(Epoch::Feb2022),
-            )
-            .unwrap();
+        let ans = answer(
+            &zone,
+            "mask-h2.icloud.com",
+            QType::A,
+            Some(&ecs),
+            &info_at(Epoch::Feb2022),
+        )
+        .unwrap();
         let asn = fleets
             .asn_of(IpAddr::V4(ans.rdatas[0].as_a().unwrap()))
             .unwrap();
@@ -430,25 +441,27 @@ mod tests {
     #[test]
     fn other_names_fall_through() {
         let (_, _, zone) = setup();
-        assert!(zone
-            .answer(
-                &q("www.icloud.com", QType::A),
-                None,
-                &info_at(Epoch::Apr2022)
-            )
-            .is_none());
+        assert!(answer(
+            &zone,
+            "www.icloud.com",
+            QType::A,
+            None,
+            &info_at(Epoch::Apr2022)
+        )
+        .is_none());
     }
 
     #[test]
     fn txt_on_mask_is_nodata() {
         let (_, _, zone) = setup();
-        let ans = zone
-            .answer(
-                &q("mask.icloud.com", QType::TXT),
-                None,
-                &info_at(Epoch::Apr2022),
-            )
-            .unwrap();
+        let ans = answer(
+            &zone,
+            "mask.icloud.com",
+            QType::TXT,
+            None,
+            &info_at(Epoch::Apr2022),
+        )
+        .unwrap();
         assert!(ans.rdatas.is_empty());
     }
 
@@ -457,16 +470,17 @@ mod tests {
         let (fleets, world, zone) = setup();
         let client_as = world.ases().iter().find(|a| a.slash24_count > 2).unwrap();
         let src = IpAddr::V4(client_as.host_addr(3));
-        let ans = zone
-            .answer(
-                &q("mask.icloud.com", QType::A),
-                None,
-                &QueryInfo {
-                    src,
-                    now: Epoch::Apr2022.start(),
-                },
-            )
-            .unwrap();
+        let ans = answer(
+            &zone,
+            "mask.icloud.com",
+            QType::A,
+            None,
+            &QueryInfo {
+                src,
+                now: Epoch::Apr2022.start(),
+            },
+        )
+        .unwrap();
         assert!(!ans.rdatas.is_empty());
         let got = fleets
             .asn_of(IpAddr::V4(ans.rdatas[0].as_a().unwrap()))
@@ -484,16 +498,17 @@ mod tests {
             "172.70.9.0/24".parse::<tectonic_net::IpNet>().unwrap(),
             CountryCode::DE,
         );
-        let ans = zone
-            .answer(
-                &q("mask.icloud.com", QType::A),
-                None,
-                &QueryInfo {
-                    src: "172.70.9.53".parse().unwrap(),
-                    now: Epoch::Apr2022.start(),
-                },
-            )
-            .unwrap();
+        let ans = answer(
+            &zone,
+            "mask.icloud.com",
+            QType::A,
+            None,
+            &QueryInfo {
+                src: "172.70.9.53".parse().unwrap(),
+                now: Epoch::Apr2022.start(),
+            },
+        )
+        .unwrap();
         assert!(!ans.rdatas.is_empty());
         // The answer must come from the DE cluster of whichever fleet
         // handled it.
@@ -523,16 +538,17 @@ mod tests {
             ("172.70.9.53", CountryCode::DE),
             ("172.71.3.53", CountryCode::US),
         ] {
-            let ans = zone
-                .answer(
-                    &q("mask.icloud.com", QType::A),
-                    None,
-                    &QueryInfo {
-                        src: src.parse().unwrap(),
-                        now: Epoch::Apr2022.start(),
-                    },
-                )
-                .unwrap();
+            let ans = answer(
+                &zone,
+                "mask.icloud.com",
+                QType::A,
+                None,
+                &QueryInfo {
+                    src: src.parse().unwrap(),
+                    now: Epoch::Apr2022.start(),
+                },
+            )
+            .unwrap();
             assert!(!ans.rdatas.is_empty());
             let addr = ans.rdatas[0].as_a().unwrap();
             let asn = fleets.asn_of(IpAddr::V4(addr)).unwrap();
@@ -546,20 +562,22 @@ mod tests {
     fn answers_are_deterministic() {
         let (_, world, zone) = setup();
         let ecs = EcsOption::for_v4_net(world.ases()[0].slash24s().next().unwrap());
-        let a = zone
-            .answer(
-                &q("mask.icloud.com", QType::A),
-                Some(&ecs),
-                &info_at(Epoch::Apr2022),
-            )
-            .unwrap();
-        let b = zone
-            .answer(
-                &q("mask.icloud.com", QType::A),
-                Some(&ecs),
-                &info_at(Epoch::Apr2022),
-            )
-            .unwrap();
+        let a = answer(
+            &zone,
+            "mask.icloud.com",
+            QType::A,
+            Some(&ecs),
+            &info_at(Epoch::Apr2022),
+        )
+        .unwrap();
+        let b = answer(
+            &zone,
+            "mask.icloud.com",
+            QType::A,
+            Some(&ecs),
+            &info_at(Epoch::Apr2022),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 }

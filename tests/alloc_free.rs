@@ -8,17 +8,20 @@
 //! allocations over thousands of calls on real inputs:
 //!
 //! * the scan's query template patch;
-//! * the scan's reply path: `ReplyView::parse`, `answers_v4` and the
-//!   batched RIB attribution;
+//! * the authoritative server's reply to a scan query: the query read
+//!   through `ReplyView`, the mask zone's answer pushed into the reply as
+//!   it is written;
+//! * the scan's reply view, `ReplyView::parse` and `answers_v4`, and the
+//!   RIB's batched attribution;
 //! * the prefix table's reads on a frozen table under overlay patches, and
 //!   the RIB's batched covering-prefix lookup on one;
-//! * the wire encoder, reused;
+//! * the wire encoder, reused and fresh;
 //! * the engine's window drain.
 //!
 //! The scan's per-query kernel (`attempt_query`, private) is pinned end to
 //! end: a one-shard scan against a server replaying one captured answer
-//! may only grow its report, so doubling the queries adds far fewer than
-//! one allocation per query.
+//! may only grow its report and its ingress table, so doubling the queries
+//! adds far fewer than one allocation per query.
 
 #![expect(
     clippy::disallowed_macros,
@@ -33,13 +36,13 @@ use bytes::BytesMut;
 use tectonic::bgp::{NetBatchScratch, Rib};
 use tectonic::core::ecs_scan::EcsScanner;
 use tectonic::dns::name::mask_domain;
-use tectonic::dns::wire::MessageEncoder;
+use tectonic::dns::wire::{encode_message_into, MessageEncoder};
 use tectonic::dns::{
     EcsOption, Message, NameServer, QType, QueryContext, QueryTemplate, ReplyOutcome, ReplyView,
 };
 use tectonic::engine::{Engine, EngineConfig, ShardCtx, ShardModel};
 use tectonic::net::{
-    Asn, BatchScratch, IpNet, Ipv4Net, PrefixTable, SimClock, SimDuration, SimRng, SimTime,
+    Asn, BatchScratch, Epoch, IpNet, Ipv4Net, PrefixTable, SimClock, SimDuration, SimRng, SimTime,
 };
 use tectonic::relay::{Deployment, DeploymentConfig};
 
@@ -124,6 +127,43 @@ fn query_template_patch_is_allocation_free() {
     assert_eq!(allocs, 0, "{} template patches", nets.len());
 }
 
+#[test]
+fn authoritative_server_reply_is_allocation_free() {
+    let d = deployment();
+    let auth = d.auth_server_unlimited();
+    let template = QueryTemplate::new_v4_24(&mask_domain(), QType::A).expect("template");
+    let mut query = template.instantiate();
+    let queries: Vec<Vec<u8>> = (0u16..)
+        .zip(subnets(&d, 4_000))
+        .map(|(id, net)| query.patch(id, net).to_vec())
+        .collect();
+    let ctx = QueryContext {
+        src: IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1)),
+        now: Epoch::Apr2022.start(),
+    };
+    let mut reply = BytesMut::new();
+    let mut answer_all = || {
+        let mut answers = 0usize;
+        for wire in &queries {
+            let outcome = auth.handle_query_into(wire, &ctx, &mut reply);
+            assert_eq!(outcome, ReplyOutcome::Written);
+            let view = ReplyView::parse(&reply).expect("a server reply parses");
+            answers += view.answers_v4().count();
+        }
+        answers
+    };
+    answer_all();
+    let (allocs, answers) = allocations(answer_all);
+    assert!(answers > queries.len(), "{answers} answers");
+    assert_eq!(allocs, 0, "{} queries", queries.len());
+}
+
+/// The scan reads each reply through the view and then probes its
+/// per-shard ingress table once per answer, taking a plain `Rib::lookup`
+/// for an address it has not seen (the table only grows, so
+/// `scan_attempts_allocate_sublinearly` pins it). The batched attribution
+/// it used before stays a RIB kernel: the covering-prefix batch behind
+/// Tables 3/4 runs on it.
 #[test]
 fn reply_view_and_batched_attribution_are_allocation_free() {
     let d = deployment();
@@ -271,6 +311,19 @@ fn reused_encoder_is_allocation_free() {
     let (allocs, bytes) = allocations(encode_all);
     assert!(bytes > 0);
     assert_eq!(allocs, 0, "{} encodes", queries.len());
+    // A fresh encoder per message keeps these queries' few label offsets
+    // inline.
+    let mut fresh_all = || {
+        let mut bytes = 0usize;
+        for query in &queries {
+            encode_message_into(query, &mut out);
+            bytes += out.len();
+        }
+        bytes
+    };
+    let (allocs, fresh_bytes) = allocations(&mut fresh_all);
+    assert_eq!(fresh_bytes, bytes);
+    assert_eq!(allocs, 0, "{} fresh encodes", queries.len());
 }
 
 /// A shard that does nothing with its events.

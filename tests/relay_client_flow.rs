@@ -236,25 +236,23 @@ fn odoh_resolution_carries_egress_ecs() {
     // the ECS subnet, so the authoritative tailors answers to the egress
     // location, not the client's.
     use std::sync::Arc;
-    use tectonic::dns::zone::{EcsAnswer, EcsAnswerer, QueryInfo};
-    use tectonic::dns::{server::AuthoritativeServer, EcsOption, QType, Question, RData, Zone};
+    use tectonic::dns::zone::{AnswerSink, EcsAnswerer, QueryInfo};
+    use tectonic::dns::{server::AuthoritativeServer, EcsOption, QType, QuestionRef, RData, Zone};
 
     struct EcsEcho;
     impl EcsAnswerer for EcsEcho {
         fn answer(
             &self,
-            _q: &Question,
+            _q: &QuestionRef<'_>,
             ecs: Option<&EcsOption>,
             _info: &QueryInfo,
-        ) -> Option<EcsAnswer> {
+            answers: &mut dyn AnswerSink,
+        ) -> Option<u8> {
             let seen = ecs
                 .map(|e| e.source_net().to_string())
                 .unwrap_or_else(|| "none".into());
-            Some(EcsAnswer {
-                rdatas: vec![RData::Txt(format!("ecs={seen}"))],
-                ttl: 0,
-                scope_len: ecs.map(|e| e.source_len).unwrap_or(0),
-            })
+            answers.push(0, &RData::Txt(format!("ecs={seen}")));
+            Some(ecs.map(|e| e.source_len).unwrap_or(0))
         }
     }
 
