@@ -79,12 +79,11 @@ proptest! {
         }
         let total: usize = rib
             .origins()
-            .iter()
-            .map(|asn| rib.prefixes_of(*asn).len())
+            .map(|asn| rib.prefixes_of(asn).len())
             .sum();
         prop_assert_eq!(total, rib.len());
         // Every prefix listed for an origin really has that origin.
-        for &asn in rib.origins() {
+        for asn in rib.origins() {
             for p in rib.prefixes_of(asn) {
                 prop_assert_eq!(rib.origin_of(p), Some(asn));
             }
@@ -173,7 +172,7 @@ fn check_reads(
     let mut origins: Vec<Asn> = want.iter().map(|(_, a)| *a).collect();
     origins.sort();
     origins.dedup();
-    prop_assert_eq!(rib.origins(), &origins[..]);
+    prop_assert_eq!(rib.origins().collect::<Vec<_>>(), origins.clone());
     for asn in &origins {
         let mut got = rib.prefixes_of(*asn).to_vec();
         got.sort();
