@@ -15,6 +15,8 @@
 //! Unit-level equivalence (per-report field equality, per-stage shard
 //! alignment) lives next to each stage.
 
+use std::path::Path;
+
 use proptest::prelude::*;
 use tectonic::chaos::{run_pipeline, ChaosConfig, ChaosRun};
 use tectonic::core::masque_load::{run_engine, run_serial, PerfectChannel, StormConfig};
@@ -57,12 +59,52 @@ fn golden_engine_run_matches_serial_pipeline() {
     }
 }
 
-/// The kitchen-sink scenario — every fault family at once — through the
-/// engine: same seed, same report, for every worker count.
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Checks `run` against its line in `tests/golden/engine-cells.txt`: a
+/// digest of artifacts, metrics and both fault ledgers, built as
+/// `chaos_matrix.rs` builds its cell lines. A mismatch writes the actual
+/// line under `target/tmp/golden/`; re-blessing copies it over the
+/// committed file.
+fn check_engine_cell(label: &str, run: &ChaosRun) {
+    let dump = format!(
+        "{:?}\n{:?}\n{:?}\n{:?}",
+        run.artifacts, run.metrics, run.stats, run.atlas_a_stats
+    );
+    let line = format!("{label} fnv1a={:016x}\n", fnv1a(dump.as_bytes()));
+    let name = "engine-cells.txt";
+    let committed = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name),
+    )
+    .unwrap_or_default();
+    if committed == line {
+        return;
+    }
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
+    std::fs::create_dir_all(&dir).expect("create the actual-output directory");
+    let path = dir.join(name);
+    std::fs::write(&path, &line).expect("write the actual output");
+    panic!(
+        "{label}: digest differs from tests/golden/{name}; actual file: {}",
+        path.display()
+    );
+}
+
+/// The kitchen-sink scenario — every fault family at once, tunnel loss on
+/// the storm's datagrams included — through the engine: the one-worker run
+/// matches its committed digest, and every worker count reproduces it.
 #[test]
 fn kitchen_sink_engine_run_is_worker_invariant() {
     let plan = scenarios::by_name("kitchen-sink").expect("scenario registered");
     let base = run_pipeline(7, Some(&plan), &config(Some(EngineConfig::new(8, 1))));
+    check_engine_cell("kitchen-sink seed=7 engine=8x1", &base);
     for workers in [2, 4] {
         let run = run_pipeline(7, Some(&plan), &config(Some(EngineConfig::new(8, workers))));
         assert_runs_equal(&run, &base, &format!("kitchen-sink, {workers} workers"));
