@@ -457,7 +457,9 @@ impl<V> FrozenLpm<V> {
             });
         }
         // The (family, bits, len) sort above leaves each family's keys in
-        // exactly the (bits, len) order the query paths rely on.
+        // exactly the (bits, len) order the query paths rely on. The staging
+        // list is spent: free it before the compile allocates the trie.
+        drop(raw);
 
         let mut nodes = Vec::new();
         let mut entries = Vec::new();
