@@ -76,10 +76,7 @@ pub use dataset::{Archive, ArchiveMeta};
 pub use ecs_scan::{EcsScanConfig, EcsScanReport, EcsScanner};
 pub use egress_analysis::{EgressAnalysis, Table3, Table4};
 pub use load::LoadReport;
-pub use masque_load::{
-    run_engine as run_masque_engine, run_serial as run_masque_serial, DatagramChannel,
-    PerfectChannel, RotationStats, StormConfig, StormReport,
-};
+pub use masque_load::{DatagramChannel, PerfectChannel, RotationStats, StormConfig, StormReport};
 pub use monitor::{evolution, ScanDiff};
 pub use passive::{ids_fragmentation, PassiveMonitor, PassiveReport};
 pub use qoe::{qoe_experiment, QoeReport};

@@ -58,10 +58,12 @@ pub struct ChaosConfig {
     /// Client pairs in the §4 CONNECT-UDP session storm.
     pub storm_clients: u32,
     /// The engine geometry of the ECS scans, Atlas campaigns and open-DNS
-    /// relay series, each with one fault channel per shard, and of the §4
-    /// storm. `None` (the default) runs those stages on one shard and one
-    /// worker, served by the run's main fault channel, and the storm
-    /// serially. Engine runs are worker-invariant: the same seed produces
+    /// relay series, each with one fault channel per shard. The §4 storm
+    /// runs serially in both modes; here it takes the engine's shard count
+    /// and each client's datagrams cross its own shard's channel. `None`
+    /// (the default) runs those stages on one shard and one worker, and
+    /// the storm on its default shards, all served by the run's main fault
+    /// channel. Engine runs are worker-invariant: the same seed produces
     /// the same [`ChaosRun`] for every `workers` value.
     pub engine: Option<EngineConfig>,
 }
@@ -217,10 +219,11 @@ fn stage_servers<'a>(
     }
 }
 
-/// Routes §4 storm datagrams through the scenario's fault channels:
-/// engine runs carry one channel per shard (each storm shard only ever
-/// calls its own index, keeping the RNG streams worker-invariant), the
-/// serial storm shares the main channel.
+/// Routes §4 storm datagrams through the scenario's fault channels. Engine
+/// runs carry one channel per shard, and a storm client calls only its own
+/// shard's (`shard % len`), in client order: each channel's RNG stream
+/// sees the calls a time-ordered simulation of its shard would make. Runs
+/// without an engine share the main channel.
 struct MasqueWire<'a> {
     channels: Vec<&'a FaultedChannel>,
 }
@@ -526,10 +529,7 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
         Some(wire) => wire,
         None => &masque_load::PerfectChannel,
     };
-    let storm = match config.engine.as_ref() {
-        Some(e) => masque_load::run_engine(&deployment, &storm_cfg, storm_channel, e.workers),
-        None => masque_load::run_serial(&deployment, &storm_cfg, storm_channel),
-    };
+    let storm = masque_load::run_serial(&deployment, &storm_cfg, storm_channel);
     for line in storm.render() {
         artifacts.push_str(&line);
         artifacts.push('\n');
