@@ -1,6 +1,5 @@
 //! The routing information base.
 
-use std::collections::{BTreeSet, HashMap};
 use std::net::IpAddr;
 
 use serde::{Deserialize, Serialize};
@@ -35,17 +34,12 @@ pub struct RouteEntry {
 /// chunks it touches. Once enough patches pend, a fold writes them into
 /// the table in place: the key list takes them in one linear pass, and
 /// the compiled arrays are re-expanded only along each patch's own path.
+///
+/// The table is the RIB's only store: an update writes nothing else, and
+/// a per-AS census ([`prefixes_of`](Rib::prefixes_of)) filters the table.
 #[derive(Debug, Default)]
 pub struct Rib {
     routes: PrefixTable<RouteEntry>,
-    /// Per-AS announced prefix lists, in no particular order, kept
-    /// alongside the table for the prefix-census analyses (Table 3, §6).
-    /// Entries are removed when their last prefix is withdrawn, so every
-    /// present key has prefixes.
-    by_origin: HashMap<Asn, Vec<IpNet>>,
-    /// `by_origin`'s keys in order, maintained incrementally so
-    /// [`origins`](Rib::origins) iterates instead of collecting and sorting.
-    origins: BTreeSet<Asn>,
 }
 
 impl Rib {
@@ -95,47 +89,14 @@ impl Rib {
     /// Announces `prefix` with origin `asn`. Re-announcing an existing
     /// prefix replaces the origin (and returns the previous one).
     pub fn announce(&mut self, prefix: impl Into<IpNet>, origin: Asn) -> Option<Asn> {
-        let prefix = prefix.into();
-        let prev = self.routes.insert(prefix, RouteEntry { origin });
-        if let Some(prev) = &prev {
-            if prev.origin != origin {
-                self.unindex_prefix(prev.origin, &prefix);
-                self.index_prefix(origin, prefix);
-            }
-        } else {
-            self.index_prefix(origin, prefix);
-        }
-        prev.map(|e| e.origin)
+        self.routes
+            .insert(prefix.into(), RouteEntry { origin })
+            .map(|e| e.origin)
     }
 
     /// Withdraws `prefix`, returning its origin if it was announced.
     pub fn withdraw(&mut self, prefix: &IpNet) -> Option<Asn> {
-        let prev = self.routes.remove(prefix);
-        if let Some(entry) = &prev {
-            self.unindex_prefix(entry.origin, prefix);
-        }
-        prev.map(|e| e.origin)
-    }
-
-    fn index_prefix(&mut self, origin: Asn, prefix: IpNet) {
-        let list = self.by_origin.entry(origin).or_default();
-        if list.is_empty() {
-            self.origins.insert(origin);
-        }
-        list.push(prefix);
-    }
-
-    fn unindex_prefix(&mut self, origin: Asn, prefix: &IpNet) {
-        // The list is unordered, so the last prefix fills the gap.
-        if let Some(list) = self.by_origin.get_mut(&origin) {
-            if let Some(at) = list.iter().position(|p| p == prefix) {
-                list.swap_remove(at);
-            }
-            if list.is_empty() {
-                self.by_origin.remove(&origin);
-                self.origins.remove(&origin);
-            }
-        }
+        self.routes.remove(prefix).map(|e| e.origin)
     }
 
     /// Number of announced prefixes (both families).
@@ -221,23 +182,18 @@ impl Rib {
         self.routes.get(prefix).map(|e| e.origin)
     }
 
-    /// All prefixes announced by `asn` (unspecified order).
-    pub fn prefixes_of(&self, asn: Asn) -> &[IpNet] {
-        self.by_origin.get(&asn).map(Vec::as_slice).unwrap_or(&[])
+    /// All prefixes announced by `asn`, in [`iter`](Rib::iter)'s order:
+    /// IPv4 first, then ascending. It walks the whole table, so it is meant
+    /// for one-off censuses, not for a per-update or per-query path.
+    pub fn prefixes_of(&self, asn: Asn) -> impl Iterator<Item = IpNet> + '_ {
+        self.iter()
+            .filter_map(move |(net, origin)| (origin == asn).then_some(net))
     }
 
     /// Iterates every `(prefix, origin)` announcement: IPv4 first, then
     /// ascending address and length.
     pub fn iter(&self) -> impl Iterator<Item = (IpNet, Asn)> + '_ {
         self.routes.iter().map(|(net, entry)| (net, entry.origin))
-    }
-
-    /// The origin ASes with at least one announcement, ascending.
-    ///
-    /// Maintained incrementally on announce/withdraw, so this only
-    /// iterates.
-    pub fn origins(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.origins.iter().copied()
     }
 }
 
@@ -282,8 +238,11 @@ mod tests {
             Some(Asn(64512))
         );
         assert_eq!(rib.origin_of(&net("203.0.113.0/24")), Some(Asn(64513)));
-        assert!(rib.prefixes_of(Asn(64512)).is_empty());
-        assert_eq!(rib.prefixes_of(Asn(64513)), &[net("203.0.113.0/24")]);
+        assert_eq!(rib.prefixes_of(Asn(64512)).next(), None);
+        assert_eq!(
+            rib.prefixes_of(Asn(64513)).collect::<Vec<_>>(),
+            vec![net("203.0.113.0/24")]
+        );
         assert_eq!(rib.len(), 1);
     }
 
@@ -292,7 +251,7 @@ mod tests {
         let mut rib = Rib::new();
         rib.announce(net("203.0.113.0/24"), Asn(64512));
         rib.announce(net("203.0.113.0/24"), Asn(64512));
-        assert_eq!(rib.prefixes_of(Asn(64512)).len(), 1);
+        assert_eq!(rib.prefixes_of(Asn(64512)).count(), 1);
     }
 
     #[test]
@@ -302,7 +261,7 @@ mod tests {
         assert_eq!(rib.withdraw(&net("17.0.0.0/8")), Some(Asn::APPLE));
         assert_eq!(rib.withdraw(&net("17.0.0.0/8")), None);
         assert!(rib.is_empty());
-        assert!(rib.prefixes_of(Asn::APPLE).is_empty());
+        assert_eq!(rib.prefixes_of(Asn::APPLE).next(), None);
         assert!(rib.lookup("17.1.1.1".parse().unwrap()).is_none());
     }
 
@@ -323,44 +282,6 @@ mod tests {
         rib.announce(net("2620:149::/32"), Asn::APPLE);
         assert!(rib.is_routed("2620:149::1".parse().unwrap()));
         assert!(!rib.is_routed("38.32.1.1".parse().unwrap()));
-    }
-
-    #[test]
-    fn origins_and_iter() {
-        let mut rib = Rib::new();
-        rib.announce(net("17.0.0.0/8"), Asn::APPLE);
-        rib.announce(net("23.32.0.0/11"), Asn::AKAMAI_EG);
-        rib.announce(net("2620:149::/32"), Asn::APPLE);
-        assert_eq!(
-            rib.origins().collect::<Vec<_>>(),
-            vec![Asn::APPLE, Asn::AKAMAI_EG]
-        );
-        assert_eq!(rib.iter().count(), 3);
-        assert_eq!(rib.prefixes_of(Asn::APPLE).len(), 2);
-    }
-
-    #[test]
-    fn origins_cache_tracks_withdraw_and_reannounce() {
-        let mut rib = Rib::new();
-        rib.announce(net("17.0.0.0/8"), Asn::APPLE);
-        rib.announce(net("2620:149::/32"), Asn::APPLE);
-        rib.announce(net("23.32.0.0/11"), Asn::AKAMAI_EG);
-        // Withdrawing one of two Apple prefixes keeps Apple listed.
-        rib.withdraw(&net("2620:149::/32"));
-        assert_eq!(
-            rib.origins().collect::<Vec<_>>(),
-            vec![Asn::APPLE, Asn::AKAMAI_EG]
-        );
-        // Withdrawing the last one drops Apple entirely.
-        rib.withdraw(&net("17.0.0.0/8"));
-        assert_eq!(rib.origins().collect::<Vec<_>>(), vec![Asn::AKAMAI_EG]);
-        // Re-announcing under a different origin moves the prefix between
-        // origin sets and drops the now-empty old origin.
-        rib.announce(net("23.32.0.0/11"), Asn::APPLE);
-        assert_eq!(rib.origins().collect::<Vec<_>>(), vec![Asn::APPLE]);
-        rib.withdraw(&net("23.32.0.0/11"));
-        assert!(rib.origins().next().is_none());
-        assert!(rib.is_empty());
     }
 
     #[test]

@@ -49,11 +49,17 @@ pub struct CorrelationReport {
 }
 
 impl CorrelationReport {
-    /// Runs the audit against a deployment at `epoch`.
+    /// Runs the audit against a deployment at `epoch`. The prefix census
+    /// counts AS36183's announcements in one pass over the RIB's table.
     pub fn audit(deployment: &Deployment, epoch: Epoch) -> CorrelationReport {
-        let announced: Vec<IpNet> = deployment.rib.prefixes_of(Asn::AKAMAI_PR).to_vec();
-        let announced_v4 = announced.iter().filter(|p| p.is_v4()).count();
-        let announced_v6 = announced.iter().filter(|p| p.is_v6()).count();
+        let (mut announced_v4, mut announced_v6) = (0usize, 0usize);
+        for prefix in deployment.rib.prefixes_of(Asn::AKAMAI_PR) {
+            if prefix.is_v4() {
+                announced_v4 += 1;
+            } else {
+                announced_v6 += 1;
+            }
+        }
 
         // Collect every active ingress address (both domains, both
         // families) inside Akamai PR.
@@ -90,7 +96,7 @@ impl CorrelationReport {
             egress.covering_prefixes(Asn::AKAMAI_PR).copied().collect();
 
         let used = with_ingress.union(&with_egress).count();
-        let used_share = used as f64 / announced.len().max(1) as f64;
+        let used_share = used as f64 / (announced_v4 + announced_v6).max(1) as f64;
         let ingress_egress_share_prefix = with_ingress.intersection(&with_egress).next().is_some();
 
         // Last-hop sharing: sample ingress × egress v4 pairs.

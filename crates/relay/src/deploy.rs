@@ -379,11 +379,10 @@ mod tests {
     #[test]
     fn akamai_pr_announcement_census() {
         let d = Deployment::build(3, DeploymentConfig::paper());
-        let prefixes = d.rib.prefixes_of(Asn::AKAMAI_PR);
-        let v4 = prefixes.iter().filter(|p| p.is_v4()).count();
-        let v6 = prefixes.iter().filter(|p| p.is_v6()).count();
-        assert_eq!(v4, 478, "announced v4 prefixes");
-        assert_eq!(v6, 1336, "announced v6 prefixes");
+        let (v4, v6): (Vec<IpNet>, Vec<IpNet>) =
+            d.rib.prefixes_of(Asn::AKAMAI_PR).partition(IpNet::is_v4);
+        assert_eq!(v4.len(), 478, "announced v4 prefixes");
+        assert_eq!(v6.len(), 1336, "announced v6 prefixes");
     }
 
     #[test]

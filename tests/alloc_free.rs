@@ -15,6 +15,7 @@
 //!   RIB's batched attribution;
 //! * the prefix table's reads on a frozen table under overlay patches, and
 //!   the RIB's batched covering-prefix lookup on one;
+//! * BGP updates on a frozen RIB: withdraw, re-announce and re-origination;
 //! * the wire encoder, reused and fresh;
 //! * the engine's window drain.
 //!
@@ -30,6 +31,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
 
 use bytes::BytesMut;
@@ -284,6 +286,48 @@ fn rib_covering_prefix_batch_is_allocation_free() {
     let (allocs, ()) = allocations(read_all);
     assert!(hits > 0);
     assert_eq!(allocs, 0, "{} nets", nets.len());
+}
+
+/// A BGP update writes only the table: once the overlay holds a route's
+/// patch, withdrawing, re-announcing, re-originating and restoring it
+/// allocates nothing, also when the route is its origin's only one. A round
+/// stays under both compaction triggers (the pending-patch cap and garbage
+/// outnumbering live words), so no fold runs.
+#[test]
+fn frozen_rib_updates_are_allocation_free() {
+    let mut rng = SimRng::new(63);
+    let mut routes = BTreeMap::new();
+    for origin in 1u32.. {
+        if routes.len() == 60_000 {
+            break;
+        }
+        let len = 8 + rng.below(17) as u8;
+        let addr = Ipv4Addr::from(rng.next_u64_raw() as u32);
+        let net = IpNet::from(Ipv4Net::new(addr, len).expect("length at most 32"));
+        routes.insert(net, Asn(origin));
+    }
+    let mut rib = Rib::new();
+    for (net, origin) in &routes {
+        rib.announce(*net, *origin);
+    }
+    rib.freeze();
+    let victims: Vec<(IpNet, Asn)> = routes.into_iter().step_by(60).collect();
+    assert_eq!(victims.len(), 1_000);
+    let round = |rib: &mut Rib| {
+        for (net, origin) in &victims {
+            let moved = Asn(origin.value() + 1_000_000);
+            assert_eq!(rib.withdraw(net), Some(*origin));
+            assert_eq!(rib.announce(*net, *origin), None);
+            assert_eq!(rib.announce(*net, moved), Some(*origin));
+            assert_eq!(rib.announce(*net, *origin), Some(moved));
+        }
+    };
+    round(&mut rib);
+    let pending = rib.pending_patches();
+    assert!(pending > 0, "updates must land in the overlay");
+    let (allocs, ()) = allocations(|| round(&mut rib));
+    assert_eq!(rib.pending_patches(), pending, "no fold ran");
+    assert_eq!(allocs, 0, "{} victims", victims.len());
 }
 
 #[test]
