@@ -48,11 +48,13 @@ pub struct EgressSelection {
 /// The sticky egress operator and the per-connection address draw.
 #[derive(Debug, Clone)]
 pub struct EgressSelector {
-    /// `(operator, cc)` → candidate subnets for that location.
-    pools: HashMap<(Asn, CountryCode), Vec<IpNet>>,
-    /// Operator → all subnets, the fallback pool when an operator has no
-    /// presence at the client's country in a (scaled-down) list.
-    global_pools: HashMap<Asn, Vec<IpNet>>,
+    /// `(operator, cc)` → the location's IPv4 subnets, in list order. A
+    /// location whose subnets are all IPv6 keeps its (empty) entry: the
+    /// keys are the operator's presence.
+    pools: HashMap<(Asn, CountryCode), Vec<Ipv4Net>>,
+    /// Operator → all its IPv4 subnets, the fallback pool when an operator
+    /// has no presence at the client's country in a (scaled-down) list.
+    global_pools: HashMap<Asn, Vec<Ipv4Net>>,
     operators: Vec<Asn>,
     /// Mean time between operator switches.
     operator_stickiness: SimDuration,
@@ -60,11 +62,12 @@ pub struct EgressSelector {
 }
 
 impl EgressSelector {
-    /// Indexes the egress list's subnets per (operator, country) and per
-    /// operator, attributing each subnet through the footprints.
+    /// Indexes the egress list's IPv4 subnets per (operator, country) and
+    /// per operator, attributing each subnet through the footprints. The
+    /// draw reads these lists in place, so a session copies none of them.
     pub fn build(list: &EgressList, footprints: &[OperatorFootprint], seed: u64) -> EgressSelector {
-        let mut pools: HashMap<(Asn, CountryCode), Vec<IpNet>> = HashMap::new();
-        let mut global_pools: HashMap<Asn, Vec<IpNet>> = HashMap::new();
+        let mut pools: HashMap<(Asn, CountryCode), Vec<Ipv4Net>> = HashMap::new();
+        let mut global_pools: HashMap<Asn, Vec<Ipv4Net>> = HashMap::new();
         // Index the footprints once and compile the index; per-entry
         // attribution is then a flat longest-prefix match instead of a
         // linear scan (the full list has ~240 k subnets against ~1.5 k
@@ -79,8 +82,9 @@ impl EgressSelector {
                 continue;
             };
             let op = *op;
-            pools.entry((op, entry.cc)).or_default().push(entry.subnet);
-            global_pools.entry(op).or_default().push(entry.subnet);
+            let v4 = entry.subnet.as_v4().copied();
+            pools.entry((op, entry.cc)).or_default().extend(v4);
+            global_pools.entry(op).or_default().extend(v4);
         }
         let mut operators: Vec<Asn> = footprints.iter().map(|f| f.asn).collect();
         operators.sort();
@@ -207,32 +211,34 @@ impl EgressSelector {
         let local = self.pools.get(&(operator, cc));
         let global = self.global_pools.get(&operator);
         let mut pool: Vec<(IpNet, IpAddr)> = Vec::with_capacity(pool_size);
-        for subnets in [local, global] {
+        for family in [local, global].into_iter().flatten() {
             if pool.len() >= pool_size {
                 break;
             }
-            // Collected only when the pool is still short: the
-            // operator-wide list runs to tens of thousands of subnets at
-            // paper scale, and most cells fill the pool locally.
-            let family: Vec<&Ipv4Net> = subnets
-                .into_iter()
-                .flatten()
-                .filter_map(IpNet::as_v4)
-                .collect();
             if family.is_empty() {
                 continue;
             }
             // Walk (subnet, host) pairs in a cell-deterministic order until
-            // the pool is full; distinct pairs yield distinct addresses
-            // because the egress-list subnets do not overlap, and the
-            // global top-up pass dedups anything the local pass already
-            // picked.
-            let candidates: u64 = family.iter().map(|n| span(n)).sum();
-            for i in 0..candidates {
+            // the pool is full or every pair has been tried; distinct pairs
+            // yield distinct addresses because the egress-list subnets do
+            // not overlap, and the global top-up pass dedups anything the
+            // local pass already picked. Every subnet spans at least one
+            // host, so the pair count can only end the walk once it has gone
+            // round the whole family, and is summed only then: the
+            // operator-wide list runs to tens of thousands of subnets at
+            // paper scale, and most cells fill the pool in a few steps.
+            let mut candidates = u64::MAX;
+            for i in 0u64.. {
                 if pool.len() >= pool_size {
                     break;
                 }
-                let Some(&n) = family.get((base + i as usize) % family.len()) else {
+                if i == family.len() as u64 {
+                    candidates = family.iter().map(span).sum();
+                }
+                if i >= candidates {
+                    break;
+                }
+                let Some(n) = family.get((base + i as usize) % family.len()) else {
                     break;
                 };
                 let host = (base as u64 / family.len() as u64 + i / family.len() as u64) % span(n);
@@ -253,9 +259,100 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use tectonic_geo::city::CityUniverse;
-    use tectonic_geo::egress::{generate, OperatorEgressSpec};
+    use tectonic_geo::egress::{generate, EgressEntry, OperatorEgressSpec};
+    use tectonic_net::Ipv6Net;
 
-    fn selector() -> EgressSelector {
+    type Lists = (
+        HashMap<(Asn, CountryCode), Vec<IpNet>>,
+        HashMap<Asn, Vec<IpNet>>,
+    );
+
+    /// The per-location and operator-wide lists of every attributed
+    /// subnet, IPv4 and IPv6 alike, in list order: what the selector filed
+    /// before it kept only the IPv4 subnets.
+    fn oracle_lists(list: &EgressList, footprints: &[OperatorFootprint]) -> Lists {
+        let mut lists: Lists = Default::default();
+        let prefixes: Vec<(IpNet, Asn)> = footprints
+            .iter()
+            .flat_map(|f| {
+                let v4 = f.bgp_v4.iter().map(|p| IpNet::V4(*p));
+                let v6 = f.bgp_v6.iter().map(|p| IpNet::V6(*p));
+                v4.chain(v6).map(move |p| (p, f.asn))
+            })
+            .collect();
+        for entry in list.entries() {
+            let Some(&(_, op)) = prefixes
+                .iter()
+                .filter(|(p, _)| p.contains_net(&entry.subnet))
+                .max_by_key(|(p, _)| p.len())
+            else {
+                continue;
+            };
+            lists
+                .0
+                .entry((op, entry.cc))
+                .or_default()
+                .push(entry.subnet);
+            lists.1.entry(op).or_default().push(entry.subnet);
+        }
+        lists
+    }
+
+    /// [`EgressSelector::geohash_pool`] as it was before the selector
+    /// filed IPv4 slices: each call collects the family's IPv4 subnets out
+    /// of the mixed lists and bounds the walk by the sum of their spans up
+    /// front.
+    fn oracle_pool(
+        s: &EgressSelector,
+        (pools, global_pools): &Lists,
+        operator: Asn,
+        cc: CountryCode,
+        geohash: &str,
+        pool_size: usize,
+    ) -> Vec<(IpNet, IpAddr)> {
+        let mut key = 0xCBF2_9CE4_8422_2325u64;
+        for b in geohash.bytes() {
+            key = (key ^ u64::from(b)).wrapping_mul(0x1_0000_01B3);
+        }
+        let base = s.mix(key ^ u64::from(operator.value()).rotate_left(23)) as usize;
+        let span = |n: &Ipv4Net| -> u64 {
+            let count = n.addr_count();
+            let usable = if count > 2 { count - 2 } else { count.max(1) };
+            (pool_size as u64).min(usable)
+        };
+        let local = pools.get(&(operator, cc));
+        let global = global_pools.get(&operator);
+        let mut pool: Vec<(IpNet, IpAddr)> = Vec::with_capacity(pool_size);
+        for subnets in [local, global] {
+            if pool.len() >= pool_size {
+                break;
+            }
+            let family: Vec<&Ipv4Net> = subnets
+                .into_iter()
+                .flatten()
+                .filter_map(IpNet::as_v4)
+                .collect();
+            if family.is_empty() {
+                continue;
+            }
+            let candidates: u64 = family.iter().map(|n| span(n)).sum();
+            for i in 0..candidates {
+                if pool.len() >= pool_size {
+                    break;
+                }
+                let n = family[(base + i as usize) % family.len()];
+                let host = (base as u64 / family.len() as u64 + i / family.len() as u64) % span(n);
+                let host = if n.addr_count() > 2 { 1 + host } else { host };
+                let addr = IpAddr::V4(n.nth_addr(host));
+                if !pool.iter().any(|(_, a)| *a == addr) {
+                    pool.push((IpNet::V4(*n), addr));
+                }
+            }
+        }
+        pool
+    }
+
+    fn inputs() -> (EgressList, Vec<OperatorFootprint>) {
         let mut specs = OperatorEgressSpec::paper_defaults();
         for s in &mut specs {
             for (_, c) in &mut s.v4_mask_plan {
@@ -266,8 +363,90 @@ mod tests {
             s.cities_v6 /= 20;
         }
         let universe = CityUniverse::generate(&mut SimRng::new(1), 8_000);
-        let (list, footprints) = generate(&SimRng::new(2), &universe, &specs, 1.0);
+        generate(&SimRng::new(2), &universe, &specs, 1.0)
+    }
+
+    fn selector() -> EgressSelector {
+        let (list, footprints) = inputs();
         EgressSelector::build(&list, &footprints, 77)
+    }
+
+    /// Compares the pool with the oracle's at every location of `keys`, on
+    /// several cells, at pool sizes 1–4.
+    fn assert_pools_match(s: &EgressSelector, lists: &Lists, keys: &[(Asn, CountryCode)]) {
+        for &(op, cc) in keys {
+            for cell in ["9q8y", "u281", "dr5r", "gcpvj", "s00"] {
+                for size in 1..=4 {
+                    assert_eq!(
+                        s.geohash_pool(op, cc, cell, size),
+                        oracle_pool(s, lists, op, cc, cell, size),
+                        "{op:?} {cc:?} {cell} {size}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn geohash_pool_matches_the_collecting_oracle() {
+        let (list, footprints) = inputs();
+        let s = EgressSelector::build(&list, &footprints, 77);
+        let lists = oracle_lists(&list, &footprints);
+        // The selector files every location the lists have, IPv6-only ones
+        // too (an empty entry), with its IPv4 subnets in list order.
+        let v4 = |l: &Vec<IpNet>| -> Vec<Ipv4Net> {
+            l.iter().filter_map(IpNet::as_v4).copied().collect()
+        };
+        assert_eq!(s.pools.len(), lists.0.len());
+        assert_eq!(s.global_pools.len(), lists.1.len());
+        let mut keys: Vec<(Asn, CountryCode)> = lists.0.keys().copied().collect();
+        keys.sort();
+        assert!(
+            keys.iter().any(|k| lists.0[k].iter().all(IpNet::is_v6)),
+            "an IPv6-only location"
+        );
+        for key in &keys {
+            assert_eq!(s.pools.get(key), Some(&v4(&lists.0[key])), "{key:?}");
+            assert_eq!(s.global_pools.get(&key.0), Some(&v4(&lists.1[&key.0])));
+        }
+        assert_pools_match(&s, &lists, &keys);
+    }
+
+    #[test]
+    fn a_footprint_smaller_than_the_pool_ends_on_the_pair_bound() {
+        // Fastly holds a /30 in DE (2 usable hosts), a /31 in the US (2
+        // addresses) and only IPv6 in FR. At pool sizes 3 and 4 the DE and
+        // US walks run out of pairs and stop at their bound before the
+        // operator-wide top-up; FR keeps an empty entry and draws from the
+        // operator-wide list alone.
+        let v4 = |a: [u8; 4], len| IpNet::V4(Ipv4Net::new(a.into(), len).unwrap());
+        let entry = |subnet, cc| EgressEntry {
+            subnet,
+            cc,
+            region: String::new(),
+            city: None,
+        };
+        let v6 = IpNet::V6(Ipv6Net::new("2001:db8:1::".parse().unwrap(), 64).unwrap());
+        let fr = CountryCode::literal("FR");
+        let list = EgressList::from_entries(vec![
+            entry(v4([192, 0, 2, 0], 30), CountryCode::DE),
+            entry(v6, fr),
+            entry(v4([192, 0, 2, 8], 31), CountryCode::US),
+        ]);
+        let footprints = [OperatorFootprint {
+            asn: Asn::FASTLY,
+            bgp_v4: vec![Ipv4Net::new([192, 0, 2, 0].into(), 24).unwrap()],
+            bgp_v6: vec![Ipv6Net::new("2001:db8::".parse().unwrap(), 32).unwrap()],
+        }];
+        let s = EgressSelector::build(&list, &footprints, 77);
+        let lists = oracle_lists(&list, &footprints);
+        assert_eq!(s.pools.get(&(Asn::FASTLY, fr)), Some(&vec![]));
+        assert_eq!(s.operator_for(1, fr, SimTime::EPOCH), Some(Asn::FASTLY));
+        let keys = [CountryCode::DE, fr, CountryCode::US].map(|cc| (Asn::FASTLY, cc));
+        assert_pools_match(&s, &lists, &keys);
+        // A 5-address pool takes the whole 4-address footprint and stops.
+        let pool = s.geohash_pool(Asn::FASTLY, CountryCode::DE, "9q8y", 5);
+        assert_eq!(pool.len(), 4);
     }
 
     #[test]
