@@ -121,30 +121,23 @@ impl EgressSelector {
     /// The sticky operator for `(client, now)`: changes only when the
     /// stickiness window rolls over, and only among operators present at
     /// the client's country.
+    ///
+    /// The candidates are counted and then walked to the pick, so the
+    /// choice allocates nothing.
     pub fn operator_for(&self, client_key: u64, cc: CountryCode, now: SimTime) -> Option<Asn> {
-        let mut present: Vec<Asn> = self
-            .operators
-            .iter()
-            .copied()
-            .filter(|op| self.pools.contains_key(&(*op, cc)))
-            .collect();
-        if present.is_empty() {
+        let window = now.as_millis() / self.operator_stickiness.as_millis().max(1);
+        let h = self.mix(client_key ^ window.wrapping_mul(0x1000_0000_01b3));
+        // The `h`-th operator (mod their count) that `present` admits.
+        let pick = |present: &dyn Fn(Asn) -> bool| {
+            let mut candidates = self.operators.iter().copied().filter(|op| present(*op));
+            let count = candidates.clone().count();
+            candidates.nth((h as usize).checked_rem(count)?)
+        };
+        pick(&|op| self.pools.contains_key(&(op, cc)))
             // No operator represents this country (possible in scaled-down
             // lists): any operator with subnets at all can still serve,
             // preserving only the country/time zone (§4.2's no-region mode).
-            present = self
-                .operators
-                .iter()
-                .copied()
-                .filter(|op| self.global_pools.contains_key(op))
-                .collect();
-        }
-        if present.is_empty() {
-            return None;
-        }
-        let window = now.as_millis() / self.operator_stickiness.as_millis().max(1);
-        let h = self.mix(client_key ^ window.wrapping_mul(0x1000_0000_01b3));
-        present.get((h as usize) % present.len()).copied()
+            .or_else(|| pick(&|op| self.global_pools.contains_key(&op)))
     }
 
     /// Draws the egress address for one connection: the `(operator,
@@ -480,6 +473,68 @@ mod tests {
             let op = s.operator_for(client, CountryCode::DE, t).unwrap();
             assert_ne!(op, Asn::FASTLY);
             assert_ne!(op, Asn::AKAMAI_EG);
+        }
+    }
+
+    /// The collecting pick `operator_for` replaced: the operators present
+    /// at `cc`, else those with any subnet, then the `h`-th of them.
+    fn oracle_operator(
+        s: &EgressSelector,
+        client_key: u64,
+        cc: CountryCode,
+        now: SimTime,
+    ) -> Option<Asn> {
+        let mut present: Vec<Asn> = s
+            .operators
+            .iter()
+            .copied()
+            .filter(|op| s.pools.contains_key(&(*op, cc)))
+            .collect();
+        if present.is_empty() {
+            present = s
+                .operators
+                .iter()
+                .copied()
+                .filter(|op| s.global_pools.contains_key(op))
+                .collect();
+        }
+        if present.is_empty() {
+            return None;
+        }
+        let window = now.as_millis() / s.operator_stickiness.as_millis().max(1);
+        let h = s.mix(client_key ^ window.wrapping_mul(0x1000_0000_01b3));
+        present.get((h as usize) % present.len()).copied()
+    }
+
+    #[test]
+    fn operator_choice_matches_the_collecting_oracle() {
+        let full = selector();
+        let mut countries: Vec<CountryCode> = full.pools.keys().map(|(_, cc)| *cc).collect();
+        countries.sort();
+        countries.dedup();
+        // A country no operator represents takes the global fallback.
+        let nowhere = CountryCode::literal("ZZ");
+        assert!(!countries.contains(&nowhere));
+        countries.push(nowhere);
+        let start = SimTime::from_ymd(2022, 5, 10);
+        for s in [
+            full.clone(),
+            full.clone()
+                .with_operators(vec![Asn::CLOUDFLARE, Asn::AKAMAI_PR]),
+            full.with_operators(vec![]),
+        ] {
+            for &cc in &countries {
+                for client in 0..20 {
+                    let t = start + SimDuration::from_hours(2).times(client);
+                    let picked = s.operator_for(client, cc, t);
+                    assert_eq!(
+                        picked,
+                        oracle_operator(&s, client, cc, t),
+                        "{cc:?} {client}"
+                    );
+                    assert_eq!(picked.is_none(), s.operators.is_empty());
+                }
+            }
         }
     }
 

@@ -17,7 +17,9 @@
 //!   the RIB's batched covering-prefix lookup on one;
 //! * BGP updates on a frozen RIB: withdraw, re-announce and re-origination;
 //! * the wire encoder, reused and fresh;
-//! * the engine's window drain.
+//! * the engine's window drain;
+//! * the egress operator choice, for a country with a local operator and
+//!   for one that takes the global fallback.
 //!
 //! The scan's per-query kernel (`attempt_query`, private) is pinned end to
 //! end: a one-shard scan against a server replaying one captured answer
@@ -43,6 +45,7 @@ use tectonic::dns::{
     EcsOption, Message, NameServer, QType, QueryContext, QueryTemplate, ReplyOutcome, ReplyView,
 };
 use tectonic::engine::{Engine, EngineConfig, ShardCtx, ShardModel};
+use tectonic::geo::CountryCode;
 use tectonic::net::{
     Asn, BatchScratch, Epoch, IpNet, Ipv4Net, PrefixTable, SimClock, SimDuration, SimRng, SimTime,
 };
@@ -399,6 +402,37 @@ fn engine_window_drain_is_allocation_free() {
         assert_eq!(outs.len(), 4);
         assert_eq!(allocs, 0, "{windows} windows");
     }
+}
+
+#[test]
+fn egress_operator_choice_is_allocation_free() {
+    let d = deployment();
+    let selector = d.egress_selector();
+    // No operator represents "ZZ", so its choice falls back to the
+    // operators' global pools.
+    let nowhere = CountryCode::literal("ZZ");
+    assert!(d.egress_list.entries().iter().all(|e| e.cc != nowhere));
+    let countries = [CountryCode::US, CountryCode::DE, nowhere];
+    let start = Epoch::May2022.start();
+    let choose_all = || {
+        let mut chosen = 0usize;
+        for client in 0..2_000u64 {
+            let now = start + SimDuration::from_mins(7).times(client);
+            for &cc in &countries {
+                chosen += usize::from(selector.operator_for(client, cc, now).is_some());
+            }
+        }
+        chosen
+    };
+    let warm = choose_all();
+    let (allocs, chosen) = allocations(choose_all);
+    assert_eq!(chosen, warm);
+    assert_eq!(
+        chosen,
+        2_000 * countries.len(),
+        "every country has an operator"
+    );
+    assert_eq!(allocs, 0, "{} choices", 2_000 * countries.len());
 }
 
 /// Answers every query with one captured reply, under the query's id.
