@@ -84,38 +84,19 @@ pub struct DnsCampaign {
 }
 
 impl DnsCampaign {
-    /// A campaign against one of the relay mask domains (policies apply).
-    pub fn mask(qname: DomainName, qtype: QType) -> DnsCampaign {
+    /// A campaign for `qname`. Probes' blocking policies apply to the
+    /// relay suffix `icloud.com`, so a blocking resolver refuses the mask
+    /// domains but still answers a control name outside that suffix.
+    pub fn new(qname: DomainName, qtype: QType) -> DnsCampaign {
         DnsCampaign {
             qname,
             qtype,
             policy_suffixes: vec![DomainName::literal("icloud.com")],
         }
-    }
-
-    /// A control campaign against an unrelated domain (policies apply to
-    /// the relay suffixes only, so blocking resolvers still answer).
-    pub fn control(qname: DomainName, qtype: QType) -> DnsCampaign {
-        DnsCampaign {
-            qname,
-            qtype,
-            policy_suffixes: vec![DomainName::literal("icloud.com")],
-        }
-    }
-
-    /// The campaign's flake-stream root for a given campaign generator.
-    ///
-    /// Each probe's transient-timeout draw comes from an independent fork
-    /// of this root keyed by probe id (see [`DnsCampaign::run_probe`]), so
-    /// a probe's outcome depends only on `(seed, probe.id)` — never on how
-    /// many probes ran before it or on which shard of the discrete-event
-    /// engine it landed.
-    pub fn flake_base(rng: &SimRng) -> SimRng {
-        rng.fork("campaign-flakes")
     }
 
     /// Runs the campaign for one probe at simulated time `now`.
-    pub fn run_probe(
+    fn run_probe(
         &self,
         probe: &Probe,
         auth: &dyn NameServer,
@@ -153,6 +134,11 @@ impl DnsCampaign {
 
     /// Runs the campaign: every probe resolves through its own resolver
     /// against `auth` at simulated time `now`.
+    ///
+    /// Each probe's transient-timeout draw comes from an independent fork
+    /// of one flake root, keyed by probe id, so a probe's outcome depends
+    /// only on `(rng, probe.id)`: never on how many probes ran before it,
+    /// so a probe set split into ranges gives the same results.
     pub fn run(
         &self,
         probes: &[Probe],
@@ -160,7 +146,7 @@ impl DnsCampaign {
         now: SimTime,
         rng: &SimRng,
     ) -> Vec<ProbeResult> {
-        let flake_base = DnsCampaign::flake_base(rng);
+        let flake_base = rng.fork("campaign-flakes");
         probes
             .iter()
             .map(|probe| self.run_probe(probe, auth, now, &flake_base))
@@ -218,7 +204,7 @@ mod tests {
     #[test]
     fn normal_probes_get_answers() {
         let probes = vec![probe(0, ResolverPolicy::Normal, 0.0)];
-        let campaign = DnsCampaign::mask("mask.icloud.com".parse().unwrap(), QType::A);
+        let campaign = DnsCampaign::new("mask.icloud.com".parse().unwrap(), QType::A);
         let results = campaign.run(&probes, &auth(), SimTime(0), &SimRng::new(1));
         assert_eq!(results.len(), 1);
         assert!(results[0].outcome.has_answers());
@@ -228,12 +214,13 @@ mod tests {
     #[test]
     fn blocking_probe_fails_mask_but_not_control() {
         let probes = vec![probe(0, ResolverPolicy::BlockNxDomain, 0.0)];
-        let mask = DnsCampaign::mask("mask.icloud.com".parse().unwrap(), QType::A);
+        let mask = DnsCampaign::new("mask.icloud.com".parse().unwrap(), QType::A);
         let results = mask.run(&probes, &auth(), SimTime(0), &SimRng::new(1));
         assert_eq!(results[0].outcome.rcode(), Some(Rcode::NxDomain));
-        // Control domain: policy does not apply; the auth refuses the
-        // out-of-zone name but the probe *does* get a response.
-        let control = DnsCampaign::control("control.example".parse().unwrap(), QType::A);
+        // Control domain: the name lies outside the policy's suffix, so
+        // the policy does not apply; the auth refuses the out-of-zone name
+        // but the probe *does* get a response.
+        let control = DnsCampaign::new("control.example".parse().unwrap(), QType::A);
         let results = control.run(&probes, &auth(), SimTime(0), &SimRng::new(1));
         assert_eq!(results[0].outcome.rcode(), Some(Rcode::Refused));
     }
@@ -243,7 +230,7 @@ mod tests {
         let probes: Vec<Probe> = (0..200)
             .map(|i| probe(i, ResolverPolicy::Normal, 0.5))
             .collect();
-        let campaign = DnsCampaign::mask("mask.icloud.com".parse().unwrap(), QType::A);
+        let campaign = DnsCampaign::new("mask.icloud.com".parse().unwrap(), QType::A);
         let results = campaign.run(&probes, &auth(), SimTime(0), &SimRng::new(3));
         let timeouts = results
             .iter()
@@ -257,7 +244,7 @@ mod tests {
         let probes: Vec<Probe> = (0..50)
             .map(|i| probe(i, ResolverPolicy::Normal, 0.2))
             .collect();
-        let campaign = DnsCampaign::mask("mask.icloud.com".parse().unwrap(), QType::A);
+        let campaign = DnsCampaign::new("mask.icloud.com".parse().unwrap(), QType::A);
         let a = campaign.run(&probes, &auth(), SimTime(0), &SimRng::new(9));
         let b = campaign.run(&probes, &auth(), SimTime(0), &SimRng::new(9));
         assert_eq!(a, b);
@@ -270,14 +257,15 @@ mod tests {
             .collect();
         let mut reversed = probes.clone();
         reversed.reverse();
-        let campaign = DnsCampaign::mask("mask.icloud.com".parse().unwrap(), QType::A);
+        let campaign = DnsCampaign::new("mask.icloud.com".parse().unwrap(), QType::A);
         let auth = auth();
         let seed = SimRng::new(5);
         let forward = campaign.run(&probes, &auth, SimTime(0), &seed);
         let mut backward = campaign.run(&reversed, &auth, SimTime(0), &seed);
         backward.reverse();
         // Each probe's flake draw is keyed by its id, so execution order
-        // (and by extension engine sharding) cannot change any outcome.
+        // (and by extension splitting the probes into ranges) cannot
+        // change any outcome.
         assert_eq!(forward, backward);
     }
 

@@ -3,23 +3,12 @@
 
 use tectonic_atlas::population::PopulationConfig;
 use tectonic_bench::{banner, bench_deployment};
-use tectonic_core::atlas_campaign::AtlasSetup;
+use tectonic_core::atlas_campaign::{control_server, AtlasSetup};
 use tectonic_core::blocking::survey;
 use tectonic_core::report::render_blocking;
-use tectonic_dns::server::AuthoritativeServer;
-use tectonic_dns::{QType, RData, Record, Zone};
+use tectonic_dns::QType;
 use tectonic_net::Epoch;
 use tectonic_relay::Domain;
-
-fn control_server() -> AuthoritativeServer {
-    let mut zone = Zone::new("atlas-measurements.net".parse().unwrap());
-    zone.add_record(Record::new(
-        "control.atlas-measurements.net".parse().unwrap(),
-        300,
-        RData::A("93.184.216.34".parse().unwrap()),
-    ));
-    AuthoritativeServer::new().with_zone(zone)
-}
 
 fn main() {
     let d = &bench_deployment();

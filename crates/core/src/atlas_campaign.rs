@@ -15,9 +15,9 @@ use tectonic_atlas::measurement::{DnsCampaign, MeasurementOutcome, ProbeResult};
 use tectonic_atlas::population::{generate, PopulationConfig, ProbeSite};
 use tectonic_atlas::Probe;
 use tectonic_dns::resolver::ResolverKind;
-use tectonic_dns::server::NameServer;
-use tectonic_dns::QType;
-use tectonic_engine::{Engine, EngineConfig, ShardCtx, ShardModel};
+use tectonic_dns::server::{AuthoritativeServer, NameServer};
+use tectonic_dns::{DomainName, QType, RData, Record, Zone};
+use tectonic_engine::EngineConfig;
 use tectonic_net::{Asn, Epoch, SimRng, SimTime};
 use tectonic_relay::deploy::anycast_source;
 use tectonic_relay::{Deployment, Domain};
@@ -50,8 +50,7 @@ impl AtlasSetup {
     }
 
     /// Runs an A or AAAA campaign for one mask domain at `epoch` against
-    /// the deployment's unlimited authoritative server: the one-shard run
-    /// of [`run_mask_campaign_engine`](AtlasSetup::run_mask_campaign_engine).
+    /// the deployment's unlimited authoritative server, as one probe range.
     pub fn run_mask_campaign(
         &self,
         deployment: &Deployment,
@@ -71,17 +70,13 @@ impl AtlasSetup {
         )
     }
 
-    /// Runs an A or AAAA campaign for one mask domain at `epoch` on the
-    /// sharded discrete-event engine.
-    ///
-    /// Probes are dealt to shards in contiguous index ranges and each probe
-    /// is one scheduled event at the epoch start. A probe's transient-flake
-    /// draw is keyed by `(seed, probe.id)` (see
-    /// [`DnsCampaign::run_probe`]), so the merged result vector equals
-    /// [`DnsCampaign::run`]'s for every shard and worker count.
-    /// `auths` is indexed `shard % auths.len()` — the chaos harness passes
-    /// one fault-injecting wrapper per shard so shards never share a
-    /// channel lock.
+    /// Runs an A or AAAA campaign for one mask domain at `epoch` over
+    /// `engine.shards` contiguous probe ranges; `engine.workers` is not
+    /// read. No probe's result depends on another's, so the ranges run one
+    /// after the other on the calling thread, range `s` asking
+    /// `auths[s % auths.len()]` in probe order. A probe's transient-flake
+    /// draw is keyed by `(seed, probe.id)`, so the result vector equals
+    /// [`DnsCampaign::run`]'s for every shard count.
     pub fn run_mask_campaign_engine(
         &self,
         auths: &[&dyn NameServer],
@@ -91,25 +86,32 @@ impl AtlasSetup {
         seed: u64,
         engine: &EngineConfig,
     ) -> Vec<ProbeResult> {
-        let campaign = DnsCampaign::mask(domain.name(), qtype);
-        run_campaign_engine(&campaign, &self.probes, auths, epoch.start(), seed, engine)
+        let campaign = DnsCampaign::new(domain.name(), qtype);
+        run_campaign(
+            &campaign,
+            &self.probes,
+            auths,
+            epoch.start(),
+            seed,
+            engine.shards,
+        )
     }
 
-    /// Runs the control campaign (an unrelated, always-resolvable domain)
-    /// on one engine shard.
+    /// Runs the control campaign (an unrelated, always-resolvable domain,
+    /// served by [`control_server`]) as one probe range.
     pub fn run_control_campaign(
         &self,
         control_auth: &dyn NameServer,
         epoch: Epoch,
         seed: u64,
     ) -> Vec<ProbeResult> {
-        run_campaign_engine(
+        run_campaign(
             &control_campaign(),
             &self.probes,
             &[control_auth],
             epoch.start(),
             seed,
-            &EngineConfig::new(1, 1),
+            1,
         )
     }
 
@@ -144,86 +146,50 @@ impl AtlasSetup {
     }
 }
 
-/// The blocking survey's control campaign: A queries for a domain that
-/// always resolves.
-fn control_campaign() -> DnsCampaign {
-    DnsCampaign::control(
-        tectonic_dns::DomainName::literal("control.atlas-measurements.net"),
-        QType::A,
-    )
+/// The blocking survey's control name. It lies outside the relay
+/// suffixes the probes' blocking policies apply to, so a blocking resolver
+/// still answers it.
+const CONTROL_NAME: &str = "control.atlas-measurements.net";
+
+/// The authoritative server for the blocking survey's control domain: the
+/// `atlas-measurements.net` zone, with one record, the control name's
+/// `A 93.184.216.34` (TTL 300).
+pub fn control_server() -> AuthoritativeServer {
+    let mut zone = Zone::new(DomainName::literal("atlas-measurements.net"));
+    zone.add_record(Record::new(
+        DomainName::literal(CONTROL_NAME),
+        300,
+        RData::A(Ipv4Addr::new(93, 184, 216, 34)),
+    ));
+    AuthoritativeServer::new().with_zone(zone)
 }
 
-/// Runs `campaign` over `probes` on the discrete-event engine: contiguous
-/// probe ranges per shard, one event per probe, all at `now` (as in
-/// [`DnsCampaign::run`], every probe is measured at the same instant).
-/// Shard outputs concatenate in shard-index order, which is probe order.
-fn run_campaign_engine(
+/// The blocking survey's control campaign: A queries for the control name.
+fn control_campaign() -> DnsCampaign {
+    DnsCampaign::new(DomainName::literal(CONTROL_NAME), QType::A)
+}
+
+/// Runs `campaign` over `probes` as `shards` contiguous probe ranges, every
+/// probe measured at `now` (as in [`DnsCampaign::run`]). Range `s` asks
+/// `auths[s % auths.len()]`, in probe order: the chaos harness passes one
+/// fault-injecting wrapper per shard, and each sees its own ranges'
+/// queries. A probe's transient-flake draw is keyed by `(seed, probe.id)`,
+/// so the ranges concatenate to one run over all probes.
+fn run_campaign(
     campaign: &DnsCampaign,
     probes: &[Probe],
     auths: &[&dyn NameServer],
     now: SimTime,
     seed: u64,
-    engine: &EngineConfig,
+    shards: usize,
 ) -> Vec<ProbeResult> {
-    let Some(&first_auth) = auths.first() else {
-        return Vec::new();
-    };
-    let shards = engine.shards.max(1);
-    let per_shard = probes.len().div_ceil(shards).max(1);
-    // Same derivation as DnsCampaign::run, so per-probe flake streams are
-    // identical.
-    let flake_base = DnsCampaign::flake_base(&SimRng::new(seed));
-    let models: Vec<ProbeShard<'_>> = probes
-        .chunks(per_shard)
-        .enumerate()
-        .map(|(s, chunk)| ProbeShard {
-            campaign,
-            auth: auths.get(s % auths.len()).copied().unwrap_or(first_auth),
-            flake_base: &flake_base,
-            probes: chunk.iter(),
-            results: Vec::with_capacity(chunk.len()),
-        })
-        .collect();
-    let mut eng = Engine::new(engine, models, &SimRng::new(seed));
-    for (s, chunk) in probes.chunks(per_shard).enumerate() {
-        for _ in chunk {
-            eng.seed(s, now, ());
-        }
-    }
-    let mut merged = Vec::with_capacity(probes.len());
-    for out in eng.run() {
-        merged.extend(out);
-    }
-    merged
-}
-
-/// One engine shard of a DNS campaign: a contiguous probe range, one event
-/// per probe. Events within a shard arrive in seed (= probe) order, so a
-/// cursor over the range suffices — the event carries no payload.
-struct ProbeShard<'a> {
-    campaign: &'a DnsCampaign,
-    auth: &'a dyn NameServer,
-    flake_base: &'a SimRng,
-    probes: std::slice::Iter<'a, Probe>,
-    results: Vec<ProbeResult>,
-}
-
-impl ShardModel for ProbeShard<'_> {
-    type Event = ();
-    type Out = Vec<ProbeResult>;
-
-    fn handle(&mut self, now: SimTime, _event: (), _ctx: &mut ShardCtx<()>) {
-        if let Some(probe) = self.probes.next() {
-            self.results.push(
-                self.campaign
-                    .run_probe(probe, self.auth, now, self.flake_base),
-            );
-        }
-    }
-
-    fn finish(self) -> Self::Out {
-        self.results
-    }
+    let per_range = probes.len().div_ceil(shards.max(1)).max(1);
+    let rng = SimRng::new(seed);
+    probes
+        .chunks(per_range)
+        .zip(auths.iter().cycle())
+        .flat_map(|(range, auth)| campaign.run(range, *auth, now, &rng))
+        .collect()
 }
 
 /// Aggregated outcome of an address-enumeration campaign.
@@ -361,12 +327,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_campaign_matches_serial_for_all_worker_counts() {
+    fn ranged_campaign_matches_one_run() {
         let (d, atlas) = setup();
         let auth = d.auth_server_unlimited();
         let start = Epoch::Apr2022.start();
-        // The oracle: the serial campaign loop over every probe.
-        let oracle = DnsCampaign::mask(Domain::MaskQuic.name(), QType::A).run(
+        // The oracle: one campaign run over every probe.
+        let oracle = DnsCampaign::new(Domain::MaskQuic.name(), QType::A).run(
             &atlas.probes,
             &auth,
             start,
@@ -376,30 +342,46 @@ mod tests {
             atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 7),
             oracle
         );
-        // One shared server, and a per-shard fan-out of three over six
-        // shards.
+        // One shared server at range counts that do and do not divide the
+        // 1 500 probes, and a per-range fan-out of three over six ranges.
         let shared: Vec<&dyn NameServer> = vec![&auth];
         let fan_out: Vec<&dyn NameServer> = vec![&auth, &auth, &auth];
-        for (auths, shards, workers) in [
-            (&shared, 1, 1),
-            (&shared, 5, 1),
-            (&shared, 5, 4),
-            (&shared, 8, 8),
-            (&fan_out, 6, 3),
+        for (auths, shards) in [
+            (&shared, 1),
+            (&shared, 5),
+            (&shared, 7),
+            (&shared, 11),
+            (&shared, 2_000),
+            (&fan_out, 6),
         ] {
-            let engine = atlas.run_mask_campaign_engine(
+            let ranged = atlas.run_mask_campaign_engine(
                 auths,
                 Domain::MaskQuic,
                 QType::A,
                 Epoch::Apr2022,
                 7,
-                &EngineConfig::new(shards, workers),
+                &EngineConfig::new(shards, 1),
             );
-            assert_eq!(engine, oracle, "shards={shards} workers={workers}");
+            assert_eq!(ranged, oracle, "shards={shards}");
         }
-        let control_oracle = control_campaign().run(&atlas.probes, &auth, start, &SimRng::new(8));
+        assert!(atlas
+            .run_mask_campaign_engine(
+                &[],
+                Domain::MaskQuic,
+                QType::A,
+                Epoch::Apr2022,
+                7,
+                &EngineConfig::new(3, 1),
+            )
+            .is_empty());
+        let control = control_server();
+        let control_oracle =
+            control_campaign().run(&atlas.probes, &control, start, &SimRng::new(8));
+        assert!(control_oracle
+            .iter()
+            .any(|r| r.outcome.rcode() == Some(tectonic_dns::Rcode::NoError)));
         assert_eq!(
-            atlas.run_control_campaign(&auth, Epoch::Apr2022, 8),
+            atlas.run_control_campaign(&control, Epoch::Apr2022, 8),
             control_oracle
         );
     }

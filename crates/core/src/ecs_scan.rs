@@ -473,9 +473,6 @@ impl EcsScanner {
     /// Records one successful response: scope bookkeeping, one ingress
     /// table probe per A answer in `scratch.addr_batch`, and
     /// per-client-AS serving credit.
-    ///
-    /// Returns the scope net offered to `known_scopes`, if any — the
-    /// engine uses it to announce the scope to sibling shards.
     fn process_response(
         &self,
         subnet: Ipv4Net,
@@ -484,16 +481,14 @@ impl EcsScanner {
         scratch: &mut ScanScratch,
         known_scopes: &mut ScopeSet,
         report: &mut EcsScanReport,
-    ) -> Option<Ipv4Net> {
+    ) {
         if reply.rcode != Rcode::NoError {
-            return None;
+            return;
         }
-        let mut inserted_scope = None;
         if let Some(scope) = reply.ecs_scope {
             if self.config.respect_scopes && scope < 24 {
                 if let Ok(scope_net) = Ipv4Net::new(subnet.network(), scope) {
                     known_scopes.insert(scope_net);
-                    inserted_scope = Some(scope_net);
                 }
             }
         }
@@ -536,7 +531,6 @@ impl EcsScanner {
                 }
             }
         }
-        inserted_scope
     }
 
     /// Attempts ECS enumeration over IPv6 (AAAA queries) and reports why
@@ -607,9 +601,10 @@ impl EcsScanner {
         rib: &Rib,
         clock: &mut SimClock,
     ) -> EcsScanReport {
-        let report = self.scan_subnets_engine(
+        let report = self.run_engine_scan(
             domain,
             subnets,
+            &[],
             &[auth],
             rib,
             clock.now(),
@@ -651,9 +646,11 @@ impl EcsScanner {
     /// equivalence is structural, not statistical: shard boundaries are
     /// aligned with top-level announcement boundaries, and every ECS scope
     /// a server can return is contained in the top-level announced prefix
-    /// of the subnet that elicited it, so each shard reproduces exactly the
-    /// one-shard scan's skip decisions for its slice of the address space.
-    /// Worker count never affects any output bit.
+    /// of the subnet that elicited it, so a scope never covers a sibling's
+    /// subnet. Each shard therefore keeps its own scopes, exchanges no
+    /// events, and reproduces exactly the one-shard scan's skip decisions
+    /// for its slice of the address space. Worker count never affects any
+    /// output bit.
     ///
     /// `servers` is indexed by `shard % servers.len()`: pass one server to
     /// share it (it must tolerate concurrent queries), or `engine.shards`
@@ -670,25 +667,6 @@ impl EcsScanner {
         let subnets = self.candidate_subnets(rib);
         let prefixes = EcsScanner::top_level_prefixes(rib);
         self.run_engine_scan(domain, &subnets, &prefixes, servers, rib, start, engine)
-    }
-
-    /// Engine scan over an explicit subnet list (benchmarks, targeted
-    /// sweeps). With no announcement structure to align shards to, the
-    /// list is cut into plain contiguous slices; scopes that cross a cut
-    /// travel as events, so skipping is deterministic for a fixed shard
-    /// count but — unlike [`EcsScanner::scan_engine_sharded`] — may differ
-    /// from the one-shard scan's (an in-flight shard can query a subnet
-    /// before a sibling's scope announcement arrives).
-    pub fn scan_subnets_engine(
-        &self,
-        domain: DomainName,
-        subnets: &[Ipv4Net],
-        servers: &[&dyn NameServer],
-        rib: &Rib,
-        start: SimTime,
-        engine: &EngineConfig,
-    ) -> EcsScanReport {
-        self.run_engine_scan(domain, subnets, &[], servers, rib, start, engine)
     }
 
     #[expect(
@@ -724,8 +702,7 @@ impl EcsScanner {
                         .copied()
                         .unwrap_or(first_server),
                     rib,
-                    owned: prefixes.get(seg.prefixes.clone()).unwrap_or(&[]),
-                    subnets: subnets.get(seg.subnets.clone()).unwrap_or(&[]),
+                    subnets: subnets.get(seg.clone()).unwrap_or(&[]),
                     idx: 0,
                     attempts: 0,
                     start,
@@ -738,8 +715,8 @@ impl EcsScanner {
         // The scan draws no shard randomness; the engine seed is fixed.
         let mut eng = Engine::new(engine, models, &SimRng::new(0xEC5));
         for (i, seg) in segments.iter().enumerate() {
-            if !seg.subnets.is_empty() {
-                eng.seed(i, start, ScanEvent::Attempt);
+            if !seg.is_empty() {
+                eng.seed(i, start, ());
             }
         }
         EcsScanReport::merged(domain, eng.run())
@@ -754,13 +731,6 @@ fn ecs_query(id: u16, domain: &DomainName, subnet: Ipv4Net) -> Message {
     query
 }
 
-/// One shard's slice of the candidate list and of the top-level prefixes
-/// whose /24s it owns.
-struct ShardSegment {
-    subnets: std::ops::Range<usize>,
-    prefixes: std::ops::Range<usize>,
-}
-
 /// Cuts the candidate list into `shards` contiguous, balanced segments
 /// whose boundaries never split a top-level announced prefix.
 ///
@@ -770,10 +740,14 @@ struct ShardSegment {
 /// emitted for a longer-than-/24 announcement) forms its own cuttable
 /// singleton group. Cut points are chosen as the smallest group boundary
 /// at or past each ideal `len * k / shards` split.
-fn shard_segments(subnets: &[Ipv4Net], prefixes: &[Ipv4Net], shards: usize) -> Vec<ShardSegment> {
+fn shard_segments(
+    subnets: &[Ipv4Net],
+    prefixes: &[Ipv4Net],
+    shards: usize,
+) -> Vec<std::ops::Range<usize>> {
     let shards = shards.max(1);
-    // Group boundaries: (subnet index, owner prefix index at that point).
-    let mut boundaries: Vec<(usize, usize)> = Vec::new();
+    // Group boundaries: the subnet index at which each group starts.
+    let mut boundaries: Vec<usize> = Vec::new();
     let mut pi = 0usize;
     let mut last_owner = usize::MAX;
     for (i, s) in subnets.iter().enumerate() {
@@ -794,72 +768,42 @@ fn shard_segments(subnets: &[Ipv4Net], prefixes: &[Ipv4Net], shards: usize) -> V
             _ => usize::MAX, // uncontained: its own singleton group
         };
         if i == 0 || owner == usize::MAX || owner != last_owner {
-            boundaries.push((i, owner));
+            boundaries.push(i);
         }
         last_owner = owner;
     }
-    boundaries.push((subnets.len(), usize::MAX));
+    boundaries.push(subnets.len());
 
     let mut segments = Vec::with_capacity(shards);
     let mut cursor = 0usize; // index into `boundaries`
     for k in 1..=shards {
         let target = subnets.len() * k / shards;
-        let lo = boundaries
-            .get(cursor)
-            .map(|(i, _)| *i)
-            .unwrap_or(subnets.len());
+        let lo = boundaries.get(cursor).copied().unwrap_or(subnets.len());
         let mut end = cursor;
         while boundaries
             .get(end + 1)
-            .is_some_and(|(i, _)| *i <= target || k == shards)
+            .is_some_and(|i| *i <= target || k == shards)
         {
             end += 1;
         }
         // `end` is now the last boundary at or before the target (or the
         // final boundary for the last shard).
-        let hi = boundaries.get(end).map(|(i, _)| *i).unwrap_or(lo);
-        let owners: Vec<usize> = boundaries
-            .get(cursor..end)
-            .unwrap_or(&[])
-            .iter()
-            .map(|(_, o)| *o)
-            .filter(|o| *o != usize::MAX)
-            .collect();
-        let prange = match (owners.first(), owners.last()) {
-            (Some(first), Some(last)) => *first..*last + 1,
-            _ => 0..0,
-        };
-        segments.push(ShardSegment {
-            subnets: lo..hi,
-            prefixes: prange,
-        });
+        let hi = boundaries.get(end).copied().unwrap_or(lo);
+        segments.push(lo..hi);
         cursor = end;
     }
     segments
 }
 
-/// Events routed through the engine scan.
-#[derive(Clone)]
-enum ScanEvent {
-    /// Advance this shard's cursor: skip covered subnets, then query one.
-    Attempt,
-    /// A sibling shard announced a server-returned ECS scope.
-    Scope(Ipv4Net),
-}
-
 /// One engine shard: a scanner with a per-shard source address, a
 /// contiguous slice of the candidate list, and a fully local stat sled
-/// (report, scope set, scratch buffers). The only cross-shard traffic is
-/// [`ScanEvent::Scope`] announcements.
+/// (report, scope set, scratch buffers). Shards exchange no events: each
+/// is one chain of attempts, every event an attempt at the cursor.
 struct ScanShard<'a> {
     scanner: EcsScanner,
     domain: DomainName,
     auth: &'a dyn NameServer,
     rib: &'a Rib,
-    /// Top-level prefixes wholly owned by this shard: a scope contained in
-    /// one of them cannot cover any sibling's subnet, so it is not
-    /// announced.
-    owned: &'a [Ipv4Net],
     subnets: &'a [Ipv4Net],
     idx: usize,
     attempts: u32,
@@ -874,18 +818,23 @@ impl ScanShard<'_> {
     /// slice is exhausted. `at` is when the current query's pacing ends: a
     /// scan's duration runs to the end of its last query's pacing window
     /// (trailing scope-skips are free).
-    fn advance(&mut self, at: SimTime, ctx: &mut ShardCtx<ScanEvent>) {
+    fn advance(&mut self, at: SimTime, ctx: &mut ShardCtx<()>) {
         if self.idx < self.subnets.len() {
-            ctx.schedule(at, ScanEvent::Attempt);
+            ctx.schedule(at, ());
         } else {
             self.report.duration = at - self.start;
         }
     }
+}
 
-    fn attempt(&mut self, now: SimTime, ctx: &mut ShardCtx<ScanEvent>) {
-        // Skip scope-covered subnets at the cursor (same order, and — for
-        // announcement-aligned shards — provably the same decisions as the
-        // one-shard scan).
+impl ShardModel for ScanShard<'_> {
+    type Event = ();
+    type Out = EcsScanReport;
+
+    /// Skips the scope-covered subnets at the cursor, then queries one.
+    fn handle(&mut self, now: SimTime, _event: (), ctx: &mut ShardCtx<()>) {
+        // Same order, and — for announcement-aligned shards — provably the
+        // same decisions as the one-shard scan.
         while let Some(subnet) = self.subnets.get(self.idx) {
             if self.scanner.config.respect_scopes && self.known_scopes.covers(subnet.network()) {
                 self.report.skipped_by_scope += 1;
@@ -907,7 +856,7 @@ impl ScanShard<'_> {
             AttemptOutcome::Answered(reply) => {
                 self.attempts = 0;
                 self.idx += 1;
-                let inserted = self.scanner.process_response(
+                self.scanner.process_response(
                     subnet,
                     reply,
                     self.rib,
@@ -915,14 +864,6 @@ impl ScanShard<'_> {
                     &mut self.known_scopes,
                     &mut self.report,
                 );
-                if let Some(scope_net) = inserted {
-                    // Cross-shard state travels as events only: announce
-                    // the scope unless it is contained in a prefix this
-                    // shard wholly owns (then no sibling can be covered).
-                    if !self.owned.iter().any(|p| p.contains_net(&scope_net)) {
-                        ctx.broadcast(now, ScanEvent::Scope(scope_net));
-                    }
-                }
                 self.advance(next, ctx);
             }
             AttemptOutcome::Undecodable => {
@@ -941,23 +882,7 @@ impl ScanShard<'_> {
                     self.advance(next, ctx);
                 } else {
                     self.report.retries += 1;
-                    ctx.schedule(next + self.scanner.config.retry_backoff, ScanEvent::Attempt);
-                }
-            }
-        }
-    }
-}
-
-impl ShardModel for ScanShard<'_> {
-    type Event = ScanEvent;
-    type Out = EcsScanReport;
-
-    fn handle(&mut self, now: SimTime, event: ScanEvent, ctx: &mut ShardCtx<ScanEvent>) {
-        match event {
-            ScanEvent::Attempt => self.attempt(now, ctx),
-            ScanEvent::Scope(net) => {
-                if self.scanner.config.respect_scopes {
-                    self.known_scopes.insert(net);
+                    ctx.schedule(next + self.scanner.config.retry_backoff, ());
                 }
             }
         }
@@ -1393,41 +1318,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_list_engine_propagates_scopes_deterministically() {
-        let d = deployment();
-        let auth = d.auth_server_unlimited();
-        let scanner = EcsScanner::default();
-        let subnets = scanner.candidate_subnets(&d.rib);
-        let run = |workers: usize| {
-            scanner.scan_subnets_engine(
-                Domain::MaskQuic.name(),
-                &subnets,
-                &[&auth],
-                &d.rib,
-                Epoch::Apr2022.start(),
-                &EngineConfig::new(8, workers),
-            )
-        };
-        let w1 = run(1);
-        let w4 = run(4);
-        // Unaligned cuts: serial equality is not promised, determinism is.
-        assert_eq!(w1, w4);
-        // Scope events do land: local skipping plus announcements still
-        // suppress a meaningful share of queries.
-        assert!(w1.skipped_by_scope > 0);
-        let serial_run = serial_scan(
-            &scanner,
-            Domain::MaskQuic.name(),
-            &subnets,
-            &auth,
-            &d.rib,
-            &mut SimClock::new(Epoch::Apr2022.start()),
-        );
-        assert_eq!(w1.discovered, serial_run.discovered);
-        assert_eq!(w1.by_ingress_as, serial_run.by_ingress_as);
-    }
-
-    #[test]
     fn shard_segments_align_with_prefix_boundaries() {
         let d = deployment();
         let scanner = EcsScanner::default();
@@ -1438,34 +1328,21 @@ mod tests {
             assert_eq!(segments.len(), shards);
             let mut covered = 0usize;
             for seg in &segments {
-                assert_eq!(seg.subnets.start, covered, "segments not contiguous");
-                covered = seg.subnets.end;
+                assert_eq!(seg.start, covered, "segments not contiguous");
+                covered = seg.end;
                 // No top-level prefix may straddle a segment boundary: the
                 // first subnet of a segment is never strictly inside the
-                // same prefix as the last subnet of the previous one.
+                // same prefix as the last subnet of the previous one. A
+                // prefix's subnets are contiguous in the list, so each lies
+                // wholly in one segment.
                 if let (Some(first), Some(prev)) = (
-                    subnets.get(seg.subnets.start),
-                    seg.subnets
-                        .start
-                        .checked_sub(1)
-                        .and_then(|i| subnets.get(i)),
+                    subnets.get(seg.start),
+                    seg.start.checked_sub(1).and_then(|i| subnets.get(i)),
                 ) {
                     let shared = prefixes
                         .iter()
                         .find(|p| p.contains_net(first) && p.contains_net(prev));
                     assert!(shared.is_none(), "prefix {shared:?} straddles a cut");
-                }
-                // Owned prefixes really are owned: every subnet of an owned
-                // prefix lies inside the segment.
-                for p in prefixes.get(seg.prefixes.clone()).unwrap_or(&[]) {
-                    for (i, s) in subnets.iter().enumerate() {
-                        if p.contains_net(s) {
-                            assert!(
-                                seg.subnets.contains(&i),
-                                "owned prefix {p} has subnet outside the segment"
-                            );
-                        }
-                    }
                 }
             }
             assert_eq!(covered, subnets.len());

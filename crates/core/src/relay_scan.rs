@@ -8,8 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 use tectonic_dns::server::NameServer;
-use tectonic_engine::{Engine, EngineConfig, ShardCtx, ShardModel};
-use tectonic_net::{Asn, SimDuration, SimRng, SimTime};
+use tectonic_engine::EngineConfig;
+use tectonic_net::{Asn, SimDuration, SimTime};
 use tectonic_relay::client::{ClientRequest, Device, RequestAgent};
 
 /// Scan schedule configuration.
@@ -86,8 +86,8 @@ pub struct RelayScanSeries {
 }
 
 impl RelayScanSeries {
-    /// Runs the scan with a fresh `device` starting at `start`, on one
-    /// engine shard ([`RelayScanSeries::run_engine`] from connection id
+    /// Runs the scan with a fresh `device` starting at `start`, as one
+    /// round range ([`RelayScanSeries::run_engine`] from connection id
     /// base 0).
     pub fn run(
         device: &Device,
@@ -98,24 +98,21 @@ impl RelayScanSeries {
         RelayScanSeries::run_engine(device, &[auth], config, start, 0, &EngineConfig::new(1, 1))
     }
 
-    /// Runs the scan on the sharded discrete-event engine.
+    /// Runs the scan over `engine.shards` contiguous round ranges;
+    /// `engine.workers` is not read.
     ///
-    /// Rounds are dealt to shards in contiguous index ranges (so the
-    /// merged log stays in round order) and each round is one scheduled
-    /// event at its wall-clock instant. Connection ids are assigned per
-    /// round — round `i` uses `first_connection_id + 2i + 1` (Safari) and
-    /// `+ 2i + 2` (curl) — so the output is the same for every shard and
-    /// worker count, and a failed round never shifts a later round's
-    /// egress draw. A fresh device starts at `first_connection_id = 0`; a
-    /// caller continuing an existing device passes the number of
-    /// connection ids it has already used.
+    /// Round `i` is sent at `start + i * interval`. Connection ids are
+    /// assigned per round — round `i` uses `first_connection_id + 2i + 1`
+    /// (Safari) and `+ 2i + 2` (curl) — so no round depends on another, and
+    /// the ranges run one after the other on the calling thread, in round
+    /// order: the output is the same for every shard count, and a failed
+    /// round never shifts a later round's egress draw. A fresh device
+    /// starts at `first_connection_id = 0`; a caller continuing an existing
+    /// device passes the number of connection ids it has already used.
     ///
-    /// `servers` is indexed `shard % servers.len()`, like
-    /// [`crate::ecs_scan::EcsScanner::scan_engine_sharded`]. Rounds are
-    /// time-staggered, so a conservative lookahead would serialise the
-    /// shards; since rounds share no cross-shard events, the engine runs
-    /// with a lookahead covering the whole schedule, letting every shard
-    /// process its range in one window.
+    /// Range `s` asks `servers[s % servers.len()]`, like
+    /// [`crate::ecs_scan::EcsScanner::scan_engine_sharded`]'s shards: the
+    /// chaos harness passes one fault-injecting wrapper per shard.
     pub fn run_engine(
         device: &Device,
         servers: &[&dyn NameServer],
@@ -124,48 +121,36 @@ impl RelayScanSeries {
         first_connection_id: u64,
         engine: &EngineConfig,
     ) -> RelayScanSeries {
-        let Some(&first_server) = servers.first() else {
-            return RelayScanSeries {
-                rounds: Vec::new(),
-                failures: 0,
-            };
-        };
-        let rounds = config.rounds();
-        let shards = engine.shards.max(1) as u64;
-        let per_shard = rounds.div_ceil(shards.max(1)).max(1);
-        let models: Vec<RoundShard<'_>> = (0..shards)
-            .map(|s| RoundShard {
-                device,
-                auth: servers
-                    .get((s as usize) % servers.len())
-                    .copied()
-                    .unwrap_or(first_server),
-                start,
-                first_connection_id,
-                rounds: Vec::new(),
-                failures: 0,
-            })
-            .collect();
-        // No cross-shard events: one window must span the whole schedule.
-        let config_wide = EngineConfig {
-            lookahead: config.duration + config.interval,
-            ..engine.clone()
-        };
-        let mut eng = Engine::new(&config_wide, models, &SimRng::new(0x5CA9));
-        for i in 0..rounds {
-            let shard = (i / per_shard).min(shards - 1) as usize;
-            let at = start + SimDuration::from_millis(config.interval.as_millis() * i);
-            eng.seed(shard, at, i);
-        }
-        let mut merged = RelayScanSeries {
+        let mut series = RelayScanSeries {
             rounds: Vec::new(),
             failures: 0,
         };
-        for (rounds, failures) in eng.run() {
-            merged.rounds.extend(rounds);
-            merged.failures += failures;
+        let rounds = config.rounds();
+        let per_range = rounds.div_ceil(engine.shards.max(1) as u64).max(1);
+        let firsts = (0..)
+            .map(|r| r * per_range)
+            .take_while(|&first| first < rounds);
+        for (first, auth) in firsts.zip(servers.iter().cycle()) {
+            for round in first..rounds.min(first + per_range) {
+                let now = start + config.interval.times(round);
+                let safari_id = first_connection_id + 2 * round + 1;
+                let pair = device
+                    .request(RequestAgent::Safari, *auth, now, safari_id)
+                    .and_then(|safari| {
+                        let curl = device.request(RequestAgent::Curl, *auth, now, safari_id + 1)?;
+                        Ok((safari, curl))
+                    });
+                match pair {
+                    Ok((safari, curl)) => series.rounds.push(ScanRound {
+                        relative_secs: (now - start).as_secs(),
+                        safari: LoggedRequest::from_request(&safari),
+                        curl: LoggedRequest::from_request(&curl),
+                    }),
+                    Err(_) => series.failures += 1,
+                }
+            }
         }
-        merged
+        series
     }
 
     /// The Figure 3 series: `(relative_secs, operator)` per round, based on
@@ -199,47 +184,6 @@ impl RelayScanSeries {
     /// Flattens the curl request log (for the rotation statistics).
     pub fn curl_requests(&self) -> Vec<&LoggedRequest> {
         self.rounds.iter().map(|r| &r.curl).collect()
-    }
-}
-
-/// One engine shard of the relay scan: a contiguous range of rounds, each
-/// an event carrying its round index.
-struct RoundShard<'a> {
-    device: &'a Device,
-    auth: &'a dyn NameServer,
-    start: SimTime,
-    first_connection_id: u64,
-    rounds: Vec<ScanRound>,
-    failures: u64,
-}
-
-impl ShardModel for RoundShard<'_> {
-    type Event = u64;
-    type Out = (Vec<ScanRound>, u64);
-
-    fn handle(&mut self, now: SimTime, round: u64, _ctx: &mut ShardCtx<u64>) {
-        let safari_id = self.first_connection_id + 2 * round + 1;
-        let pair = self
-            .device
-            .request(RequestAgent::Safari, self.auth, now, safari_id)
-            .and_then(|safari| {
-                let curl =
-                    self.device
-                        .request(RequestAgent::Curl, self.auth, now, safari_id + 1)?;
-                Ok((safari, curl))
-            });
-        match pair {
-            Ok((safari, curl)) => self.rounds.push(ScanRound {
-                relative_secs: (now - self.start).as_secs(),
-                safari: LoggedRequest::from_request(&safari),
-                curl: LoggedRequest::from_request(&curl),
-            }),
-            Err(_) => self.failures += 1,
-        }
-    }
-
-    fn finish(self) -> Self::Out {
-        (self.rounds, self.failures)
     }
 }
 
@@ -354,7 +298,8 @@ mod tests {
         assert_eq!(RelayScanConfig::rotation_series().rounds(), 5760);
     }
 
-    /// A serial loop, the oracle the engine series is checked against:
+    /// A serial loop over all rounds, the oracle the ranged series is
+    /// checked against:
     /// round `i`'s Safari and curl requests take ids `2i + 1` and `2i + 2`.
     fn serial_series(
         device: &Device,
@@ -389,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_series_matches_serial_loop_and_is_worker_invariant() {
+    fn ranged_series_matches_serial_loop() {
         let (d, run) = series(DnsMode::Open);
         let auth = d.auth_server_unlimited();
         let config = RelayScanConfig::operator_series();
@@ -403,7 +348,9 @@ mod tests {
         );
         assert_eq!(oracle.failures, 0);
         assert_eq!(run, oracle, "run");
-        for (shards, workers) in [(1, 1), (6, 1), (6, 3), (6, 8)] {
+        // Range counts that do and do not divide the 288 rounds, and more
+        // ranges than rounds.
+        for shards in [1, 6, 7, 11, 400] {
             let device = d.device_in_country(CountryCode::DE, DnsMode::Open);
             let s = RelayScanSeries::run_engine(
                 &device,
@@ -411,9 +358,9 @@ mod tests {
                 &config,
                 start,
                 0,
-                &EngineConfig::new(shards, workers),
+                &EngineConfig::new(shards, 1),
             );
-            assert_eq!(s, oracle, "shards={shards} workers={workers}");
+            assert_eq!(s, oracle, "shards={shards}");
         }
     }
 

@@ -81,10 +81,9 @@ pub struct TokenIssuer {
         clippy::disallowed_types,
         reason = "a leaf lock: nothing that takes another lock runs while the guard is held. It stays while \
                   `Device` shares the issuer through an `Arc` and the benchmark harness \
-                  drives `RelayScanSeries::run_engine` with `&Device`. Latent hazard: the \
-                  shards of one series share this ledger, so budget exhaustion would depend \
-                  on worker interleaving; no caller comes near the 20 000-per-day budget \
-                  (a 288-round day takes 576 tokens)"
+                  drives `RelayScanSeries::run_engine` with `&Device`. A series issues its \
+                  tokens in round order on one thread, so budget exhaustion never depends on \
+                  thread interleaving"
     )]
     ledger: parking_lot::Mutex<IssuerLedger>,
 }

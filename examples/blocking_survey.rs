@@ -10,11 +10,10 @@
 //! ```
 
 use tectonic::atlas::population::PopulationConfig;
-use tectonic::core::atlas_campaign::AtlasSetup;
+use tectonic::core::atlas_campaign::{control_server, AtlasSetup};
 use tectonic::core::blocking::survey;
 use tectonic::core::report::render_blocking;
-use tectonic::dns::server::AuthoritativeServer;
-use tectonic::dns::{QType, RData, Record, Zone};
+use tectonic::dns::QType;
 use tectonic::net::Epoch;
 use tectonic::relay::{Deployment, DeploymentConfig, Domain};
 
@@ -41,13 +40,7 @@ fn main() {
     // The relay-domain measurement and the control-domain comparison run.
     let mask_results =
         atlas.run_mask_campaign(&deployment, Domain::MaskQuic, QType::A, Epoch::Apr2022, 1);
-    let mut control_zone = Zone::new("atlas-measurements.net".parse().unwrap());
-    control_zone.add_record(Record::new(
-        "control.atlas-measurements.net".parse().unwrap(),
-        300,
-        RData::A("93.184.216.34".parse().unwrap()),
-    ));
-    let control_auth = AuthoritativeServer::new().with_zone(control_zone);
+    let control_auth = control_server();
     let control_results = atlas.run_control_campaign(&control_auth, Epoch::Apr2022, 2);
 
     let is_ingress = |addr: std::net::IpAddr| deployment.fleets.is_ingress(addr);

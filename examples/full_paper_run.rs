@@ -13,7 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use tectonic::atlas::population::PopulationConfig;
-use tectonic::core::atlas_campaign::{AtlasCampaignReport, AtlasSetup};
+use tectonic::core::atlas_campaign::{control_server, AtlasCampaignReport, AtlasSetup};
 use tectonic::core::attribution::Table2;
 use tectonic::core::blocking::survey;
 use tectonic::core::correlation::CorrelationReport;
@@ -23,8 +23,7 @@ use tectonic::core::quic_probe::QuicProbeReport;
 use tectonic::core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use tectonic::core::report;
 use tectonic::core::rotation::RotationReport;
-use tectonic::dns::server::AuthoritativeServer;
-use tectonic::dns::{QType, RData, Record, Zone};
+use tectonic::dns::QType;
 use tectonic::geo::country::CountryCode;
 use tectonic::net::{Asn, Epoch, SimClock};
 use tectonic::relay::{Deployment, DeploymentConfig, DnsMode, Domain};
@@ -147,13 +146,7 @@ fn main() {
 
     // --------------------------------------------------------- Blocking
     println!("\n=== R3: blocking survey ===");
-    let mut control_zone = Zone::new("atlas-measurements.net".parse().unwrap());
-    control_zone.add_record(Record::new(
-        "control.atlas-measurements.net".parse().unwrap(),
-        300,
-        RData::A("93.184.216.34".parse().unwrap()),
-    ));
-    let control_auth = AuthoritativeServer::new().with_zone(control_zone);
+    let control_auth = control_server();
     let control_results = atlas.run_control_campaign(&control_auth, Epoch::Apr2022, 3);
     let is_ingress = |addr: std::net::IpAddr| deployment.fleets.is_ingress(addr);
     let blocking = survey(&a_results, &control_results, &is_ingress);

@@ -184,12 +184,10 @@ fn cmd_egress(args: &Args) {
 }
 
 fn cmd_atlas(args: &Args) {
-    use std::net::Ipv4Addr;
     use tectonic::atlas::population::PopulationConfig;
-    use tectonic::core::atlas_campaign::{AtlasCampaignReport, AtlasSetup};
+    use tectonic::core::atlas_campaign::{control_server, AtlasCampaignReport, AtlasSetup};
     use tectonic::core::blocking::survey;
-    use tectonic::dns::server::AuthoritativeServer;
-    use tectonic::dns::{DomainName, QType, RData, Record, Zone};
+    use tectonic::dns::QType;
     let d = build(args);
     let probes: usize = args.get("probes", 11_700);
     let atlas = AtlasSetup::build(&d, &PopulationConfig::paper().with_probes(probes), 99);
@@ -209,13 +207,7 @@ fn cmd_atlas(args: &Args) {
         aaaa_report.v6_count_for(Asn::APPLE),
         aaaa_report.v6_count_for(Asn::AKAMAI_PR),
     );
-    let mut control_zone = Zone::new(DomainName::literal("atlas-measurements.net"));
-    control_zone.add_record(Record::new(
-        DomainName::literal("control.atlas-measurements.net"),
-        300,
-        RData::A(Ipv4Addr::new(93, 184, 216, 34)),
-    ));
-    let control_auth = AuthoritativeServer::new().with_zone(control_zone);
+    let control_auth = control_server();
     let control = atlas.run_control_campaign(&control_auth, Epoch::Apr2022, 3);
     let blocking = survey(&a, &control, &|addr| d.fleets.is_ingress(addr));
     print!("{}", report::render_blocking(&blocking));

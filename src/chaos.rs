@@ -24,7 +24,7 @@ use std::net::{IpAddr, Ipv4Addr};
 
 use crate::atlas::population::PopulationConfig;
 use crate::atlas::MeasurementOutcome;
-use crate::core::atlas_campaign::{AtlasCampaignReport, AtlasSetup};
+use crate::core::atlas_campaign::{control_server, AtlasCampaignReport, AtlasSetup};
 use crate::core::attribution::Table2;
 use crate::core::blocking::survey;
 use crate::core::correlation::CorrelationReport;
@@ -35,7 +35,7 @@ use crate::core::quic_probe::QuicProbeReport;
 use crate::core::relay_scan::{RelayScanConfig, RelayScanSeries};
 use crate::core::report;
 use crate::core::rotation::RotationReport;
-use crate::dns::{AuthoritativeServer, DomainName, NameServer, QType, RData, Record, Zone};
+use crate::dns::{NameServer, QType};
 use crate::engine::EngineConfig;
 use crate::geo::CountryCode;
 use crate::net::{Asn, Epoch, IpNet, SimDuration, SimTime};
@@ -57,14 +57,16 @@ pub struct ChaosConfig {
     pub quic_sample: usize,
     /// Client pairs in the §4 CONNECT-UDP session storm.
     pub storm_clients: u32,
-    /// The engine geometry of the ECS scans, Atlas campaigns and open-DNS
-    /// relay series, each with one fault channel per shard. The §4 storm
-    /// runs serially in both modes; here it takes the engine's shard count
-    /// and each client's datagrams cross its own shard's channel. `None`
-    /// (the default) runs those stages on one shard and one worker, and
-    /// the storm on its default shards, all served by the run's main fault
-    /// channel. Engine runs are worker-invariant: the same seed produces
-    /// the same [`ChaosRun`] for every `workers` value.
+    /// The shard geometry, with one fault channel per shard. Only the ECS
+    /// scans run on the engine, over these shards and workers. The Atlas
+    /// campaigns and the open-DNS relay series run serially in contiguous
+    /// probe or round ranges, one per shard, each range asking its own
+    /// shard's channel; the §4 storm runs serially too, each client's
+    /// datagrams crossing its own shard's channel. `None` (the default)
+    /// runs the scans, campaigns and series on one shard and the storm on
+    /// its default shards, all served by the run's main fault channel. The
+    /// worker count is unobservable: the same seed produces the same
+    /// [`ChaosRun`] for every `workers` value.
     pub engine: Option<EngineConfig>,
 }
 
@@ -205,9 +207,10 @@ fn stage_wraps<'a>(
 }
 
 /// A stage's server list: its faulted wrappers, or the bare server when
-/// the run injects no faults (golden runs). The engine indexes it
-/// `shard % len`, so with one wrapper per shard each shard talks to its
-/// own channel and never contends on a ledger lock.
+/// the run injects no faults (golden runs). A stage indexes it
+/// `shard % len` (a scan shard, or a campaign's or series' range), so with
+/// one wrapper per shard each shard talks to its own channel and never
+/// contends on a ledger lock.
 fn stage_servers<'a>(
     wraps: &'a [FaultedServer<'a>],
     bare: &'a dyn NameServer,
@@ -267,12 +270,12 @@ fn table3_subnet_total(analysis: &EgressAnalysis<'_>) -> u64 {
 /// threads every link through a [`FaultedChannel`] seeded from `seed`.
 pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -> ChaosRun {
     let channel = plan.map(|p| FaultedChannel::new(p.clone(), seed));
-    // One extra fault channel per engine shard: each shard's RNG stream
-    // must depend only on (seed, shard index) — never on worker
-    // interleaving — so engine runs are worker-invariant, and shards never
-    // share a channel lock. The main `channel` serves the single-channel
-    // stages (control survey, QUIC, BGP feed), and every stage when the
-    // run has no engine.
+    // One extra fault channel per shard: each shard's RNG stream must
+    // depend only on (seed, shard index) — never on worker interleaving —
+    // so engine runs are worker-invariant, and shards never share a
+    // channel lock. The main `channel` serves the single-channel stages
+    // (control survey, QUIC, BGP feed), and every stage when the run has
+    // no engine.
     let shard_channels: Vec<FaultedChannel> = match (plan, config.engine.as_ref()) {
         (Some(p), Some(e)) => (0..e.shards.max(1))
             .map(|s| {
@@ -282,7 +285,7 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
             .collect(),
         _ => Vec::new(),
     };
-    // The channels the engine stages and the storm talk through: one per
+    // The channels the sharded stages and the storm talk through: one per
     // shard, else the main channel (one shard), else none (golden runs).
     let stage_channels: Vec<&FaultedChannel> = if shard_channels.is_empty() {
         channel.iter().collect()
@@ -413,13 +416,7 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
     metrics.aaaa_addresses = aaaa_report.v6_addresses.len();
 
     // ----- Blocking survey (control domain on its own faultable link).
-    let mut control_zone = Zone::new(DomainName::literal("atlas-measurements.net"));
-    control_zone.add_record(Record::new(
-        DomainName::literal("control.atlas-measurements.net"),
-        300,
-        RData::A(Ipv4Addr::new(93, 184, 216, 34)),
-    ));
-    let control_auth = AuthoritativeServer::new().with_zone(control_zone);
+    let control_auth = control_server();
     let control_wrap = channel
         .as_ref()
         .map(|c| FaultedServer::new(c, Link::ControlAuth, &control_auth));
@@ -587,7 +584,7 @@ pub fn run_pipeline(seed: u64, plan: Option<&FaultPlan>, config: &ChaosConfig) -
         metrics.table3_restored_render = Some(report::render_table3(&analysis.table3()));
     }
 
-    // Fold the per-shard engine channels into the main ledger: the
+    // Fold the per-shard channels into the main ledger: the
     // invariants reconcile against injection totals, which are sums over
     // every channel the run touched.
     let mut stats = channel

@@ -5,11 +5,10 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use tectonic::atlas::population::PopulationConfig;
-use tectonic::core::atlas_campaign::{AtlasCampaignReport, AtlasSetup};
+use tectonic::core::atlas_campaign::{control_server, AtlasCampaignReport, AtlasSetup};
 use tectonic::core::blocking::{survey, ProbeVerdict};
 use tectonic::core::ecs_scan::EcsScanner;
-use tectonic::dns::server::AuthoritativeServer;
-use tectonic::dns::{QType, RData, Record, Zone};
+use tectonic::dns::QType;
 use tectonic::net::{Asn, Epoch, SimClock};
 use tectonic::relay::{Deployment, DeploymentConfig, Domain};
 
@@ -17,16 +16,6 @@ fn setup() -> (Deployment, AtlasSetup) {
     let d = Deployment::build(77, DeploymentConfig::scaled(256));
     let atlas = AtlasSetup::build(&d, &PopulationConfig::paper().with_probes(6_000), 5);
     (d, atlas)
-}
-
-fn control_auth() -> AuthoritativeServer {
-    let mut zone = Zone::new("atlas-measurements.net".parse().unwrap());
-    zone.add_record(Record::new(
-        "control.atlas-measurements.net".parse().unwrap(),
-        300,
-        RData::A("93.184.216.34".parse().unwrap()),
-    ));
-    AuthoritativeServer::new().with_zone(zone)
 }
 
 #[test]
@@ -79,7 +68,7 @@ fn ipv6_enumeration_shape() {
 fn blocking_survey_matches_configured_population() {
     let (d, atlas) = setup();
     let mask = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 3);
-    let control = atlas.run_control_campaign(&control_auth(), Epoch::Apr2022, 4);
+    let control = atlas.run_control_campaign(&control_server(), Epoch::Apr2022, 4);
     let is_ingress = |addr: std::net::IpAddr| d.fleets.is_ingress(addr);
     let report = survey(&mask, &control, &is_ingress);
     // Shares within the paper's neighbourhood.
@@ -107,7 +96,7 @@ fn blocking_survey_matches_configured_population() {
 fn classification_consistency_with_probe_policies() {
     let (d, atlas) = setup();
     let mask = atlas.run_mask_campaign(&d, Domain::MaskQuic, QType::A, Epoch::Apr2022, 6);
-    let control = atlas.run_control_campaign(&control_auth(), Epoch::Apr2022, 7);
+    let control = atlas.run_control_campaign(&control_server(), Epoch::Apr2022, 7);
     let is_ingress = |addr: std::net::IpAddr| d.fleets.is_ingress(addr);
     // Re-classify each probe and compare against its configured policy.
     let control_by_id: std::collections::HashMap<u32, _> = control

@@ -1,14 +1,16 @@
-//! The engine's hard invariant, end to end: the sharded discrete-event
-//! scan engine's geometry must be unobservable in every pipeline output. A
-//! golden (fault-free) chaos run on eight shards reproduces the artifacts
-//! and metrics of the `engine: None` run (every measurement on one shard)
-//! byte-for-byte, and any engine run — golden or kitchen-sink faulted —
-//! produces the same `ChaosRun` for every worker count. The faulted
-//! one-worker run is also pinned to a committed digest.
+//! The engine's hard invariant, end to end: the shard geometry must be
+//! unobservable in every pipeline output. A golden (fault-free) chaos run
+//! on eight shards reproduces the artifacts and metrics of the
+//! `engine: None` run (every measurement on one shard) byte-for-byte, and
+//! any engine run — golden or kitchen-sink faulted — produces the same
+//! `ChaosRun` for every worker count. The faulted kitchen-sink run is also
+//! pinned to committed digests at three geometries.
 //!
-//! The engine runs the ECS scans, the Atlas campaigns and the relay
-//! series. The §4 storm runs serially in every mode; its engine model is
-//! the oracle in `tests/masque_load.rs`.
+//! Only the ECS scans run on the discrete-event engine, and their shards
+//! exchange no events. The Atlas campaigns and the relay series run
+//! serially over the same shard count's probe or round ranges, each range
+//! on its own shard's fault channel. The §4 storm runs serially in every
+//! mode; its engine model is the oracle in `tests/masque_load.rs`.
 //!
 //! Below the pipelines, a model-based property runs the scheduler itself on
 //! random shard-model graphs — local schedules, cross-shard sends,
