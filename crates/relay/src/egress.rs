@@ -14,6 +14,7 @@
 //! [`EgressSelector::draw`] is the one address selector: the session
 //! layer's egress and the client device both call it.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::IpAddr;
 
@@ -52,6 +53,9 @@ pub struct EgressSelector {
     /// location whose subnets are all IPv6 keeps its (empty) entry: the
     /// keys are the operator's presence.
     pools: HashMap<(Asn, CountryCode), Vec<Ipv4Net>>,
+    /// Country → the operators with a `pools` entry there, in first-seen
+    /// order: the operator choice reads presence with one probe.
+    present: HashMap<CountryCode, Vec<Asn>>,
     /// Operator → all its IPv4 subnets, the fallback pool when an operator
     /// has no presence at the client's country in a (scaled-down) list.
     global_pools: HashMap<Asn, Vec<Ipv4Net>>,
@@ -67,6 +71,7 @@ impl EgressSelector {
     /// draw reads these lists in place, so a session copies none of them.
     pub fn build(list: &EgressList, footprints: &[OperatorFootprint], seed: u64) -> EgressSelector {
         let mut pools: HashMap<(Asn, CountryCode), Vec<Ipv4Net>> = HashMap::new();
+        let mut present: HashMap<CountryCode, Vec<Asn>> = HashMap::new();
         let mut global_pools: HashMap<Asn, Vec<Ipv4Net>> = HashMap::new();
         // Index the footprints once and compile the index; per-entry
         // attribution is then a flat longest-prefix match instead of a
@@ -83,13 +88,21 @@ impl EgressSelector {
             };
             let op = *op;
             let v4 = entry.subnet.as_v4().copied();
-            pools.entry((op, entry.cc)).or_default().extend(v4);
+            let pool = match pools.entry((op, entry.cc)) {
+                Entry::Occupied(pool) => pool.into_mut(),
+                Entry::Vacant(slot) => {
+                    present.entry(entry.cc).or_default().push(op);
+                    slot.insert(Vec::new())
+                }
+            };
+            pool.extend(v4);
             global_pools.entry(op).or_default().extend(v4);
         }
         let mut operators: Vec<Asn> = footprints.iter().map(|f| f.asn).collect();
         operators.sort();
         EgressSelector {
             pools,
+            present,
             global_pools,
             operators,
             operator_stickiness: SimDuration::from_hours(3),
@@ -127,13 +140,14 @@ impl EgressSelector {
     pub fn operator_for(&self, client_key: u64, cc: CountryCode, now: SimTime) -> Option<Asn> {
         let window = now.as_millis() / self.operator_stickiness.as_millis().max(1);
         let h = self.mix(client_key ^ window.wrapping_mul(0x1000_0000_01b3));
-        // The `h`-th operator (mod their count) that `present` admits.
-        let pick = |present: &dyn Fn(Asn) -> bool| {
-            let mut candidates = self.operators.iter().copied().filter(|op| present(*op));
+        // The `h`-th operator (mod their count) that `admits` admits.
+        let pick = |admits: &dyn Fn(Asn) -> bool| {
+            let mut candidates = self.operators.iter().copied().filter(|op| admits(*op));
             let count = candidates.clone().count();
             candidates.nth((h as usize).checked_rem(count)?)
         };
-        pick(&|op| self.pools.contains_key(&(op, cc)))
+        let here = self.present.get(&cc).map_or(&[][..], Vec::as_slice);
+        pick(&|op| here.contains(&op))
             // No operator represents this country (possible in scaled-down
             // lists): any operator with subnets at all can still serve,
             // preserving only the country/time zone (§4.2's no-region mode).
