@@ -170,11 +170,9 @@ fn control_campaign() -> DnsCampaign {
 }
 
 /// Runs `campaign` over `probes` as `shards` contiguous probe ranges, every
-/// probe measured at `now` (as in [`DnsCampaign::run`]). Range `s` asks
-/// `auths[s % auths.len()]`, in probe order: the chaos harness passes one
-/// fault-injecting wrapper per shard, and each sees its own ranges'
-/// queries. A probe's transient-flake draw is keyed by `(seed, probe.id)`,
-/// so the ranges concatenate to one run over all probes.
+/// probe measured at `now`; the body of
+/// [`AtlasSetup::run_mask_campaign_engine`]. The chaos harness passes one
+/// fault-injecting server per shard, so each sees its own range's queries.
 fn run_campaign(
     campaign: &DnsCampaign,
     probes: &[Probe],

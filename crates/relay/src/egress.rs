@@ -140,7 +140,7 @@ impl EgressSelector {
     pub fn operator_for(&self, client_key: u64, cc: CountryCode, now: SimTime) -> Option<Asn> {
         let window = now.as_millis() / self.operator_stickiness.as_millis().max(1);
         let h = self.mix(client_key ^ window.wrapping_mul(0x1000_0000_01b3));
-        // The `h`-th operator (mod their count) that `admits` admits.
+        // Of the operators `admits` accepts, the `h`-th (mod their count).
         let pick = |admits: &dyn Fn(Asn) -> bool| {
             let mut candidates = self.operators.iter().copied().filter(|op| admits(*op));
             let count = candidates.clone().count();
